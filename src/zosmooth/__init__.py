@@ -4,6 +4,7 @@ from .decision import (
     KnownDensityOracle,
     RandomFieldOracle,
     RatioBoundError,
+    ValueBoundError,
     esgs_dd_known,
     esgs_dd_unknown,
     field_correlation,
@@ -20,6 +21,7 @@ from .estimators import (
     spsa_estimate,
 )
 from .optimizer import (
+    NonFiniteError,
     Schedule,
     Trajectory,
     run,
@@ -55,6 +57,7 @@ __all__ = [
     "FeasibleSet",
     "GradientSample",
     "KnownDensityOracle",
+    "NonFiniteError",
     "RandomFieldOracle",
     "RandomStream",
     "RatioBoundError",
@@ -63,6 +66,7 @@ __all__ = [
     "SmoothingParams",
     "StochasticOracle",
     "Trajectory",
+    "ValueBoundError",
     "contains",
     "error_metric",
     "esgs_dd_known",

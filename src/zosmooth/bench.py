@@ -4,21 +4,27 @@ Estimator comparisons hold the oracle budget fixed: the coordinate-wise
 exponential-shift estimator runs ``K`` iterations at ``2n`` oracle calls
 each, while every two-point baseline runs ``n*K`` iterations at 2 calls
 each, so all methods consume exactly ``2nK`` noisy evaluations.
+
+All replications of one estimator kind run as one batch (see
+:func:`zosmooth.optimizer.run`); replication ``r`` of kind ``k`` draws from
+the substream keyed ``(kind_key(k), r)``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .decision import esgs_dd_known, esgs_dd_unknown
-from .estimators import ESTIMATORS
+# esgs_dd_known and esgs_dd_unknown are the single-sample forms of the two
+# decision-dependent kinds; perfbench/child.py instruments them by these names.
+from .decision import DD_BATCH_ESTIMATORS, esgs_dd_known, esgs_dd_unknown  # noqa: F401
+from .estimators import BATCH_ESTIMATORS
 from .optimizer import Schedule, Trajectory, run, weighted_average
 from .problems import PROBLEM_BUILDERS, BenchmarkProblem, error_metric
 from .rng import RandomStream
@@ -57,6 +63,10 @@ _CONFIG_KEYS = {
 
 class ConfigError(ValueError):
     """Raised on malformed benchmark configuration."""
+
+
+class BudgetMismatchError(RuntimeError):
+    """Rows of one problem consumed different oracle budgets."""
 
 
 @dataclass(frozen=True)
@@ -150,9 +160,17 @@ class ResultRow:
 
 @dataclass
 class BenchSummary:
+    """Per-kind means of the rows, plus the problem they were run on.
+
+    ``trajectories`` holds replication 0's trajectory of each kind, with its
+    iterates, when the config asks for trajectory recording.
+    """
+
     rows: list[ResultRow]
     mean_error: dict[str, float] = field(default_factory=dict)
     mean_wall_time_ms: dict[str, float] = field(default_factory=dict)
+    problem: BenchmarkProblem | None = None
+    trajectories: dict[str, Trajectory] = field(default_factory=dict)
 
     def compute(self) -> "BenchSummary":
         by_kind: dict[str, list[ResultRow]] = {}
@@ -185,26 +203,31 @@ def run_problem(
     estimator_kind: str,
     schedule: Schedule,
     iterations: int,
-    stream: RandomStream,
+    stream: RandomStream | Sequence[RandomStream],
     x0: np.ndarray | None = None,
-    record_iterates: bool = False,
+    record_iterates: bool | Sequence[int] = False,
     checkpoint_at: Sequence[int] = (),
-) -> Trajectory:
-    """Dispatch one optimization run for the named estimator kind."""
-    if estimator_kind in ESTIMATORS:
+) -> Trajectory | list[Trajectory]:
+    """Run the named estimator kind on ``problem``.
+
+    One stream gives one trajectory; a sequence of streams runs them as one
+    batch and gives one trajectory per stream (see
+    :func:`zosmooth.optimizer.run`).
+    """
+    if estimator_kind in BATCH_ESTIMATORS:
         if problem.oracle is None:
             raise ConfigError(
                 f"problem {problem.name} exposes no decision-independent oracle"
             )
-        oracle, estimator = problem.oracle, ESTIMATORS[estimator_kind]
+        oracle, estimator = problem.oracle, BATCH_ESTIMATORS[estimator_kind]
     elif estimator_kind == "esgs_dd_known":
         if problem.dd_known is None:
             raise ConfigError(f"problem {problem.name} has no known-density oracle")
-        oracle, estimator = problem.dd_known, esgs_dd_known
+        oracle, estimator = problem.dd_known, DD_BATCH_ESTIMATORS[estimator_kind]
     elif estimator_kind == "esgs_dd_unknown":
         if problem.dd_unknown is None:
             raise ConfigError(f"problem {problem.name} has no random-field oracle")
-        oracle, estimator = problem.dd_unknown, esgs_dd_unknown
+        oracle, estimator = problem.dd_unknown, DD_BATCH_ESTIMATORS[estimator_kind]
     else:
         raise ConfigError(f"unknown estimator kind {estimator_kind!r}")
     start = problem.x0 if x0 is None else x0
@@ -228,11 +251,17 @@ def budget_iterations(kind: str, iterations: int, n: int) -> int:
     return iterations
 
 
+def kind_key(kind: str) -> int:
+    """Fixed substream key of an estimator kind, derived from its name alone."""
+    return zlib.crc32(kind.encode())
+
+
 def _replication_stream(config: BenchConfig, kind: str, replication: int) -> RandomStream:
-    kind_index = ALL_KINDS.index(kind)
-    return RandomStream(
-        config.base_seed, substream_id=kind_index * 1_000_003 + replication
-    )
+    return RandomStream(config.base_seed, substream_id=(kind_key(kind), replication))
+
+
+def _replication_streams(config: BenchConfig, kind: str) -> list[RandomStream]:
+    return [_replication_stream(config, kind, r) for r in range(config.replications)]
 
 
 def _total_calls(trajectory: Trajectory) -> int:
@@ -250,54 +279,52 @@ def _final_error(problem: BenchmarkProblem, trajectory: Trajectory) -> float:
     return error_metric(problem, trajectory.final_x)
 
 
-def run_benchmark(
-    config: BenchConfig, jobs: int = 1
-) -> tuple[list[ResultRow], BenchSummary]:
+def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
     """Run the configured estimator grid under equal oracle budgets.
 
-    Each (estimator, replication) pair owns an independent substream, so
-    results do not depend on execution order or on ``jobs``.
+    Each (estimator, replication) pair owns an independent substream, so a
+    row does not depend on which other replications or kinds are run.  Each
+    row's ``wall_time_ms`` is its kind's batch loop time divided by the
+    replication count.
     """
     problem = build_problem(config)
     schedule = resolve_schedule(config.schedule, problem)
+    record = (0,) if config.record_trajectories else False
 
-    tasks = [
-        (kind, replication)
-        for kind in config.estimators
-        for replication in range(config.replications)
-    ]
-
-    def one(task: tuple[str, int]) -> ResultRow:
-        kind, replication = task
+    rows: list[ResultRow] = []
+    trajectories: dict[str, Trajectory] = {}
+    for kind in config.estimators:
         iters = budget_iterations(kind, config.iterations[kind], problem.n)
-        stream = _replication_stream(config, kind, replication)
-        trajectory = run_problem(problem, kind, schedule, iters, stream)
-        return ResultRow(
-            problem=problem.name,
-            n=problem.n,
-            estimator=kind,
-            replication=replication,
-            error=_final_error(problem, trajectory),
-            wall_time_ms=int(round(trajectory.wall_time_ms)),
-            oracle_calls=_total_calls(trajectory),
-            seed=config.base_seed,
+        batch = run_problem(
+            problem, kind, schedule, iters, _replication_streams(config, kind),
+            record_iterates=record,
         )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(task) for task in tasks]
+        if config.record_trajectories:
+            trajectories[kind] = batch[0]
+        rows += [
+            ResultRow(
+                problem=problem.name,
+                n=problem.n,
+                estimator=kind,
+                replication=replication,
+                error=_final_error(problem, trajectory),
+                wall_time_ms=int(round(trajectory.wall_time_ms)),
+                oracle_calls=_total_calls(trajectory),
+                seed=config.base_seed,
+            )
+            for replication, trajectory in enumerate(batch)
+        ]
 
     groups: dict[str, set[int]] = {}
     for row in rows:
         groups.setdefault(row.problem, set()).add(row.oracle_calls)
     for name, calls in groups.items():
         if len(calls) != 1:
-            raise RuntimeError(
+            raise BudgetMismatchError(
                 f"oracle budget mismatch in group {name!r}: {sorted(calls)}"
             )
-    return rows, BenchSummary(rows=rows).compute()
+    summary = BenchSummary(rows=rows, problem=problem, trajectories=trajectories)
+    return rows, summary.compute()
 
 
 @dataclass(frozen=True)
@@ -313,7 +340,7 @@ class DDResultRow:
 
 
 def run_dd_benchmark(
-    config: BenchConfig, jobs: int = 1
+    config: BenchConfig,
 ) -> tuple[list[DDResultRow], dict[str, dict[str, float]]]:
     """Run the market problem under both decision-dependent protocols.
 
@@ -326,35 +353,26 @@ def run_dd_benchmark(
         raise ConfigError("decision-dependent benchmark needs closed-form targets")
     schedule = resolve_schedule(config.schedule, problem)
 
-    tasks = [
-        (kind, replication)
-        for kind in config.estimators
-        for replication in range(config.replications)
-    ]
-
-    def one(task: tuple[str, int]) -> DDResultRow:
-        kind, replication = task
-        stream = _replication_stream(config, kind, replication)
-        trajectory = run_problem(
-            problem, kind, schedule, config.iterations[kind], stream
+    rows: list[DDResultRow] = []
+    for kind in config.estimators:
+        batch = run_problem(
+            problem, kind, schedule, config.iterations[kind],
+            _replication_streams(config, kind),
         )
-        x = trajectory.final_x
-        return DDResultRow(
-            mode=kind,
-            replication=replication,
-            final_x1=float(x[0]),
-            dist_to_optimum=float(np.linalg.norm(x - problem.x_star)),
-            dist_to_stable=float(np.linalg.norm(x - problem.x_ps)),
-            wall_time_ms=int(round(trajectory.wall_time_ms)),
-            oracle_calls=_total_calls(trajectory),
-            seed=config.base_seed,
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(task) for task in tasks]
+        for replication, trajectory in enumerate(batch):
+            x = trajectory.final_x
+            rows.append(
+                DDResultRow(
+                    mode=kind,
+                    replication=replication,
+                    final_x1=float(x[0]),
+                    dist_to_optimum=float(np.linalg.norm(x - problem.x_star)),
+                    dist_to_stable=float(np.linalg.norm(x - problem.x_ps)),
+                    wall_time_ms=int(round(trajectory.wall_time_ms)),
+                    oracle_calls=_total_calls(trajectory),
+                    seed=config.base_seed,
+                )
+            )
 
     report: dict[str, dict[str, float]] = {}
     for kind in config.estimators:

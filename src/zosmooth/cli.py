@@ -10,9 +10,16 @@ compare   Estimator grid under an equal oracle budget; writes raw rows and a
 dd        Market problem under both decision-dependent protocols; writes raw
           rows and the convergence-target report.
 
-Common flags: ``--config <path>``, ``--seed <u64>`` (overrides the config's
-base seed), ``--out <dir>`` (also via the ZOSMOOTH_OUT environment
-variable), ``--jobs <count>``.
+Flags: ``--config <path>`` (run, compare, dd), ``--seed <u64>`` (overrides
+the config's base seed; moments defaults to 7), ``--out <dir>`` (also via the
+ZOSMOOTH_OUT environment variable).
+
+Exit status: 0 on success; 1 for an invalid configuration, input or output
+path; 2 for a command-line usage error; 3 when a decision-dependent oracle
+exceeds its declared ratio or value bound; 4 when an estimate or iterate
+becomes non-finite; 5 when the smoothing quadrature does not converge; 6
+when rows of one problem consumed different oracle budgets.  Every error is
+reported as one ``error:`` line on standard error.
 """
 
 from __future__ import annotations
@@ -25,13 +32,28 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench
+from .decision import RatioBoundError, ValueBoundError
 from .estimators import (
     ESTIMATORS,
     SmoothingParams,
     StochasticOracle,
     second_moment_probe,
 )
+from .optimizer import NonFiniteError
 from .rng import RandomStream
+from .smoothing import QuadratureConvergenceError
+
+# Exit status of each library error; the first matching class wins.
+EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (bench.ConfigError, 1),
+    (ValueError, 1),
+    (OSError, 1),
+    (RatioBoundError, 3),
+    (ValueBoundError, 3),
+    (NonFiniteError, 4),
+    (QuadratureConvergenceError, 5),
+    (bench.BudgetMismatchError, 6),
+)
 
 DEFAULT_DD_CONFIG = {
     "problem": "market",
@@ -55,6 +77,7 @@ def _load_config(args) -> bench.BenchConfig:
 def _cmd_moments(args) -> int:
     dims = [int(d) for d in args.dims.split(",")]
     samples = args.samples
+    seed = 7 if args.seed is None else args.seed
     out = bench.output_dir(None, args.out)
     path = out / "moments.csv"
     eta = 0.05
@@ -69,7 +92,7 @@ def _cmd_moments(args) -> int:
             )
             x = np.zeros(n)
             for kind, estimator in ESTIMATORS.items():
-                stream = RandomStream(args.seed or 7, substream_id=n)
+                stream = RandomStream(seed, substream_id=n)
                 probe = second_moment_probe(
                     estimator, oracle, x, SmoothingParams(eta), samples, stream
                 )
@@ -81,21 +104,13 @@ def _cmd_moments(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    rows, summary = bench.run_benchmark(config, jobs=args.jobs)
+    rows, summary = bench.run_benchmark(config)
     out = bench.output_dir(config.output, args.out)
     bench.emit_csv(rows, out / "results.csv")
-    if config.record_trajectories:
-        problem = bench.build_problem(config)
-        schedule = bench.resolve_schedule(config.schedule, problem)
-        for kind in config.estimators:
-            iters = bench.budget_iterations(
-                kind, config.iterations[kind], problem.n
-            )
-            stream = bench._replication_stream(config, kind, 0)
-            trajectory = bench.run_problem(
-                problem, kind, schedule, iters, stream, record_iterates=True
-            )
-            bench.emit_trajectory(trajectory, problem, out / f"trajectory_{kind}.csv")
+    for kind, trajectory in summary.trajectories.items():
+        bench.emit_trajectory(
+            trajectory, summary.problem, out / f"trajectory_{kind}.csv"
+        )
     for kind in config.estimators:
         print(
             f"{kind}: mean error {summary.mean_error[kind]:.6g}, "
@@ -107,7 +122,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load_config(args)
-    rows, summary = bench.run_benchmark(config, jobs=args.jobs)
+    rows, summary = bench.run_benchmark(config)
     out = bench.output_dir(config.output, args.out)
     bench.emit_csv(rows, out / "results.csv")
     bench.emit_aggregate_csv(rows, out / "aggregate.csv")
@@ -127,7 +142,7 @@ def _cmd_dd(args) -> int:
         config = bench.BenchConfig.from_dict(DEFAULT_DD_CONFIG)
         if args.seed is not None:
             config = replace(config, base_seed=args.seed)
-    rows, report = bench.run_dd_benchmark(config, jobs=args.jobs)
+    rows, report = bench.run_dd_benchmark(config)
     out = bench.output_dir(config.output, args.out)
     path = out / "dd_results.csv"
     with path.open("w", newline="") as fh:
@@ -157,10 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="base seed override")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel replications")
 
     p_moments = sub.add_parser("moments", help="second-moment scaling table")
-    common(p_moments)
+    p_moments.add_argument("--seed", type=int, default=None, help="seed (default 7)")
+    p_moments.add_argument("--out", type=str, default=None, help="output directory")
     p_moments.add_argument(
         "--dims", type=str, default="10,50,200", help="comma-separated dimensions"
     )
@@ -186,9 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (bench.ConfigError, OSError, ValueError) as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

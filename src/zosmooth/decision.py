@@ -15,17 +15,33 @@ unbiasedness for the gradient of the mollified objective:
 
 Both estimators reuse one ``(V, Z)`` perturbation across all coordinates
 and consume ``2n`` oracle calls per estimate.
+
+Their batched forms (:data:`DD_BATCH_ESTIMATORS`) evaluate all R
+replications of an iteration together.  They need oracles whose callables
+broadcast: points of shape ``(..., n)`` and noise realizations that are
+tuples of components, each component an array over the same leading axes
+(the market problem's oracles are built this way).  Passed to
+:func:`zosmooth.optimizer.run` as bare functions, :func:`esgs_dd_known` and
+:func:`esgs_dd_unknown` run once per row instead and need only per-point
+callables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
 
-from .estimators import SQRT_2PI, GradientSample, SmoothingParams
+from .estimators import (
+    SQRT_2PI,
+    BatchEstimator,
+    GradientSample,
+    SmoothingParams,
+    shift_draws,
+)
 from .rng import RandomStream, sample_exponential, sample_gaussian_vector
 
 
@@ -52,9 +68,11 @@ class KnownDensityOracle:
         ``ref_density(xi) -> float``, the fixed positive reference density.
     ref_sampler : callable
         ``ref_sampler(stream) -> xi`` drawing from the reference density.
+        Batched runs call ``ref_sampler(stream, size)`` for a block of
+        ``size`` draws, returned as a tuple of component arrays.
     ratio_bound_m : float
-        Uniform bound on ``cond_density / ref_density``; checked on every
-        evaluation, violations raise :class:`RatioBoundError`.
+        Uniform bound on ``cond_density / ref_density``; checked at every
+        evaluated point, violations raise :class:`RatioBoundError`.
     value_bound_mf : float
         Uniform bound on ``|f_hat|`` at sampled points.
     lip_f_hat : float
@@ -73,18 +91,24 @@ class KnownDensityOracle:
     lip_f_hat: float
     lip_xi: float
 
-    def weighted_value(self, x: np.ndarray, xi: Any) -> float:
-        """``f_hat(x, xi) * p(xi | x) / p_ref(xi)`` with bound checks."""
+    def weighted_value(self, x: np.ndarray, xi: Any):
+        """``f_hat(x, xi) * p(xi | x) / p_ref(xi)`` with bound checks.
+
+        ``x`` is one point or an array of points along its last axis, with
+        ``xi`` broadcasting against the leading axes; both bounds are checked
+        at every point.
+        """
         ratio = self.cond_density(xi, x) / self.ref_density(xi)
-        if ratio > self.ratio_bound_m:
+        if np.greater(ratio, self.ratio_bound_m).any():
             raise RatioBoundError(
-                f"density ratio {ratio:.6g} exceeds bound {self.ratio_bound_m:.6g} "
-                f"at xi={xi!r}"
+                f"density ratio {np.max(ratio):.6g} exceeds bound "
+                f"{self.ratio_bound_m:.6g}"
             )
         value = self.f_hat(x, xi)
-        if abs(value) > self.value_bound_mf:
+        if np.greater(np.abs(value), self.value_bound_mf).any():
             raise ValueBoundError(
-                f"|f_hat| = {abs(value):.6g} exceeds bound {self.value_bound_mf:.6g}"
+                f"|f_hat| = {np.max(np.abs(value)):.6g} exceeds bound "
+                f"{self.value_bound_mf:.6g}"
             )
         return value * ratio
 
@@ -174,6 +198,77 @@ def esgs_dd_unknown(
         point_plus[i] = saved
         point_minus[i] = saved
     return GradientSample(estimate=estimate, v=v, z=z, oracle_calls=2 * n)
+
+
+def _replacement_points(x, eta, root_2v, z_unit) -> np.ndarray:
+    """The ``(R, 2n, n)`` coordinate-replacement points of each row.
+
+    Point ``j < n`` of row ``r`` is ``x_r - eta*Z_r`` with coordinate ``j``
+    set to ``x_rj + eta*sqrt(2V_r)``; point ``n + j`` sets it to
+    ``x_rj - eta*sqrt(2V_r)``.
+    """
+    shift = (eta * root_2v)[:, None]
+    moved = np.concatenate((x + shift, x - shift), axis=1)
+    base = x - eta * z_unit
+    return np.where(_replaced(x.shape[1]), moved[:, :, None], base[:, None, :])
+
+
+@lru_cache(maxsize=None)
+def _replaced(n: int) -> np.ndarray:
+    """``(2n, n)`` mask of the coordinate each replacement point moves."""
+    return np.tile(np.eye(n, dtype=bool), (2, 1))
+
+
+def known_rows(oracle: KnownDensityOracle, x, eta, draws, streams):
+    """Importance-reweighted estimates at the rows of ``x``.
+
+    ``draws = (sqrt(2V), Z / eta, *xi)`` with each noise component of shape
+    ``(R, 1)``; all ``R * 2n`` replacement points go to one
+    :meth:`KnownDensityOracle.weighted_value` call.
+    """
+    root_2v, z_unit, *xi = draws
+    n = x.shape[1]
+    points = _replacement_points(x, eta, root_2v, z_unit)
+    w = oracle.weighted_value(points, tuple(xi))
+    return (w[:, :n] - w[:, n:]) / (eta * SQRT_2PI), 2 * n
+
+
+def field_rows(oracle: RandomFieldOracle, x, eta, draws, streams):
+    """Random-field estimates at the rows of ``x``.
+
+    ``draws = (sqrt(2V), Z / eta)``.  The field is sampled once per row and
+    coordinate, from that row's stream; ``f_hat`` then evaluates all
+    ``R * 2n`` points in one call.
+    """
+    root_2v, z_unit = draws
+    rows, n = x.shape
+    points = _replacement_points(x, eta, root_2v, z_unit)
+    pairs = [
+        oracle.field_sampler(row[i], row[n + i], stream)
+        for row, stream in zip(points, streams)
+        for i in range(n)
+    ]
+    # (row, coordinate, side, component) -> per component, (row, 2n points)
+    xi = np.array(pairs, dtype=float).reshape(rows, n, 2, -1)
+    xi = xi.transpose(3, 0, 2, 1).reshape(-1, rows, 2 * n)
+    f = oracle.f_hat(points, tuple(xi))
+    return (f[:, :n] - f[:, n:]) / (eta * SQRT_2PI), 2 * n
+
+
+def _known_draws(oracle: KnownDensityOracle, stream, size: int, n: int):
+    xi = oracle.ref_sampler(stream, size)
+    # a trailing axis lets each component broadcast over an iterate's 2n points
+    return shift_draws(oracle, stream, size, n) + tuple(c[:, None] for c in xi)
+
+
+DD_BATCH_ESTIMATORS: dict[str, BatchEstimator] = {
+    "esgs_dd_known": BatchEstimator(
+        "esgs_dd_known", esgs_dd_known, _known_draws, known_rows
+    ),
+    "esgs_dd_unknown": BatchEstimator(
+        "esgs_dd_unknown", esgs_dd_unknown, shift_draws, field_rows
+    ),
+}
 
 
 def kl_sym_normal(mean_x: float, mean_y: float, sigma: float) -> float:

@@ -11,6 +11,11 @@ contrast to the quadratic scaling of two-point Gaussian smoothing.
 Three standard two-point baselines (Gaussian smoothing, spherical smoothing,
 SPSA) are provided for benchmarking, each consuming 2 oracle calls per
 estimate.
+
+Each kind also has a batched form (:class:`BatchEstimator`) with which the
+driver advances R replications at once: a block sampler that draws one
+replication's perturbations for many iterations from its own stream, and a
+row kernel that computes the estimates at all R iterates.
 """
 
 from __future__ import annotations
@@ -221,6 +226,116 @@ ESTIMATORS: dict[str, Callable[..., GradientSample]] = {
     "gs": gs_estimate,
     "spherical": spherical_estimate,
     "spsa": spsa_estimate,
+}
+
+
+# ---------------------------------------------------------------------------
+# Row kernels: the estimates at every row of an (R, n) iterate array, with
+# the same arithmetic as the single-sample functions above.  Each takes the
+# current iteration's perturbations stacked over rows (``draws``) and one
+# stream per row for the draws the oracle makes per call; it returns the
+# (R, n) estimates and the oracle calls each row consumed.  The single-sample
+# functions keep their own code: the moment probes call them one sample at a
+# time, and routing them through (1, n) arrays made those probes slower.
+
+
+def esgs_rows(oracle, x, eta, draws, streams):
+    """Exponential-shift estimates from ``draws = (sqrt(2V), Z / eta)``."""
+    root_2v, z_unit = draws
+    base = x - eta * z_unit
+    diff = np.empty_like(x)
+    for r, stream in enumerate(streams):
+        xi = oracle.noise_sampler(stream)
+        shift = eta * float(root_2v[r])
+        f_plus, f_minus = _axis_values(oracle, base[r], x[r] + shift, x[r] - shift, xi)
+        diff[r] = f_plus - f_minus
+    return diff / (eta * SQRT_2PI), 2 * x.shape[1]
+
+
+def _two_point_diffs(oracle, plus, minus, streams) -> np.ndarray:
+    """``F(plus_r, xi_r) - F(minus_r, xi_r)`` with one fresh ``xi_r`` per row."""
+    diff = np.empty(len(plus))
+    for r, stream in enumerate(streams):
+        xi = oracle.noise_sampler(stream)
+        diff[r] = oracle.eval(plus[r], xi) - oracle.eval(minus[r], xi)
+    return diff
+
+
+def gs_rows(oracle, x, eta, draws, streams):
+    """Gaussian smoothing estimates from ``draws = (Z,)``."""
+    (z,) = draws
+    diff = _two_point_diffs(oracle, x + eta * z, x, streams)
+    return (diff / eta)[:, None] * z, 2
+
+
+def spherical_rows(oracle, x, eta, draws, streams):
+    """Spherical smoothing estimates from ``draws = (u,)``, unit rows."""
+    (u,) = draws
+    diff = _two_point_diffs(oracle, x + eta * u, x - eta * u, streams)
+    return (x.shape[1] / (2.0 * eta)) * diff[:, None] * u, 2
+
+
+def spsa_rows(oracle, x, eta, draws, streams):
+    """Simultaneous-perturbation estimates from ``draws = (D,)``."""
+    (delta,) = draws
+    diff = _two_point_diffs(oracle, x + eta * delta, x - eta * delta, streams)
+    return diff[:, None] / (2.0 * eta * delta), 2
+
+
+# ---------------------------------------------------------------------------
+# Block draws: one replication's perturbations for ``size`` iterations.
+
+
+def shift_draws(oracle, stream: RandomStream, size: int, n: int):
+    """``(sqrt(2V), Z / eta)`` blocks of the exponential-shift family."""
+    root_2v = np.sqrt(2.0 * sample_exponential(stream, size))
+    return root_2v, sample_gaussian_vector(n, 1.0, stream, size)
+
+
+def _gaussian_draws(oracle, stream: RandomStream, size: int, n: int):
+    return (sample_gaussian_vector(n, 1.0, stream, size),)
+
+
+def _sphere_draws(oracle, stream: RandomStream, size: int, n: int):
+    z = sample_gaussian_vector(n, 1.0, stream, size)
+    norms = np.sqrt(np.vecdot(z, z))
+    while not norms.all():  # probability zero in practice
+        zero = norms == 0.0
+        z[zero] = sample_gaussian_vector(n, 1.0, stream, int(zero.sum()))
+        norms = np.sqrt(np.vecdot(z, z))
+    return (z / norms[:, None],)
+
+
+def _rademacher_draws(oracle, stream: RandomStream, size: int, n: int):
+    signs = stream.generator.integers(0, 2, size=(size, n)).astype(float)
+    return (2.0 * signs - 1.0,)
+
+
+@dataclass(frozen=True)
+class BatchEstimator:
+    """One estimator kind in the form the driver advances R replications in.
+
+    ``draw(oracle, stream, size, n)`` draws one replication's perturbations
+    for ``size`` consecutive iterations from that replication's own stream,
+    as a tuple of arrays with leading axis ``size``.  ``estimate(oracle, x,
+    eta, draws, streams)`` is the row kernel: ``draws`` holds each array of
+    ``draw`` at the current iteration, stacked over the R rows of ``x``.
+    ``sample`` is the single-sample function of the same kind.
+    """
+
+    name: str
+    sample: Callable[..., GradientSample]
+    draw: Callable[..., tuple[np.ndarray, ...]]
+    estimate: Callable[..., tuple[np.ndarray, int]]
+
+
+BATCH_ESTIMATORS: dict[str, BatchEstimator] = {
+    "esgs": BatchEstimator("esgs", esgs_estimate, shift_draws, esgs_rows),
+    "gs": BatchEstimator("gs", gs_estimate, _gaussian_draws, gs_rows),
+    "spherical": BatchEstimator(
+        "spherical", spherical_estimate, _sphere_draws, spherical_rows
+    ),
+    "spsa": BatchEstimator("spsa", spsa_estimate, _rademacher_draws, spsa_rows),
 }
 
 

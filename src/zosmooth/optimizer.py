@@ -18,6 +18,16 @@ custom               gamma = gamma_scale*(k+1)^-alpha, eta = eta_scale*(k+1)^-be
 
 The strongly convex schedule is undefined at k = 0, so the driver feeds it
 ``k + 1``; iterate indexing shifts accordingly.
+
+:func:`run` advances R replications of one estimator kind together as an
+``(R, n)`` iterate array: the schedule, step, projection and bookkeeping run
+once per iteration for the whole batch.  Each replication draws only from
+its own stream, in blocks of iterations.  A block's size depends on the
+dimension and, for the last block, on the number of iterations left, never
+on R.  So a replication's trajectory is the same whichever replications
+share its batch; a single stream is the R = 1 case.  A checkpoint at k in a
+longer run has the law of a k-iteration run but not its bits, unless k is a
+multiple of the block size.
 """
 
 from __future__ import annotations
@@ -25,13 +35,25 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import GradientSample, SmoothingParams
+from .estimators import (
+    BATCH_ESTIMATORS,
+    BatchEstimator,
+    GradientSample,
+    SmoothingParams,
+)
 from .projections import FeasibleSet, project
 from .rng import RandomStream
+
+# A replication draws its perturbations for up to MAX_BLOCK_ITERATIONS
+# iterations at a time, and for fewer when n is large, so that one block
+# holds about BLOCK_VALUES numbers.
+BLOCK_VALUES = 1 << 16
+MAX_BLOCK_ITERATIONS = 1024
 
 SCHEDULE_KINDS = (
     "convex_diminishing",
@@ -131,17 +153,29 @@ def schedule_values(schedule: Schedule, k: int) -> tuple[float, float]:
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
+class NonFiniteError(RuntimeError):
+    """A gradient estimate or an iterate became NaN or infinite."""
+
+
 def step(
     x_k: np.ndarray, gradient: np.ndarray, gamma_k: float, feasible: FeasibleSet
 ) -> np.ndarray:
-    """One projected step ``proj_X(x_k - gamma_k * gradient)``."""
+    """One projected step ``proj_X(x_k - gamma_k * gradient)``.
+
+    ``x_k`` and ``gradient`` are one point or an ``(R, n)`` batch of points.
+    Raises :class:`NonFiniteError` when the point to project is NaN or
+    infinite, which box clipping would otherwise hide.
+    """
     x_k = np.asarray(x_k, dtype=float)
     gradient = np.asarray(gradient, dtype=float)
     if x_k.shape != gradient.shape:
         raise ValueError(
             f"dimension mismatch: iterate {x_k.shape} vs gradient {gradient.shape}"
         )
-    return project(feasible, x_k - gamma_k * gradient)
+    u = x_k - gamma_k * gradient
+    if not np.isfinite(u).all():
+        raise NonFiniteError("projected step met a NaN or infinite point")
+    return project(feasible, u)
 
 
 @dataclass
@@ -179,84 +213,170 @@ class Trajectory:
 EstimatorFn = Callable[..., GradientSample]
 
 
+def batch_form(estimator: BatchEstimator | EstimatorFn) -> BatchEstimator:
+    """The batched form of ``estimator``.
+
+    A single-sample function of :data:`~zosmooth.estimators.ESTIMATORS` maps
+    to its kind's batched form, whose kernel works with any
+    :class:`~zosmooth.estimators.StochasticOracle`.  Any other single-sample
+    function, ``esgs_dd_known`` and ``esgs_dd_unknown`` included, is called
+    once per row and iteration, drawing from the row's stream as it goes, so
+    it needs nothing of the oracle beyond what it needs alone.  Pass a
+    :data:`~zosmooth.decision.DD_BATCH_ESTIMATORS` entry to evaluate a whole
+    batch of decision-dependent points per call.
+    """
+    if isinstance(estimator, BatchEstimator):
+        return estimator
+    for batch in BATCH_ESTIMATORS.values():
+        if batch.sample is estimator:
+            return batch
+    name = getattr(estimator, "__name__", repr(estimator))
+    return BatchEstimator(name, estimator, _no_draws, partial(_per_row, estimator))
+
+
+def _no_draws(oracle, stream, size, n):
+    return ()
+
+
+def _per_row(sample, oracle, x, eta, draws, streams):
+    params = SmoothingParams(eta)
+    samples = [sample(oracle, row, params, s) for row, s in zip(x, streams)]
+    calls = {s.oracle_calls for s in samples}
+    if len(calls) != 1:
+        raise ValueError(f"rows used different oracle call counts {sorted(calls)}")
+    return np.array([s.estimate for s in samples]), calls.pop()
+
+
 def run(
     oracle,
-    estimator: EstimatorFn,
+    estimator: BatchEstimator | EstimatorFn,
     schedule: Schedule,
     iterations: int,
     feasible: FeasibleSet,
     x0: np.ndarray,
-    stream: RandomStream,
-    record_iterates: bool = True,
+    stream: RandomStream | Sequence[RandomStream],
+    record_iterates: bool | Sequence[int] = True,
     checkpoint_at: Sequence[int] = (),
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Run ``iterations`` estimate-then-step updates from ``x0``.
 
-    The initial point is projected onto the feasible set if necessary.  The
-    trajectory is fully deterministic given the stream.  ``checkpoint_at``
-    lists iteration counts ``k`` at which ``(x_k, xbar_k)`` snapshots are
-    stored, enabling one run to serve several horizons.
+    ``stream`` is one stream, giving one :class:`Trajectory`, or a sequence
+    of R streams, one per replication, giving a list of R trajectories.  The
+    initial point is projected onto the feasible set if necessary.  Each
+    trajectory is fully deterministic given its own stream.  The trajectories
+    of one batch share their ``gammas``, ``etas`` and
+    ``oracle_calls_cumulative`` arrays.
 
-    Wall time covers the iteration loop, including estimator work, and is
-    measured with a monotonic clock.
+    ``record_iterates`` is True (every replication), False (none) or the
+    indices of the replications whose iterates are stored.
+    ``checkpoint_at`` lists iteration counts ``k`` at which ``(x_k, xbar_k)``
+    snapshots are stored, enabling one run to serve several horizons.
+
+    Wall time covers the iteration loop, including draws and estimator work,
+    and is measured with a monotonic clock; each trajectory reports the
+    batch's loop time divided by R.
+
+    Raises :class:`NonFiniteError`, naming the estimator and the iteration,
+    as soon as an estimate or an iterate is NaN or infinite.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    x = project(feasible, np.asarray(x0, dtype=float))
-    n = x.shape[0]
+    single = not isinstance(stream, (list, tuple))
+    streams = [stream] if single else list(stream)
+    if not streams:
+        raise ValueError("run needs at least one stream")
+    batch = batch_form(estimator)
+    start_x = project(feasible, np.asarray(x0, dtype=float))
+    rows, n = len(streams), start_x.shape[0]
+    x = np.tile(start_x, (rows, 1))
     offset = 1 if schedule.starts_at_one else 0
     wanted = set(int(k) for k in checkpoint_at)
+    if isinstance(record_iterates, bool):
+        recorded = list(range(rows)) if record_iterates else []
+    else:
+        recorded = [int(r) for r in record_iterates]
 
-    iterates = np.empty((iterations + 1, n)) if record_iterates else None
+    iterates = np.empty((iterations + 1, len(recorded), n)) if recorded else None
     if iterates is not None:
-        iterates[0] = x
+        iterates[0] = x[recorded]
     gammas = np.empty(iterations)
     etas = np.empty(iterations)
     calls = np.empty(iterations, dtype=np.int64)
-    weighted_sum = np.zeros(n)
+    weighted_sum = np.zeros((rows, n))
     gamma_total = 0.0
-    checkpoints: dict[int, Checkpoint] = {}
+    checkpoints: dict[int, list[Checkpoint]] = {}
     total_calls = 0
+    block = max(1, min(MAX_BLOCK_ITERATIONS, BLOCK_VALUES // n))
 
     t0 = time.perf_counter()
-    for k in range(iterations):
-        if k in wanted:
-            checkpoints[k] = _checkpoint(k, x, weighted_sum, gamma_total, total_calls)
-        gamma_k, eta_k = schedule_values(schedule, k + offset)
-        sample = estimator(oracle, x, SmoothingParams(eta_k), stream)
-        weighted_sum += gamma_k * x
-        gamma_total += gamma_k
-        x = step(x, sample.estimate, gamma_k, feasible)
-        total_calls += sample.oracle_calls
-        gammas[k] = gamma_k
-        etas[k] = eta_k
-        calls[k] = total_calls
-        if iterates is not None:
-            iterates[k + 1] = x
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+    for first in range(0, iterations, block):
+        size = min(block, iterations - first)
+        drawn = [batch.draw(oracle, s, size, n) for s in streams]
+        # (size, R, ...) so that each iteration's slice is contiguous
+        blocks = [np.stack(parts, axis=1) for parts in zip(*drawn)]
+        for j in range(size):
+            k = first + j
+            if k in wanted:
+                checkpoints[k] = _checkpoints(
+                    k, x, weighted_sum, gamma_total, total_calls
+                )
+            gamma_k, eta_k = schedule_values(schedule, k + offset)
+            if not eta_k > 0:
+                raise ValueError(f"smoothing radius eta must be > 0, got {eta_k}")
+            g, used = batch.estimate(oracle, x, eta_k, [b[j] for b in blocks], streams)
+            try:
+                x_next = step(x, g, gamma_k, feasible)
+            except NonFiniteError:
+                raise _non_finite(batch.name, k, g, x - gamma_k * g) from None
+            weighted_sum += gamma_k * x
+            gamma_total += gamma_k
+            x = x_next
+            total_calls += used
+            gammas[k] = gamma_k
+            etas[k] = eta_k
+            calls[k] = total_calls
+            if iterates is not None:
+                iterates[k + 1] = x[recorded]
+    wall_ms = (time.perf_counter() - t0) * 1000.0 / rows
 
     if iterations in wanted:
-        checkpoints[iterations] = _checkpoint(
+        checkpoints[iterations] = _checkpoints(
             iterations, x, weighted_sum, gamma_total, total_calls
         )
-    return Trajectory(
-        iterates=iterates,
-        gammas=gammas,
-        etas=etas,
-        oracle_calls_cumulative=calls,
-        wall_time_ms=wall_ms,
-        final_x=x.copy(),
-        weighted_sum=weighted_sum,
-        gamma_total=gamma_total,
-        checkpoints=checkpoints,
+    trajectories = [
+        Trajectory(
+            iterates=iterates[:, recorded.index(r)] if r in recorded else None,
+            gammas=gammas,
+            etas=etas,
+            oracle_calls_cumulative=calls,
+            wall_time_ms=wall_ms,
+            final_x=x[r].copy(),
+            weighted_sum=weighted_sum[r],
+            gamma_total=gamma_total,
+            checkpoints={k: points[r] for k, points in checkpoints.items()},
+        )
+        for r in range(rows)
+    ]
+    return trajectories[0] if single else trajectories
+
+
+def _non_finite(kind: str, k: int, g: np.ndarray, u: np.ndarray) -> NonFiniteError:
+    what = "gradient estimate" if not np.isfinite(g).all() else "iterate"
+    row = int(np.flatnonzero(~np.isfinite(u).all(axis=1))[0])
+    return NonFiniteError(
+        f"estimator {kind!r} produced a non-finite {what} at iteration k={k} "
+        f"(batch row {row})"
     )
 
 
-def _checkpoint(
+def _checkpoints(
     k: int, x: np.ndarray, weighted_sum: np.ndarray, gamma_total: float, calls: int
-) -> Checkpoint:
+) -> list[Checkpoint]:
     average = weighted_sum / gamma_total if gamma_total > 0 else x.copy()
-    return Checkpoint(k=k, x=x.copy(), weighted_average=average, oracle_calls=calls)
+    return [
+        Checkpoint(k=k, x=x[r].copy(), weighted_average=average[r], oracle_calls=calls)
+        for r in range(len(x))
+    ]
 
 
 def weighted_average(trajectory: Trajectory) -> np.ndarray:

@@ -30,12 +30,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .decision import KnownDensityOracle, RandomFieldOracle, field_correlation
-from .estimators import StochasticOracle
+from .estimators import SQRT_2PI, StochasticOracle
 from .optimizer import Schedule
 from .projections import FeasibleSet, project
 from .rng import RandomStream, sample_correlated_pair
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -224,7 +222,10 @@ def make_quad_problem(
         # All 2n points share `base` except one coordinate, so one matvec
         # plus O(n) work reproduces the per-point values exactly.
         q_base = q_hat @ base
-        f_base = eval_fn(base, xi)
+        # eval_fn(base, xi) with the matvec reused
+        f_base = float(
+            0.5 * base @ q_base + (b + xi) @ base + l1_weight * np.abs(base).sum()
+        )
         diag = np.diag(q_hat)
         slope = q_base + b + xi
 
@@ -703,9 +704,12 @@ def market_problem(
     n = 2
     feasible = FeasibleSet.symmetric_box(box_half_width, n)
 
-    def f_hat(x: np.ndarray, xi: tuple[float, float]) -> float:
+    # The oracle callables broadcast: x has shape (..., 2) and each noise
+    # component broadcasts against its leading axes.
+    def f_hat(x: np.ndarray, xi: tuple[float, float]):
         zeta1, zeta2 = xi
-        return float(-x[0] * (zeta1 - a1 * x[0]) - x[1] * (zeta2 - a2 * x[1]))
+        x1, x2 = x[..., 0], x[..., 1]
+        return -x1 * (zeta1 - a1 * x1) - x2 * (zeta2 - a2 * x2)
 
     def exact_f(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -724,25 +728,30 @@ def market_problem(
 
     uniform_density = 1.0 / (r2 - l2)
 
-    def cond_density(xi: tuple[float, float], x: np.ndarray) -> float:
+    def cond_density(xi: tuple[float, float], x: np.ndarray):
         zeta1, _ = xi
-        m = a + beta * float(x[0])
+        m = a + beta * x[..., 0]
         return (
-            math.exp(-0.5 * ((zeta1 - m) / sigma) ** 2) / (sigma * SQRT_2PI)
+            np.exp(-0.5 * ((zeta1 - m) / sigma) ** 2) / (sigma * SQRT_2PI)
         ) * uniform_density
 
-    def ref_density(xi: tuple[float, float]) -> float:
+    def ref_density(xi: tuple[float, float]):
         zeta1, _ = xi
         return (
-            math.exp(-0.5 * (zeta1 / sigma) ** 2) / (sigma * SQRT_2PI)
+            np.exp(-0.5 * (zeta1 / sigma) ** 2) / (sigma * SQRT_2PI)
         ) * uniform_density
 
-    def ref_sampler(stream: RandomStream) -> tuple[float, float]:
-        z = stream.generator.standard_normal()
-        while abs(z) > MARKET_TRUNCATION_SDS:  # essentially never at 8 sds
-            z = stream.generator.standard_normal()
-        zeta2 = stream.generator.uniform(l2, r2)
-        return float(sigma * z), float(zeta2)
+    def ref_sampler(stream: RandomStream, size: int | None = None):
+        """One ``(zeta1, zeta2)`` draw, or a block of ``size`` as two arrays."""
+        z = np.asarray(stream.generator.standard_normal(size))
+        far = np.abs(z) > MARKET_TRUNCATION_SDS
+        while far.any():  # essentially never at 8 sds
+            z[far] = stream.generator.standard_normal(int(far.sum()))
+            far = np.abs(z) > MARKET_TRUNCATION_SDS
+        zeta2 = stream.generator.uniform(l2, r2, size)
+        if size is None:
+            return float(sigma * z), float(zeta2)
+        return sigma * z, zeta2
 
     x1_reach = box_half_width + MARKET_SHIFT_ALLOWANCE
     m_max = a + beta * x1_reach

@@ -55,32 +55,55 @@ class FeasibleSet:
 def project(feasible: FeasibleSet, u: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``u`` onto ``feasible``.
 
-    Idempotent and non-expansive; raises on dimension mismatch.
+    ``u`` is one point of shape ``(n,)`` or a batch of points of shape
+    ``(R, n)``, projected row by row.  Idempotent and non-expansive; raises on
+    dimension mismatch.
     """
     u = np.asarray(u, dtype=float)
+    if u.ndim == 2 and len(u) == 1:
+        # a one-row batch is projected as its point: operations between an
+        # (n,) point and the set's (n,) arrays skip broadcasting
+        return project(feasible, u[0])[None]
     if feasible.variant == "unconstrained":
         return u.copy()
     if feasible.variant == "box":
-        if u.shape != feasible.lo.shape:
+        if u.shape[-1:] != feasible.lo.shape:
             raise ValueError(
                 f"dimension mismatch: point {u.shape} vs box {feasible.lo.shape}"
             )
-        return np.clip(u, feasible.lo, feasible.hi)
+        return np.minimum(np.maximum(u, feasible.lo), feasible.hi)
     if feasible.variant == "ball":
-        if u.shape != feasible.center.shape:
+        if u.shape[-1:] != feasible.center.shape:
             raise ValueError(
                 f"dimension mismatch: point {u.shape} vs ball {feasible.center.shape}"
             )
         d = u - feasible.center
-        norm = float(np.linalg.norm(d))
-        if norm <= feasible.radius:
-            return u.copy()
-        # rescaling can land one ulp outside; repeat so projection is exactly
-        # idempotent (the next call then takes the interior branch)
-        while norm > feasible.radius:
-            d = d * (feasible.radius / norm)
+        radius = feasible.radius
+        if u.ndim == 1:
+            # one point: a scalar norm is cheaper than the batch path below
+            # and gives the same bits
             norm = float(np.linalg.norm(d))
-        return feasible.center + d
+            if norm <= radius:
+                return u.copy()
+            # rescaling can land one ulp outside; repeat so projection is
+            # exactly idempotent (the next call then takes the interior branch)
+            while norm > radius:
+                d = d * (radius / norm)
+                norm = float(np.linalg.norm(d))
+            return feasible.center + d
+        # one vecdot call gives every point's squared distance to the center
+        norms = np.sqrt(np.vecdot(d, d))[..., None]
+        top = norms.max()
+        if top <= radius:
+            return u.copy()
+        outside = norms > radius
+        # as above, repeated until every point is inside; points already
+        # inside are scaled by exactly 1 and returned unchanged
+        while top > radius:
+            d = d * (radius / np.maximum(norms, radius))
+            norms = np.sqrt(np.vecdot(d, d))[..., None]
+            top = norms.max()
+        return np.where(outside, feasible.center + d, u)
     raise ValueError(f"unknown feasible set variant {feasible.variant!r}")
 
 

@@ -3,8 +3,9 @@
 All stochastic components of the library draw their randomness through a
 :class:`RandomStream`, a thin wrapper over ``numpy.random.Generator`` seeded
 via ``numpy.random.SeedSequence``.  Independence across substreams comes from
-the SeedSequence spawn-key mechanism, so replications can run in parallel
-while staying bit-reproducible.
+the SeedSequence spawn-key mechanism, so every replication owns its own
+sequence of draws and stays bit-reproducible whichever replications it is
+run alongside.
 """
 
 from __future__ import annotations
@@ -22,45 +23,55 @@ class RandomStream:
     ----------
     seed : int
         Base seed shared by a whole experiment.
-    substream_id : int, optional
-        Index of the substream (one per replication or per oracle role).
-        Distinct ids give statistically independent sequences; the same
-        ``(seed, substream_id)`` pair always reproduces the identical
-        sequence of draws.
+    substream_id : int or tuple of int, optional
+        Index of the substream (one per replication or per oracle role), used
+        as the SeedSequence spawn key; a tuple gives a multi-part key such as
+        ``(kind_key, replication)``.  Distinct ids give statistically
+        independent sequences; the same ``(seed, substream_id)`` pair always
+        reproduces the identical sequence of draws.
     """
 
     seed: int
-    substream_id: int = 0
+    substream_id: int | tuple[int, ...] = 0
     generator: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.substream_id,))
+        key = self.substream_id
+        spawn_key = tuple(key) if isinstance(key, tuple) else (key,)
+        ss = np.random.SeedSequence(self.seed, spawn_key=spawn_key)
         self.generator = np.random.Generator(np.random.PCG64(ss))
 
-    def substream(self, substream_id: int) -> "RandomStream":
+    def substream(self, substream_id: int | tuple[int, ...]) -> "RandomStream":
         """Create a sibling stream with the same seed and a different id."""
         return RandomStream(self.seed, substream_id)
 
 
-def sample_exponential(stream: RandomStream) -> float:
-    """Draw one unit-rate exponential variate via the inverse CDF.
+def sample_exponential(stream: RandomStream, size: int | None = None):
+    """Draw unit-rate exponential variates via the inverse CDF.
 
     Uses ``-log(1 - U)`` with ``U`` uniform on [0, 1), which is exact and
-    cannot overflow.
+    cannot overflow.  Returns one float, or an array of ``size`` draws.
     """
-    u = stream.generator.random()
-    return float(-np.log1p(-u))
+    if size is None:
+        return float(-np.log1p(-stream.generator.random()))
+    return -np.log1p(-stream.generator.random(size))
 
 
-def sample_gaussian_vector(n: int, sigma: float, stream: RandomStream) -> np.ndarray:
-    """Draw a vector with n i.i.d. N(0, sigma^2) coordinates."""
+def sample_gaussian_vector(
+    n: int, sigma: float, stream: RandomStream, size: int | None = None
+) -> np.ndarray:
+    """Draw a vector with n i.i.d. N(0, sigma^2) coordinates.
+
+    With ``size`` the result is a ``(size, n)`` block of such vectors.
+    """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if sigma < 0:
         raise ValueError(f"standard deviation must be >= 0, got {sigma}")
+    shape = n if size is None else (size, n)
     if sigma == 0.0:
-        return np.zeros(n)
-    return sigma * stream.generator.standard_normal(n)
+        return np.zeros(shape)
+    return sigma * stream.generator.standard_normal(shape)
 
 
 def sample_correlated_pair(

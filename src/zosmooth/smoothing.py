@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_hermite, roots_laguerre, roots_legendre
 
+from .estimators import SQRT_2PI
 from .rng import RandomStream
 
 
@@ -37,8 +38,6 @@ def _rule(kind: str, m: int) -> tuple[np.ndarray, np.ndarray]:
     if kind == "hermite":  # weight e^(-t^2) on (-inf, inf)
         return roots_hermite(m)
     raise ValueError(kind)
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class QuadratureConvergenceError(RuntimeError):

@@ -1,10 +1,14 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from zosmooth import bench, optimizer
 from zosmooth.bench import (
+    ALL_KINDS,
+    DD_KINDS,
     BenchConfig,
     ConfigError,
     budget_iterations,
@@ -16,11 +20,14 @@ from zosmooth.bench import (
     emit_trajectory,
 )
 from zosmooth.cli import main as cli_main
-from zosmooth.problems import quad_l1_problem, error_metric
+from zosmooth.decision import RatioBoundError, ValueBoundError
+from zosmooth.optimizer import NonFiniteError
+from zosmooth.problems import market_problem, quad_l1_problem, error_metric
 from zosmooth.rng import RandomStream
+from zosmooth.smoothing import QuadratureConvergenceError
 
 
-def small_config(**overrides):
+def small_config_raw(**overrides):
     raw = {
         "problem": "quad_l1",
         "problem_params": {"n": 2, "seed": 3},
@@ -30,7 +37,11 @@ def small_config(**overrides):
         "base_seed": 7,
     }
     raw.update(overrides)
-    return BenchConfig.from_dict(raw)
+    return raw
+
+
+def small_config(**overrides):
+    return BenchConfig.from_dict(small_config_raw(**overrides))
 
 
 class TestConfig:
@@ -98,12 +109,29 @@ class TestDeterminismAndOrdering:
                              row.error, row.oracle_calls, row.seed)
         assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
 
-    def test_jobs_do_not_change_results(self):
-        config = small_config(iterations=20, replications=4)
-        rows_a, _ = run_benchmark(config, jobs=1)
-        rows_b, _ = run_benchmark(config, jobs=2)
-        errors = lambda rows: {(r.estimator, r.replication): r.error for r in rows}
-        assert errors(rows_a) == errors(rows_b)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_replication_independent_of_its_batch(self, kind):
+        # enough iterations to cross a block of draws (1024 at these n)
+        if kind in DD_KINDS:
+            problem, iters = market_problem(), 1100
+        else:
+            problem = quad_l1_problem(3, 2)
+            iters = budget_iterations(kind, 400, problem.n)
+        config = small_config(replications=5)
+        schedule = problem.default_schedule
+        streams = [bench._replication_stream(config, kind, r) for r in range(5)]
+        batch = run_problem(problem, kind, schedule, iters, streams)
+        for r in range(5):
+            alone = run_problem(
+                problem, kind, schedule, iters, bench._replication_stream(config, kind, r)
+            )
+            np.testing.assert_array_equal(batch[r].final_x, alone.final_x)
+            assert bench._final_error(problem, batch[r]) == bench._final_error(
+                problem, alone
+            )
+            np.testing.assert_array_equal(
+                batch[r].oracle_calls_cumulative, alone.oracle_calls_cumulative
+            )
 
     def test_replication_permutation_leaves_aggregates_unchanged(self):
         config = small_config(iterations=20, replications=5)
@@ -113,6 +141,63 @@ class TestDeterminismAndOrdering:
             group = [r.error for r in rows if r.estimator == kind]
             permuted = list(rng.permutation(group))
             assert abs(sum(permuted) / len(permuted) - summary.mean_error[kind]) < 1e-12
+
+
+    def test_every_row_consumes_the_equal_budget(self):
+        config = small_config(
+            problem_params={"n": 3, "seed": 1},
+            estimators=["esgs", "gs", "spherical", "spsa"],
+            iterations=7,
+            replications=3,
+        )
+        rows, _ = run_benchmark(config)
+        assert len(rows) == 12
+        assert {row.oracle_calls for row in rows} == {2 * 3 * 7}
+
+    def test_wall_time_is_batch_loop_time_per_replication(self, monkeypatch):
+        # esgs's loop takes 2 s and gs's 20 s on this clock; with two
+        # replications each row reports half its kind's loop time
+        ticks = iter([0.0, 2.0, 10.0, 30.0])
+        monkeypatch.setattr(
+            optimizer, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
+        )
+        rows, summary = run_benchmark(small_config(iterations=5, replications=2))
+        assert {(r.estimator, r.wall_time_ms) for r in rows} == {
+            ("esgs", 1000),
+            ("gs", 10000),
+        }
+        ratio = summary.mean_wall_time_ms["esgs"] / summary.mean_wall_time_ms["gs"]
+        assert ratio == pytest.approx(0.1)
+
+
+class TestSubstreams:
+    def test_adding_a_kind_leaves_existing_streams_unchanged(self, monkeypatch):
+        config = small_config()
+
+        def first_draws():
+            return {
+                (kind, r): bench._replication_stream(config, kind, r).generator.random(3)
+                for kind in ALL_KINDS
+                for r in (0, 1, 7)
+            }
+
+        before = first_draws()
+        monkeypatch.setattr(bench, "ALL_KINDS", ("newcomer",) + ALL_KINDS)
+        after = first_draws()
+        for key, draws in before.items():
+            np.testing.assert_array_equal(draws, after[key])
+
+    def test_kind_keys_distinct(self):
+        assert len({bench.kind_key(kind) for kind in ALL_KINDS}) == len(ALL_KINDS)
+
+    def test_no_collision_at_large_replication_index(self):
+        config = small_config()
+        draws = {
+            (kind, r): tuple(bench._replication_stream(config, kind, r).generator.random(2))
+            for kind in ALL_KINDS
+            for r in (0, 1, 1_000_003, 1_000_004, 2_000_006)
+        }
+        assert len(set(draws.values())) == len(draws)
 
 
 class TestCsvOutput:
@@ -296,6 +381,96 @@ class TestCli:
         with (out / "moments.csv").open() as fh:
             parsed = list(csv.DictReader(fh))
         assert {rec["estimator"] for rec in parsed} == {"esgs", "gs", "spherical", "spsa"}
+
+    def test_moments_seed_zero_is_not_seed_seven(self, tmp_path):
+        texts = {}
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            args = ["moments", "--dims", "3", "--samples", "50", "--out", str(out)]
+            assert cli_main(args + ["--seed", seed]) == 0
+            texts[seed] = (out / "moments.csv").read_text()
+        assert texts["0"] != texts["7"]
+
+    def test_moments_rejects_config(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["moments", "--config", str(tmp_path / "c.json")])
+        assert exc.value.code == 2
+
+    def test_run_builds_problem_once_and_dumps_replication_zero(
+        self, tmp_path, monkeypatch
+    ):
+        config = self.write_config(
+            tmp_path,
+            {
+                "problem": "nonconvex_min",
+                "problem_params": {"n": 3},
+                "estimators": ["esgs", "gs"],
+                "iterations": 10,
+                "replications": 3,
+                "base_seed": 2,
+                "record_trajectories": True,
+            },
+        )
+        builds = []
+        build = bench.build_problem
+        monkeypatch.setattr(
+            bench, "build_problem", lambda cfg: builds.append(cfg) or build(cfg)
+        )
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert len(builds) == 1
+        with (out / "results.csv").open() as fh:
+            errors = {
+                rec["estimator"]: float(rec["error"])
+                for rec in csv.DictReader(fh)
+                if rec["replication"] == "0"
+            }
+        for kind in ("esgs", "gs"):
+            with (out / f"trajectory_{kind}.csv").open() as fh:
+                last = list(csv.DictReader(fh))[-1]
+            assert float(last["error"]) == errors[kind]
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (RatioBoundError("density ratio 9 exceeds bound 2"), 3),
+            (ValueBoundError("|f_hat| = 9 exceeds bound 2"), 3),
+            (NonFiniteError("estimator 'esgs' produced a non-finite iterate"), 4),
+            (QuadratureConvergenceError("no convergence"), 5),
+            (bench.BudgetMismatchError("oracle budget mismatch"), 6),
+        ],
+    )
+    def test_library_errors_map_to_exit_codes(
+        self, tmp_path, monkeypatch, capsys, error, code
+    ):
+        def fail(config):
+            raise error
+
+        monkeypatch.setattr(bench, "run_benchmark", fail)
+        config = self.write_config(tmp_path, small_config_raw())
+        assert cli_main(["compare", "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        assert err == f"error: {error}\n"
+
+    def test_budget_mismatch_exit_code(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, small_config_raw(iterations={"esgs": 2, "gs": 1})
+        )
+        out = tmp_path / "out"
+        assert cli_main(["compare", "--config", str(config), "--out", str(out)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: oracle budget mismatch")
+
+    def test_non_finite_iterate_exit_code(self, tmp_path, capsys):
+        raw = small_config_raw(
+            schedule={"kind": "custom", "alpha": 0.5, "beta": 0.5, "gamma_scale": float("inf")}
+        )
+        config = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "'esgs'" in err[0] and "iteration k=0" in err[0]
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"problem": "quad_l1"})

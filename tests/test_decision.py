@@ -13,7 +13,9 @@ from zosmooth.decision import (
     kl_sym_normal,
 )
 from zosmooth.estimators import SmoothingParams
+from zosmooth.optimizer import Schedule, run
 from zosmooth.problems import market_problem
+from zosmooth.projections import FeasibleSet
 from zosmooth.rng import RandomStream
 
 PARAMS = SmoothingParams(0.3)
@@ -211,6 +213,45 @@ class TestRandomFieldEstimator:
         assert abs(zeta1.mean() - (a + beta * xp[0])) < 4.0 * mean_se
         var_se = math.sqrt(2.0 * sigma**4 / count)
         assert abs(zeta1.var(ddof=1) - sigma**2) < 4.0 * var_se
+
+
+class TestDriverWithPerPointOracles:
+    """``run`` accepts the single-sample estimators with oracles that
+    evaluate one point per call, as the oracle classes document."""
+
+    def test_known_density_toy_oracle(self):
+        streams = [RandomStream(8, r) for r in range(3)]
+        trajs = run(
+            toy_known_oracle(), esgs_dd_known, Schedule(kind="convex_diminishing", n=1),
+            50, FeasibleSet.symmetric_box(2.0, 1), np.array([0.5]), streams,
+        )
+        assert len(trajs) == 3
+        for traj in trajs:
+            assert np.isfinite(traj.final_x).all() and abs(traj.final_x[0]) <= 2.0
+            assert traj.oracle_calls_cumulative[-1] == 50 * 2
+        alone = run(
+            toy_known_oracle(), esgs_dd_known, Schedule(kind="convex_diminishing", n=1),
+            50, FeasibleSet.symmetric_box(2.0, 1), np.array([0.5]), RandomStream(8, 1),
+        )
+        np.testing.assert_array_equal(alone.iterates, trajs[1].iterates)
+
+    def test_scalar_random_field_oracle(self):
+        c = np.array([1.5, -0.5])
+
+        def field_sampler(xp, xm, stream):
+            xi = stream.generator.standard_normal()
+            return xi, xi
+
+        oracle = RandomFieldOracle(
+            f_hat=lambda x, xi: float(c @ x) + xi, field_sampler=field_sampler, c_xi=0.0
+        )
+        traj = run(
+            oracle, esgs_dd_unknown, Schedule(kind="convex_diminishing", n=2), 40,
+            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(2),
+        )
+        assert traj.oracle_calls_cumulative[-1] == 40 * 2 * 2
+        # the linear objective pushes every coordinate towards -sign(c)
+        assert traj.final_x[0] < 0.0 < traj.final_x[1]
 
 
 class TestSecondMomentLinearity:

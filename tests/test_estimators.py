@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from zosmooth.estimators import (
+    BATCH_ESTIMATORS,
+    ESTIMATORS,
     SQRT_2PI,
     SmoothingParams,
     StochasticOracle,
@@ -25,12 +27,13 @@ class ScriptedGenerator:
         self._normals = list(normals)
         self._ints = list(ints)
 
-    def random(self):
-        return self._uniforms.pop(0)
+    def random(self, size=None):
+        out = self._uniforms.pop(0)
+        return np.reshape(out, size) if size is not None else out
 
-    def standard_normal(self, n=None):
+    def standard_normal(self, size=None):
         out = self._normals.pop(0)
-        return np.asarray(out, dtype=float) if n is not None else float(out)
+        return np.reshape(np.asarray(out, dtype=float), size) if size is not None else float(out)
 
     def integers(self, lo, hi, size=None):
         return np.asarray(self._ints.pop(0))
@@ -288,3 +291,30 @@ class TestEvalPathEquivalence:
         g_loop = esgs_estimate(plain, x, PARAMS, RandomStream(77)).estimate
         np.testing.assert_allclose(g_axis, g_loop, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(g_batch, g_loop, rtol=1e-12, atol=1e-14)
+
+
+class TestRowKernels:
+    """Each batched row kernel at R = 1 reproduces its single-sample function."""
+
+    @pytest.mark.parametrize("kind", ["esgs", "gs", "spherical", "spsa"])
+    def test_kernel_matches_single_sample(self, kind):
+        problem = quad_l1_problem(6, 4)
+        oracle, n, eta = problem.oracle, problem.n, 0.3
+        x = np.linspace(-0.4, 0.5, n)
+        for seed in range(5):
+            sample = ESTIMATORS[kind](oracle, x, SmoothingParams(eta), RandomStream(seed))
+            # replay the single-sample draws, leaving the stream where the
+            # oracle's noise draw starts
+            stream = RandomStream(seed)
+            gen = stream.generator
+            if kind == "esgs":
+                v = -np.log1p(-gen.random())
+                draws = (np.array([np.sqrt(2.0 * v)]), gen.standard_normal(n)[None])
+            elif kind == "spsa":
+                draws = ((2.0 * gen.integers(0, 2, size=n).astype(float) - 1.0)[None],)
+            else:
+                z = gen.standard_normal(n)
+                draws = ((z / np.linalg.norm(z) if kind == "spherical" else z)[None],)
+            g, calls = BATCH_ESTIMATORS[kind].estimate(oracle, x[None], eta, draws, [stream])
+            np.testing.assert_array_equal(g[0], sample.estimate)
+            assert calls == sample.oracle_calls

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from zosmooth.estimators import SQRT_2PI, StochasticOracle, esgs_estimate
+from zosmooth.estimators import (
+    ESTIMATORS,
+    SQRT_2PI,
+    GradientSample,
+    StochasticOracle,
+    esgs_estimate,
+)
 from zosmooth.optimizer import (
+    MAX_BLOCK_ITERATIONS,
+    NonFiniteError,
     Schedule,
     Trajectory,
     run,
@@ -84,6 +92,17 @@ class TestStep:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             step(np.zeros(2), np.zeros(3), 0.1, FeasibleSet.unconstrained())
+
+    def test_batch_steps_row_by_row(self):
+        x = np.array([[1.0, 0.0], [0.2, 0.3]])
+        g = np.array([[-4.0, 0.0], [0.2, -0.2]])
+        out = step(x, g, 1.0, FeasibleSet.symmetric_box(1.0, 2))
+        np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 0.5]])
+
+    def test_non_finite_point_raises_before_clipping(self):
+        with pytest.raises(NonFiniteError):
+            step(np.zeros(2), np.array([math.nan, 0.0]), 0.1,
+                 FeasibleSet.symmetric_box(1.0, 2))
 
 
 def linear_oracle(c):
@@ -197,6 +216,88 @@ class TestRun:
         np.testing.assert_allclose(
             traj.checkpoints[10].weighted_average, manual, rtol=1e-12
         )
+
+
+class TestBatchedRun:
+    @pytest.mark.parametrize("kind", ["esgs", "gs"])
+    def test_run_ending_on_a_block_boundary_is_prefix_of_longer_run(self, kind):
+        # at n = 2 a block holds MAX_BLOCK_ITERATIONS iterations
+        estimator = ESTIMATORS[kind]
+        sched = Schedule(kind="convex_diminishing", n=2)
+        args = (FeasibleSet.symmetric_box(1.0, 2), np.zeros(2))
+        k = 2 * MAX_BLOCK_ITERATIONS
+        long = run(
+            linear_oracle([1.0, 2.0]), estimator, sched, k + 100, *args,
+            RandomStream(9), record_iterates=False, checkpoint_at=[k],
+        )
+        short = run(
+            linear_oracle([1.0, 2.0]), estimator, sched, k, *args,
+            RandomStream(9), record_iterates=False,
+        )
+        np.testing.assert_array_equal(long.checkpoints[k].x, short.final_x)
+        np.testing.assert_array_equal(
+            long.checkpoints[k].weighted_average, weighted_average(short)
+        )
+        assert long.checkpoints[k].oracle_calls == short.oracle_calls_cumulative[-1]
+
+    def test_batch_returns_one_trajectory_per_stream(self):
+        sched = Schedule(kind="convex_diminishing", n=2)
+        streams = [RandomStream(5, r) for r in range(3)]
+        trajs = run(
+            linear_oracle([1.0, -1.0]), esgs_estimate, sched, 30,
+            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), streams,
+            record_iterates=[1], checkpoint_at=[10],
+        )
+        assert isinstance(trajs, list) and len(trajs) == 3
+        assert trajs[0].iterates is None and trajs[2].iterates is None
+        alone = run(
+            linear_oracle([1.0, -1.0]), esgs_estimate, sched, 30,
+            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(5, 1),
+            checkpoint_at=[10],
+        )
+        assert isinstance(alone, Trajectory)
+        np.testing.assert_array_equal(trajs[1].iterates, alone.iterates)
+        np.testing.assert_array_equal(trajs[1].checkpoints[10].x, alone.checkpoints[10].x)
+        assert trajs[1].oracle_calls_cumulative[-1] == 30 * 2 * 2
+
+    def test_custom_single_sample_estimator_runs_per_row(self):
+        def halving(oracle, x, params, stream):
+            return GradientSample(
+                estimate=0.5 * np.asarray(x), v=math.nan, z=np.zeros_like(x),
+                oracle_calls=3,
+            )
+
+        sched = Schedule(kind="convex_diminishing", n=2)
+        trajs = run(
+            linear_oracle([1.0, 0.0]), halving, sched, 4, FeasibleSet.unconstrained(),
+            np.ones(2), [RandomStream(0), RandomStream(1)],
+        )
+        np.testing.assert_array_equal(trajs[0].final_x, trajs[1].final_x)
+        assert list(trajs[0].oracle_calls_cumulative) == [3, 6, 9, 12]
+
+    def test_non_finite_estimate_names_kind_and_iteration(self):
+        count = {"calls": 0}
+
+        def eval_fn(x, xi):
+            count["calls"] += 1
+            return math.nan if count["calls"] > 2 * 2 * 7 else float(x[0])
+
+        oracle = StochasticOracle(eval=eval_fn, noise_sampler=lambda s: None, lipschitz_l0=1.0)
+        sched = Schedule(kind="convex_diminishing", n=2)
+        with pytest.raises(NonFiniteError, match=r"'esgs'.*estimate at iteration k=7"):
+            run(
+                oracle, esgs_estimate, sched, 20, FeasibleSet.symmetric_box(1.0, 2),
+                np.zeros(2), RandomStream(3),
+            )
+
+    def test_non_finite_iterate_detected_through_box_projection(self):
+        # an infinite step would be clipped back into the box unnoticed
+        sched = Schedule(kind="custom", alpha=0.5, beta=0.5, gamma_scale=math.inf)
+        with pytest.raises(NonFiniteError, match=r"iterate at iteration k=0"):
+            run(
+                linear_oracle([1.0, 2.0]), esgs_estimate, sched, 5,
+                FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(4),
+            )
 
 
 def synthetic_trajectory(iterates, gammas):

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from zosmooth.decision import RatioBoundError, ValueBoundError
 from zosmooth.estimators import SmoothingParams, esgs_estimate
 from zosmooth.problems import (
     PL_INTERCEPTS,
@@ -258,6 +260,37 @@ class TestMarket:
             vals[i] = problem.dd_known.f_hat(x, sample_noise(x, stream))
         se = vals.std(ddof=1) / math.sqrt(count)
         assert abs(vals.mean() - fx) < 4.0 * se
+
+    def test_batched_oracle_values_equal_single_point_values(self):
+        problem = market_problem()
+        oracle = problem.dd_known
+        stream = RandomStream(33)
+        zeta1, zeta2 = oracle.ref_sampler(stream, 6)
+        points = np.random.default_rng(34).uniform(-5.0, 5.0, size=(6, 4, 2))
+        xi = (zeta1[:, None], zeta2[:, None])
+        batched = oracle.weighted_value(points, xi)
+        assert batched.shape == (6, 4)
+        for r in range(6):
+            for j in range(4):
+                single = oracle.weighted_value(points[r, j], (zeta1[r], zeta2[r]))
+                assert batched[r, j] == single
+        # the bounds are checked at every point: one offending point raises
+        ratios = oracle.cond_density(xi, points) / oracle.ref_density(xi)
+        tight = replace(oracle, ratio_bound_m=float(ratios.max()) * (1.0 - 1e-12))
+        with pytest.raises(RatioBoundError):
+            tight.weighted_value(points, xi)
+        far = points.copy()
+        far[5, 3, 0] = 1e6
+        with pytest.raises(ValueBoundError):
+            oracle.weighted_value(far, xi)
+
+    def test_ref_sampler_block_matches_law(self):
+        problem = market_problem()
+        zeta1, zeta2 = problem.dd_known.ref_sampler(RandomStream(35), 20_000)
+        sigma = problem.extras["sigma"]
+        assert abs(zeta1.mean()) < 4.0 * sigma / math.sqrt(20_000)
+        assert np.all(np.abs(zeta1) <= 8.0 * sigma)
+        assert np.all((zeta2 >= problem.extras["l2"]) & (zeta2 < problem.extras["r2"]))
 
     def test_ratio_bound_holds_on_sampled_draws(self):
         problem = market_problem()

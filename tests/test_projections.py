@@ -68,3 +68,25 @@ def test_invalid_construction():
         FeasibleSet.box(np.ones(2), -np.ones(2))
     with pytest.raises(ValueError):
         FeasibleSet.ball(np.zeros(2), 0.0)
+
+
+def test_batch_rows_project_like_single_points():
+    rng = np.random.default_rng(2)
+    for fs in random_sets(3):
+        batch = rng.normal(scale=3.0, size=(6, 3))
+        batch[0] = 0.01  # interior of every set, left untouched
+        projected = project(fs, batch)
+        for row, out in zip(batch, projected):
+            np.testing.assert_array_equal(out, project(fs, row))
+        np.testing.assert_array_equal(projected[0], batch[0])
+        for r in range(len(batch)):  # a row's result does not depend on its batch
+            np.testing.assert_array_equal(project(fs, batch[r : r + 1])[0], projected[r])
+        np.testing.assert_array_equal(project(fs, projected), projected)
+        assert all(contains(fs, p, tol=1e-12) for p in projected)
+
+
+def test_batch_dimension_mismatch():
+    with pytest.raises(ValueError):
+        project(FeasibleSet.symmetric_box(1.0, 3), np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        project(FeasibleSet.unit_ball(2), np.zeros((4, 5)))
