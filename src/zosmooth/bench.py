@@ -1,17 +1,26 @@
 """Benchmark harness: equal-budget comparisons, replications, CSV output.
 
+Every estimator kind is one entry of :data:`KINDS`: its batched form, the
+:class:`~zosmooth.problems.BenchmarkProblem` field holding its oracle, and
+whether it spends ``2n`` or 2 oracle calls per estimate.  Config
+validation, the budget rule and :func:`run_problem` read that entry, so a
+kind is added by adding one.
+
 Estimator comparisons hold the oracle budget fixed: the coordinate-wise
-exponential-shift estimator runs ``K`` iterations at ``2n`` oracle calls
+exponential-shift estimators run ``K`` iterations at ``2n`` oracle calls
 each, while every two-point baseline runs ``n*K`` iterations at 2 calls
 each, so all methods consume exactly ``2nK`` noisy evaluations.
 
-All replications of one estimator kind run as one batch (see
-:func:`zosmooth.optimizer.run`); replication ``r`` of kind ``k`` draws from
-the substream keyed ``(kind_key(k), r)``.
+:func:`run_benchmark` and :func:`run_dd_benchmark` share one loop: build
+the problem, resolve the schedule and run all replications of each kind as
+one batch (see :func:`zosmooth.optimizer.run`); replication ``r`` of kind
+``k`` draws from the substream keyed ``(kind_key(k), r)``.  Each then builds
+its own rows and summary.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import zlib
@@ -23,15 +32,39 @@ import numpy as np
 
 # esgs_dd_known and esgs_dd_unknown are the single-sample forms of the two
 # decision-dependent kinds; perfbench/child.py instruments them by these names.
-from .decision import DD_BATCH_ESTIMATORS, esgs_dd_known, esgs_dd_unknown  # noqa: F401
-from .estimators import BATCH_ESTIMATORS
+from .decision import KNOWN_DENSITY, RANDOM_FIELD, esgs_dd_known, esgs_dd_unknown  # noqa: F401
+from .estimators import BATCH_ESTIMATORS, BatchEstimator
 from .optimizer import Schedule, Trajectory, run, weighted_average
 from .problems import PROBLEM_BUILDERS, BenchmarkProblem, error_metric
 from .rng import RandomStream
 
-TWO_POINT_KINDS = ("gs", "spherical", "spsa")
-DD_KINDS = ("esgs_dd_known", "esgs_dd_unknown")
-ALL_KINDS = ("esgs",) + TWO_POINT_KINDS + DD_KINDS
+
+@dataclass(frozen=True)
+class Kind:
+    """An estimator kind: its batched form, the :class:`BenchmarkProblem`
+    field its oracle lives in, and whether one estimate costs ``2n`` oracle
+    calls (``per_coordinate``) or 2."""
+
+    estimator: BatchEstimator
+    oracle_field: str
+    per_coordinate: bool
+
+
+KINDS: dict[str, Kind] = {
+    "esgs": Kind(BATCH_ESTIMATORS["esgs"], "oracle", per_coordinate=True),
+    "gs": Kind(BATCH_ESTIMATORS["gs"], "oracle", per_coordinate=False),
+    "spherical": Kind(BATCH_ESTIMATORS["spherical"], "oracle", per_coordinate=False),
+    "spsa": Kind(BATCH_ESTIMATORS["spsa"], "oracle", per_coordinate=False),
+    "esgs_dd_known": Kind(KNOWN_DENSITY, "dd_known", per_coordinate=True),
+    "esgs_dd_unknown": Kind(RANDOM_FIELD, "dd_unknown", per_coordinate=True),
+}
+
+# How error messages name the oracle each problem field holds.
+_ORACLE_NAMES = {
+    "oracle": "decision-independent",
+    "dd_known": "known-density",
+    "dd_unknown": "random-field",
+}
 
 _SCHEDULE_KEYS = {
     "kind",
@@ -94,17 +127,35 @@ class BenchConfig:
             raise ConfigError(
                 f"unknown problem {problem!r}; choose from {sorted(PROBLEM_BUILDERS)}"
             )
+        problem_params = raw.get("problem_params", {})
+        if not isinstance(problem_params, dict):
+            raise ConfigError("problem_params must be a JSON object")
+        signature = inspect.signature(PROBLEM_BUILDERS[problem])
+        unknown = set(problem_params) - set(signature.parameters)
+        if unknown:
+            raise ConfigError(f"unknown problem_params for {problem!r}: {sorted(unknown)}")
+        try:
+            signature.bind(**problem_params)
+        except TypeError as exc:
+            raise ConfigError(f"problem_params for {problem!r}: {exc}") from None
         estimators = tuple(raw["estimators"])
         for kind in estimators:
-            if kind not in ALL_KINDS:
+            if kind not in KINDS:
                 raise ConfigError(
-                    f"unknown estimator {kind!r}; choose from {sorted(ALL_KINDS)}"
+                    f"unknown estimator {kind!r}; choose from {sorted(KINDS)}"
                 )
+        if len(set(estimators)) < len(estimators):
+            raise ConfigError(f"an estimator is listed twice in {list(estimators)}")
         schedule = raw.get("schedule")
         if schedule is not None:
+            if not isinstance(schedule, dict):
+                raise ConfigError("schedule must be a JSON object")
             unknown = set(schedule) - _SCHEDULE_KEYS
             if unknown:
                 raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
+            for key, value in schedule.items():
+                if key != "kind" and type(value) not in (int, float):
+                    raise ConfigError(f"schedule {key!r} must be a number, got {value!r}")
         iterations = raw["iterations"]
         if isinstance(iterations, int):
             iterations = {kind: iterations for kind in estimators}
@@ -125,7 +176,7 @@ class BenchConfig:
             raise ConfigError("replications must be >= 1")
         return BenchConfig(
             problem=problem,
-            problem_params=dict(raw.get("problem_params", {})),
+            problem_params=dict(problem_params),
             estimators=estimators,
             schedule=schedule,
             iterations=iterations,
@@ -214,26 +265,18 @@ def run_problem(
     batch and gives one trajectory per stream (see
     :func:`zosmooth.optimizer.run`).
     """
-    if estimator_kind in BATCH_ESTIMATORS:
-        if problem.oracle is None:
-            raise ConfigError(
-                f"problem {problem.name} exposes no decision-independent oracle"
-            )
-        oracle, estimator = problem.oracle, BATCH_ESTIMATORS[estimator_kind]
-    elif estimator_kind == "esgs_dd_known":
-        if problem.dd_known is None:
-            raise ConfigError(f"problem {problem.name} has no known-density oracle")
-        oracle, estimator = problem.dd_known, DD_BATCH_ESTIMATORS[estimator_kind]
-    elif estimator_kind == "esgs_dd_unknown":
-        if problem.dd_unknown is None:
-            raise ConfigError(f"problem {problem.name} has no random-field oracle")
-        oracle, estimator = problem.dd_unknown, DD_BATCH_ESTIMATORS[estimator_kind]
-    else:
+    if estimator_kind not in KINDS:
         raise ConfigError(f"unknown estimator kind {estimator_kind!r}")
+    kind = KINDS[estimator_kind]
+    oracle = getattr(problem, kind.oracle_field)
+    if oracle is None:
+        raise ConfigError(
+            f"problem {problem.name} has no {_ORACLE_NAMES[kind.oracle_field]} oracle"
+        )
     start = problem.x0 if x0 is None else x0
     return run(
         oracle,
-        estimator,
+        kind.estimator,
         schedule,
         iterations,
         problem.feasible,
@@ -246,9 +289,7 @@ def run_problem(
 
 def budget_iterations(kind: str, iterations: int, n: int) -> int:
     """Iteration count giving every estimator the same 2nK oracle budget."""
-    if kind in TWO_POINT_KINDS:
-        return iterations * n
-    return iterations
+    return iterations if KINDS[kind].per_coordinate else iterations * n
 
 
 def kind_key(kind: str) -> int:
@@ -258,10 +299,6 @@ def kind_key(kind: str) -> int:
 
 def _replication_stream(config: BenchConfig, kind: str, replication: int) -> RandomStream:
     return RandomStream(config.base_seed, substream_id=(kind_key(kind), replication))
-
-
-def _replication_streams(config: BenchConfig, kind: str) -> list[RandomStream]:
-    return [_replication_stream(config, kind, r) for r in range(config.replications)]
 
 
 def _total_calls(trajectory: Trajectory) -> int:
@@ -279,51 +316,57 @@ def _final_error(problem: BenchmarkProblem, trajectory: Trajectory) -> float:
     return error_metric(problem, trajectory.final_x)
 
 
+def _run_batches(
+    config: BenchConfig, problem: BenchmarkProblem, record: bool = False
+) -> dict[str, list[Trajectory]]:
+    """Each configured kind's trajectories, one per replication; ``record``
+    keeps replication 0's iterates.  A trajectory does not depend on which
+    other replications or kinds are run: each pair has its own substream."""
+    schedule = resolve_schedule(config.schedule, problem)
+    return {
+        kind: run_problem(
+            problem,
+            kind,
+            schedule,
+            budget_iterations(kind, config.iterations[kind], problem.n),
+            [_replication_stream(config, kind, r) for r in range(config.replications)],
+            record_iterates=(0,) if record else False,
+        )
+        for kind in config.estimators
+    }
+
+
 def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
     """Run the configured estimator grid under equal oracle budgets.
 
-    Each (estimator, replication) pair owns an independent substream, so a
-    row does not depend on which other replications or kinds are run.  Each
-    row's ``wall_time_ms`` is its kind's batch loop time divided by the
-    replication count.
+    Each row's ``wall_time_ms`` is its kind's batch loop time divided by the
+    replication count.  Raises :class:`BudgetMismatchError` unless every row
+    consumed the same number of oracle calls.
     """
     problem = build_problem(config)
-    schedule = resolve_schedule(config.schedule, problem)
-    record = (0,) if config.record_trajectories else False
-
-    rows: list[ResultRow] = []
-    trajectories: dict[str, Trajectory] = {}
-    for kind in config.estimators:
-        iters = budget_iterations(kind, config.iterations[kind], problem.n)
-        batch = run_problem(
-            problem, kind, schedule, iters, _replication_streams(config, kind),
-            record_iterates=record,
+    batches = _run_batches(config, problem, record=config.record_trajectories)
+    rows = [
+        ResultRow(
+            problem=problem.name,
+            n=problem.n,
+            estimator=kind,
+            replication=replication,
+            error=_final_error(problem, trajectory),
+            wall_time_ms=int(round(trajectory.wall_time_ms)),
+            oracle_calls=_total_calls(trajectory),
+            seed=config.base_seed,
         )
-        if config.record_trajectories:
-            trajectories[kind] = batch[0]
-        rows += [
-            ResultRow(
-                problem=problem.name,
-                n=problem.n,
-                estimator=kind,
-                replication=replication,
-                error=_final_error(problem, trajectory),
-                wall_time_ms=int(round(trajectory.wall_time_ms)),
-                oracle_calls=_total_calls(trajectory),
-                seed=config.base_seed,
-            )
-            for replication, trajectory in enumerate(batch)
-        ]
-
-    groups: dict[str, set[int]] = {}
-    for row in rows:
-        groups.setdefault(row.problem, set()).add(row.oracle_calls)
-    for name, calls in groups.items():
-        if len(calls) != 1:
-            raise BudgetMismatchError(
-                f"oracle budget mismatch in group {name!r}: {sorted(calls)}"
-            )
-    summary = BenchSummary(rows=rows, problem=problem, trajectories=trajectories)
+        for kind, batch in batches.items()
+        for replication, trajectory in enumerate(batch)
+    ]
+    calls = {row.oracle_calls for row in rows}
+    if len(calls) > 1:
+        raise BudgetMismatchError(
+            f"oracle budget mismatch on problem {problem.name!r}: {sorted(calls)}"
+        )
+    summary = BenchSummary(rows=rows, problem=problem)
+    if config.record_trajectories:
+        summary.trajectories = {kind: batch[0] for kind, batch in batches.items()}
     return rows, summary.compute()
 
 
@@ -351,28 +394,20 @@ def run_dd_benchmark(
     problem = build_problem(config)
     if problem.x_star is None or problem.x_ps is None:
         raise ConfigError("decision-dependent benchmark needs closed-form targets")
-    schedule = resolve_schedule(config.schedule, problem)
-
-    rows: list[DDResultRow] = []
-    for kind in config.estimators:
-        batch = run_problem(
-            problem, kind, schedule, config.iterations[kind],
-            _replication_streams(config, kind),
+    rows = [
+        DDResultRow(
+            mode=kind,
+            replication=replication,
+            final_x1=float(trajectory.final_x[0]),
+            dist_to_optimum=float(np.linalg.norm(trajectory.final_x - problem.x_star)),
+            dist_to_stable=float(np.linalg.norm(trajectory.final_x - problem.x_ps)),
+            wall_time_ms=int(round(trajectory.wall_time_ms)),
+            oracle_calls=_total_calls(trajectory),
+            seed=config.base_seed,
         )
-        for replication, trajectory in enumerate(batch):
-            x = trajectory.final_x
-            rows.append(
-                DDResultRow(
-                    mode=kind,
-                    replication=replication,
-                    final_x1=float(x[0]),
-                    dist_to_optimum=float(np.linalg.norm(x - problem.x_star)),
-                    dist_to_stable=float(np.linalg.norm(x - problem.x_ps)),
-                    wall_time_ms=int(round(trajectory.wall_time_ms)),
-                    oracle_calls=_total_calls(trajectory),
-                    seed=config.base_seed,
-                )
-            )
+        for kind, batch in _run_batches(config, problem).items()
+        for replication, trajectory in enumerate(batch)
+    ]
 
     report: dict[str, dict[str, float]] = {}
     for kind in config.estimators:

@@ -102,36 +102,28 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_benchmark(args) -> int:
+    """``run`` writes the rows and any trajectories; ``compare`` writes the
+    rows and their aggregate table."""
     config = _load_config(args)
     rows, summary = bench.run_benchmark(config)
     out = bench.output_dir(config.output, args.out)
-    bench.emit_csv(rows, out / "results.csv")
-    for kind, trajectory in summary.trajectories.items():
-        bench.emit_trajectory(
-            trajectory, summary.problem, out / f"trajectory_{kind}.csv"
-        )
+    written = [out / "results.csv"]
+    bench.emit_csv(rows, written[0])
+    if args.command == "compare":
+        written.append(out / "aggregate.csv")
+        bench.emit_aggregate_csv(rows, written[1])
+    else:
+        for kind, trajectory in summary.trajectories.items():
+            bench.emit_trajectory(
+                trajectory, summary.problem, out / f"trajectory_{kind}.csv"
+            )
     for kind in config.estimators:
         print(
             f"{kind}: mean error {summary.mean_error[kind]:.6g}, "
             f"mean time {summary.mean_wall_time_ms[kind]:.1f} ms"
         )
-    print(f"wrote {out / 'results.csv'}")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    config = _load_config(args)
-    rows, summary = bench.run_benchmark(config)
-    out = bench.output_dir(config.output, args.out)
-    bench.emit_csv(rows, out / "results.csv")
-    bench.emit_aggregate_csv(rows, out / "aggregate.csv")
-    for kind in config.estimators:
-        print(
-            f"{kind}: mean error {summary.mean_error[kind]:.6g}, "
-            f"mean time {summary.mean_wall_time_ms[kind]:.1f} ms"
-        )
-    print(f"wrote {out / 'results.csv'} and {out / 'aggregate.csv'}")
+    print("wrote " + " and ".join(str(path) for path in written))
     return 0
 
 
@@ -184,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="single benchmark run")
     common(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_benchmark)
 
     p_compare = sub.add_parser("compare", help="estimator grid at equal budget")
     common(p_compare)
-    p_compare.set_defaults(func=_cmd_compare)
+    p_compare.set_defaults(func=_cmd_benchmark)
 
     p_dd = sub.add_parser("dd", help="decision-dependent market benchmark")
     common(p_dd)

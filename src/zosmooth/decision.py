@@ -13,11 +13,17 @@ unbiasedness for the gradient of the mollified objective:
   marginals ``D(x)`` and mean-square increments controlled by the point
   separation (:func:`esgs_dd_unknown`).
 
-Both estimators reuse one ``(V, Z)`` perturbation across all coordinates
-and consume ``2n`` oracle calls per estimate.
+Both are the exponential-shift estimator of :mod:`zosmooth.estimators`
+with a different oracle: they draw ``(V, Z, eta*sqrt(2V))`` through
+:func:`~zosmooth.estimators.exponential_shift`, reuse it across all
+coordinates and consume ``2n`` oracle calls per estimate.  The known-density
+estimator draws ``xi`` first and evaluates the ratio-weighted oracle with
+:func:`~zosmooth.estimators.point_values`, the per-point loop that plain
+oracles without a structured path use.
 
-Their batched forms (:data:`DD_BATCH_ESTIMATORS`) evaluate all R
-replications of an iteration together.  They need oracles whose callables
+Their batched forms (:data:`KNOWN_DENSITY`, :data:`RANDOM_FIELD`, registered
+in :data:`zosmooth.bench.KINDS`) evaluate all R replications of an
+iteration together.  They need oracles whose callables
 broadcast: points of shape ``(..., n)`` and noise realizations that are
 tuples of components, each component an array over the same leading axes
 (the market problem's oracles are built this way).  Passed to
@@ -28,7 +34,6 @@ callables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
@@ -40,9 +45,14 @@ from .estimators import (
     BatchEstimator,
     GradientSample,
     SmoothingParams,
+    exponential_shift,
+    point_values,
     shift_draws,
+    shift_sample,
 )
-from .rng import RandomStream, sample_exponential, sample_gaussian_vector
+# sample_exponential and sample_gaussian_vector stay importable from this
+# module, where perfbench/child.py instruments them
+from .rng import RandomStream, sample_exponential, sample_gaussian_vector  # noqa: F401
 
 
 class RatioBoundError(RuntimeError):
@@ -139,29 +149,17 @@ def esgs_dd_known(
 ) -> GradientSample:
     """Importance-reweighted exponential-shift estimate (known density).
 
-    Draws ``xi`` from the reference density, then differences the
-    ratio-weighted oracle at the coordinate-replacement points, sharing
-    ``(V, Z, xi)`` across components.
+    Draws ``xi`` from the reference density, then ``(V, Z)``, and
+    differences the ratio-weighted oracle at the coordinate-replacement
+    points, sharing ``(V, Z, xi)`` across components.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    eta = params.eta
     xi = oracle.ref_sampler(stream)
-    v = sample_exponential(stream)
-    z = sample_gaussian_vector(n, eta, stream)
-    shift = eta * math.sqrt(2.0 * v)
-    base = x - z
-    estimate = np.empty(n)
-    point = base.copy()
-    for i in range(n):
-        saved = point[i]
-        point[i] = x[i] + shift
-        w_plus = oracle.weighted_value(point, xi)
-        point[i] = x[i] - shift
-        w_minus = oracle.weighted_value(point, xi)
-        point[i] = saved
-        estimate[i] = (w_plus - w_minus) / (eta * SQRT_2PI)
-    return GradientSample(estimate=estimate, v=v, z=z, oracle_calls=2 * n)
+    v, z, shift = exponential_shift(stream, x.shape[0], params.eta)
+    w_plus, w_minus = point_values(
+        oracle.weighted_value, x - z, x + shift, x - shift, xi
+    )
+    return shift_sample(w_plus, w_minus, params.eta, v, z)
 
 
 def esgs_dd_unknown(
@@ -179,25 +177,17 @@ def esgs_dd_unknown(
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    eta = params.eta
-    v = sample_exponential(stream)
-    z = sample_gaussian_vector(n, eta, stream)
-    shift = eta * math.sqrt(2.0 * v)
-    base = x - z
-    estimate = np.empty(n)
-    point_plus = base.copy()
-    point_minus = base.copy()
+    v, z, shift = exponential_shift(stream, n, params.eta)
+    f_plus = np.empty(n)
+    f_minus = np.empty(n)
     for i in range(n):
-        saved = base[i]
+        point_plus, point_minus = x - z, x - z
         point_plus[i] = x[i] + shift
         point_minus[i] = x[i] - shift
         xi_1, xi_2 = oracle.field_sampler(point_plus, point_minus, stream)
-        f_plus = oracle.f_hat(point_plus, xi_1)
-        f_minus = oracle.f_hat(point_minus, xi_2)
-        estimate[i] = (f_plus - f_minus) / (eta * SQRT_2PI)
-        point_plus[i] = saved
-        point_minus[i] = saved
-    return GradientSample(estimate=estimate, v=v, z=z, oracle_calls=2 * n)
+        f_plus[i] = oracle.f_hat(point_plus, xi_1)
+        f_minus[i] = oracle.f_hat(point_minus, xi_2)
+    return shift_sample(f_plus, f_minus, params.eta, v, z)
 
 
 def _replacement_points(x, eta, root_2v, z_unit) -> np.ndarray:
@@ -261,14 +251,8 @@ def _known_draws(oracle: KnownDensityOracle, stream, size: int, n: int):
     return shift_draws(oracle, stream, size, n) + tuple(c[:, None] for c in xi)
 
 
-DD_BATCH_ESTIMATORS: dict[str, BatchEstimator] = {
-    "esgs_dd_known": BatchEstimator(
-        "esgs_dd_known", esgs_dd_known, _known_draws, known_rows
-    ),
-    "esgs_dd_unknown": BatchEstimator(
-        "esgs_dd_unknown", esgs_dd_unknown, shift_draws, field_rows
-    ),
-}
+KNOWN_DENSITY = BatchEstimator("esgs_dd_known", esgs_dd_known, _known_draws, known_rows)
+RANDOM_FIELD = BatchEstimator("esgs_dd_unknown", esgs_dd_unknown, shift_draws, field_rows)
 
 
 def kl_sym_normal(mean_x: float, mean_y: float, sigma: float) -> float:

@@ -102,28 +102,48 @@ def _axis_values(
     Point ``i+`` is ``base`` with coordinate i set to ``plus[i]``; likewise
     for ``minus``.  Uses the oracle's structured path when available.
     """
-    n = base.shape[0]
     if oracle.eval_axis is not None:
         f_plus, f_minus = oracle.eval_axis(base, plus, minus, xi)
         return np.asarray(f_plus, dtype=float), np.asarray(f_minus, dtype=float)
     if oracle.eval_batch is not None:
+        n = base.shape[0]
         points = np.tile(base, (2 * n, 1))
         idx = np.arange(n)
         points[idx, idx] = plus
         points[n + idx, idx] = minus
         values = np.asarray(oracle.eval_batch(points, xi), dtype=float)
         return values[:n], values[n:]
+    return point_values(oracle.eval, base, plus, minus, xi)
+
+
+def point_values(evaluate, base, plus, minus, xi) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate(point, xi)`` at the 2n replacement points, one at a time."""
+    n = base.shape[0]
     f_plus = np.empty(n)
     f_minus = np.empty(n)
     point = base.copy()
     for i in range(n):
         saved = point[i]
         point[i] = plus[i]
-        f_plus[i] = oracle.eval(point, xi)
+        f_plus[i] = evaluate(point, xi)
         point[i] = minus[i]
-        f_minus[i] = oracle.eval(point, xi)
+        f_minus[i] = evaluate(point, xi)
         point[i] = saved
     return f_plus, f_minus
+
+
+def exponential_shift(stream: RandomStream, n: int, eta: float):
+    """One ``(V, Z, eta*sqrt(2V))`` draw of the exponential-shift family:
+    ``V ~ Exp(1)``, then ``Z ~ N(0, eta^2 I_n)``."""
+    v = sample_exponential(stream)
+    z = sample_gaussian_vector(n, eta, stream)
+    return v, z, eta * math.sqrt(2.0 * v)
+
+
+def shift_sample(f_plus, f_minus, eta: float, v: float, z: np.ndarray) -> GradientSample:
+    """The exponential-shift estimate from the values at the 2n points."""
+    estimate = (f_plus - f_minus) / (eta * SQRT_2PI)
+    return GradientSample(estimate=estimate, v=v, z=z, oracle_calls=2 * len(z))
 
 
 def esgs_estimate(
@@ -141,16 +161,10 @@ def esgs_estimate(
     and ``xi`` across all components.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    eta = params.eta
-    v = sample_exponential(stream)
-    z = sample_gaussian_vector(n, eta, stream)
+    v, z, shift = exponential_shift(stream, x.shape[0], params.eta)
     xi = oracle.noise_sampler(stream)
-    shift = eta * math.sqrt(2.0 * v)
-    base = x - z
-    f_plus, f_minus = _axis_values(oracle, base, x + shift, x - shift, xi)
-    estimate = (f_plus - f_minus) / (eta * SQRT_2PI)
-    return GradientSample(estimate=estimate, v=v, z=z, oracle_calls=2 * n)
+    f_plus, f_minus = _axis_values(oracle, x - z, x + shift, x - shift, xi)
+    return shift_sample(f_plus, f_minus, params.eta, v, z)
 
 
 def gs_estimate(
@@ -219,14 +233,6 @@ def spsa_estimate(
     diff = oracle.eval(x + eta * delta, xi) - oracle.eval(x - eta * delta, xi)
     estimate = diff / (2.0 * eta * delta)
     return GradientSample(estimate=estimate, v=math.nan, z=delta, oracle_calls=2)
-
-
-ESTIMATORS: dict[str, Callable[..., GradientSample]] = {
-    "esgs": esgs_estimate,
-    "gs": gs_estimate,
-    "spherical": spherical_estimate,
-    "spsa": spsa_estimate,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +342,12 @@ BATCH_ESTIMATORS: dict[str, BatchEstimator] = {
         "spherical", spherical_estimate, _sphere_draws, spherical_rows
     ),
     "spsa": BatchEstimator("spsa", spsa_estimate, _rademacher_draws, spsa_rows),
+}
+
+# The single-sample function of each kind, for callers that draw one
+# estimate at a time (the moment probes).
+ESTIMATORS: dict[str, Callable[..., GradientSample]] = {
+    kind: batch.sample for kind, batch in BATCH_ESTIMATORS.items()
 }
 
 

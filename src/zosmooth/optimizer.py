@@ -221,9 +221,9 @@ def batch_form(estimator: BatchEstimator | EstimatorFn) -> BatchEstimator:
     :class:`~zosmooth.estimators.StochasticOracle`.  Any other single-sample
     function, ``esgs_dd_known`` and ``esgs_dd_unknown`` included, is called
     once per row and iteration, drawing from the row's stream as it goes, so
-    it needs nothing of the oracle beyond what it needs alone.  Pass a
-    :data:`~zosmooth.decision.DD_BATCH_ESTIMATORS` entry to evaluate a whole
-    batch of decision-dependent points per call.
+    it needs nothing of the oracle beyond what it needs alone.  Pass
+    :data:`~zosmooth.decision.KNOWN_DENSITY` or :data:`~zosmooth.decision.RANDOM_FIELD`
+    to evaluate a whole batch of decision-dependent points per call.
     """
     if isinstance(estimator, BatchEstimator):
         return estimator

@@ -210,14 +210,6 @@ def make_quad_problem(
             + l1_weight * np.abs(x).sum()
         )
 
-    def eval_batch(points: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        qp = points @ q_hat
-        return (
-            0.5 * np.einsum("ij,ij->i", qp, points)
-            + points @ (b + xi)
-            + l1_weight * np.abs(points).sum(axis=1)
-        )
-
     def eval_axis(base, plus, minus, xi):
         # All 2n points share `base` except one coordinate, so one matvec
         # plus O(n) work reproduces the per-point values exactly.
@@ -265,7 +257,6 @@ def make_quad_problem(
         eval=eval_fn,
         noise_sampler=noise_sampler,
         lipschitz_l0=l0,
-        eval_batch=eval_batch,
         eval_axis=eval_axis,
     )
     return BenchmarkProblem(
@@ -455,10 +446,6 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
         t = float((c + xi) @ x)
         return float(_phi(np.array([t]))[0] + 0.5 * mu * (x @ x))
 
-    def eval_batch(points: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        t = points @ (c + xi)
-        return _phi(t) + 0.5 * mu * np.einsum("ij,ij->i", points, points)
-
     def eval_axis(base, plus, minus, xi):
         w = c + xi
         t_base = float(w @ base)
@@ -513,7 +500,6 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
             eval=eval_fn,
             noise_sampler=noise_sampler,
             lipschitz_l0=l0,
-            eval_batch=eval_batch,
             eval_axis=eval_axis,
         ),
         exact_f=exact_f,
@@ -572,12 +558,6 @@ def nonconvex_min_problem(n: int) -> BenchmarkProblem:
         common = sq + n * xi * xi
         return min(common - 2.0 * xi * total, common + 2.0 * xi * total)
 
-    def eval_batch(points: np.ndarray, xi: float) -> np.ndarray:
-        sq = np.einsum("ij,ij->i", points, points)
-        totals = points.sum(axis=1)
-        common = sq + n * xi * xi
-        return np.minimum(common - 2.0 * xi * totals, common + 2.0 * xi * totals)
-
     def eval_axis(base, plus, minus, xi):
         sq_base = float(base @ base)
         total_base = float(base.sum())
@@ -631,7 +611,6 @@ def nonconvex_min_problem(n: int) -> BenchmarkProblem:
             eval=eval_fn,
             noise_sampler=noise_sampler,
             lipschitz_l0=l0,
-            eval_batch=eval_batch,
             eval_axis=eval_axis,
         ),
         exact_f=exact_f,

@@ -132,16 +132,14 @@ def test_criterion_3_convex_rate_slope():
     problem = piecewise_linear_problem(n, 0.0)
     schedule = Schedule(kind="convex_diminishing", n=n)
     horizons = [128, 512, 2048, 8192]
-    errors = {K: [] for K in horizons}
-    for rep in range(20):
-        stream = RandomStream(3001, substream_id=rep)
-        traj = run_problem(
-            problem, "esgs", schedule, 8192, stream, checkpoint_at=horizons
-        )
-        for K in horizons:
-            errors[K].append(
-                error_metric(problem, traj.checkpoints[K].weighted_average)
-            )
+    streams = [RandomStream(3001, substream_id=rep) for rep in range(20)]
+    trajs = run_problem(
+        problem, "esgs", schedule, 8192, streams, checkpoint_at=horizons
+    )
+    errors = {
+        K: [error_metric(problem, t.checkpoints[K].weighted_average) for t in trajs]
+        for K in horizons
+    }
     means = np.array([np.mean(errors[K]) for K in horizons])
     slope = float(np.polyfit(np.log(horizons), np.log(means), 1)[0])
     elapsed = time.perf_counter() - t0
@@ -159,15 +157,15 @@ def test_criterion_4_strongly_convex_rate_slope():
     theta = 2.0 / problem.mu
     schedule = Schedule(kind="strongly_convex", theta=theta, mu=problem.mu)
     ks = [100, 316, 1000, 3162, 10000]
-    sq = {k: [] for k in ks}
-    for rep in range(20):
-        stream = RandomStream(4001, substream_id=rep)
-        traj = run_problem(
-            problem, "esgs", schedule, 10_000, stream, record_iterates=False,
-            checkpoint_at=ks,
-        )
-        for k in ks:
-            sq[k].append(float(np.sum((traj.checkpoints[k].x - problem.x_star) ** 2)))
+    streams = [RandomStream(4001, substream_id=rep) for rep in range(20)]
+    trajs = run_problem(
+        problem, "esgs", schedule, 10_000, streams, record_iterates=False,
+        checkpoint_at=ks,
+    )
+    sq = {
+        k: [float(np.sum((t.checkpoints[k].x - problem.x_star) ** 2)) for t in trajs]
+        for k in ks
+    }
     means = np.array([np.mean(sq[k]) for k in ks])
     slope = float(np.polyfit(np.log(ks), np.log(means), 1)[0])
     elapsed = time.perf_counter() - t0
@@ -284,17 +282,14 @@ def test_criterion_8_high_probability_shape():
     problem = piecewise_linear_problem(n, 0.0)
     schedule = Schedule(kind="custom", alpha=0.5, beta=0.5)  # gamma=eta=(k+1)^-1/2
     fit_k, check_k = 512, 4096
-    errors = {fit_k: [], check_k: []}
-    for rep in range(100):
-        stream = RandomStream(8001, substream_id=rep)
-        traj = run_problem(
-            problem, "esgs", schedule, check_k, stream,
-            checkpoint_at=[fit_k, check_k],
-        )
-        for K in (fit_k, check_k):
-            errors[K].append(
-                error_metric(problem, traj.checkpoints[K].weighted_average)
-            )
+    streams = [RandomStream(8001, substream_id=rep) for rep in range(100)]
+    trajs = run_problem(
+        problem, "esgs", schedule, check_k, streams, checkpoint_at=[fit_k, check_k]
+    )
+    errors = {
+        K: [error_metric(problem, t.checkpoints[K].weighted_average) for t in trajs]
+        for K in (fit_k, check_k)
+    }
     q95_fit = float(np.quantile(errors[fit_k], 0.95))
     q95_check = float(np.quantile(errors[check_k], 0.95))
     c_fit = q95_fit * math.sqrt(fit_k) / (n * math.log(fit_k))

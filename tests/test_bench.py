@@ -7,8 +7,7 @@ import pytest
 
 from zosmooth import bench, optimizer
 from zosmooth.bench import (
-    ALL_KINDS,
-    DD_KINDS,
+    KINDS,
     BenchConfig,
     ConfigError,
     budget_iterations,
@@ -80,6 +79,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="missing"):
             small_config(iterations={"esgs": 5})
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"n": 2, "seeed": 3}, r"unknown problem_params for 'quad_l1': \['seeed'\]"),
+            ({"n": 2}, "missing a required argument: 'seed'"),
+        ],
+    )
+    def test_problem_params_bound_to_the_builder(self, params, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(problem_params=params)
+
+    def test_non_numeric_schedule_value_rejected(self):
+        with pytest.raises(ConfigError, match="schedule 'alpha' must be a number"):
+            small_config(schedule={"kind": "custom", "alpha": "x", "beta": 0.5})
+
+    def test_duplicate_estimator_rejected(self):
+        with pytest.raises(ConfigError, match="listed twice"):
+            small_config(estimators=["esgs", "esgs"])
+
     def test_json_parse_error_has_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"problem": }')
@@ -109,10 +127,10 @@ class TestDeterminismAndOrdering:
                              row.error, row.oracle_calls, row.seed)
         assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kind", list(KINDS))
     def test_replication_independent_of_its_batch(self, kind):
         # enough iterations to cross a block of draws (1024 at these n)
-        if kind in DD_KINDS:
+        if KINDS[kind].oracle_field != "oracle":
             problem, iters = market_problem(), 1100
         else:
             problem = quad_l1_problem(3, 2)
@@ -172,29 +190,31 @@ class TestDeterminismAndOrdering:
 
 class TestSubstreams:
     def test_adding_a_kind_leaves_existing_streams_unchanged(self, monkeypatch):
-        config = small_config()
+        # a newcomer registered ahead of every kind and run first moves no
+        # existing kind's rows
+        def strip(rows):
+            return [
+                (r.estimator, r.replication, r.error, r.oracle_calls)
+                for r in rows
+                if r.estimator != "newcomer"
+            ]
 
-        def first_draws():
-            return {
-                (kind, r): bench._replication_stream(config, kind, r).generator.random(3)
-                for kind in ALL_KINDS
-                for r in (0, 1, 7)
-            }
-
-        before = first_draws()
-        monkeypatch.setattr(bench, "ALL_KINDS", ("newcomer",) + ALL_KINDS)
-        after = first_draws()
-        for key, draws in before.items():
-            np.testing.assert_array_equal(draws, after[key])
+        raw = small_config_raw(iterations=5, replications=3)
+        before, _ = run_benchmark(BenchConfig.from_dict(raw))
+        monkeypatch.setattr(bench, "KINDS", {"newcomer": KINDS["gs"], **KINDS})
+        with_newcomer = {**raw, "estimators": ["newcomer"] + raw["estimators"]}
+        after, _ = run_benchmark(BenchConfig.from_dict(with_newcomer))
+        assert [r.estimator for r in after[:3]] == ["newcomer"] * 3
+        assert strip(after) == strip(before)
 
     def test_kind_keys_distinct(self):
-        assert len({bench.kind_key(kind) for kind in ALL_KINDS}) == len(ALL_KINDS)
+        assert len({bench.kind_key(kind) for kind in KINDS}) == len(KINDS)
 
     def test_no_collision_at_large_replication_index(self):
         config = small_config()
         draws = {
             (kind, r): tuple(bench._replication_stream(config, kind, r).generator.random(2))
-            for kind in ALL_KINDS
+            for kind in KINDS
             for r in (0, 1, 1_000_003, 1_000_004, 2_000_006)
         }
         assert len(set(draws.values())) == len(draws)
@@ -477,6 +497,24 @@ class TestCli:
         code = cli_main(["run", "--config", str(config)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"problem_params": {"n": 2, "seeed": 3}},
+            {"problem_params": {"n": 2}},
+            {"schedule": {"kind": "custom", "alpha": "x", "beta": 0.5}},
+            {"estimators": ["esgs", "esgs"]},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_config_errors_are_one_line(self, tmp_path, capsys, command, overrides):
+        config = self.write_config(tmp_path, small_config_raw(**overrides))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
     def test_env_var_output_override(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"

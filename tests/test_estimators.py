@@ -15,7 +15,8 @@ from zosmooth.estimators import (
     spherical_estimate,
     spsa_estimate,
 )
-from zosmooth.problems import quad_l1_problem
+from zosmooth.bench import KINDS
+from zosmooth.problems import market_problem, quad_l1_problem
 from zosmooth.rng import RandomStream
 
 
@@ -283,7 +284,7 @@ class TestEvalPathEquivalence:
             eval=oracle.eval,
             noise_sampler=oracle.noise_sampler,
             lipschitz_l0=oracle.lipschitz_l0,
-            eval_batch=oracle.eval_batch,
+            eval_batch=lambda points, xi: np.array([oracle.eval(p, xi) for p in points]),
         )
         x = problem.x0
         g_axis = esgs_estimate(oracle, x, PARAMS, RandomStream(77)).estimate
@@ -317,4 +318,27 @@ class TestRowKernels:
                 draws = ((z / np.linalg.norm(z) if kind == "spherical" else z)[None],)
             g, calls = BATCH_ESTIMATORS[kind].estimate(oracle, x[None], eta, draws, [stream])
             np.testing.assert_array_equal(g[0], sample.estimate)
+            assert calls == sample.oracle_calls
+
+    @pytest.mark.parametrize("kind", ["esgs_dd_known", "esgs_dd_unknown"])
+    def test_decision_dependent_kernel_matches_single_sample(self, kind):
+        problem = market_problem()
+        entry = KINDS[kind]
+        oracle, n, eta = getattr(problem, entry.oracle_field), problem.n, 0.3
+        x = np.array([2.5, 3.0])
+        for seed in range(5):
+            sample = entry.estimator.sample(oracle, x, SmoothingParams(eta), RandomStream(seed))
+            stream = RandomStream(seed)
+            gen = stream.generator
+            # the known-density leg draws xi before (V, Z)
+            xi = oracle.ref_sampler(stream) if kind == "esgs_dd_known" else ()
+            v = -np.log1p(-gen.random())
+            draws = (np.array([np.sqrt(2.0 * v)]), gen.standard_normal(n)[None])
+            draws += tuple(np.array([[c]]) for c in xi)
+            g, calls = entry.estimator.estimate(oracle, x[None], eta, draws, [stream])
+            if kind == "esgs_dd_known":
+                # numpy's array exp can differ from its scalar exp in the last bit
+                np.testing.assert_allclose(g[0], sample.estimate, rtol=1e-14, atol=0)
+            else:
+                np.testing.assert_array_equal(g[0], sample.estimate)
             assert calls == sample.oracle_calls

@@ -1,8 +1,12 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zosmooth.decision import RatioBoundError, ValueBoundError
 from zosmooth.estimators import SmoothingParams, esgs_estimate
@@ -320,3 +324,39 @@ class TestFeasibility:
         ):
             assert contains(problem.feasible, problem.x0)
             assert problem.x0.shape == (problem.n,)
+
+
+# Property tests: fixed example sequence (derandomized) and no example
+# database, so every run checks the same points.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+AXIS_BUILDERS = {
+    "quad_l1": lambda n: quad_l1_problem(n, 4),
+    "piecewise_linear": lambda n: piecewise_linear_problem(n, 0.5),
+    "nonconvex_min": nonconvex_min_problem,
+}
+
+
+@lru_cache(maxsize=None)
+def axis_problem(name, n):
+    return AXIS_BUILDERS[name](n)
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_BUILDERS))
+@PROPERTY
+@given(data=st.data())
+def test_eval_axis_equals_per_point_eval(name, data):
+    n = data.draw(st.integers(1, 8), label="n")
+    oracle = axis_problem(name, n).oracle
+    coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    base, plus, minus = (
+        data.draw(hnp.arrays(float, n, elements=coordinate), label=label)
+        for label in ("base", "plus", "minus")
+    )
+    xi = oracle.noise_sampler(RandomStream(data.draw(st.integers(0, 2**32), label="seed")))
+    f_plus, f_minus = oracle.eval_axis(base, plus, minus, xi)
+    for i in range(n):
+        for new, value in ((plus[i], f_plus[i]), (minus[i], f_minus[i])):
+            point = base.copy()
+            point[i] = new
+            expected = oracle.eval(point, xi)
+            assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zosmooth.projections import FeasibleSet, contains, project
 
@@ -90,3 +93,47 @@ def test_batch_dimension_mismatch():
         project(FeasibleSet.symmetric_box(1.0, 3), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         project(FeasibleSet.unit_ball(2), np.zeros((4, 5)))
+
+
+# Property tests: fixed example sequence (derandomized) and no example
+# database, so every run checks the same points.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+COORDINATE = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sets_and_points(draw):
+    """A box or a ball in R^n together with two points of R^n."""
+    n = draw(st.integers(1, 6))
+    vector = hnp.arrays(float, n, elements=COORDINATE)
+    if draw(st.booleans()):
+        a, b = draw(vector), draw(vector)
+        feasible = FeasibleSet.box(np.minimum(a, b), np.maximum(a, b))
+    else:
+        radius = draw(st.floats(1e-3, 50.0))
+        feasible = FeasibleSet.ball(draw(vector), radius)
+    return feasible, draw(vector), draw(vector)
+
+
+@PROPERTY
+@given(sets_and_points())
+def test_projection_is_idempotent(case):
+    feasible, u, _ = case
+    p = project(feasible, u)
+    if feasible.variant == "box":
+        np.testing.assert_array_equal(project(feasible, p), p)
+    else:
+        # c + d can round to a point one ulp of |c| outside the ball, which
+        # a second projection then moves back
+        scale = np.abs(feasible.center).max() + feasible.radius
+        np.testing.assert_allclose(project(feasible, p), p, rtol=0, atol=4 * np.spacing(scale))
+
+
+@PROPERTY
+@given(sets_and_points())
+def test_projection_is_non_expansive(case):
+    feasible, u, w = case
+    lhs = np.linalg.norm(project(feasible, u) - project(feasible, w))
+    rhs = np.linalg.norm(u - w)
+    scale = 1.0 + max(np.abs(u).max(), np.abs(w).max())
+    assert lhs <= rhs + 1e-12 * scale
