@@ -234,7 +234,12 @@ class BenchSummary:
 
 
 def build_problem(config: BenchConfig) -> BenchmarkProblem:
-    return PROBLEM_BUILDERS[config.problem](**config.problem_params)
+    """Build the configured problem; a ``problem_params`` value of the wrong
+    type (the builder's ``TypeError``) becomes a :class:`ConfigError`."""
+    try:
+        return PROBLEM_BUILDERS[config.problem](**config.problem_params)
+    except TypeError as exc:
+        raise ConfigError(f"problem_params for {config.problem!r}: {exc}") from None
 
 
 def resolve_schedule(

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .decision import KnownDensityOracle, RandomFieldOracle, field_correlation
 from .estimators import SQRT_2PI, StochasticOracle
@@ -90,15 +89,17 @@ def _proximal_gradient_quad(
     l1_weight: float,
     feasible: FeasibleSet,
     x_init: np.ndarray,
+    norm_q: float,
     max_iters: int = 100_000,
     tol: float = 1e-14,
 ) -> np.ndarray:
     """Proximal gradient on 0.5 x'Qx + b'x + w*||x||_1 over a box.
 
+    ``norm_q`` is the spectral norm of ``q_hat``; the step is its inverse.
     For separable 1-D pieces the prox of ``w|.| + box indicator`` is the
     clipped soft-threshold.
     """
-    step = 1.0 / float(np.linalg.norm(q_hat, 2))
+    step = 1.0 / norm_q
     x = x_init.astype(float).copy()
     for _ in range(max_iters):
         u = x - step * (q_hat @ x + b)
@@ -246,7 +247,7 @@ def make_quad_problem(
     def grad_smooth(x: np.ndarray) -> np.ndarray:
         return q_hat @ np.asarray(x, dtype=float) + b
 
-    x_ref = _proximal_gradient_quad(q_hat, b, l1_weight, feasible, np.zeros(n))
+    x_ref = _proximal_gradient_quad(q_hat, b, l1_weight, feasible, np.zeros(n), norm_q)
     mu = float(np.linalg.eigvalsh(q_hat)[0])
 
     x0 = np.zeros(n)
@@ -524,6 +525,9 @@ def piecewise_linear_reference_cross_check(problem: BenchmarkProblem) -> float:
     ball sits on the ray ``x = -s * c/||c||``, reducing the problem to a 1-D
     convex minimization solved by bounded Brent.
     """
+    # Deferred so that importing the package loads no scipy module.
+    from scipy.optimize import minimize_scalar
+
     c = problem.extras["c"]
     mu = problem.extras["mu"]
     c_norm = float(np.linalg.norm(c))

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_hermite, roots_laguerre, roots_legendre
 
 from .estimators import SQRT_2PI
 from .rng import RandomStream
@@ -29,6 +28,14 @@ from .rng import RandomStream
 
 @lru_cache(maxsize=64)
 def _rule(kind: str, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # Deferred so that importing the package loads no scipy module.
+    from scipy.special import (
+        roots_genlaguerre,
+        roots_hermite,
+        roots_laguerre,
+        roots_legendre,
+    )
+
     if kind == "genlag":  # weight v^(1/2) e^-v on [0, inf)
         return roots_genlaguerre(m, 0.5)
     if kind == "laguerre":  # weight e^-v on [0, inf)

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zosmooth import bench, optimizer
 from zosmooth.bench import (
@@ -20,7 +26,9 @@ from zosmooth.bench import (
 )
 from zosmooth.cli import main as cli_main
 from zosmooth.decision import RatioBoundError, ValueBoundError
-from zosmooth.optimizer import NonFiniteError
+from zosmooth.estimators import StochasticOracle
+from zosmooth.optimizer import NonFiniteError, Schedule, run
+from zosmooth.projections import FeasibleSet
 from zosmooth.problems import market_problem, quad_l1_problem, error_metric
 from zosmooth.rng import RandomStream
 from zosmooth.smoothing import QuadratureConvergenceError
@@ -94,6 +102,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="schedule 'alpha' must be a number"):
             small_config(schedule={"kind": "custom", "alpha": "x", "beta": 0.5})
 
+    def test_wrong_type_problem_param_rejected_at_build(self):
+        # the names bind, so only the builder can see the bad value
+        config = small_config(problem_params={"n": "x", "seed": 1})
+        with pytest.raises(ConfigError, match="problem_params for 'quad_l1': "):
+            bench.build_problem(config)
+
     def test_duplicate_estimator_rejected(self):
         with pytest.raises(ConfigError, match="listed twice"):
             small_config(estimators=["esgs", "esgs"])
@@ -116,6 +130,42 @@ class TestBudget:
         rows, _ = run_benchmark(small_config())
         calls = {row.estimator: row.oracle_calls for row in rows}
         assert calls == {"esgs": 4, "gs": 4}
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in KINDS if KINDS[k].oracle_field == "oracle"]
+    )
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        n=st.integers(1, 30),
+        iterations=st.integers(1, 50),
+        replications=st.integers(1, 4),
+    )
+    def test_calls_are_per_estimate_cost_times_iterations(
+        self, kind, n, iterations, replications
+    ):
+        # a cheap oracle: the count must not depend on what F computes
+        oracle = StochasticOracle(
+            eval=lambda x, xi: float(x @ x),
+            noise_sampler=lambda stream: None,
+            lipschitz_l0=1.0,
+        )
+        per_estimate = 2 * n if KINDS[kind].per_coordinate else 2
+        steps = budget_iterations(kind, iterations, n)
+        trajectories = run(
+            oracle,
+            KINDS[kind].estimator,
+            Schedule(kind="custom", alpha=0.5, beta=0.5),
+            steps,
+            FeasibleSet.symmetric_box(1.0, n),
+            np.zeros(n),
+            [RandomStream(5, substream_id=r) for r in range(replications)],
+            record_iterates=False,
+        )
+        expected = per_estimate * np.arange(1, steps + 1)
+        for trajectory in trajectories:
+            np.testing.assert_array_equal(trajectory.oracle_calls_cumulative, expected)
+            # every kind spends the same 2nK calls at its budget iterations
+            assert trajectory.oracle_calls_cumulative[-1] == 2 * n * iterations
 
 
 class TestDeterminismAndOrdering:
@@ -505,6 +555,7 @@ class TestCli:
             {"problem_params": {"n": 2}},
             {"schedule": {"kind": "custom", "alpha": "x", "beta": 0.5}},
             {"estimators": ["esgs", "esgs"]},
+            {"problem_params": {"n": "x", "seed": 1}},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -532,3 +583,30 @@ class TestCli:
         )
         assert cli_main(["run", "--config", str(config)]) == 0
         assert (env_dir / "results.csv").exists()
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+import zosmooth, zosmooth.cli, zosmooth.bench
+from zosmooth import bench
+for path in sys.argv[1:]:
+    bench.build_problem(bench.BenchConfig.from_json(path))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_import_and_build_load_no_scipy():
+    # scipy is loaded on first use only; a fresh interpreter shows what
+    # importing the package and building the problems pulls in.
+    env = dict(os.environ, PYTHONPATH=str(Path(bench.__file__).resolve().parents[1]))
+    configs = [str(CONFIG_DIR / "market_dd.json"), str(CONFIG_DIR / "quad200.json")]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, *configs],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == []

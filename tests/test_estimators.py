@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zosmooth.estimators import (
     BATCH_ESTIMATORS,
@@ -10,8 +13,10 @@ from zosmooth.estimators import (
     SmoothingParams,
     StochasticOracle,
     esgs_estimate,
+    esgs_rows,
     gs_estimate,
     second_moment_probe,
+    shift_draws,
     spherical_estimate,
     spsa_estimate,
 )
@@ -103,6 +108,50 @@ class TestEsgs:
         c = np.array([1.0, -2.0])
         mean, se = mc_mean(esgs_estimate, linear_oracle(c), [0.2, 0.5], PARAMS, 100_000, 7)
         np.testing.assert_array_less(np.abs(mean - c), 3.0 * se)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_linear_estimate_is_c_times_shift_weight(self, data):
+        # On F(x, xi) = c'x + d + xi every term but the shifted coordinate
+        # cancels, so each estimate is c * 2 sqrt(2V) / sqrt(2 pi) exactly,
+        # up to the rounding of the cancelled terms.
+        n = data.draw(st.integers(1, 10), label="n")
+        value = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+        c, x = (data.draw(hnp.arrays(float, n, elements=value), label=k) for k in "cx")
+        d = data.draw(value, label="d")
+        eta = data.draw(st.floats(0.05, 2.0), label="eta")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        oracle = StochasticOracle(
+            eval=lambda point, xi: float(c @ point) + d + xi,
+            noise_sampler=lambda stream: float(stream.generator.uniform(-1.0, 1.0)),
+            lipschitz_l0=float(np.linalg.norm(c)),
+        )
+
+        def check(estimate, root_2v, z):
+            # allowance for the rounding of the cancelled terms
+            scale = float(np.abs(c) @ (np.abs(x) + np.abs(z) + eta * root_2v))
+            atol = 1e-14 * n * (scale + abs(d) + 1.0) / eta
+            expected = c * 2.0 * root_2v / SQRT_2PI
+            np.testing.assert_allclose(estimate, expected, rtol=1e-12, atol=atol)
+
+        sample = esgs_estimate(oracle, x, SmoothingParams(eta), RandomStream(seed))
+        check(sample.estimate, math.sqrt(2.0 * sample.v), sample.z)
+
+        # the driver's row kernel, fed from the block draws
+        stream = RandomStream(seed)
+        root_2v, z_unit = shift_draws(oracle, stream, 1, n)
+        rows, calls = esgs_rows(oracle, x[None, :], eta, (root_2v, z_unit), [stream])
+        check(rows[0], root_2v[0], eta * z_unit[0])
+        assert calls == 2 * n
+
+    def test_shift_weight_has_mean_one(self):
+        # E[2 sqrt(2V) / sqrt(2 pi)] = 1 for V ~ Exp(1); with the identity
+        # above this makes the estimator unbiased on linear functions.
+        count = 100_000
+        root_2v, _ = shift_draws(None, RandomStream(2024), count, 1)
+        weight = 2.0 * root_2v / SQRT_2PI
+        stderr = weight.std(ddof=1) / math.sqrt(count)
+        assert abs(weight.mean() - 1.0) < 4.0 * stderr
 
 
 class TestGs:

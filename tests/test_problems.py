@@ -14,6 +14,7 @@ from zosmooth.problems import (
     PL_INTERCEPTS,
     PL_SLOPES,
     _envelope_gaussian_stats,
+    _proximal_gradient_quad,
     error_metric,
     make_quad_problem,
     market_problem,
@@ -116,6 +117,20 @@ class TestQuad:
         grad = problem.grad_exact(problem.x_star)
         np.testing.assert_allclose(grad, np.zeros(6), atol=1e-10)
         assert problem.mu >= 1.0
+
+    def test_spectral_norm_computed_once_is_the_svd_norm(self):
+        problem = quad_l1_problem(50, 13)
+        q_hat = problem.extras["q_hat"]
+        norm_q = float(np.linalg.norm(q_hat, 2))
+        # bit for bit: the step, the schedule scales and the reference all
+        # use this one float
+        assert problem.extras["norm_q"] == norm_q
+        assert problem.default_schedule.gamma_scale == 1.0 / norm_q
+        assert problem.default_schedule.eta_scale == 1.0 / norm_q
+        x_ref = _proximal_gradient_quad(
+            q_hat, problem.extras["b"], 0.5, problem.feasible, np.zeros(50), norm_q
+        )
+        np.testing.assert_array_equal(problem.x_star, x_ref)
 
     def test_instances_are_seeded(self):
         a = quad_l1_problem(5, 3)
