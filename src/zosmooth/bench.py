@@ -35,7 +35,7 @@ import numpy as np
 from .decision import KNOWN_DENSITY, RANDOM_FIELD, esgs_dd_known, esgs_dd_unknown  # noqa: F401
 from .estimators import BATCH_ESTIMATORS, BatchEstimator
 from .optimizer import Schedule, Trajectory, run, weighted_average
-from .problems import PROBLEM_BUILDERS, BenchmarkProblem, error_metric
+from .problems import PROBLEM_BUILDERS, BenchmarkProblem, error_metric, error_metric_rows
 from .rng import RandomStream
 
 
@@ -510,16 +510,29 @@ def emit_aggregate_csv(rows: Sequence[ResultRow], path: str | Path) -> None:
 def emit_trajectory(
     trajectory: Trajectory, problem: BenchmarkProblem, path: str | Path
 ) -> None:
-    """Write ``k, error, oracle_calls`` for each recorded iterate."""
+    """Write ``k, error, oracle_calls`` for each recorded iterate ``x_0 .. x_K``.
+
+    ``error`` is each iterate's own ``error_metric``.  ``results.csv``
+    reports that of the final iterate for strongly convex and nonconvex
+    problems, so there the last row equals replication 0's row error bit
+    for bit; for convex problems ``results.csv`` reports the error of the
+    gamma-weighted average instead.  The rows before the last use the
+    problem's one-pass ``exact_f_rows`` when it has one, and agree with the
+    per-point error to rounding.
+    """
     if trajectory.iterates is None:
         raise ValueError("trajectory was run without iterate recording")
     path = Path(path)
+    iterates = trajectory.iterates
+    errors = [
+        *error_metric_rows(problem, iterates[:-1]),
+        error_metric(problem, iterates[-1]),
+    ]
     calls = np.concatenate(([0], trajectory.oracle_calls_cumulative))
     try:
         with path.open("w", newline="") as fh:
             fh.write("k,error,oracle_calls\n")
-            for k in range(trajectory.iterates.shape[0]):
-                err = error_metric(problem, trajectory.iterates[k])
+            for k, err in enumerate(errors):
                 fh.write(f"{k},{_format(float(err))},{int(calls[k])}\n")
     except OSError as exc:
         raise OSError(f"cannot write trajectory to {path}: {exc}") from exc

@@ -90,7 +90,12 @@ def project(feasible: FeasibleSet, u: np.ndarray) -> np.ndarray:
             while norm > radius:
                 d = d * (radius / norm)
                 norm = float(np.linalg.norm(d))
-            return feasible.center + d
+            # center + d can round outside again; step it toward the center,
+            # which is inside, until the interior test above passes
+            p = feasible.center + d
+            while float(np.linalg.norm(p - feasible.center)) > radius:
+                p = np.nextafter(p, feasible.center)
+            return p
         # one vecdot call gives every point's squared distance to the center
         norms = np.sqrt(np.vecdot(d, d))[..., None]
         top = norms.max()
@@ -103,7 +108,15 @@ def project(feasible: FeasibleSet, u: np.ndarray) -> np.ndarray:
             d = d * (radius / np.maximum(norms, radius))
             norms = np.sqrt(np.vecdot(d, d))[..., None]
             top = norms.max()
-        return np.where(outside, feasible.center + d, u)
+        # and, as above, stepped toward the center until each row passes
+        # the interior test
+        p = np.where(outside, feasible.center + d, u)
+        while True:
+            d = p - feasible.center
+            over = outside & (np.sqrt(np.vecdot(d, d))[..., None] > radius)
+            if not over.any():
+                return p
+            p = np.where(over, np.nextafter(p, feasible.center), p)
     raise ValueError(f"unknown feasible set variant {feasible.variant!r}")
 
 

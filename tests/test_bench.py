@@ -500,6 +500,43 @@ class TestCli:
                 last = list(csv.DictReader(fh))[-1]
             assert float(last["error"]) == errors[kind]
 
+    def test_quad_dump_matches_results_and_leaves_them_unchanged(self, tmp_path):
+        raw = {
+            "problem": "quad_l1",
+            "problem_params": {"n": 12, "seed": 5},
+            "estimators": ["esgs", "gs"],
+            "iterations": 30,
+            "replications": 3,
+            "base_seed": 4,
+        }
+        results = {}
+        for record in (True, False):
+            config = self.write_config(
+                tmp_path, {**raw, "record_trajectories": record}
+            )
+            out = tmp_path / str(record)
+            assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+            with (out / "results.csv").open() as fh:
+                results[record] = list(csv.DictReader(fh))
+        # the dump does not change results.csv, wall times aside
+        for rows in results.values():
+            for row in rows:
+                del row["wall_time_ms"]
+        assert results[True] == results[False]
+        problem = quad_l1_problem(12, 5)
+        start = problem.exact_f(problem.x0) - problem.f_star
+        for kind in ("esgs", "gs"):
+            with (tmp_path / "True" / f"trajectory_{kind}.csv").open() as fh:
+                dump = list(csv.DictReader(fh))
+            (error,) = (
+                rec["error"]
+                for rec in results[True]
+                if rec["estimator"] == kind and rec["replication"] == "0"
+            )
+            # the last row is the per-point error that results.csv reports
+            assert dump[-1]["error"] == error
+            assert float(dump[0]["error"]) == pytest.approx(start, rel=1e-12)
+
     @pytest.mark.parametrize(
         "error, code",
         [

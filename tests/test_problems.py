@@ -118,13 +118,17 @@ class TestQuad:
         np.testing.assert_allclose(grad, np.zeros(6), atol=1e-10)
         assert problem.mu >= 1.0
 
-    def test_spectral_norm_computed_once_is_the_svd_norm(self):
+    def test_one_eigendecomposition_gives_norm_and_mu(self):
         problem = quad_l1_problem(50, 13)
         q_hat = problem.extras["q_hat"]
-        norm_q = float(np.linalg.norm(q_hat, 2))
+        eigenvalues = np.linalg.eigvalsh(q_hat)
+        norm_q = float(eigenvalues[-1])
+        assert problem.extras["norm_q"] == norm_q
+        assert problem.mu == float(eigenvalues[0])
+        svd_norm = float(np.linalg.norm(q_hat, 2))
+        assert abs(norm_q - svd_norm) <= 1e-12 * svd_norm
         # bit for bit: the step, the schedule scales and the reference all
         # use this one float
-        assert problem.extras["norm_q"] == norm_q
         assert problem.default_schedule.gamma_scale == 1.0 / norm_q
         assert problem.default_schedule.eta_scale == 1.0 / norm_q
         x_ref = _proximal_gradient_quad(
@@ -375,3 +379,17 @@ def test_eval_axis_equals_per_point_eval(name, data):
             point[i] = new
             expected = oracle.eval(point, xi)
             assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_exact_f_rows_equals_per_point_exact_f(data):
+    n = data.draw(st.integers(1, 60), label="n")
+    m = data.draw(st.integers(1, 40), label="m")  # m = 1 takes numpy's gemv path
+    problem = axis_problem("quad_l1", n)
+    coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    xs = data.draw(hnp.arrays(float, (m, n), elements=coordinate), label="xs")
+    values = problem.exact_f_rows(xs)
+    assert values.shape == (m,)
+    for x, value in zip(xs, values):
+        assert value == pytest.approx(problem.exact_f(x), rel=1e-12, abs=1e-12)
