@@ -25,6 +25,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +35,7 @@ import numpy as np
 # decision-dependent kinds; perfbench/child.py instruments them by these names.
 from .decision import KNOWN_DENSITY, RANDOM_FIELD, esgs_dd_known, esgs_dd_unknown  # noqa: F401
 from .estimators import BATCH_ESTIMATORS, BatchEstimator
-from .optimizer import Schedule, Trajectory, run, weighted_average
+from .optimizer import Observer, Schedule, Trajectory, run, weighted_average
 from .problems import PROBLEM_BUILDERS, BenchmarkProblem, error_metric, error_metric_rows
 from .rng import RandomStream
 
@@ -157,7 +158,7 @@ class BenchConfig:
                 if key != "kind" and type(value) not in (int, float):
                     raise ConfigError(f"schedule {key!r} must be a number, got {value!r}")
         iterations = raw["iterations"]
-        if isinstance(iterations, int):
+        if type(iterations) is int:
             iterations = {kind: iterations for kind in estimators}
         elif isinstance(iterations, dict):
             unknown = set(iterations) - set(estimators)
@@ -168,10 +169,12 @@ class BenchConfig:
             missing = set(estimators) - set(iterations)
             if missing:
                 raise ConfigError(f"iterations missing for: {sorted(missing)}")
-            iterations = {k: int(v) for k, v in iterations.items()}
+            iterations = {
+                k: _typed(f"iterations[{k!r}]", v, int) for k, v in iterations.items()
+            }
         else:
             raise ConfigError("iterations must be an int or a per-estimator mapping")
-        replications = int(raw["replications"])
+        replications = _typed("replications", raw["replications"], int)
         if replications < 1:
             raise ConfigError("replications must be >= 1")
         return BenchConfig(
@@ -181,9 +184,11 @@ class BenchConfig:
             schedule=schedule,
             iterations=iterations,
             replications=replications,
-            base_seed=int(raw["base_seed"]),
+            base_seed=_typed("base_seed", raw["base_seed"], int),
             output=raw.get("output"),
-            record_trajectories=bool(raw.get("record_trajectories", False)),
+            record_trajectories=_typed(
+                "record_trajectories", raw.get("record_trajectories", False), bool
+            ),
         )
 
     @staticmethod
@@ -195,6 +200,13 @@ class BenchConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top-level config must be a JSON object")
         return BenchConfig.from_dict(raw)
+
+
+def _typed(name: str, value, kind: type):
+    """``value`` if its type is exactly ``kind`` (so ``true`` is no int)."""
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -213,15 +225,16 @@ class ResultRow:
 class BenchSummary:
     """Per-kind means of the rows, plus the problem they were run on.
 
-    ``trajectories`` holds replication 0's trajectory of each kind, with its
-    iterates, when the config asks for trajectory recording.
+    ``trajectories`` maps each kind to replication 0's iterates
+    ``x_0 .. x_K`` as a ``(K+1, n)`` array and its cumulative oracle calls
+    before each, when the config asks for trajectory recording.
     """
 
     rows: list[ResultRow]
     mean_error: dict[str, float] = field(default_factory=dict)
     mean_wall_time_ms: dict[str, float] = field(default_factory=dict)
     problem: BenchmarkProblem | None = None
-    trajectories: dict[str, Trajectory] = field(default_factory=dict)
+    trajectories: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def compute(self) -> "BenchSummary":
         by_kind: dict[str, list[ResultRow]] = {}
@@ -261,14 +274,13 @@ def run_problem(
     iterations: int,
     stream: RandomStream | Sequence[RandomStream],
     x0: np.ndarray | None = None,
-    record_iterates: bool | Sequence[int] = False,
-    checkpoint_at: Sequence[int] = (),
+    observe: Observer | None = None,
 ) -> Trajectory | list[Trajectory]:
     """Run the named estimator kind on ``problem``.
 
     One stream gives one trajectory; a sequence of streams runs them as one
-    batch and gives one trajectory per stream (see
-    :func:`zosmooth.optimizer.run`).
+    batch and gives one trajectory per stream.  ``observe`` is passed to
+    :func:`zosmooth.optimizer.run`.
     """
     if estimator_kind not in KINDS:
         raise ConfigError(f"unknown estimator kind {estimator_kind!r}")
@@ -287,8 +299,7 @@ def run_problem(
         problem.feasible,
         start,
         stream,
-        record_iterates=record_iterates,
-        checkpoint_at=checkpoint_at,
+        observe=observe,
     )
 
 
@@ -323,22 +334,36 @@ def _final_error(problem: BenchmarkProblem, trajectory: Trajectory) -> float:
 
 def _run_batches(
     config: BenchConfig, problem: BenchmarkProblem, record: bool = False
-) -> dict[str, list[Trajectory]]:
-    """Each configured kind's trajectories, one per replication; ``record``
-    keeps replication 0's iterates.  A trajectory does not depend on which
-    other replications or kinds are run: each pair has its own substream."""
+) -> tuple[dict[str, list[Trajectory]], dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Each configured kind's trajectories, one per replication, and, when
+    ``record``, :attr:`BenchSummary.trajectories`.  A trajectory does not
+    depend on which other replications or kinds are run: each pair has its
+    own substream."""
     schedule = resolve_schedule(config.schedule, problem)
-    return {
-        kind: run_problem(
+    batches, recorded = {}, {}
+    for kind in config.estimators:
+        iterations = budget_iterations(kind, config.iterations[kind], problem.n)
+        observe = None
+        if record:
+            iterates = np.empty((iterations + 1, problem.n))
+            calls = np.empty(iterations + 1, dtype=np.int64)
+            recorded[kind] = iterates, calls
+            observe = partial(_record_row_zero, iterates, calls)
+        batches[kind] = run_problem(
             problem,
             kind,
             schedule,
-            budget_iterations(kind, config.iterations[kind], problem.n),
+            iterations,
             [_replication_stream(config, kind, r) for r in range(config.replications)],
-            record_iterates=(0,) if record else False,
+            observe=observe,
         )
-        for kind in config.estimators
-    }
+    return batches, recorded
+
+
+def _record_row_zero(iterates, calls, k, x, weighted_sum, gamma_total, oracle_calls):
+    # the observer of a recorded run: keep replication 0's x_k and calls
+    iterates[k] = x[0]
+    calls[k] = oracle_calls
 
 
 def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
@@ -349,7 +374,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
     consumed the same number of oracle calls.
     """
     problem = build_problem(config)
-    batches = _run_batches(config, problem, record=config.record_trajectories)
+    batches, recorded = _run_batches(config, problem, config.record_trajectories)
     rows = [
         ResultRow(
             problem=problem.name,
@@ -369,9 +394,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
         raise BudgetMismatchError(
             f"oracle budget mismatch on problem {problem.name!r}: {sorted(calls)}"
         )
-    summary = BenchSummary(rows=rows, problem=problem)
-    if config.record_trajectories:
-        summary.trajectories = {kind: batch[0] for kind, batch in batches.items()}
+    summary = BenchSummary(rows=rows, problem=problem, trajectories=recorded)
     return rows, summary.compute()
 
 
@@ -410,7 +433,7 @@ def run_dd_benchmark(
             oracle_calls=_total_calls(trajectory),
             seed=config.base_seed,
         )
-        for kind, batch in _run_batches(config, problem).items()
+        for kind, batch in _run_batches(config, problem)[0].items()
         for replication, trajectory in enumerate(batch)
     ]
 
@@ -508,9 +531,14 @@ def emit_aggregate_csv(rows: Sequence[ResultRow], path: str | Path) -> None:
 
 
 def emit_trajectory(
-    trajectory: Trajectory, problem: BenchmarkProblem, path: str | Path
+    iterates: np.ndarray,
+    oracle_calls: np.ndarray,
+    problem: BenchmarkProblem,
+    path: str | Path,
 ) -> None:
-    """Write ``k, error, oracle_calls`` for each recorded iterate ``x_0 .. x_K``.
+    """Write ``k, error, oracle_calls`` for one replication's observed
+    iterates ``x_0 .. x_K``, a ``(K+1, n)`` array, and the cumulative oracle
+    calls before each.
 
     ``error`` is each iterate's own ``error_metric``.  ``results.csv``
     reports that of the final iterate for strongly convex and nonconvex
@@ -520,20 +548,16 @@ def emit_trajectory(
     problem's one-pass ``exact_f_rows`` when it has one, and agree with the
     per-point error to rounding.
     """
-    if trajectory.iterates is None:
-        raise ValueError("trajectory was run without iterate recording")
     path = Path(path)
-    iterates = trajectory.iterates
     errors = [
         *error_metric_rows(problem, iterates[:-1]),
         error_metric(problem, iterates[-1]),
     ]
-    calls = np.concatenate(([0], trajectory.oracle_calls_cumulative))
     try:
         with path.open("w", newline="") as fh:
             fh.write("k,error,oracle_calls\n")
             for k, err in enumerate(errors):
-                fh.write(f"{k},{_format(float(err))},{int(calls[k])}\n")
+                fh.write(f"{k},{_format(float(err))},{int(oracle_calls[k])}\n")
     except OSError as exc:
         raise OSError(f"cannot write trajectory to {path}: {exc}") from exc
 

@@ -114,9 +114,9 @@ def _cmd_benchmark(args) -> int:
         written.append(out / "aggregate.csv")
         bench.emit_aggregate_csv(rows, written[1])
     else:
-        for kind, trajectory in summary.trajectories.items():
+        for kind, (iterates, calls) in summary.trajectories.items():
             bench.emit_trajectory(
-                trajectory, summary.problem, out / f"trajectory_{kind}.csv"
+                iterates, calls, summary.problem, out / f"trajectory_{kind}.csv"
             )
     for kind in config.estimators:
         print(

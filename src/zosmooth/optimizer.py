@@ -25,16 +25,17 @@ once per iteration for the whole batch.  Each replication draws only from
 its own stream, in blocks of iterations.  A block's size depends on the
 dimension and, for the last block, on the number of iterations left, never
 on R.  So a replication's trajectory is the same whichever replications
-share its batch; a single stream is the R = 1 case.  A checkpoint at k in a
-longer run has the law of a k-iteration run but not its bits, unless k is a
-multiple of the block size.
+share its batch; a single stream is the R = 1 case.  An optional
+``observe`` callable sees the state before each iteration k = 0..K (see
+:func:`run`); what it sees at k inside a longer run has the law of the end
+of a k-iteration run, and its bits when k is a multiple of the block size.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -179,23 +180,12 @@ def step(
 
 
 @dataclass
-class Checkpoint:
-    k: int
-    x: np.ndarray
-    weighted_average: np.ndarray
-    oracle_calls: int
-
-
-@dataclass
 class Trajectory:
-    """Record of one optimization run.
+    """Summary of one optimization run: the schedule values and cumulative
+    oracle calls of each iteration, the final iterate ``x_K`` and the
+    gamma-weighted sum over ``x_0 .. x_{K-1}``.  The iterates themselves are
+    kept only by an observer (see :func:`run`)."""
 
-    ``iterates`` holds ``x_0 .. x_K`` (or ``None`` when recording was
-    disabled to bound memory); the gamma-weighted running average over
-    ``x_0 .. x_{K-1}`` is always maintained.
-    """
-
-    iterates: np.ndarray | None
     gammas: np.ndarray
     etas: np.ndarray
     oracle_calls_cumulative: np.ndarray
@@ -203,7 +193,6 @@ class Trajectory:
     final_x: np.ndarray
     weighted_sum: np.ndarray
     gamma_total: float
-    checkpoints: dict[int, Checkpoint] = field(default_factory=dict)
 
     @property
     def iteration_count(self) -> int:
@@ -211,6 +200,8 @@ class Trajectory:
 
 
 EstimatorFn = Callable[..., GradientSample]
+# observe(k, x, weighted_sum, gamma_total, oracle_calls); see run
+Observer = Callable[[int, np.ndarray, np.ndarray, float, int], None]
 
 
 def batch_form(estimator: BatchEstimator | EstimatorFn) -> BatchEstimator:
@@ -255,8 +246,7 @@ def run(
     feasible: FeasibleSet,
     x0: np.ndarray,
     stream: RandomStream | Sequence[RandomStream],
-    record_iterates: bool | Sequence[int] = True,
-    checkpoint_at: Sequence[int] = (),
+    observe: Observer | None = None,
 ) -> Trajectory | list[Trajectory]:
     """Run ``iterations`` estimate-then-step updates from ``x0``.
 
@@ -267,14 +257,16 @@ def run(
     of one batch share their ``gammas``, ``etas`` and
     ``oracle_calls_cumulative`` arrays.
 
-    ``record_iterates`` is True (every replication), False (none) or the
-    indices of the replications whose iterates are stored.
-    ``checkpoint_at`` lists iteration counts ``k`` at which ``(x_k, xbar_k)``
-    snapshots are stored, enabling one run to serve several horizons.
+    ``observe(k, x, weighted_sum, gamma_total, oracle_calls)``, when given,
+    is called for each k = 0..K in order with the state before iteration k:
+    the ``(R, n)`` iterate ``x_k``, the sum of ``gamma_j * x_j`` and the sum
+    of ``gamma_j`` over ``j < k`` (their ratio is the weighted average
+    ``xbar_k``), and one row's cumulative oracle calls.  The arrays are the
+    loop's own, so an observer copies what it keeps, and picks its own k.
 
-    Wall time covers the iteration loop, including draws and estimator work,
-    and is measured with a monotonic clock; each trajectory reports the
-    batch's loop time divided by R.
+    Wall time covers the iteration loop, including draws, estimator work
+    and the observer, and is measured with a monotonic clock; each
+    trajectory reports the batch's loop time divided by R.
 
     Raises :class:`NonFiniteError`, naming the estimator and the iteration,
     as soon as an estimate or an iterate is NaN or infinite.
@@ -290,21 +282,12 @@ def run(
     rows, n = len(streams), start_x.shape[0]
     x = np.tile(start_x, (rows, 1))
     offset = 1 if schedule.starts_at_one else 0
-    wanted = set(int(k) for k in checkpoint_at)
-    if isinstance(record_iterates, bool):
-        recorded = list(range(rows)) if record_iterates else []
-    else:
-        recorded = [int(r) for r in record_iterates]
 
-    iterates = np.empty((iterations + 1, len(recorded), n)) if recorded else None
-    if iterates is not None:
-        iterates[0] = x[recorded]
     gammas = np.empty(iterations)
     etas = np.empty(iterations)
     calls = np.empty(iterations, dtype=np.int64)
     weighted_sum = np.zeros((rows, n))
     gamma_total = 0.0
-    checkpoints: dict[int, list[Checkpoint]] = {}
     total_calls = 0
     block = max(1, min(MAX_BLOCK_ITERATIONS, BLOCK_VALUES // n))
 
@@ -316,10 +299,8 @@ def run(
         blocks = [np.stack(parts, axis=1) for parts in zip(*drawn)]
         for j in range(size):
             k = first + j
-            if k in wanted:
-                checkpoints[k] = _checkpoints(
-                    k, x, weighted_sum, gamma_total, total_calls
-                )
+            if observe is not None:
+                observe(k, x, weighted_sum, gamma_total, total_calls)
             gamma_k, eta_k = schedule_values(schedule, k + offset)
             if not eta_k > 0:
                 raise ValueError(f"smoothing radius eta must be > 0, got {eta_k}")
@@ -335,17 +316,12 @@ def run(
             gammas[k] = gamma_k
             etas[k] = eta_k
             calls[k] = total_calls
-            if iterates is not None:
-                iterates[k + 1] = x[recorded]
+    if observe is not None:
+        observe(iterations, x, weighted_sum, gamma_total, total_calls)
     wall_ms = (time.perf_counter() - t0) * 1000.0 / rows
 
-    if iterations in wanted:
-        checkpoints[iterations] = _checkpoints(
-            iterations, x, weighted_sum, gamma_total, total_calls
-        )
     trajectories = [
         Trajectory(
-            iterates=iterates[:, recorded.index(r)] if r in recorded else None,
             gammas=gammas,
             etas=etas,
             oracle_calls_cumulative=calls,
@@ -353,7 +329,6 @@ def run(
             final_x=x[r].copy(),
             weighted_sum=weighted_sum[r],
             gamma_total=gamma_total,
-            checkpoints={k: points[r] for k, points in checkpoints.items()},
         )
         for r in range(rows)
     ]
@@ -369,16 +344,6 @@ def _non_finite(kind: str, k: int, g: np.ndarray, u: np.ndarray) -> NonFiniteErr
     )
 
 
-def _checkpoints(
-    k: int, x: np.ndarray, weighted_sum: np.ndarray, gamma_total: float, calls: int
-) -> list[Checkpoint]:
-    average = weighted_sum / gamma_total if gamma_total > 0 else x.copy()
-    return [
-        Checkpoint(k=k, x=x[r].copy(), weighted_average=average[r], oracle_calls=calls)
-        for r in range(len(x))
-    ]
-
-
 def weighted_average(trajectory: Trajectory) -> np.ndarray:
     """Gamma-weighted mean of the iterates ``x_0 .. x_{K-1}``."""
     if trajectory.gamma_total <= 0:
@@ -386,13 +351,19 @@ def weighted_average(trajectory: Trajectory) -> np.ndarray:
     return trajectory.weighted_sum / trajectory.gamma_total
 
 
-def sample_random_iterate(trajectory: Trajectory, stream: RandomStream) -> np.ndarray:
+def sample_random_iterate(
+    iterates: np.ndarray, gammas: np.ndarray, stream: RandomStream
+) -> np.ndarray:
     """Draw ``x_j`` with ``P[j] = gamma_j / sum(gamma)`` over ``j < K``.
 
-    Requires the trajectory to have recorded iterates.
+    ``gammas`` holds ``gamma_0 .. gamma_{K-1}`` (a prefix of a trajectory's
+    ``gammas``) and ``iterates`` one replication's ``x_0 .. x_{K-1}`` or
+    more, as an observer of :func:`run` kept them.
     """
-    if trajectory.iterates is None:
-        raise ValueError("trajectory was run with record_iterates=False")
-    weights = trajectory.gammas / trajectory.gammas.sum()
+    if len(iterates) < len(gammas):
+        raise ValueError(
+            f"need an iterate for each of the {len(gammas)} steps, got {len(iterates)}"
+        )
+    weights = gammas / gammas.sum()
     j = int(stream.generator.choice(len(weights), p=weights))
-    return trajectory.iterates[j].copy()
+    return iterates[j].copy()

@@ -19,7 +19,7 @@ from zosmooth.estimators import (
     gs_estimate,
     second_moment_probe,
 )
-from zosmooth.optimizer import Schedule
+from zosmooth.optimizer import Schedule, sample_random_iterate
 from zosmooth.problems import (
     error_metric,
     nonconvex_min_problem,
@@ -28,6 +28,8 @@ from zosmooth.problems import (
 )
 from zosmooth.rng import RandomStream
 from zosmooth.smoothing import smoothed_gradient_quadrature
+
+from recorder import Recorder
 
 
 def report(number, passed, detail):
@@ -133,13 +135,9 @@ def test_criterion_3_convex_rate_slope():
     schedule = Schedule(kind="convex_diminishing", n=n)
     horizons = [128, 512, 2048, 8192]
     streams = [RandomStream(3001, substream_id=rep) for rep in range(20)]
-    trajs = run_problem(
-        problem, "esgs", schedule, 8192, streams, checkpoint_at=horizons
-    )
-    errors = {
-        K: [error_metric(problem, t.checkpoints[K].weighted_average) for t in trajs]
-        for K in horizons
-    }
+    rec = Recorder(at=horizons)
+    run_problem(problem, "esgs", schedule, 8192, streams, observe=rec)
+    errors = {K: [error_metric(problem, xbar) for xbar in rec.average[K]] for K in horizons}
     means = np.array([np.mean(errors[K]) for K in horizons])
     slope = float(np.polyfit(np.log(horizons), np.log(means), 1)[0])
     elapsed = time.perf_counter() - t0
@@ -158,14 +156,9 @@ def test_criterion_4_strongly_convex_rate_slope():
     schedule = Schedule(kind="strongly_convex", theta=theta, mu=problem.mu)
     ks = [100, 316, 1000, 3162, 10000]
     streams = [RandomStream(4001, substream_id=rep) for rep in range(20)]
-    trajs = run_problem(
-        problem, "esgs", schedule, 10_000, streams, record_iterates=False,
-        checkpoint_at=ks,
-    )
-    sq = {
-        k: [float(np.sum((t.checkpoints[k].x - problem.x_star) ** 2)) for t in trajs]
-        for k in ks
-    }
+    rec = Recorder(at=ks)
+    run_problem(problem, "esgs", schedule, 10_000, streams, observe=rec)
+    sq = {k: [float(np.sum((x - problem.x_star) ** 2)) for x in rec.x[k]] for k in ks}
     means = np.array([np.mean(sq[k]) for k in ks])
     slope = float(np.polyfit(np.log(ks), np.log(means), 1)[0])
     elapsed = time.perf_counter() - t0
@@ -222,15 +215,14 @@ def test_criterion_6_nonconvex_stationarity():
     # residual path is decreasing from the first iterate (the origin is
     # itself a stationary point of the smoothed objective)
     x0 = 2.0 * np.ones(n)
-    for rep in range(replications):
-        stream = RandomStream(6001, substream_id=rep)
-        traj = run_problem(
-            problem, "esgs", schedule, 4096, stream, x0=x0, record_iterates=True
-        )
+    streams = [RandomStream(6001, substream_id=rep) for rep in range(replications)]
+    rec = Recorder()
+    trajs = run_problem(problem, "esgs", schedule, 4096, streams, x0=x0, observe=rec)
+    for rep, (stream, traj) in enumerate(zip(streams, trajs)):
+        iterates = rec.iterates(rep)
         for K in horizons:
-            weights = traj.gammas[:K] / traj.gammas[:K].sum()
-            j = int(stream.generator.choice(K, p=weights))
-            g = problem.smoothed_gradient(traj.iterates[j], eta)
+            x_r = sample_random_iterate(iterates, traj.gammas[:K], stream)
+            g = problem.smoothed_gradient(x_r, eta)
             residuals[K].append(float(g @ g))
         final = traj.final_x
         dist = min(
@@ -283,11 +275,10 @@ def test_criterion_8_high_probability_shape():
     schedule = Schedule(kind="custom", alpha=0.5, beta=0.5)  # gamma=eta=(k+1)^-1/2
     fit_k, check_k = 512, 4096
     streams = [RandomStream(8001, substream_id=rep) for rep in range(100)]
-    trajs = run_problem(
-        problem, "esgs", schedule, check_k, streams, checkpoint_at=[fit_k, check_k]
-    )
+    rec = Recorder(at=[fit_k, check_k])
+    run_problem(problem, "esgs", schedule, check_k, streams, observe=rec)
     errors = {
-        K: [error_metric(problem, t.checkpoints[K].weighted_average) for t in trajs]
+        K: [error_metric(problem, xbar) for xbar in rec.average[K]]
         for K in (fit_k, check_k)
     }
     q95_fit = float(np.quantile(errors[fit_k], 0.95))

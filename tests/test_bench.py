@@ -33,6 +33,8 @@ from zosmooth.problems import market_problem, quad_l1_problem, error_metric
 from zosmooth.rng import RandomStream
 from zosmooth.smoothing import QuadratureConvergenceError
 
+from recorder import Recorder
+
 
 def small_config_raw(**overrides):
     raw = {
@@ -108,6 +110,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="problem_params for 'quad_l1': "):
             bench.build_problem(config)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"record_trajectories": "false"}, "record_trajectories must be a JSON bool"),
+            ({"record_trajectories": 1}, "record_trajectories must be a JSON bool"),
+            ({"replications": 2.9}, "replications must be a JSON int, got 2.9"),
+            ({"replications": True}, "replications must be a JSON int, got True"),
+            ({"base_seed": "7"}, "base_seed must be a JSON int"),
+            ({"base_seed": False}, "base_seed must be a JSON int"),
+            ({"iterations": {"esgs": "7", "gs": 1}}, r"iterations\['esgs'\] must be a JSON int"),
+            ({"iterations": {"esgs": 7, "gs": 1.0}}, r"iterations\['gs'\] must be a JSON int"),
+            ({"iterations": True}, "iterations must be an int or a per-estimator mapping"),
+        ],
+    )
+    def test_json_types_are_not_coerced(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(**overrides)
+
     def test_duplicate_estimator_rejected(self):
         with pytest.raises(ConfigError, match="listed twice"):
             small_config(estimators=["esgs", "esgs"])
@@ -159,7 +179,6 @@ class TestBudget:
             FeasibleSet.symmetric_box(1.0, n),
             np.zeros(n),
             [RandomStream(5, substream_id=r) for r in range(replications)],
-            record_iterates=False,
         )
         expected = per_estimate * np.arange(1, steps + 1)
         for trajectory in trajectories:
@@ -310,11 +329,10 @@ class TestCsvOutput:
     def test_trajectory_dump(self, tmp_path):
         problem = quad_l1_problem(2, 3)
         schedule = problem.default_schedule
-        traj = run_problem(
-            problem, "esgs", schedule, 1, RandomStream(5), record_iterates=True
-        )
+        rec = Recorder()
+        run_problem(problem, "esgs", schedule, 1, RandomStream(5), observe=rec)
         path = tmp_path / "traj.csv"
-        emit_trajectory(traj, problem, path)
+        emit_trajectory(rec.iterates(0), list(rec.calls.values()), problem, path)
         with path.open() as fh:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 2  # k = 0, 1
@@ -593,6 +611,11 @@ class TestCli:
             {"schedule": {"kind": "custom", "alpha": "x", "beta": 0.5}},
             {"estimators": ["esgs", "esgs"]},
             {"problem_params": {"n": "x", "seed": 1}},
+            {"record_trajectories": "false"},
+            {"replications": 2.9},
+            {"replications": True},
+            {"iterations": {"esgs": "7", "gs": 1}},
+            {"base_seed": 1.5},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])

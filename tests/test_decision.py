@@ -18,6 +18,8 @@ from zosmooth.problems import market_problem
 from zosmooth.projections import FeasibleSet
 from zosmooth.rng import RandomStream
 
+from recorder import Recorder
+
 PARAMS = SmoothingParams(0.3)
 
 
@@ -221,9 +223,11 @@ class TestDriverWithPerPointOracles:
 
     def test_known_density_toy_oracle(self):
         streams = [RandomStream(8, r) for r in range(3)]
+        batch, single = Recorder(), Recorder()
         trajs = run(
             toy_known_oracle(), esgs_dd_known, Schedule(kind="convex_diminishing", n=1),
             50, FeasibleSet.symmetric_box(2.0, 1), np.array([0.5]), streams,
+            observe=batch,
         )
         assert len(trajs) == 3
         for traj in trajs:
@@ -232,8 +236,10 @@ class TestDriverWithPerPointOracles:
         alone = run(
             toy_known_oracle(), esgs_dd_known, Schedule(kind="convex_diminishing", n=1),
             50, FeasibleSet.symmetric_box(2.0, 1), np.array([0.5]), RandomStream(8, 1),
+            observe=single,
         )
-        np.testing.assert_array_equal(alone.iterates, trajs[1].iterates)
+        np.testing.assert_array_equal(single.iterates(0), batch.iterates(1))
+        np.testing.assert_array_equal(alone.final_x, trajs[1].final_x)
 
     def test_scalar_random_field_oracle(self):
         c = np.array([1.5, -0.5])

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zosmooth.estimators import (
+    BATCH_ESTIMATORS,
     ESTIMATORS,
     SQRT_2PI,
     GradientSample,
@@ -23,6 +26,8 @@ from zosmooth.optimizer import (
 )
 from zosmooth.projections import FeasibleSet, contains
 from zosmooth.rng import RandomStream
+
+from recorder import Recorder
 
 
 class TestSchedules:
@@ -120,12 +125,14 @@ class TestRun:
             eval=lambda x, xi: 2.0, noise_sampler=lambda s: None, lipschitz_l0=0.0
         )
         sched = Schedule(kind="convex_diminishing", n=3)
-        traj = run(
+        rec = Recorder()
+        run(
             oracle, esgs_estimate, sched, 20, FeasibleSet.unconstrained(),
-            np.array([1.0, -2.0, 0.5]), RandomStream(0),
+            np.array([1.0, -2.0, 0.5]), RandomStream(0), observe=rec,
         )
+        assert rec.seen == list(range(21))
         for k in range(21):
-            np.testing.assert_array_equal(traj.iterates[k], [1.0, -2.0, 0.5])
+            np.testing.assert_array_equal(rec.x[k], [[1.0, -2.0, 0.5]])
 
     def test_single_step_composes_estimate_and_projection(self):
         # same scripted draws as the estimator hand example: v = 0.5, any z
@@ -145,14 +152,16 @@ class TestRun:
 
     def test_deterministic_given_stream(self):
         sched = Schedule(kind="convex_diminishing", n=2)
+        recs = [Recorder(), Recorder()]
         runs = [
             run(
                 linear_oracle([1.0, -1.0]), esgs_estimate, sched, 50,
                 FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(5, 3),
+                observe=rec,
             )
-            for _ in range(2)
+            for rec in recs
         ]
-        np.testing.assert_array_equal(runs[0].iterates, runs[1].iterates)
+        np.testing.assert_array_equal(recs[0].iterates(0), recs[1].iterates(0))
         np.testing.assert_array_equal(
             runs[0].oracle_calls_cumulative, runs[1].oracle_calls_cumulative
         )
@@ -160,23 +169,25 @@ class TestRun:
     def test_iterates_feasible_and_budget_counted(self):
         ball = FeasibleSet.unit_ball(3)
         sched = Schedule(kind="convex_diminishing", n=3)
+        rec = Recorder()
         traj = run(
             linear_oracle([2.0, 1.0, -1.0]), esgs_estimate, sched, 100, ball,
-            np.array([5.0, 5.0, 5.0]), RandomStream(8),
+            np.array([5.0, 5.0, 5.0]), RandomStream(8), observe=rec,
         )
         for k in range(101):
-            assert contains(ball, traj.iterates[k], tol=1e-12)
+            assert contains(ball, rec.x[k][0], tol=1e-12)
         assert traj.oracle_calls_cumulative[-1] == 100 * 2 * 3
         assert np.all(np.diff(traj.oracle_calls_cumulative) > 0)
 
     def test_infeasible_start_projected(self):
         ball = FeasibleSet.unit_ball(2)
         sched = Schedule(kind="convex_diminishing", n=2)
-        traj = run(
+        rec = Recorder(at=[0])
+        run(
             linear_oracle([1.0, 0.0]), esgs_estimate, sched, 1, ball,
-            np.array([3.0, 4.0]), RandomStream(9),
+            np.array([3.0, 4.0]), RandomStream(9), observe=rec,
         )
-        np.testing.assert_allclose(traj.iterates[0], [0.6, 0.8])
+        np.testing.assert_allclose(rec.x[0], [[0.6, 0.8]])
 
     def test_strongly_convex_rate_shape(self):
         # F(x, xi) = 0.5||x||^2 + xi'x: exact objective 0.5||x||^2, additive
@@ -191,31 +202,40 @@ class TestRun:
         ks = [100, 450, 2000]
         sq = {k: [] for k in ks}
         for rep in range(10):
-            traj = run(
+            rec = Recorder(at=ks)
+            run(
                 oracle, esgs_estimate, sched, 2000, FeasibleSet.unconstrained(),
-                2.0 * np.ones(n), RandomStream(100, rep), record_iterates=False,
-                checkpoint_at=ks,
+                2.0 * np.ones(n), RandomStream(100, rep), observe=rec,
             )
             for k in ks:
-                sq[k].append(float(traj.checkpoints[k].x @ traj.checkpoints[k].x))
+                sq[k].append(float(rec.x[k][0] @ rec.x[k][0]))
         means = [np.mean(sq[k]) for k in ks]
         slope = np.polyfit(np.log(ks), np.log(means), 1)[0]
         assert -1.2 <= slope <= -0.8
 
     def test_checkpoints_match_recorded_iterates(self):
+        # the states kept at k = 10 and 30 agree with every iterate recorded
+        # by a second observer of the same run, and with the trajectory
         sched = Schedule(kind="convex_diminishing", n=2)
+        checkpoints, every = Recorder(at=[10, 30]), Recorder()
+
+        def observe(*state):
+            checkpoints(*state)
+            every(*state)
+
         traj = run(
             linear_oracle([1.0, 2.0]), esgs_estimate, sched, 30,
             FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(11),
-            checkpoint_at=[10, 30],
+            observe=observe,
         )
-        np.testing.assert_array_equal(traj.checkpoints[10].x, traj.iterates[10])
-        np.testing.assert_array_equal(traj.checkpoints[30].x, traj.iterates[30])
+        iterates = every.iterates(0)
+        np.testing.assert_array_equal(checkpoints.x[10][0], iterates[10])
+        np.testing.assert_array_equal(checkpoints.x[30][0], iterates[30])
+        np.testing.assert_array_equal(iterates[30], traj.final_x)
         gammas = traj.gammas[:10]
-        manual = (gammas[:, None] * traj.iterates[:10]).sum(axis=0) / gammas.sum()
-        np.testing.assert_allclose(
-            traj.checkpoints[10].weighted_average, manual, rtol=1e-12
-        )
+        manual = (gammas[:, None] * iterates[:10]).sum(axis=0) / gammas.sum()
+        np.testing.assert_allclose(checkpoints.average[10][0], manual, rtol=1e-12)
+        assert checkpoints.calls[10] == traj.oracle_calls_cumulative[9]
 
 
 class TestBatchedRun:
@@ -226,38 +246,38 @@ class TestBatchedRun:
         sched = Schedule(kind="convex_diminishing", n=2)
         args = (FeasibleSet.symmetric_box(1.0, 2), np.zeros(2))
         k = 2 * MAX_BLOCK_ITERATIONS
-        long = run(
+        at_k = Recorder(at=[k])
+        run(
             linear_oracle([1.0, 2.0]), estimator, sched, k + 100, *args,
-            RandomStream(9), record_iterates=False, checkpoint_at=[k],
+            RandomStream(9), observe=at_k,
         )
         short = run(
-            linear_oracle([1.0, 2.0]), estimator, sched, k, *args,
-            RandomStream(9), record_iterates=False,
+            linear_oracle([1.0, 2.0]), estimator, sched, k, *args, RandomStream(9),
         )
-        np.testing.assert_array_equal(long.checkpoints[k].x, short.final_x)
-        np.testing.assert_array_equal(
-            long.checkpoints[k].weighted_average, weighted_average(short)
-        )
-        assert long.checkpoints[k].oracle_calls == short.oracle_calls_cumulative[-1]
+        np.testing.assert_array_equal(at_k.x[k][0], short.final_x)
+        np.testing.assert_array_equal(at_k.average[k][0], weighted_average(short))
+        assert at_k.calls[k] == short.oracle_calls_cumulative[-1]
 
     def test_batch_returns_one_trajectory_per_stream(self):
         sched = Schedule(kind="convex_diminishing", n=2)
         streams = [RandomStream(5, r) for r in range(3)]
+        batch_rec, alone_rec = Recorder(), Recorder()
         trajs = run(
             linear_oracle([1.0, -1.0]), esgs_estimate, sched, 30,
             FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), streams,
-            record_iterates=[1], checkpoint_at=[10],
+            observe=batch_rec,
         )
         assert isinstance(trajs, list) and len(trajs) == 3
-        assert trajs[0].iterates is None and trajs[2].iterates is None
+        assert all(x.shape == (3, 2) for x in batch_rec.x.values())
         alone = run(
             linear_oracle([1.0, -1.0]), esgs_estimate, sched, 30,
             FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(5, 1),
-            checkpoint_at=[10],
+            observe=alone_rec,
         )
         assert isinstance(alone, Trajectory)
-        np.testing.assert_array_equal(trajs[1].iterates, alone.iterates)
-        np.testing.assert_array_equal(trajs[1].checkpoints[10].x, alone.checkpoints[10].x)
+        np.testing.assert_array_equal(batch_rec.iterates(1), alone_rec.iterates(0))
+        np.testing.assert_array_equal(batch_rec.average[10][1], alone_rec.average[10][0])
+        np.testing.assert_array_equal(trajs[1].final_x, alone.final_x)
         assert trajs[1].oracle_calls_cumulative[-1] == 30 * 2 * 2
 
     def test_custom_single_sample_estimator_runs_per_row(self):
@@ -300,12 +320,84 @@ class TestBatchedRun:
             )
 
 
+def noisy_quadratic_oracle(n):
+    # F(x, xi) = 0.5 ||x||^2 + xi'x with xi ~ N(0, I); eval_axis keeps the
+    # coordinate-wise kind at O(n) per row at large n
+    def eval_axis(base, plus, minus, xi):
+        rest = 0.5 * (base @ base - base * base) + (xi @ base - xi * base)
+        value = lambda v: rest + 0.5 * v * v + xi * v
+        return value(plus), value(minus)
+
+    return StochasticOracle(
+        eval=lambda x, xi: 0.5 * float(x @ x) + float(xi @ x),
+        noise_sampler=lambda stream: stream.generator.standard_normal(n),
+        lipschitz_l0=1.0,
+        eval_axis=eval_axis,
+    )
+
+
+class TestObserver:
+    """``observe`` sees k = 0..K once each, in order and before iteration k,
+    changes nothing, ends on the trajectory's final state, and sees row r as
+    it would see replication r run alone.  At n = 400 and 900 a draw block
+    holds 163 and 72 iterations, so longer runs cross block boundaries."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        kind=st.sampled_from(sorted(BATCH_ESTIMATORS)),
+        n=st.sampled_from([1, 3, 400, 900]),
+        iterations=st.integers(0, 160),
+        rows=st.integers(1, 3),
+    )
+    @example(kind="esgs", n=900, iterations=150, rows=3)
+    @example(kind="gs", n=400, iterations=160, rows=2)
+    def test_observed_records(self, kind, n, iterations, rows):
+        def go(streams, observe=None):
+            return run(
+                noisy_quadratic_oracle(n), BATCH_ESTIMATORS[kind],
+                Schedule(kind="custom", alpha=0.5, beta=0.5), iterations,
+                FeasibleSet.symmetric_box(1.0, n), np.full(n, 0.5), streams,
+                observe=observe,
+            )
+
+        streams = lambda: [RandomStream(11, substream_id=r) for r in range(rows)]
+        rec = Recorder()
+        observed, plain = go(streams(), rec), go(streams())
+        # (a) every k once, in order, with the state before iteration k
+        assert rec.seen == list(range(iterations + 1))
+        np.testing.assert_array_equal(rec.x[0], np.full((rows, n), 0.5))
+        assert list(rec.calls.values()) == [0, *observed[0].oracle_calls_cumulative]
+        # (b) observing changes no bit of the trajectories
+        for a, b in zip(observed, plain):
+            for name in ("gammas", "etas", "oracle_calls_cumulative", "final_x",
+                         "weighted_sum"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert a.gamma_total == b.gamma_total
+        # (c) the last record is the trajectory's final state
+        for r, traj in enumerate(observed):
+            np.testing.assert_array_equal(rec.x[iterations][r], traj.final_x)
+            if iterations:
+                np.testing.assert_array_equal(
+                    rec.average[iterations][r], weighted_average(traj)
+                )
+                assert rec.calls[iterations] == traj.oracle_calls_cumulative[-1]
+            else:
+                assert rec.calls[0] == 0
+        # (d) row r is observed as replication r alone
+        for r in range(rows):
+            alone = Recorder()
+            go(RandomStream(11, substream_id=r), alone)
+            for k in range(iterations + 1):
+                np.testing.assert_array_equal(rec.x[k][r], alone.x[k][0])
+                np.testing.assert_array_equal(rec.average[k][r], alone.average[k][0])
+                assert rec.calls[k] == alone.calls[k]
+
+
 def synthetic_trajectory(iterates, gammas):
     iterates = np.asarray(iterates, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     weighted = (gammas[:, None] * iterates[:-1]).sum(axis=0)
     return Trajectory(
-        iterates=iterates,
         gammas=gammas,
         etas=gammas.copy(),
         oracle_calls_cumulative=np.arange(1, len(gammas) + 1) * 2,
@@ -330,39 +422,43 @@ class TestAveragingAndSampling:
         np.testing.assert_allclose(weighted_average(traj), [3.0])
 
     def test_single_iterate_sampled_with_probability_one(self):
-        traj = synthetic_trajectory([[1.5], [2.5]], [0.4])
+        iterates = np.array([[1.5], [2.5]])
         for _ in range(10):
             np.testing.assert_array_equal(
-                sample_random_iterate(traj, RandomStream(0)), [1.5]
+                sample_random_iterate(iterates, np.array([0.4]), RandomStream(0)), [1.5]
             )
 
     def test_uniform_sampling_frequencies(self):
-        traj = synthetic_trajectory(
-            [[0.0], [1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 1.0, 1.0]
-        )
+        iterates = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
+        gammas = np.ones(4)
         stream = RandomStream(17)
         draws = np.array(
-            [sample_random_iterate(traj, stream)[0] for _ in range(100_000)]
+            [sample_random_iterate(iterates, gammas, stream)[0] for _ in range(100_000)]
         )
         for j in range(4):
             assert abs((draws == j).mean() - 0.25) < 0.01
 
     def test_weighted_sampling_frequencies(self):
-        traj = synthetic_trajectory([[0.0], [1.0], [2.0]], [1.0, 3.0])
+        iterates = np.array([[0.0], [1.0], [2.0]])
         stream = RandomStream(18)
         draws = np.array(
-            [sample_random_iterate(traj, stream)[0] for _ in range(100_000)]
+            [
+                sample_random_iterate(iterates, np.array([1.0, 3.0]), stream)[0]
+                for _ in range(100_000)
+            ]
         )
         assert abs((draws == 1).mean() - 0.75) < 0.01
 
     def test_sampling_requires_recorded_iterates(self):
         sched = Schedule(kind="convex_diminishing", n=1)
+        rec = Recorder(at=[0, 1, 2])
         traj = run(
             linear_oracle([1.0]), esgs_estimate, sched, 5,
-            FeasibleSet.unconstrained(), np.zeros(1), RandomStream(1),
-            record_iterates=False,
+            FeasibleSet.unconstrained(), np.zeros(1), RandomStream(1), observe=rec,
         )
-        with pytest.raises(ValueError):
-            sample_random_iterate(traj, RandomStream(2))
-        # the running weighted average is still available
+        # x_0 .. x_4 are needed for K = 5 steps, only x_0 .. x_2 were kept
+        with pytest.raises(ValueError, match="each of the 5 steps, got 3"):
+            sample_random_iterate(rec.iterates(0), traj.gammas, RandomStream(2))
+        sample_random_iterate(rec.iterates(0), traj.gammas[:3], RandomStream(2))
+        # the running weighted average needs no observer
         assert weighted_average(traj).shape == (1,)
