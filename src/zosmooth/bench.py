@@ -139,7 +139,12 @@ class BenchConfig:
             signature.bind(**problem_params)
         except TypeError as exc:
             raise ConfigError(f"problem_params for {problem!r}: {exc}") from None
-        estimators = tuple(raw["estimators"])
+        estimators = raw["estimators"]
+        if not isinstance(estimators, list) or any(type(k) is not str for k in estimators):
+            raise ConfigError(
+                f"estimators must be a JSON array of strings, got {estimators!r}"
+            )
+        estimators = tuple(estimators)
         for kind in estimators:
             if kind not in KINDS:
                 raise ConfigError(
@@ -177,6 +182,9 @@ class BenchConfig:
         replications = _typed("replications", raw["replications"], int)
         if replications < 1:
             raise ConfigError("replications must be >= 1")
+        output = raw.get("output")
+        if output is not None:
+            output = _typed("output", output, str)
         return BenchConfig(
             problem=problem,
             problem_params=dict(problem_params),
@@ -185,7 +193,7 @@ class BenchConfig:
             iterations=iterations,
             replications=replications,
             base_seed=_typed("base_seed", raw["base_seed"], int),
-            output=raw.get("output"),
+            output=output,
             record_trajectories=_typed(
                 "record_trajectories", raw.get("record_trajectories", False), bool
             ),

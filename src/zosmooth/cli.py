@@ -34,7 +34,7 @@ import numpy as np
 from . import bench
 from .decision import RatioBoundError, ValueBoundError
 from .estimators import (
-    ESTIMATORS,
+    BATCH_ESTIMATORS,
     SmoothingParams,
     StochasticOracle,
     second_moment_probe,
@@ -91,7 +91,7 @@ def _cmd_moments(args) -> int:
                 lipschitz_l0=1.0,
             )
             x = np.zeros(n)
-            for kind, estimator in ESTIMATORS.items():
+            for kind, estimator in BATCH_ESTIMATORS.items():
                 stream = RandomStream(seed, substream_id=n)
                 probe = second_moment_probe(
                     estimator, oracle, x, SmoothingParams(eta), samples, stream

@@ -14,22 +14,20 @@ unbiasedness for the gradient of the mollified objective:
   separation (:func:`esgs_dd_unknown`).
 
 Both are the exponential-shift estimator of :mod:`zosmooth.estimators`
-with a different oracle: they draw ``(V, Z, eta*sqrt(2V))`` through
-:func:`~zosmooth.estimators.exponential_shift`, reuse it across all
-coordinates and consume ``2n`` oracle calls per estimate.  The known-density
-estimator draws ``xi`` first and evaluates the ratio-weighted oracle with
-:func:`~zosmooth.estimators.point_values`, the per-point loop that plain
-oracles without a structured path use.
+with a different oracle: they draw ``(sqrt(2V), Z / eta)`` with
+:func:`~zosmooth.estimators.shift_draws`, share it across all coordinates
+and consume ``2n`` oracle calls per estimate.  The known-density estimator
+draws ``xi`` first.
 
 Their batched forms (:data:`KNOWN_DENSITY`, :data:`RANDOM_FIELD`, registered
 in :data:`zosmooth.bench.KINDS`) evaluate all R replications of an
 iteration together.  They need oracles whose callables
 broadcast: points of shape ``(..., n)`` and noise realizations that are
 tuples of components, each component an array over the same leading axes
-(the market problem's oracles are built this way).  Passed to
-:func:`zosmooth.optimizer.run` as bare functions, :func:`esgs_dd_known` and
-:func:`esgs_dd_unknown` run once per row instead and need only per-point
-callables.
+(the market problem's oracles are built this way).  :func:`esgs_dd_known`
+and :func:`esgs_dd_unknown` evaluate one point per call instead, so they
+need only per-point callables; passed to :func:`zosmooth.optimizer.run` as
+bare functions, they run once per row.
 """
 
 from __future__ import annotations
@@ -45,10 +43,8 @@ from .estimators import (
     BatchEstimator,
     GradientSample,
     SmoothingParams,
-    exponential_shift,
     point_values,
     shift_draws,
-    shift_sample,
 )
 # sample_exponential and sample_gaussian_vector stay importable from this
 # module, where perfbench/child.py instruments them
@@ -141,6 +137,17 @@ class RandomFieldOracle:
     c_xi: float
 
 
+def _shift_points(oracle, x: np.ndarray, eta: float, stream: RandomStream):
+    """One ``(sqrt(2V), Z / eta)`` draw and the points it gives at ``x``.
+
+    Returns the draws, the base point ``x - eta*Z`` and the values
+    ``x +/- eta*sqrt(2V)`` that replace one coordinate of it.
+    """
+    root_2v, z_unit = (d[0] for d in shift_draws(oracle, stream, 1, x.shape[0]))
+    shift = eta * root_2v
+    return (root_2v, z_unit), x - eta * z_unit, x + shift, x - shift
+
+
 def esgs_dd_known(
     oracle: KnownDensityOracle,
     x: np.ndarray,
@@ -151,15 +158,14 @@ def esgs_dd_known(
 
     Draws ``xi`` from the reference density, then ``(V, Z)``, and
     differences the ratio-weighted oracle at the coordinate-replacement
-    points, sharing ``(V, Z, xi)`` across components.
+    points, one point per call, sharing ``(V, Z, xi)`` across components.
     """
     x = np.asarray(x, dtype=float)
     xi = oracle.ref_sampler(stream)
-    v, z, shift = exponential_shift(stream, x.shape[0], params.eta)
-    w_plus, w_minus = point_values(
-        oracle.weighted_value, x - z, x + shift, x - shift, xi
-    )
-    return shift_sample(w_plus, w_minus, params.eta, v, z)
+    draws, base, plus, minus = _shift_points(oracle, x, params.eta, stream)
+    w_plus, w_minus = point_values(oracle.weighted_value, base, plus, minus, xi)
+    estimate = (w_plus - w_minus) / (params.eta * SQRT_2PI)
+    return GradientSample(estimate, draws + (xi,), 2 * x.shape[0])
 
 
 def esgs_dd_unknown(
@@ -177,17 +183,18 @@ def esgs_dd_unknown(
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    v, z, shift = exponential_shift(stream, n, params.eta)
+    draws, base, plus, minus = _shift_points(oracle, x, params.eta, stream)
     f_plus = np.empty(n)
     f_minus = np.empty(n)
     for i in range(n):
-        point_plus, point_minus = x - z, x - z
-        point_plus[i] = x[i] + shift
-        point_minus[i] = x[i] - shift
+        point_plus, point_minus = base.copy(), base.copy()
+        point_plus[i] = plus[i]
+        point_minus[i] = minus[i]
         xi_1, xi_2 = oracle.field_sampler(point_plus, point_minus, stream)
         f_plus[i] = oracle.f_hat(point_plus, xi_1)
         f_minus[i] = oracle.f_hat(point_minus, xi_2)
-    return shift_sample(f_plus, f_minus, params.eta, v, z)
+    estimate = (f_plus - f_minus) / (params.eta * SQRT_2PI)
+    return GradientSample(estimate, draws, 2 * n)
 
 
 def _replacement_points(x, eta, root_2v, z_unit) -> np.ndarray:
@@ -251,8 +258,8 @@ def _known_draws(oracle: KnownDensityOracle, stream, size: int, n: int):
     return shift_draws(oracle, stream, size, n) + tuple(c[:, None] for c in xi)
 
 
-KNOWN_DENSITY = BatchEstimator("esgs_dd_known", esgs_dd_known, _known_draws, known_rows)
-RANDOM_FIELD = BatchEstimator("esgs_dd_unknown", esgs_dd_unknown, shift_draws, field_rows)
+KNOWN_DENSITY = BatchEstimator("esgs_dd_known", _known_draws, known_rows)
+RANDOM_FIELD = BatchEstimator("esgs_dd_unknown", shift_draws, field_rows)
 
 
 def kl_sym_normal(mean_x: float, mean_y: float, sigma: float) -> float:

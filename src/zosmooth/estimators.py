@@ -1,4 +1,4 @@
-"""Single-sample zeroth-order gradient estimators.
+"""Zeroth-order gradient estimators.
 
 The primary estimator (:func:`esgs_estimate`) differences the noisy oracle
 coordinate-by-coordinate at points whose active coordinate is shifted by
@@ -12,16 +12,20 @@ Three standard two-point baselines (Gaussian smoothing, spherical smoothing,
 SPSA) are provided for benchmarking, each consuming 2 oracle calls per
 estimate.
 
-Each kind also has a batched form (:class:`BatchEstimator`) with which the
-driver advances R replications at once: a block sampler that draws one
+Each kind is one :class:`BatchEstimator`: a block sampler that draws one
 replication's perturbations for many iterations from its own stream, and a
-row kernel that computes the estimates at all R iterates.
+row kernel that computes the estimates at every row of an ``(R, n)`` array
+of points.  The driver advances R replications with them.  A single-sample
+estimator such as :func:`esgs_estimate` is its kind's draw of size 1
+followed by its kernel on one row, and :func:`second_moment_probe`
+evaluates its samples in blocks, each block as the rows of one kernel call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -44,16 +48,19 @@ class SmoothingParams:
 
 @dataclass
 class GradientSample:
-    """One realized gradient estimate together with its perturbation triple.
+    """One realized gradient estimate together with the draws behind it.
 
+    ``draws`` is the kind's tuple of block-sampler draws at this sample:
+    ``(sqrt(2V), Z / eta)`` for the exponential-shift estimators, ``(Z,)``,
+    ``(u,)`` and ``(D,)`` for the two-point baselines.  The per-point
+    known-density estimator appends its reference draw ``xi``.
     ``oracle_calls`` counts noisy function evaluations consumed: ``2n`` for
     the coordinate-wise exponential-shift estimator, 2 for the two-point
     baselines.
     """
 
     estimate: np.ndarray
-    v: float
-    z: np.ndarray
+    draws: tuple
     oracle_calls: int
 
 
@@ -132,121 +139,22 @@ def point_values(evaluate, base, plus, minus, xi) -> tuple[np.ndarray, np.ndarra
     return f_plus, f_minus
 
 
-def exponential_shift(stream: RandomStream, n: int, eta: float):
-    """One ``(V, Z, eta*sqrt(2V))`` draw of the exponential-shift family:
-    ``V ~ Exp(1)``, then ``Z ~ N(0, eta^2 I_n)``."""
-    v = sample_exponential(stream)
-    z = sample_gaussian_vector(n, eta, stream)
-    return v, z, eta * math.sqrt(2.0 * v)
-
-
-def shift_sample(f_plus, f_minus, eta: float, v: float, z: np.ndarray) -> GradientSample:
-    """The exponential-shift estimate from the values at the 2n points."""
-    estimate = (f_plus - f_minus) / (eta * SQRT_2PI)
-    return GradientSample(estimate=estimate, v=v, z=z, oracle_calls=2 * len(z))
-
-
-def esgs_estimate(
-    oracle: StochasticOracle,
-    x: np.ndarray,
-    params: SmoothingParams,
-    stream: RandomStream,
-) -> GradientSample:
-    """Exponentially-shifted Gaussian smoothing gradient estimate.
-
-    Component ``i`` is
-    ``[F(x_i + eta*sqrt(2V), x^{-i} - Z^{-i}, xi)
-       - F(x_i - eta*sqrt(2V), x^{-i} - Z^{-i}, xi)] / (eta*sqrt(2*pi))``
-    with one shared realization of ``V ~ Exp(1)``, ``Z ~ N(0, eta^2 I)``,
-    and ``xi`` across all components.
-    """
-    x = np.asarray(x, dtype=float)
-    v, z, shift = exponential_shift(stream, x.shape[0], params.eta)
-    xi = oracle.noise_sampler(stream)
-    f_plus, f_minus = _axis_values(oracle, x - z, x + shift, x - shift, xi)
-    return shift_sample(f_plus, f_minus, params.eta, v, z)
-
-
-def gs_estimate(
-    oracle: StochasticOracle,
-    x: np.ndarray,
-    params: SmoothingParams,
-    stream: RandomStream,
-) -> GradientSample:
-    """Two-point Gaussian smoothing estimate with unit covariance.
-
-    ``g = ((F(x + eta*Z, xi) - F(x, xi)) / eta) * Z`` with ``Z`` standard
-    normal.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    eta = params.eta
-    z = sample_gaussian_vector(n, 1.0, stream)
-    xi = oracle.noise_sampler(stream)
-    diff = oracle.eval(x + eta * z, xi) - oracle.eval(x, xi)
-    estimate = (diff / eta) * z
-    return GradientSample(estimate=estimate, v=math.nan, z=z, oracle_calls=2)
-
-
-def spherical_estimate(
-    oracle: StochasticOracle,
-    x: np.ndarray,
-    params: SmoothingParams,
-    stream: RandomStream,
-) -> GradientSample:
-    """Two-point spherical smoothing estimate.
-
-    ``g = (n / (2*eta)) * (F(x + eta*u, xi) - F(x - eta*u, xi)) * u`` with
-    ``u`` uniform on the unit sphere.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    eta = params.eta
-    z = sample_gaussian_vector(n, 1.0, stream)
-    norm = float(np.linalg.norm(z))
-    while norm == 0.0:  # probability zero in practice
-        z = sample_gaussian_vector(n, 1.0, stream)
-        norm = float(np.linalg.norm(z))
-    u = z / norm
-    xi = oracle.noise_sampler(stream)
-    diff = oracle.eval(x + eta * u, xi) - oracle.eval(x - eta * u, xi)
-    estimate = (n / (2.0 * eta)) * diff * u
-    return GradientSample(estimate=estimate, v=math.nan, z=u, oracle_calls=2)
-
-
-def spsa_estimate(
-    oracle: StochasticOracle,
-    x: np.ndarray,
-    params: SmoothingParams,
-    stream: RandomStream,
-) -> GradientSample:
-    """Two-point simultaneous-perturbation estimate with Rademacher directions.
-
-    ``g_i = (F(x + eta*D, xi) - F(x - eta*D, xi)) / (2*eta*D_i)`` with
-    ``D_i`` i.i.d. uniform on {-1, +1}.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    eta = params.eta
-    delta = 2.0 * stream.generator.integers(0, 2, size=n).astype(float) - 1.0
-    xi = oracle.noise_sampler(stream)
-    diff = oracle.eval(x + eta * delta, xi) - oracle.eval(x - eta * delta, xi)
-    estimate = diff / (2.0 * eta * delta)
-    return GradientSample(estimate=estimate, v=math.nan, z=delta, oracle_calls=2)
-
-
 # ---------------------------------------------------------------------------
-# Row kernels: the estimates at every row of an (R, n) iterate array, with
-# the same arithmetic as the single-sample functions above.  Each takes the
-# current iteration's perturbations stacked over rows (``draws``) and one
+# Row kernels: the estimates at every row of an (R, n) array of points.  Each
+# takes one perturbation draw per row, stacked over rows (``draws``), and one
 # stream per row for the draws the oracle makes per call; it returns the
-# (R, n) estimates and the oracle calls each row consumed.  The single-sample
-# functions keep their own code: the moment probes call them one sample at a
-# time, and routing them through (1, n) arrays made those probes slower.
+# (R, n) estimates and the oracle calls each row consumed.
 
 
 def esgs_rows(oracle, x, eta, draws, streams):
-    """Exponential-shift estimates from ``draws = (sqrt(2V), Z / eta)``."""
+    """Exponentially-shifted Gaussian smoothing from ``draws = (sqrt(2V), Z / eta)``.
+
+    Component ``i`` of row ``r`` is
+    ``[F(x_i + eta*sqrt(2V), x^{-i} - Z^{-i}, xi)
+       - F(x_i - eta*sqrt(2V), x^{-i} - Z^{-i}, xi)] / (eta*sqrt(2*pi))``
+    with one realization of ``V ~ Exp(1)``, ``Z ~ N(0, eta^2 I)`` and ``xi``
+    shared across the row's components.
+    """
     root_2v, z_unit = draws
     base = x - eta * z_unit
     diff = np.empty_like(x)
@@ -268,21 +176,33 @@ def _two_point_diffs(oracle, plus, minus, streams) -> np.ndarray:
 
 
 def gs_rows(oracle, x, eta, draws, streams):
-    """Gaussian smoothing estimates from ``draws = (Z,)``."""
+    """Two-point Gaussian smoothing with unit covariance from ``draws = (Z,)``.
+
+    ``g = ((F(x + eta*Z, xi) - F(x, xi)) / eta) * Z`` with ``Z`` standard
+    normal.
+    """
     (z,) = draws
     diff = _two_point_diffs(oracle, x + eta * z, x, streams)
     return (diff / eta)[:, None] * z, 2
 
 
 def spherical_rows(oracle, x, eta, draws, streams):
-    """Spherical smoothing estimates from ``draws = (u,)``, unit rows."""
+    """Two-point spherical smoothing from ``draws = (u,)``, unit rows.
+
+    ``g = (n / (2*eta)) * (F(x + eta*u, xi) - F(x - eta*u, xi)) * u`` with
+    ``u`` uniform on the unit sphere.
+    """
     (u,) = draws
     diff = _two_point_diffs(oracle, x + eta * u, x - eta * u, streams)
     return (x.shape[1] / (2.0 * eta)) * diff[:, None] * u, 2
 
 
 def spsa_rows(oracle, x, eta, draws, streams):
-    """Simultaneous-perturbation estimates from ``draws = (D,)``."""
+    """Two-point simultaneous perturbation from ``draws = (D,)``.
+
+    ``g_i = (F(x + eta*D, xi) - F(x - eta*D, xi)) / (2*eta*D_i)`` with
+    ``D_i`` i.i.d. uniform on {-1, +1}.
+    """
     (delta,) = draws
     diff = _two_point_diffs(oracle, x + eta * delta, x - eta * delta, streams)
     return diff[:, None] / (2.0 * eta * delta), 2
@@ -326,44 +246,120 @@ class BatchEstimator:
     as a tuple of arrays with leading axis ``size``.  ``estimate(oracle, x,
     eta, draws, streams)`` is the row kernel: ``draws`` holds each array of
     ``draw`` at the current iteration, stacked over the R rows of ``x``.
-    ``sample`` is the single-sample function of the same kind.
     """
 
     name: str
-    sample: Callable[..., GradientSample]
     draw: Callable[..., tuple[np.ndarray, ...]]
     estimate: Callable[..., tuple[np.ndarray, int]]
 
+    def sample(
+        self,
+        oracle,
+        x: np.ndarray,
+        params: SmoothingParams,
+        stream: RandomStream,
+    ) -> GradientSample:
+        """One estimate at ``x``: the kind's draw of size 1 from ``stream``,
+        then its row kernel (which states the formula) on ``x`` as one row."""
+        x = np.asarray(x, dtype=float)
+        draws = self.draw(oracle, stream, 1, x.shape[0])
+        g, calls = self.estimate(oracle, x[None], params.eta, draws, [stream])
+        return GradientSample(g[0], tuple(d[0] for d in draws), calls)
+
 
 BATCH_ESTIMATORS: dict[str, BatchEstimator] = {
-    "esgs": BatchEstimator("esgs", esgs_estimate, shift_draws, esgs_rows),
-    "gs": BatchEstimator("gs", gs_estimate, _gaussian_draws, gs_rows),
-    "spherical": BatchEstimator(
-        "spherical", spherical_estimate, _sphere_draws, spherical_rows
-    ),
-    "spsa": BatchEstimator("spsa", spsa_estimate, _rademacher_draws, spsa_rows),
+    "esgs": BatchEstimator("esgs", shift_draws, esgs_rows),
+    "gs": BatchEstimator("gs", _gaussian_draws, gs_rows),
+    "spherical": BatchEstimator("spherical", _sphere_draws, spherical_rows),
+    "spsa": BatchEstimator("spsa", _rademacher_draws, spsa_rows),
 }
 
-# The single-sample function of each kind, for callers that draw one
-# estimate at a time (the moment probes).
+# The single-sample estimator of each kind.
 ESTIMATORS: dict[str, Callable[..., GradientSample]] = {
     kind: batch.sample for kind, batch in BATCH_ESTIMATORS.items()
 }
+esgs_estimate = ESTIMATORS["esgs"]
+gs_estimate = ESTIMATORS["gs"]
+spherical_estimate = ESTIMATORS["spherical"]
+spsa_estimate = ESTIMATORS["spsa"]
+
+EstimatorFn = Callable[..., GradientSample]
+
+
+def batch_form(estimator: BatchEstimator | EstimatorFn) -> BatchEstimator:
+    """The batched form of ``estimator``.
+
+    A single-sample estimator of :data:`ESTIMATORS` maps to its kind's
+    batched form, whose kernel works with any :class:`StochasticOracle`.
+    Any other single-sample function, ``esgs_dd_known`` and
+    ``esgs_dd_unknown`` included, is called once per row, drawing from the
+    row's stream as it goes, so it needs nothing of the oracle beyond what
+    it needs alone.  Pass :data:`~zosmooth.decision.KNOWN_DENSITY` or
+    :data:`~zosmooth.decision.RANDOM_FIELD` to evaluate a whole batch of
+    decision-dependent points per call.
+    """
+    if isinstance(estimator, BatchEstimator):
+        return estimator
+    for batch in BATCH_ESTIMATORS.values():
+        if batch.sample == estimator:
+            return batch
+    name = getattr(estimator, "__name__", repr(estimator))
+    return BatchEstimator(name, _no_draws, partial(_per_row, estimator))
+
+
+def _no_draws(oracle, stream, size, n):
+    return ()
+
+
+def _per_row(sample, oracle, x, eta, draws, streams):
+    params = SmoothingParams(eta)
+    samples = [sample(oracle, row, params, s) for row, s in zip(x, streams)]
+    calls = {s.oracle_calls for s in samples}
+    if len(calls) != 1:
+        raise ValueError(f"rows used different oracle call counts {sorted(calls)}")
+    return np.array([s.estimate for s in samples]), calls.pop()
+
+
+# The probe's (rows, n) blocks hold about PROBE_BLOCK_VALUES numbers, fewer
+# than the driver's blocks because peak memory grew with the block size.  On
+# ``zosmooth-bench moments --dims 10,50,200 --samples 5000`` (one BLAS
+# thread, 12 alternating runs), the median peak RSS was 36.36 MB one sample
+# at a time, 36.53 MB with blocks of 2^13 values, 36.87 MB with 2^14 and
+# 39.35 MB with 2^16; blocks of 2^12 to 2^14 values took the same time.
+PROBE_BLOCK_VALUES = 1 << 13
 
 
 def second_moment_probe(
-    make_estimate: Callable[..., GradientSample],
+    make_estimate: BatchEstimator | EstimatorFn,
     oracle: StochasticOracle,
     x: np.ndarray,
     params: SmoothingParams,
     sample_count: int,
     stream: RandomStream,
 ) -> float:
-    """Monte-Carlo estimate of E[||g||^2] from ``sample_count`` fresh draws."""
+    """Monte-Carlo estimate of E[||g||^2] from ``sample_count`` fresh draws.
+
+    ``make_estimate`` is resolved by :func:`batch_form`.  The samples are
+    drawn from ``stream`` in blocks of rows, and each block is evaluated as
+    the rows of one kernel call, so the draws fall in a different order than
+    in ``sample_count`` single-sample calls on the same stream.  A function
+    without a batched form is called once per sample, in order.
+    """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    batch = batch_form(make_estimate)
+    block = max(1, PROBE_BLOCK_VALUES // n)
     total = 0.0
-    for _ in range(sample_count):
-        g = make_estimate(oracle, x, params, stream)
-        total += float(g.estimate @ g.estimate)
+    for first in range(0, sample_count, block):
+        size = min(block, sample_count - first)
+        draws = batch.draw(oracle, stream, size, n)
+        rows = np.broadcast_to(x, (size, n))
+        g, _ = batch.estimate(oracle, rows, params.eta, draws, [stream] * size)
+        # summed in sample order, as a loop of single-sample calls sums
+        for square in np.vecdot(g, g).tolist():
+            total += square
     return total / sample_count

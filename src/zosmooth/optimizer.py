@@ -36,17 +36,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import (
-    BATCH_ESTIMATORS,
-    BatchEstimator,
-    GradientSample,
-    SmoothingParams,
-)
+from .estimators import BatchEstimator, EstimatorFn, batch_form
 from .projections import FeasibleSet, project
 from .rng import RandomStream
 
@@ -199,43 +193,8 @@ class Trajectory:
         return len(self.gammas)
 
 
-EstimatorFn = Callable[..., GradientSample]
 # observe(k, x, weighted_sum, gamma_total, oracle_calls); see run
 Observer = Callable[[int, np.ndarray, np.ndarray, float, int], None]
-
-
-def batch_form(estimator: BatchEstimator | EstimatorFn) -> BatchEstimator:
-    """The batched form of ``estimator``.
-
-    A single-sample function of :data:`~zosmooth.estimators.ESTIMATORS` maps
-    to its kind's batched form, whose kernel works with any
-    :class:`~zosmooth.estimators.StochasticOracle`.  Any other single-sample
-    function, ``esgs_dd_known`` and ``esgs_dd_unknown`` included, is called
-    once per row and iteration, drawing from the row's stream as it goes, so
-    it needs nothing of the oracle beyond what it needs alone.  Pass
-    :data:`~zosmooth.decision.KNOWN_DENSITY` or :data:`~zosmooth.decision.RANDOM_FIELD`
-    to evaluate a whole batch of decision-dependent points per call.
-    """
-    if isinstance(estimator, BatchEstimator):
-        return estimator
-    for batch in BATCH_ESTIMATORS.values():
-        if batch.sample is estimator:
-            return batch
-    name = getattr(estimator, "__name__", repr(estimator))
-    return BatchEstimator(name, estimator, _no_draws, partial(_per_row, estimator))
-
-
-def _no_draws(oracle, stream, size, n):
-    return ()
-
-
-def _per_row(sample, oracle, x, eta, draws, streams):
-    params = SmoothingParams(eta)
-    samples = [sample(oracle, row, params, s) for row, s in zip(x, streams)]
-    calls = {s.oracle_calls for s in samples}
-    if len(calls) != 1:
-        raise ValueError(f"rows used different oracle call counts {sorted(calls)}")
-    return np.array([s.estimate for s in samples]), calls.pop()
 
 
 def run(

@@ -122,6 +122,9 @@ class TestConfig:
             ({"iterations": {"esgs": "7", "gs": 1}}, r"iterations\['esgs'\] must be a JSON int"),
             ({"iterations": {"esgs": 7, "gs": 1.0}}, r"iterations\['gs'\] must be a JSON int"),
             ({"iterations": True}, "iterations must be an int or a per-estimator mapping"),
+            ({"output": 5}, "output must be a JSON str, got 5"),
+            ({"estimators": "esgs"}, "estimators must be a JSON array of strings, got 'esgs'"),
+            ({"estimators": ["esgs", 1]}, "estimators must be a JSON array of strings"),
         ],
     )
     def test_json_types_are_not_coerced(self, overrides, message):
@@ -479,6 +482,13 @@ class TestCli:
             texts[seed] = (out / "moments.csv").read_text()
         assert texts["0"] != texts["7"]
 
+    @pytest.mark.parametrize("args", [["--dims", "0"], ["--dims", "4,0"], ["--samples", "0"]])
+    def test_moments_errors_are_one_line(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert cli_main(["moments", "--out", str(out), *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_moments_rejects_config(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli_main(["moments", "--config", str(tmp_path / "c.json")])
@@ -616,6 +626,8 @@ class TestCli:
             {"replications": True},
             {"iterations": {"esgs": "7", "gs": 1}},
             {"base_seed": 1.5},
+            {"output": 5},
+            {"estimators": "esgs"},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])

@@ -9,7 +9,9 @@ from hypothesis.extra import numpy as hnp
 from zosmooth.estimators import (
     BATCH_ESTIMATORS,
     ESTIMATORS,
+    PROBE_BLOCK_VALUES,
     SQRT_2PI,
+    GradientSample,
     SmoothingParams,
     StochasticOracle,
     esgs_estimate,
@@ -21,6 +23,7 @@ from zosmooth.estimators import (
     spsa_estimate,
 )
 from zosmooth.bench import KINDS
+from zosmooth.decision import esgs_dd_known, esgs_dd_unknown
 from zosmooth.problems import market_problem, quad_l1_problem
 from zosmooth.rng import RandomStream
 
@@ -42,7 +45,8 @@ class ScriptedGenerator:
         return np.reshape(np.asarray(out, dtype=float), size) if size is not None else float(out)
 
     def integers(self, lo, hi, size=None):
-        return np.asarray(self._ints.pop(0))
+        out = np.asarray(self._ints.pop(0))
+        return np.reshape(out, size) if size is not None else out
 
 
 class ScriptedStream:
@@ -63,6 +67,22 @@ def constant_oracle():
     return StochasticOracle(
         eval=lambda x, xi: 4.25, noise_sampler=lambda stream: None, lipschitz_l0=0.0
     )
+
+
+def wrap_counting(oracle):
+    counter = {"calls": 0}
+    inner = oracle.eval
+
+    def counted(x, xi):
+        counter["calls"] += 1
+        return inner(x, xi)
+
+    wrapped = StochasticOracle(
+        eval=counted,
+        noise_sampler=oracle.noise_sampler,
+        lipschitz_l0=oracle.lipschitz_l0,
+    )
+    return wrapped, counter
 
 
 def mc_mean(estimator, oracle, x, params, count, seed):
@@ -99,7 +119,7 @@ class TestEsgs:
             SmoothingParams(0.7),
             ScriptedStream(gen),
         )
-        assert sample.v == pytest.approx(0.5)
+        assert sample.draws[0] == pytest.approx(1.0)  # sqrt(2V) at V = 0.5
         np.testing.assert_allclose(
             sample.estimate, [2.0 / SQRT_2PI, 0.0], rtol=1e-12, atol=1e-12
         )
@@ -135,7 +155,8 @@ class TestEsgs:
             np.testing.assert_allclose(estimate, expected, rtol=1e-12, atol=atol)
 
         sample = esgs_estimate(oracle, x, SmoothingParams(eta), RandomStream(seed))
-        check(sample.estimate, math.sqrt(2.0 * sample.v), sample.z)
+        root_2v, z_unit = sample.draws
+        check(sample.estimate, root_2v, eta * z_unit)
 
         # the driver's row kernel, fed from the block draws
         stream = RandomStream(seed)
@@ -293,28 +314,50 @@ class TestSecondMomentProbe:
         )
         assert p_gs / p_es > 10.0
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("kind", ["esgs", "gs", "spherical", "spsa"])
+    def test_oracle_calls_across_a_block_boundary(self, kind, offset):
+        n = 1024
+        count = PROBE_BLOCK_VALUES // n + offset
+        oracle, counter = wrap_counting(linear_oracle(np.arange(n) / n))
+        second_moment_probe(
+            BATCH_ESTIMATORS[kind], oracle, np.zeros(n), PARAMS, count, RandomStream(4)
+        )
+        assert counter["calls"] == count * (2 * n if kind == "esgs" else 2)
+
+    def test_custom_single_sample_function_gives_the_loop_value(self):
+        def doubled(oracle, x, params, stream):
+            g = spherical_estimate(oracle, x, params, stream)
+            return GradientSample(2.0 * g.estimate, g.draws, g.oracle_calls)
+
+        n, count = 1024, 200  # several probe blocks
+        oracle = linear_oracle(np.linspace(-1.0, 1.0, n))
+        stream = RandomStream(19)
+        total = 0.0
+        for _ in range(count):
+            g = doubled(oracle, np.zeros(n), PARAMS, stream)
+            total += float(g.estimate @ g.estimate)
+        probe = second_moment_probe(
+            doubled, oracle, np.zeros(n), PARAMS, count, RandomStream(19)
+        )
+        assert probe == total / count
+
+    @pytest.mark.parametrize("kind", ["esgs", "gs", "spherical", "spsa"])
+    def test_dimension_zero_is_a_value_error(self, kind):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            second_moment_probe(
+                ESTIMATORS[kind], constant_oracle(), np.zeros(0), PARAMS, 10, RandomStream(0)
+            )
+
 
 class TestOracleCallAccounting:
-    def wrap_counting(self, oracle):
-        counter = {"calls": 0}
-        inner = oracle.eval
-
-        def counted(x, xi):
-            counter["calls"] += 1
-            return inner(x, xi)
-
-        wrapped = StochasticOracle(
-            eval=counted,
-            noise_sampler=oracle.noise_sampler,
-            lipschitz_l0=oracle.lipschitz_l0,
-        )
-        return wrapped, counter
-
     @pytest.mark.parametrize(
-        "estimator", [esgs_estimate, gs_estimate, spherical_estimate, spsa_estimate]
+        "estimator",
+        [esgs_estimate, gs_estimate, spherical_estimate, spsa_estimate],
+        ids=["esgs_estimate", "gs_estimate", "spherical_estimate", "spsa_estimate"],
     )
     def test_reported_calls_match_invocations(self, estimator):
-        oracle, counter = self.wrap_counting(linear_oracle([1.0, 2.0, 3.0]))
+        oracle, counter = wrap_counting(linear_oracle([1.0, 2.0, 3.0]))
         sample = estimator(oracle, np.zeros(3), PARAMS, RandomStream(3))
         assert sample.oracle_calls == counter["calls"]
         assert sample.oracle_calls == (6 if estimator is esgs_estimate else 2)
@@ -341,6 +384,9 @@ class TestEvalPathEquivalence:
         g_loop = esgs_estimate(plain, x, PARAMS, RandomStream(77)).estimate
         np.testing.assert_allclose(g_axis, g_loop, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(g_batch, g_loop, rtol=1e-12, atol=1e-14)
+
+
+PER_POINT = {"esgs_dd_known": esgs_dd_known, "esgs_dd_unknown": esgs_dd_unknown}
 
 
 class TestRowKernels:
@@ -376,7 +422,7 @@ class TestRowKernels:
         oracle, n, eta = getattr(problem, entry.oracle_field), problem.n, 0.3
         x = np.array([2.5, 3.0])
         for seed in range(5):
-            sample = entry.estimator.sample(oracle, x, SmoothingParams(eta), RandomStream(seed))
+            sample = PER_POINT[kind](oracle, x, SmoothingParams(eta), RandomStream(seed))
             stream = RandomStream(seed)
             gen = stream.generator
             # the known-density leg draws xi before (V, Z)

@@ -282,10 +282,7 @@ class TestBatchedRun:
 
     def test_custom_single_sample_estimator_runs_per_row(self):
         def halving(oracle, x, params, stream):
-            return GradientSample(
-                estimate=0.5 * np.asarray(x), v=math.nan, z=np.zeros_like(x),
-                oracle_calls=3,
-            )
+            return GradientSample(estimate=0.5 * np.asarray(x), draws=(), oracle_calls=3)
 
         sched = Schedule(kind="convex_diminishing", n=2)
         trajs = run(
