@@ -159,6 +159,8 @@ class BenchConfig:
             unknown = set(schedule) - _SCHEDULE_KEYS
             if unknown:
                 raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
+            if "kind" not in schedule:
+                raise ConfigError("schedule needs a 'kind'")
             for key, value in schedule.items():
                 if key != "kind" and type(value) not in (int, float):
                     raise ConfigError(f"schedule {key!r} must be a number, got {value!r}")

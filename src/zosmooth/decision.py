@@ -19,33 +19,24 @@ with a different oracle: they draw ``(sqrt(2V), Z / eta)`` with
 and consume ``2n`` oracle calls per estimate.  The known-density estimator
 draws ``xi`` first.
 
-Their batched forms (:data:`KNOWN_DENSITY`, :data:`RANDOM_FIELD`, registered
-in :data:`zosmooth.bench.KINDS`) evaluate all R replications of an
-iteration together.  They need oracles whose callables
-broadcast: points of shape ``(..., n)`` and noise realizations that are
-tuples of components, each component an array over the same leading axes
-(the market problem's oracles are built this way).  :func:`esgs_dd_known`
-and :func:`esgs_dd_unknown` evaluate one point per call instead, so they
-need only per-point callables; passed to :func:`zosmooth.optimizer.run` as
-bare functions, they run once per row.
+Each protocol is one :class:`~zosmooth.estimators.BatchEstimator`
+(:data:`KNOWN_DENSITY`, :data:`RANDOM_FIELD`, registered in
+:data:`zosmooth.bench.KINDS`), whose row kernel evaluates the ``2n``
+replacement points of every row in one call; :func:`esgs_dd_known` and
+:func:`esgs_dd_unknown` are its draw of size 1 followed by the kernel on
+one row.  So the oracles' callables broadcast over leading axes of points,
+as :class:`KnownDensityOracle` and :class:`RandomFieldOracle` document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
-from .estimators import (
-    SQRT_2PI,
-    BatchEstimator,
-    GradientSample,
-    SmoothingParams,
-    point_values,
-    shift_draws,
-)
+from .estimators import SQRT_2PI, BatchEstimator, shift_draws
 # sample_exponential and sample_gaussian_vector stay importable from this
 # module, where perfbench/child.py instruments them
 from .rng import RandomStream, sample_exponential, sample_gaussian_vector  # noqa: F401
@@ -63,19 +54,24 @@ class ValueBoundError(RuntimeError):
 class KnownDensityOracle:
     """Decision-dependent oracle with an available conditional density.
 
+    Points are arrays of shape ``(..., n)`` and a noise realization ``xi`` is
+    a tuple of component arrays that broadcast against the points' leading
+    axes; each callable returns one value per point, over those axes.
+
     Fields
     ------
     f_hat : callable
-        ``f_hat(x, xi) -> float``, the raw objective integrand.
+        ``f_hat(x, xi)``, the raw objective integrand.
     cond_density : callable
-        ``cond_density(xi, x) -> float``, the conditional density of the
-        noise under decision ``x``.
+        ``cond_density(xi, x)``, the conditional density of the noise under
+        decision ``x``.
     ref_density : callable
-        ``ref_density(xi) -> float``, the fixed positive reference density.
+        ``ref_density(xi)``, the fixed positive reference density.
     ref_sampler : callable
-        ``ref_sampler(stream) -> xi`` drawing from the reference density.
-        Batched runs call ``ref_sampler(stream, size)`` for a block of
-        ``size`` draws, returned as a tuple of component arrays.
+        ``ref_sampler(stream, size) -> xi`` drawing ``size`` independent
+        realizations from the reference density, each component an array of
+        shape ``(size,)``.  The known-density kind draws ``xi`` before
+        ``(V, Z)``.
     ratio_bound_m : float
         Uniform bound on ``cond_density / ref_density``; checked at every
         evaluated point, violations raise :class:`RatioBoundError`.
@@ -88,21 +84,21 @@ class KnownDensityOracle:
         ``p(. | x)`` and ``p(. | y)`` is at most ``lip_xi^2 ||x - y||^2``.
     """
 
-    f_hat: Callable[[np.ndarray, Any], float]
-    cond_density: Callable[[Any, np.ndarray], float]
-    ref_density: Callable[[Any], float]
-    ref_sampler: Callable[[RandomStream], Any]
+    f_hat: Callable[[np.ndarray, tuple], np.ndarray]
+    cond_density: Callable[[tuple, np.ndarray], np.ndarray]
+    ref_density: Callable[[tuple], np.ndarray]
+    ref_sampler: Callable[[RandomStream, int], tuple]
     ratio_bound_m: float
     value_bound_mf: float
     lip_f_hat: float
     lip_xi: float
 
-    def weighted_value(self, x: np.ndarray, xi: Any):
+    def weighted_value(self, x: np.ndarray, xi: tuple):
         """``f_hat(x, xi) * p(xi | x) / p_ref(xi)`` with bound checks.
 
         ``x`` is one point or an array of points along its last axis, with
-        ``xi`` broadcasting against the leading axes; both bounds are checked
-        at every point.
+        the components of ``xi`` broadcasting against its leading axes; both
+        bounds are checked at every point.
         """
         ratio = self.cond_density(xi, x) / self.ref_density(xi)
         if np.greater(ratio, self.ratio_bound_m).any():
@@ -123,78 +119,21 @@ class KnownDensityOracle:
 class RandomFieldOracle:
     """Decision-dependent oracle backed by a correlated random field.
 
-    ``field_sampler(x_plus, x_minus, stream)`` returns one pair
-    ``(xi_1, xi_2)`` whose marginal laws are ``D(x_plus)`` and
-    ``D(x_minus)`` and whose mean-square difference satisfies
+    ``f_hat(x, xi)`` follows the contract of :class:`KnownDensityOracle`:
+    points of shape ``(..., n)``, ``xi`` a tuple of component arrays that
+    broadcast against their leading axes, one value per point.
+
+    ``field_sampler(x_plus, x_minus, stream)`` takes one pair of points of
+    shape ``(n,)`` and returns one pair ``(xi_1, xi_2)`` of realizations,
+    each a tuple of scalar components, whose marginal laws are ``D(x_plus)``
+    and ``D(x_minus)`` and whose mean-square difference satisfies
     ``E||xi_1 - xi_2||^2 <= c_xi * ||x_plus - x_minus||^2``.  Each call is an
     independent realization of the field.
     """
 
-    f_hat: Callable[[np.ndarray, Any], float]
-    field_sampler: Callable[
-        [np.ndarray, np.ndarray, RandomStream], tuple[Any, Any]
-    ]
+    f_hat: Callable[[np.ndarray, tuple], np.ndarray]
+    field_sampler: Callable[[np.ndarray, np.ndarray, RandomStream], tuple[tuple, tuple]]
     c_xi: float
-
-
-def _shift_points(oracle, x: np.ndarray, eta: float, stream: RandomStream):
-    """One ``(sqrt(2V), Z / eta)`` draw and the points it gives at ``x``.
-
-    Returns the draws, the base point ``x - eta*Z`` and the values
-    ``x +/- eta*sqrt(2V)`` that replace one coordinate of it.
-    """
-    root_2v, z_unit = (d[0] for d in shift_draws(oracle, stream, 1, x.shape[0]))
-    shift = eta * root_2v
-    return (root_2v, z_unit), x - eta * z_unit, x + shift, x - shift
-
-
-def esgs_dd_known(
-    oracle: KnownDensityOracle,
-    x: np.ndarray,
-    params: SmoothingParams,
-    stream: RandomStream,
-) -> GradientSample:
-    """Importance-reweighted exponential-shift estimate (known density).
-
-    Draws ``xi`` from the reference density, then ``(V, Z)``, and
-    differences the ratio-weighted oracle at the coordinate-replacement
-    points, one point per call, sharing ``(V, Z, xi)`` across components.
-    """
-    x = np.asarray(x, dtype=float)
-    xi = oracle.ref_sampler(stream)
-    draws, base, plus, minus = _shift_points(oracle, x, params.eta, stream)
-    w_plus, w_minus = point_values(oracle.weighted_value, base, plus, minus, xi)
-    estimate = (w_plus - w_minus) / (params.eta * SQRT_2PI)
-    return GradientSample(estimate, draws + (xi,), 2 * x.shape[0])
-
-
-def esgs_dd_unknown(
-    oracle: RandomFieldOracle,
-    x: np.ndarray,
-    params: SmoothingParams,
-    stream: RandomStream,
-) -> GradientSample:
-    """Random-field exponential-shift estimate (unknown density).
-
-    For each coordinate the field is queried at the pair of evaluation
-    points, producing correlated noise with the correct marginals; the
-    ``(V, Z)`` perturbation is shared across coordinates while field pairs
-    are drawn fresh per coordinate.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    draws, base, plus, minus = _shift_points(oracle, x, params.eta, stream)
-    f_plus = np.empty(n)
-    f_minus = np.empty(n)
-    for i in range(n):
-        point_plus, point_minus = base.copy(), base.copy()
-        point_plus[i] = plus[i]
-        point_minus[i] = minus[i]
-        xi_1, xi_2 = oracle.field_sampler(point_plus, point_minus, stream)
-        f_plus[i] = oracle.f_hat(point_plus, xi_1)
-        f_minus[i] = oracle.f_hat(point_minus, xi_2)
-    estimate = (f_plus - f_minus) / (params.eta * SQRT_2PI)
-    return GradientSample(estimate, draws, 2 * n)
 
 
 def _replacement_points(x, eta, root_2v, z_unit) -> np.ndarray:
@@ -260,6 +199,10 @@ def _known_draws(oracle: KnownDensityOracle, stream, size: int, n: int):
 
 KNOWN_DENSITY = BatchEstimator("esgs_dd_known", _known_draws, known_rows)
 RANDOM_FIELD = BatchEstimator("esgs_dd_unknown", shift_draws, field_rows)
+
+# The single-sample estimator of each protocol.
+esgs_dd_known = KNOWN_DENSITY.sample
+esgs_dd_unknown = RANDOM_FIELD.sample
 
 
 def kl_sym_normal(mean_x: float, mean_y: float, sigma: float) -> float:

@@ -52,8 +52,9 @@ class GradientSample:
 
     ``draws`` is the kind's tuple of block-sampler draws at this sample:
     ``(sqrt(2V), Z / eta)`` for the exponential-shift estimators, ``(Z,)``,
-    ``(u,)`` and ``(D,)`` for the two-point baselines.  The per-point
-    known-density estimator appends its reference draw ``xi``.
+    ``(u,)`` and ``(D,)`` for the two-point baselines.  The known-density
+    estimator appends the components of its reference draw ``xi`` (drawn
+    before ``(V, Z)``), each an array of shape ``(1,)``.
     ``oracle_calls`` counts noisy function evaluations consumed: ``2n`` for
     the coordinate-wise exponential-shift estimator, 2 for the two-point
     baselines.
@@ -289,20 +290,20 @@ EstimatorFn = Callable[..., GradientSample]
 def batch_form(estimator: BatchEstimator | EstimatorFn) -> BatchEstimator:
     """The batched form of ``estimator``.
 
-    A single-sample estimator of :data:`ESTIMATORS` maps to its kind's
-    batched form, whose kernel works with any :class:`StochasticOracle`.
-    Any other single-sample function, ``esgs_dd_known`` and
-    ``esgs_dd_unknown`` included, is called once per row, drawing from the
-    row's stream as it goes, so it needs nothing of the oracle beyond what
-    it needs alone.  Pass :data:`~zosmooth.decision.KNOWN_DENSITY` or
-    :data:`~zosmooth.decision.RANDOM_FIELD` to evaluate a whole batch of
-    decision-dependent points per call.
+    A :class:`BatchEstimator` is its own batched form, and a
+    :meth:`BatchEstimator.sample` resolves to the estimator it belongs to:
+    every entry of :data:`ESTIMATORS`, and
+    :func:`~zosmooth.decision.esgs_dd_known` and
+    :func:`~zosmooth.decision.esgs_dd_unknown`, whose kernels need the
+    broadcasting callables their oracles document.  Any other single-sample
+    function is called once per row, drawing from the row's stream as it
+    goes.
     """
     if isinstance(estimator, BatchEstimator):
         return estimator
-    for batch in BATCH_ESTIMATORS.values():
-        if batch.sample == estimator:
-            return batch
+    owner = getattr(estimator, "__self__", None)
+    if isinstance(owner, BatchEstimator):
+        return owner
     name = getattr(estimator, "__name__", repr(estimator))
     return BatchEstimator(name, _no_draws, partial(_per_row, estimator))
 

@@ -82,10 +82,13 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "convex_diminishing":
             self._require("n")
+            self._positive("n")
         elif self.kind == "convex_constant":
             self._require("n", "horizon", "radius_scale", "l0")
+            self._positive("n", "horizon", "l0")
         elif self.kind == "strongly_convex":
             self._require("theta", "mu")
+            self._positive("mu")
             if not self.theta > 1.0 / self.mu:
                 raise ValueError(
                     f"strongly_convex requires theta > 1/mu; "
@@ -93,6 +96,7 @@ class Schedule:
                 )
         elif self.kind == "nonconvex_fixed_eta":
             self._require("eta_fixed", "l0", "n")
+            self._positive("l0", "n")
         elif self.kind == "nonconvex_asymptotic":
             self._require("alpha", "beta")
             if not (0 < self.alpha < 1 and 0 < self.beta < 1):
@@ -109,6 +113,15 @@ class Schedule:
         for name in names:
             if getattr(self, name) is None:
                 raise ValueError(f"schedule kind {self.kind!r} requires {name!r}")
+
+    def _positive(self, *names: str) -> None:
+        # the schedule divides by these
+        for name in names:
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"schedule kind {self.kind!r} requires {name} > 0, "
+                    f"got {getattr(self, name)!r}"
+                )
 
     @property
     def starts_at_one(self) -> bool:

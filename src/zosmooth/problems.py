@@ -751,17 +751,14 @@ def market_problem(
             np.exp(-0.5 * (zeta1 / sigma) ** 2) / (sigma * SQRT_2PI)
         ) * uniform_density
 
-    def ref_sampler(stream: RandomStream, size: int | None = None):
-        """One ``(zeta1, zeta2)`` draw, or a block of ``size`` as two arrays."""
-        z = np.asarray(stream.generator.standard_normal(size))
+    def ref_sampler(stream: RandomStream, size: int):
+        """A block of ``size`` ``(zeta1, zeta2)`` draws, as two arrays."""
+        z = stream.generator.standard_normal(size)
         far = np.abs(z) > MARKET_TRUNCATION_SDS
         while far.any():  # essentially never at 8 sds
             z[far] = stream.generator.standard_normal(int(far.sum()))
             far = np.abs(z) > MARKET_TRUNCATION_SDS
-        zeta2 = stream.generator.uniform(l2, r2, size)
-        if size is None:
-            return float(sigma * z), float(zeta2)
-        return sigma * z, zeta2
+        return sigma * z, stream.generator.uniform(l2, r2, size)
 
     x1_reach = box_half_width + MARKET_SHIFT_ALLOWANCE
     m_max = a + beta * x1_reach

@@ -628,6 +628,11 @@ class TestCli:
             {"base_seed": 1.5},
             {"output": 5},
             {"estimators": "esgs"},
+            {"schedule": {"kind": "strongly_convex", "theta": 3, "mu": 0}},
+            {"schedule": {"kind": "convex_constant", "n": 2, "horizon": 0,
+                          "radius_scale": 1.0, "l0": 1.0}},
+            {"schedule": {"kind": "nonconvex_fixed_eta", "eta_fixed": 0.1, "l0": 0, "n": 2}},
+            {"schedule": {"theta": 3, "mu": 1}},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])

@@ -67,18 +67,20 @@ def toy_known_oracle():
     """F_hat(x, xi) = x*xi with p(xi|x) = N(x, 1) against reference N(0, 1)."""
 
     def normal_pdf(u, mean):
-        return math.exp(-0.5 * (u - mean) ** 2) / math.sqrt(2.0 * math.pi)
+        return np.exp(-0.5 * (u - mean) ** 2) / math.sqrt(2.0 * math.pi)
 
-    def ref_sampler(stream):
-        z = stream.generator.standard_normal()
-        while abs(z) > 8.0:
-            z = stream.generator.standard_normal()
-        return float(z)
+    def ref_sampler(stream, size):
+        z = stream.generator.standard_normal(size)
+        far = np.abs(z) > 8.0
+        while far.any():
+            z[far] = stream.generator.standard_normal(int(far.sum()))
+            far = np.abs(z) > 8.0
+        return (z,)
 
     return KnownDensityOracle(
-        f_hat=lambda x, xi: float(x[0]) * xi,
-        cond_density=lambda xi, x: normal_pdf(xi, float(x[0])),
-        ref_density=lambda xi: normal_pdf(xi, 0.0),
+        f_hat=lambda x, xi: x[..., 0] * xi[0],
+        cond_density=lambda xi, x: normal_pdf(xi[0], x[..., 0]),
+        ref_density=lambda xi: normal_pdf(xi[0], 0.0),
         ref_sampler=ref_sampler,
         ratio_bound_m=math.exp(8.0 * 4.0),
         value_bound_mf=50.0,
@@ -90,10 +92,10 @@ def toy_known_oracle():
 class TestKnownDensityEstimator:
     def test_constant_with_fixed_density_gives_zero(self):
         oracle = KnownDensityOracle(
-            f_hat=lambda x, xi: 3.0,
-            cond_density=lambda xi, x: 0.5,
-            ref_density=lambda xi: 0.5,
-            ref_sampler=lambda stream: stream.generator.uniform(-1.0, 1.0),
+            f_hat=lambda x, xi: np.full(x.shape[:-1], 3.0),
+            cond_density=lambda xi, x: np.full(x.shape[:-1], 0.5),
+            ref_density=lambda xi: np.full(np.shape(xi[0]), 0.5),
+            ref_sampler=lambda stream, size: (stream.generator.uniform(-1.0, 1.0, size),),
             ratio_bound_m=1.0,
             value_bound_mf=10.0,
             lip_f_hat=0.0,
@@ -149,11 +151,23 @@ class TestKnownDensityEstimator:
                 esgs_dd_known(tight, np.array([1.0]), PARAMS, stream)
 
 
+def shared_noise_field(c):
+    """F_hat(x, xi) = c'x + xi with one N(0, 1) draw shared by each pair."""
+
+    def field_sampler(xp, xm, stream):
+        xi = stream.generator.standard_normal()
+        return (xi,), (xi,)
+
+    return RandomFieldOracle(
+        f_hat=lambda x, xi: x @ c + xi[0], field_sampler=field_sampler, c_xi=0.0
+    )
+
+
 class TestRandomFieldEstimator:
     def test_constant_gives_zero(self):
         oracle = RandomFieldOracle(
-            f_hat=lambda x, xi: 1.25,
-            field_sampler=lambda xp, xm, stream: (0.0, 0.0),
+            f_hat=lambda x, xi: np.full(x.shape[:-1], 1.25),
+            field_sampler=lambda xp, xm, stream: ((0.0,), (0.0,)),
             c_xi=1.0,
         )
         sample = esgs_dd_unknown(oracle, np.zeros(4), PARAMS, RandomStream(0))
@@ -164,14 +178,7 @@ class TestRandomFieldEstimator:
         # identical marginals independent of x reduce the estimator to the
         # non-decision-dependent one; on a linear function the mean is exact
         c = np.array([1.5, -0.5])
-
-        def field_sampler(xp, xm, stream):
-            xi = stream.generator.standard_normal()
-            return xi, xi
-
-        oracle = RandomFieldOracle(
-            f_hat=lambda x, xi: float(c @ x) + xi, field_sampler=field_sampler, c_xi=0.0
-        )
+        oracle = shared_noise_field(c)
         stream = RandomStream(3)
         count = 50_000
         acc = np.zeros(2)
@@ -217,9 +224,9 @@ class TestRandomFieldEstimator:
         assert abs(zeta1.var(ddof=1) - sigma**2) < 4.0 * var_se
 
 
-class TestDriverWithPerPointOracles:
-    """``run`` accepts the single-sample estimators with oracles that
-    evaluate one point per call, as the oracle classes document."""
+class TestDriverWithToyOracles:
+    """``run`` takes the single-sample estimators to their kinds' kernels,
+    with any oracle written to the broadcasting contract."""
 
     def test_known_density_toy_oracle(self):
         streams = [RandomStream(8, r) for r in range(3)]
@@ -241,16 +248,9 @@ class TestDriverWithPerPointOracles:
         np.testing.assert_array_equal(single.iterates(0), batch.iterates(1))
         np.testing.assert_array_equal(alone.final_x, trajs[1].final_x)
 
-    def test_scalar_random_field_oracle(self):
+    def test_shared_noise_random_field_oracle(self):
         c = np.array([1.5, -0.5])
-
-        def field_sampler(xp, xm, stream):
-            xi = stream.generator.standard_normal()
-            return xi, xi
-
-        oracle = RandomFieldOracle(
-            f_hat=lambda x, xi: float(c @ x) + xi, field_sampler=field_sampler, c_xi=0.0
-        )
+        oracle = shared_noise_field(c)
         traj = run(
             oracle, esgs_dd_unknown, Schedule(kind="convex_diminishing", n=2), 40,
             FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(2),

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zosmooth.bench import KINDS
+from zosmooth.decision import esgs_dd_known, esgs_dd_unknown
 from zosmooth.estimators import (
     BATCH_ESTIMATORS,
     ESTIMATORS,
     SQRT_2PI,
     GradientSample,
     StochasticOracle,
+    batch_form,
     esgs_estimate,
 )
 from zosmooth.optimizer import (
@@ -24,6 +27,7 @@ from zosmooth.optimizer import (
     step,
     weighted_average,
 )
+from zosmooth.problems import market_problem
 from zosmooth.projections import FeasibleSet, contains
 from zosmooth.rng import RandomStream
 
@@ -71,6 +75,22 @@ class TestSchedules:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Schedule(kind="warp")
+
+    @pytest.mark.parametrize(
+        "kind, params, name",
+        [
+            ("convex_diminishing", {"n": 0}, "n"),
+            ("convex_constant", {"n": 2, "horizon": 0, "radius_scale": 1.0, "l0": 1.0}, "horizon"),
+            ("convex_constant", {"n": 2, "horizon": 5, "radius_scale": 1.0, "l0": -1.0}, "l0"),
+            ("strongly_convex", {"theta": 3.0, "mu": 0.0}, "mu"),
+            ("strongly_convex", {"theta": 3.0, "mu": -1.0}, "mu"),
+            ("nonconvex_fixed_eta", {"eta_fixed": 0.1, "l0": 0.0, "n": 2}, "l0"),
+            ("nonconvex_fixed_eta", {"eta_fixed": 0.1, "l0": 1.0, "n": 0}, "n"),
+        ],
+    )
+    def test_non_positive_divisor_rejected(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"requires {name} > 0"):
+            Schedule(kind=kind, **params)
 
 
 class TestStep:
@@ -279,6 +299,27 @@ class TestBatchedRun:
         np.testing.assert_array_equal(batch_rec.average[10][1], alone_rec.average[10][0])
         np.testing.assert_array_equal(trajs[1].final_x, alone.final_x)
         assert trajs[1].oracle_calls_cumulative[-1] == 30 * 2 * 2
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_single_sample_estimator_resolves_to_its_kind(self, kind):
+        assert batch_form(KINDS[kind].estimator.sample) is KINDS[kind].estimator
+
+    @pytest.mark.parametrize(
+        "kind, estimator",
+        [("esgs_dd_known", esgs_dd_known), ("esgs_dd_unknown", esgs_dd_unknown)],
+        ids=["esgs_dd_known", "esgs_dd_unknown"],
+    )
+    def test_decision_dependent_single_sample_runs_the_kernel(self, kind, estimator):
+        # run draws in blocks for the kernel, so a per-row fallback, drawing
+        # one sample at a time, would end elsewhere
+        problem = market_problem()
+        entry = KINDS[kind]
+        oracle = getattr(problem, entry.oracle_field)
+        args = (problem.default_schedule, 20, problem.feasible, problem.x0)
+        got = run(oracle, estimator, *args, [RandomStream(6, r) for r in range(2)])
+        want = run(oracle, entry.estimator, *args, [RandomStream(6, r) for r in range(2)])
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.final_x, b.final_x)
 
     def test_custom_single_sample_estimator_runs_per_row(self):
         def halving(oracle, x, params, stream):

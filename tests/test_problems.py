@@ -272,8 +272,8 @@ class TestMarket:
         count = 60_000
         vals = np.empty(count)
         for i in range(count):
-            xi = problem.dd_known.ref_sampler(stream)
-            vals[i] = problem.dd_known.weighted_value(x, xi)
+            (zeta1,), (zeta2,) = problem.dd_known.ref_sampler(stream, 1)
+            vals[i] = problem.dd_known.weighted_value(x, (zeta1, zeta2))
         se = vals.std(ddof=1) / math.sqrt(count)
         assert abs(vals.mean() - fx) < 4.0 * se
         # random-field route: marginal draws at x
@@ -320,7 +320,7 @@ class TestMarket:
         stream = RandomStream(32)
         x = np.array([5.0, 5.0])
         for _ in range(5000):
-            xi = problem.dd_known.ref_sampler(stream)
+            xi = problem.dd_known.ref_sampler(stream, 1)
             ratio = problem.dd_known.cond_density(xi, x) / problem.dd_known.ref_density(xi)
             assert ratio <= problem.dd_known.ratio_bound_m
 
