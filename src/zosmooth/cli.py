@@ -75,8 +75,19 @@ def _load_config(args) -> bench.BenchConfig:
 
 
 def _cmd_moments(args) -> int:
-    dims = [int(d) for d in args.dims.split(",")]
+    # checked before the output directory is made, so a bad value leaves
+    # no partial table behind
+    try:
+        dims = [int(d) for d in args.dims.split(",")]
+    except ValueError:
+        dims = [0]
+    if min(dims) < 1:
+        raise ValueError(
+            f"--dims must be comma-separated integers >= 1, got {args.dims!r}"
+        )
     samples = args.samples
+    if samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {samples}")
     seed = 7 if args.seed is None else args.seed
     out = bench.output_dir(None, args.out)
     path = out / "moments.csv"

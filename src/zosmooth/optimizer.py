@@ -85,7 +85,7 @@ class Schedule:
             self._positive("n")
         elif self.kind == "convex_constant":
             self._require("n", "horizon", "radius_scale", "l0")
-            self._positive("n", "horizon", "l0")
+            self._positive("n", "horizon", "l0", "radius_scale")
         elif self.kind == "strongly_convex":
             self._require("theta", "mu")
             self._positive("mu")
@@ -108,6 +108,7 @@ class Schedule:
                 )
         elif self.kind == "custom":
             self._require("alpha", "beta")
+            self._positive("gamma_scale")
 
     def _require(self, *names: str) -> None:
         for name in names:
@@ -115,7 +116,8 @@ class Schedule:
                 raise ValueError(f"schedule kind {self.kind!r} requires {name!r}")
 
     def _positive(self, *names: str) -> None:
-        # the schedule divides by these
+        # the schedule divides by these, or scales the step by them: a
+        # non-positive step scale would step uphill
         for name in names:
             if not getattr(self, name) > 0:
                 raise ValueError(

@@ -324,15 +324,27 @@ def quad_l1_problem(n: int, seed: int, l1_weight: float = 0.5) -> BenchmarkProbl
     ``W = B'B/n`` (B entries N(0, 0.01)); ``b`` standard normal.  When
     ``l1_weight`` is zero, ``b`` is rescaled so the unconstrained minimizer
     lies strictly inside the box and is stored as the exact ``x_star``.
+
+    Q_hat is built in place: at most three n x n arrays are alive at once
+    (Q_hat, B and W during the second product), and Q_hat is the only one
+    kept.  Each in-place step is the same IEEE operation as the expression
+    above, so Q_hat is bit-identical to it.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
     d = gen.standard_normal((n, n))
-    q = d.T @ d / n + np.eye(n)
-    b_mat = 0.1 * gen.standard_normal((n, n))
-    w = b_mat.T @ b_mat / n
-    q_hat = q + w
+    q_hat = d.T @ d
+    del d
+    q_hat /= n
+    q_hat[np.diag_indices(n)] += 1.0
+    b_mat = gen.standard_normal((n, n))
+    b_mat *= 0.1
+    w = b_mat.T @ b_mat
+    del b_mat
+    w /= n
+    q_hat += w
+    del w
     b = gen.standard_normal(n)
     if l1_weight == 0.0:
         x_free = np.linalg.solve(q_hat, -b)

@@ -482,12 +482,24 @@ class TestCli:
             texts[seed] = (out / "moments.csv").read_text()
         assert texts["0"] != texts["7"]
 
-    @pytest.mark.parametrize("args", [["--dims", "0"], ["--dims", "4,0"], ["--samples", "0"]])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--dims", "0"],
+            ["--dims", "4,0"],
+            ["--samples", "0"],
+            ["--dims", "10,0", "--samples", "10"],
+            ["--dims", "abc"],
+            ["--dims", "10", "--samples", "-3"],
+        ],
+    )
     def test_moments_errors_are_one_line(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         assert cli_main(["moments", "--out", str(out), *args]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        # checked before any output: no partial moments.csv is left behind
+        assert not out.exists()
 
     def test_moments_rejects_config(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -633,6 +645,9 @@ class TestCli:
                           "radius_scale": 1.0, "l0": 1.0}},
             {"schedule": {"kind": "nonconvex_fixed_eta", "eta_fixed": 0.1, "l0": 0, "n": 2}},
             {"schedule": {"theta": 3, "mu": 1}},
+            {"schedule": {"kind": "custom", "alpha": 0.5, "beta": 0.5, "gamma_scale": -1.0}},
+            {"schedule": {"kind": "convex_constant", "n": 2, "horizon": 10,
+                          "radius_scale": -1.0, "l0": 1.0}},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -35,6 +36,24 @@ def mc_oracle_mean(problem, x, count, seed):
         [problem.oracle.eval(x, problem.oracle.noise_sampler(stream)) for _ in range(count)]
     )
     return values.mean(), values.std(ddof=1) / math.sqrt(count)
+
+
+def reference_quad_l1(n, seed, l1_weight):
+    """``quad_l1_problem`` with Q_hat written as one expression, not in place."""
+    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
+    d = gen.standard_normal((n, n))
+    b_mat = 0.1 * gen.standard_normal((n, n))
+    q_hat = d.T @ d / n + np.eye(n) + b_mat.T @ b_mat / n
+    b = gen.standard_normal(n)
+    if l1_weight == 0.0:
+        worst = float(np.max(np.abs(np.linalg.solve(q_hat, -b))))
+        if worst > 0.8:
+            b = b * (0.8 / worst)
+    problem = make_quad_problem(q_hat, b, l1_weight=l1_weight)
+    if l1_weight == 0.0:
+        problem.x_star = np.linalg.solve(q_hat, -b)
+        problem.f_star = problem.exact_f(problem.x_star)
+    return problem
 
 
 def random_feasible(problem, count, seed):
@@ -135,6 +154,33 @@ class TestQuad:
             q_hat, problem.extras["b"], 0.5, problem.feasible, np.zeros(50), norm_q
         )
         np.testing.assert_array_equal(problem.x_star, x_ref)
+
+    @pytest.mark.parametrize("l1_weight", [0.5, 0.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 200])
+    def test_in_place_build_is_bit_identical_to_the_expression(self, n, l1_weight):
+        for seed in (0, 11, 2024):
+            problem = quad_l1_problem(n, seed, l1_weight)
+            ref = reference_quad_l1(n, seed, l1_weight)
+            assert np.array_equal(problem.extras["q_hat"], ref.extras["q_hat"])
+            assert np.array_equal(problem.extras["b"], ref.extras["b"])
+            assert np.array_equal(problem.x_star, ref.x_star)
+            assert problem.f_star == ref.f_star
+
+    def test_build_holds_at_most_three_matrices(self):
+        # Q_hat, B and W are alive together during the second product;
+        # holding D and Q as well would read about 5 matrices
+        n = 400
+        # first-call work (lazy imports, caches) is not part of the guard
+        quad_l1_problem(2, 11)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            problem = quad_l1_problem(n, 11)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert problem.extras["q_hat"].shape == (n, n)
+        assert peak <= 3.2 * 8 * n * n
 
     def test_instances_are_seeded(self):
         a = quad_l1_problem(5, 3)
