@@ -82,14 +82,14 @@ class TestSchedules:
             ("convex_diminishing", {"n": 0}, "n"),
             ("convex_constant", {"n": 2, "horizon": 0, "radius_scale": 1.0, "l0": 1.0}, "horizon"),
             ("convex_constant", {"n": 2, "horizon": 5, "radius_scale": 1.0, "l0": -1.0}, "l0"),
-            ("convex_constant", {"n": 2, "horizon": 5, "radius_scale": -1.0, "l0": 1.0},
-             "radius_scale"),
-            ("convex_constant", {"n": 2, "horizon": 5, "radius_scale": 0.0, "l0": 1.0},
-             "radius_scale"),
             ("strongly_convex", {"theta": 3.0, "mu": 0.0}, "mu"),
             ("strongly_convex", {"theta": 3.0, "mu": -1.0}, "mu"),
             ("nonconvex_fixed_eta", {"eta_fixed": 0.1, "l0": 0.0, "n": 2}, "l0"),
             ("nonconvex_fixed_eta", {"eta_fixed": 0.1, "l0": 1.0, "n": 0}, "n"),
+            ("convex_constant", {"n": 2, "horizon": 5, "radius_scale": -1.0, "l0": 1.0},
+             "radius_scale"),
+            ("convex_constant", {"n": 2, "horizon": 5, "radius_scale": 0.0, "l0": 1.0},
+             "radius_scale"),
             ("custom", {"alpha": 0.5, "beta": 0.5, "gamma_scale": -1.0}, "gamma_scale"),
             ("custom", {"alpha": 0.5, "beta": 0.5, "gamma_scale": 0.0}, "gamma_scale"),
             ("custom", {"alpha": 0.5, "beta": 0.5, "gamma_scale": math.nan}, "gamma_scale"),
