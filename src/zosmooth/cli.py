@@ -92,23 +92,28 @@ def _cmd_moments(args) -> int:
     out = bench.output_dir(None, args.out)
     path = out / "moments.csv"
     eta = 0.05
+    # every probe runs before the table is opened, so a probe that fails
+    # leaves no partial table behind
+    lines = []
+    for n in dims:
+        # unit-Lipschitz linear test function: only coordinate 1 matters
+        oracle = StochasticOracle(
+            eval=lambda x, xi: x[..., 0],
+            noise_sampler=lambda stream, size: np.zeros(size),
+            lipschitz_l0=1.0,
+        )
+        x = np.zeros(n)
+        for kind, estimator in BATCH_ESTIMATORS.items():
+            stream = RandomStream(seed, substream_id=n)
+            probe = second_moment_probe(
+                estimator, oracle, x, SmoothingParams(eta), samples, stream
+            )
+            bound = 4.0 / np.pi * n
+            lines.append(f"{kind},{n},1.0,{samples},{probe!r},{bound!r}\n")
     with path.open("w", newline="") as fh:
         fh.write("estimator,n,l0,samples,second_moment,bound_linear_n\n")
-        for n in dims:
-            # unit-Lipschitz linear test function: only coordinate 1 matters
-            oracle = StochasticOracle(
-                eval=lambda x, xi: float(x[0]),
-                noise_sampler=lambda stream: None,
-                lipschitz_l0=1.0,
-            )
-            x = np.zeros(n)
-            for kind, estimator in BATCH_ESTIMATORS.items():
-                stream = RandomStream(seed, substream_id=n)
-                probe = second_moment_probe(
-                    estimator, oracle, x, SmoothingParams(eta), samples, stream
-                )
-                bound = 4.0 / np.pi * n
-                fh.write(f"{kind},{n},1.0,{samples},{probe!r},{bound!r}\n")
+        for line in lines:
+            fh.write(line)
     print(f"wrote {path}")
     return 0
 

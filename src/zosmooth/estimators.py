@@ -13,12 +13,19 @@ SPSA) are provided for benchmarking, each consuming 2 oracle calls per
 estimate.
 
 Each kind is one :class:`BatchEstimator`: a block sampler that draws one
-replication's perturbations for many iterations from its own stream, and a
-row kernel that computes the estimates at every row of an ``(R, n)`` array
-of points.  The driver advances R replications with them.  A single-sample
-estimator such as :func:`esgs_estimate` is its kind's draw of size 1
-followed by its kernel on one row, and :func:`second_moment_probe`
-evaluates its samples in blocks, each block as the rows of one kernel call.
+replication's perturbations for many iterations from its own stream, then
+the oracle's noise for the same iterations, and a row kernel that computes
+the estimates at every row of an ``(R, n)`` array of points.  The kernels
+hand all rows of an iteration to the oracle at once: a two-point kernel
+makes one :attr:`StochasticOracle.eval` call on the ``(R, 2, n)`` stacked
+point pairs, and the exponential-shift kernel one
+:attr:`StochasticOracle.eval_axis` call on the ``(R, n)`` rows, or, without
+one, ``eval`` calls on chunks of the ``R * 2n`` replacement points.  So the
+oracle's callables broadcast, as :class:`StochasticOracle` documents.  The
+driver advances R replications with them.  A single-sample estimator such
+as :func:`esgs_estimate` is its kind's draw of size 1 followed by its kernel
+on one row, and :func:`second_moment_probe` evaluates its samples in
+blocks, each block as the rows of one kernel call.
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ import numpy as np
 from .rng import RandomStream, sample_exponential, sample_gaussian_vector
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+class NonFiniteError(RuntimeError):
+    """A gradient estimate or an iterate became NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -51,10 +62,13 @@ class GradientSample:
     """One realized gradient estimate together with the draws behind it.
 
     ``draws`` is the kind's tuple of block-sampler draws at this sample:
-    ``(sqrt(2V), Z / eta)`` for the exponential-shift estimators, ``(Z,)``,
-    ``(u,)`` and ``(D,)`` for the two-point baselines.  The known-density
-    estimator appends the components of its reference draw ``xi`` (drawn
-    before ``(V, Z)``), each an array of shape ``(1,)``.
+    ``(sqrt(2V), Z / eta, xi)`` for the exponential-shift estimator,
+    ``(Z, xi)``, ``(u, xi)`` and ``(D, xi)`` for the two-point baselines,
+    where ``xi`` is the oracle's noise realization.  The decision-dependent
+    estimators draw no ``xi`` there: the known-density one appends the
+    components of its reference draw (drawn before ``(V, Z)``), each an
+    array of shape ``(1,)``, and the random-field one draws its noise in
+    the kernel.
     ``oracle_calls`` counts noisy function evaluations consumed: ``2n`` for
     the coordinate-wise exponential-shift estimator, 2 for the two-point
     baselines.
@@ -69,27 +83,36 @@ class GradientSample:
 class StochasticOracle:
     """Noisy zeroth-order function oracle F(x, xi).
 
+    Points are arrays of shape ``(..., n)`` and ``xi`` is an array of noise
+    realizations whose leading axes broadcast against the points' leading
+    axes; each callable returns one value per point, over those axes.
+
     Parameters
     ----------
     eval : callable
-        ``eval(x, xi) -> float``; deterministic given ``(x, xi)``.
+        ``eval(points, xi) -> values`` of shape ``points.shape[:-1]``;
+        deterministic given ``(points, xi)``.  The two-point kinds pass the
+        ``(R, 2, n)`` point pairs of an iteration with ``xi[:, None]``.
     noise_sampler : callable
-        ``noise_sampler(stream) -> xi`` drawing one noise realization.
+        ``noise_sampler(stream, size) -> xi``, an array of ``size``
+        independent realizations along its leading axis.  Each kind draws
+        it right after its perturbation block for the same iterations.
     lipschitz_l0 : float
         Lipschitz constant of ``F(., xi)`` in the L2(xi) sense.
     eval_batch : callable, optional
-        ``eval_batch(points, xi) -> values`` evaluating F at each row of an
-        ``(m, n)`` array.  Semantically identical to looping ``eval``.
+        Not read by the estimators; ``eval`` broadcasts over points.  Kept
+        so that code which inspects the field still finds it.
     eval_axis : callable, optional
-        ``eval_axis(base, plus, minus, xi) -> (f_plus, f_minus)`` where entry
-        ``i`` evaluates F at ``base`` with coordinate ``i`` replaced by
-        ``plus[i]`` (resp. ``minus[i]``).  Structured objectives implement
-        this in O(n) total instead of O(n) full evaluations; values must
-        match ``eval`` on the same points.
+        ``eval_axis(base, plus, minus, xi) -> (f_plus, f_minus)`` over
+        ``(R, n)`` rows, with ``xi`` the ``(R, ...)`` noise of the rows:
+        entry ``(r, i)`` evaluates F at ``base[r]`` with coordinate ``i``
+        replaced by ``plus[r, i]`` (resp. ``minus[r, i]``).  Structured
+        objectives implement this in O(n) per row instead of O(n) full
+        evaluations; values must match ``eval`` on the same points.
     """
 
-    eval: Callable[[np.ndarray, Any], float]
-    noise_sampler: Callable[[RandomStream], Any]
+    eval: Callable[[np.ndarray, Any], np.ndarray]
+    noise_sampler: Callable[[RandomStream, int], Any]
     lipschitz_l0: float
     eval_batch: Callable[[np.ndarray, Any], np.ndarray] | None = None
     eval_axis: (
@@ -98,57 +121,64 @@ class StochasticOracle:
     ) = None
 
 
-def _axis_values(
-    oracle: StochasticOracle,
-    base: np.ndarray,
-    plus: np.ndarray,
-    minus: np.ndarray,
-    xi: Any,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate F at the 2n coordinate-replacement points.
+def _evaluate(evaluate, points: np.ndarray, xi: Any) -> np.ndarray:
+    """``evaluate(points, xi)``, checked to give one value per point."""
+    values = np.asarray(evaluate(points, xi), dtype=float)
+    if values.shape != points.shape[:-1]:
+        raise ValueError(
+            f"oracle eval returned shape {values.shape} for points of shape "
+            f"{points.shape}; eval(points, xi) must broadcast over the points' "
+            f"leading axes and return one value per point"
+        )
+    return values
 
-    Point ``i+`` is ``base`` with coordinate i set to ``plus[i]``; likewise
-    for ``minus``.  Uses the oracle's structured path when available.
+
+# The generic esgs path hands ``eval`` about EVAL_CHUNK_VALUES coordinates of
+# replacement points per call: whole rows at small n, part of a row at large
+# n, where a whole row's 2n*n values (640 kB at n = 200) raised peak memory.
+EVAL_CHUNK_VALUES = 1 << 14
+
+
+def _replacement_values(evaluate, base, moved, xi) -> np.ndarray:
+    """``evaluate`` at the ``(R, 2n)`` coordinate-replacement points.
+
+    Point ``j`` of row ``r`` is ``base[r]`` with coordinate ``j mod n`` set
+    to ``moved[r, j]``, evaluated with the row's noise ``xi[r]``.  Each
+    chunk of points is filled with copies of its base row before the moved
+    coordinates are written, in one buffer that the next chunk overwrites.
     """
-    if oracle.eval_axis is not None:
-        f_plus, f_minus = oracle.eval_axis(base, plus, minus, xi)
-        return np.asarray(f_plus, dtype=float), np.asarray(f_minus, dtype=float)
-    if oracle.eval_batch is not None:
-        n = base.shape[0]
-        points = np.tile(base, (2 * n, 1))
-        idx = np.arange(n)
-        points[idx, idx] = plus
-        points[n + idx, idx] = minus
-        values = np.asarray(oracle.eval_batch(points, xi), dtype=float)
-        return values[:n], values[n:]
-    return point_values(oracle.eval, base, plus, minus, xi)
-
-
-def point_values(evaluate, base, plus, minus, xi) -> tuple[np.ndarray, np.ndarray]:
-    """``evaluate(point, xi)`` at the 2n replacement points, one at a time."""
-    n = base.shape[0]
-    f_plus = np.empty(n)
-    f_minus = np.empty(n)
-    point = base.copy()
-    for i in range(n):
-        saved = point[i]
-        point[i] = plus[i]
-        f_plus[i] = evaluate(point, xi)
-        point[i] = minus[i]
-        f_minus[i] = evaluate(point, xi)
-        point[i] = saved
-    return f_plus, f_minus
+    rows, n = base.shape
+    per_row = 2 * n
+    span = max(1, EVAL_CHUNK_VALUES // n)  # points per call
+    # a call takes `step` whole rows, or `cols` < 2n points of one row
+    cols = min(per_row, span)
+    step = max(1, span // per_row)
+    offsets = np.arange(cols) * n
+    coordinate = np.arange(per_row) % n
+    values = np.empty((rows, per_row))
+    # one buffer for every chunk: a new array per chunk raised peak memory
+    buffer = np.empty(min(rows, step) * cols * n)
+    for r0 in range(0, rows, step):
+        r1 = min(rows, r0 + step)
+        for j0 in range(0, per_row, cols):
+            j1 = min(per_row, j0 + cols)
+            points = buffer[: (r1 - r0) * (j1 - j0) * n].reshape(r1 - r0, j1 - j0, n)
+            points[:] = base[r0:r1, None]
+            flat = points.reshape(r1 - r0, -1)
+            flat[:, offsets[: j1 - j0] + coordinate[j0:j1]] = moved[r0:r1, j0:j1]
+            values[r0:r1, j0:j1] = _evaluate(evaluate, points, xi[r0:r1, None])
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Row kernels: the estimates at every row of an (R, n) array of points.  Each
-# takes one perturbation draw per row, stacked over rows (``draws``), and one
-# stream per row for the draws the oracle makes per call; it returns the
-# (R, n) estimates and the oracle calls each row consumed.
+# takes one draw per row, stacked over rows (``draws``, ending with the rows'
+# noise), and one stream per row; it returns the (R, n) estimates and the
+# oracle calls each row consumed.
 
 
 def esgs_rows(oracle, x, eta, draws, streams):
-    """Exponentially-shifted Gaussian smoothing from ``draws = (sqrt(2V), Z / eta)``.
+    """Exponentially-shifted Gaussian smoothing from ``draws = (sqrt(2V), Z / eta, xi)``.
 
     Component ``i`` of row ``r`` is
     ``[F(x_i + eta*sqrt(2V), x^{-i} - Z^{-i}, xi)
@@ -156,61 +186,74 @@ def esgs_rows(oracle, x, eta, draws, streams):
     with one realization of ``V ~ Exp(1)``, ``Z ~ N(0, eta^2 I)`` and ``xi``
     shared across the row's components.
     """
-    root_2v, z_unit = draws
+    root_2v, z_unit, xi = draws
+    n = x.shape[1]
     base = x - eta * z_unit
-    diff = np.empty_like(x)
-    for r, stream in enumerate(streams):
-        xi = oracle.noise_sampler(stream)
-        shift = eta * float(root_2v[r])
-        f_plus, f_minus = _axis_values(oracle, base[r], x[r] + shift, x[r] - shift, xi)
-        diff[r] = f_plus - f_minus
-    return diff / (eta * SQRT_2PI), 2 * x.shape[1]
+    shift = (eta * root_2v)[:, None]
+    if oracle.eval_axis is not None:
+        f_plus, f_minus = (
+            np.asarray(f, dtype=float)
+            for f in oracle.eval_axis(base, x + shift, x - shift, xi)
+        )
+        if f_plus.shape != x.shape or f_minus.shape != x.shape:
+            raise ValueError(
+                f"oracle eval_axis returned shapes {f_plus.shape} and "
+                f"{f_minus.shape} for rows of shape {x.shape}; it must "
+                f"evaluate every row at once"
+            )
+    else:
+        # x + shift and x - shift live only until they are concatenated
+        values = _replacement_values(
+            oracle.eval, base, np.concatenate((x + shift, x - shift), axis=1), xi
+        )
+        f_plus, f_minus = values[:, :n], values[:, n:]
+    return (f_plus - f_minus) / (eta * SQRT_2PI), 2 * n
 
 
-def _two_point_diffs(oracle, plus, minus, streams) -> np.ndarray:
-    """``F(plus_r, xi_r) - F(minus_r, xi_r)`` with one fresh ``xi_r`` per row."""
-    diff = np.empty(len(plus))
-    for r, stream in enumerate(streams):
-        xi = oracle.noise_sampler(stream)
-        diff[r] = oracle.eval(plus[r], xi) - oracle.eval(minus[r], xi)
-    return diff
+def _two_point_diffs(oracle, plus, minus, xi) -> np.ndarray:
+    """``F(plus_r, xi_r) - F(minus_r, xi_r)``, all rows in one ``eval`` call."""
+    f = _evaluate(oracle.eval, np.stack((plus, minus), axis=1), xi[:, None])
+    return f[:, 0] - f[:, 1]
 
 
 def gs_rows(oracle, x, eta, draws, streams):
-    """Two-point Gaussian smoothing with unit covariance from ``draws = (Z,)``.
+    """Two-point Gaussian smoothing with unit covariance from ``draws = (Z, xi)``.
 
     ``g = ((F(x + eta*Z, xi) - F(x, xi)) / eta) * Z`` with ``Z`` standard
     normal.
     """
-    (z,) = draws
-    diff = _two_point_diffs(oracle, x + eta * z, x, streams)
+    z, xi = draws
+    diff = _two_point_diffs(oracle, x + eta * z, x, xi)
     return (diff / eta)[:, None] * z, 2
 
 
 def spherical_rows(oracle, x, eta, draws, streams):
-    """Two-point spherical smoothing from ``draws = (u,)``, unit rows.
+    """Two-point spherical smoothing from ``draws = (u, xi)``, unit rows.
 
     ``g = (n / (2*eta)) * (F(x + eta*u, xi) - F(x - eta*u, xi)) * u`` with
     ``u`` uniform on the unit sphere.
     """
-    (u,) = draws
-    diff = _two_point_diffs(oracle, x + eta * u, x - eta * u, streams)
+    u, xi = draws
+    diff = _two_point_diffs(oracle, x + eta * u, x - eta * u, xi)
     return (x.shape[1] / (2.0 * eta)) * diff[:, None] * u, 2
 
 
 def spsa_rows(oracle, x, eta, draws, streams):
-    """Two-point simultaneous perturbation from ``draws = (D,)``.
+    """Two-point simultaneous perturbation from ``draws = (D, xi)``.
 
     ``g_i = (F(x + eta*D, xi) - F(x - eta*D, xi)) / (2*eta*D_i)`` with
     ``D_i`` i.i.d. uniform on {-1, +1}.
     """
-    (delta,) = draws
-    diff = _two_point_diffs(oracle, x + eta * delta, x - eta * delta, streams)
+    delta, xi = draws
+    diff = _two_point_diffs(oracle, x + eta * delta, x - eta * delta, xi)
     return diff[:, None] / (2.0 * eta * delta), 2
 
 
 # ---------------------------------------------------------------------------
-# Block draws: one replication's perturbations for ``size`` iterations.
+# Block draws: one replication's perturbations for ``size`` iterations.  The
+# decision-independent kinds then draw the oracle's noise for the same
+# iterations (see _with_noise), which is the order in which drawing it once
+# per iteration would consume the stream.
 
 
 def shift_draws(oracle, stream: RandomStream, size: int, n: int):
@@ -238,15 +281,25 @@ def _rademacher_draws(oracle, stream: RandomStream, size: int, n: int):
     return (2.0 * signs - 1.0,)
 
 
+def _with_noise(draw):
+    """``draw`` followed by ``oracle.noise_sampler(stream, size)``."""
+
+    def draw_with_noise(oracle, stream: RandomStream, size: int, n: int):
+        return draw(oracle, stream, size, n) + (oracle.noise_sampler(stream, size),)
+
+    return draw_with_noise
+
+
 @dataclass(frozen=True)
 class BatchEstimator:
     """One estimator kind in the form the driver advances R replications in.
 
     ``draw(oracle, stream, size, n)`` draws one replication's perturbations
-    for ``size`` consecutive iterations from that replication's own stream,
-    as a tuple of arrays with leading axis ``size``.  ``estimate(oracle, x,
-    eta, draws, streams)`` is the row kernel: ``draws`` holds each array of
-    ``draw`` at the current iteration, stacked over the R rows of ``x``.
+    and noise for ``size`` consecutive iterations from that replication's
+    own stream, as a tuple of arrays with leading axis ``size``.
+    ``estimate(oracle, x, eta, draws, streams)`` is the row kernel: ``draws``
+    holds each array of ``draw`` at the current iteration, stacked over the
+    R rows of ``x``.
     """
 
     name: str
@@ -269,10 +322,10 @@ class BatchEstimator:
 
 
 BATCH_ESTIMATORS: dict[str, BatchEstimator] = {
-    "esgs": BatchEstimator("esgs", shift_draws, esgs_rows),
-    "gs": BatchEstimator("gs", _gaussian_draws, gs_rows),
-    "spherical": BatchEstimator("spherical", _sphere_draws, spherical_rows),
-    "spsa": BatchEstimator("spsa", _rademacher_draws, spsa_rows),
+    "esgs": BatchEstimator("esgs", _with_noise(shift_draws), esgs_rows),
+    "gs": BatchEstimator("gs", _with_noise(_gaussian_draws), gs_rows),
+    "spherical": BatchEstimator("spherical", _with_noise(_sphere_draws), spherical_rows),
+    "spsa": BatchEstimator("spsa", _with_noise(_rademacher_draws), spsa_rows),
 }
 
 # The single-sample estimator of each kind.
@@ -345,6 +398,9 @@ def second_moment_probe(
     the rows of one kernel call, so the draws fall in a different order than
     in ``sample_count`` single-sample calls on the same stream.  A function
     without a batched form is called once per sample, in order.
+
+    Raises :class:`NonFiniteError`, naming the estimator and the first
+    sample, when a sample's ``||g||^2`` is NaN or infinite.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -360,7 +416,14 @@ def second_moment_probe(
         draws = batch.draw(oracle, stream, size, n)
         rows = np.broadcast_to(x, (size, n))
         g, _ = batch.estimate(oracle, rows, params.eta, draws, [stream] * size)
+        squares = np.vecdot(g, g)
+        if not np.isfinite(squares).all():
+            bad = first + int(np.flatnonzero(~np.isfinite(squares))[0])
+            raise NonFiniteError(
+                f"estimator {batch.name!r} produced a non-finite ||g||^2 at "
+                f"sample {bad} of the second-moment probe"
+            )
         # summed in sample order, as a loop of single-sample calls sums
-        for square in np.vecdot(g, g).tolist():
+        for square in squares.tolist():
             total += square
     return total / sample_count

@@ -40,7 +40,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import BatchEstimator, EstimatorFn, batch_form
+# NonFiniteError lives in estimators, whose probe raises it too, and stays
+# importable from here
+from .estimators import BatchEstimator, EstimatorFn, NonFiniteError, batch_form
 from .projections import FeasibleSet, project
 from .rng import RandomStream
 
@@ -163,10 +165,6 @@ def schedule_values(schedule: Schedule, k: int) -> tuple[float, float]:
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
-class NonFiniteError(RuntimeError):
-    """A gradient estimate or an iterate became NaN or infinite."""
-
-
 def step(
     x_k: np.ndarray, gradient: np.ndarray, gamma_k: float, feasible: FeasibleSet
 ) -> np.ndarray:
@@ -269,8 +267,12 @@ def run(
     for first in range(0, iterations, block):
         size = min(block, iterations - first)
         drawn = [batch.draw(oracle, s, size, n) for s in streams]
-        # (size, R, ...) so that each iteration's slice is contiguous
-        blocks = [np.stack(parts, axis=1) for parts in zip(*drawn)]
+        # (size, R, ...) so that each iteration's slice is contiguous; one
+        # replication's block already is, and is used without a copy
+        blocks = [
+            parts[0][:, None] if rows == 1 else np.stack(parts, axis=1)
+            for parts in zip(*drawn)
+        ]
         for j in range(size):
             k = first + j
             if observe is not None:

@@ -222,21 +222,27 @@ def make_quad_problem(
     n = b.shape[0]
     feasible = FeasibleSet.symmetric_box(box_half_width, n)
 
-    def eval_fn(x: np.ndarray, xi: np.ndarray) -> float:
-        return float(
-            0.5 * x @ (q_hat @ x)
-            + (b + xi) @ x
-            + l1_weight * np.abs(x).sum()
+    # The oracle callables broadcast: points have shape (..., n) and xi the
+    # matching (..., n) noise.  The stacked matvec and vecdot give each point
+    # the bits of its own gemv and dot; a gemm over the points would not.
+    def eval_fn(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        q_x = np.matmul(q_hat, x[..., None])[..., 0]
+        return (
+            np.vecdot(0.5 * x, q_x)
+            + np.vecdot(b + xi, x)
+            + l1_weight * np.abs(x).sum(axis=-1)
         )
 
     def eval_axis(base, plus, minus, xi):
-        # All 2n points share `base` except one coordinate, so one matvec
-        # plus O(n) work reproduces the per-point values exactly.
-        q_base = q_hat @ base
+        # All 2n points of a row share its `base` except one coordinate, so
+        # one matvec plus O(n) work gives the per-point values up to rounding.
+        q_base = np.matmul(q_hat, base[..., None])[..., 0]
         # eval_fn(base, xi) with the matvec reused
-        f_base = float(
-            0.5 * base @ q_base + (b + xi) @ base + l1_weight * np.abs(base).sum()
-        )
+        f_base = (
+            np.vecdot(0.5 * base, q_base)
+            + np.vecdot(b + xi, base)
+            + l1_weight * np.abs(base).sum(axis=-1)
+        )[:, None]
         diag = np.diag(q_hat)
         slope = q_base + b + xi
 
@@ -251,8 +257,8 @@ def make_quad_problem(
 
         return values(plus), values(minus)
 
-    def noise_sampler(stream: RandomStream) -> np.ndarray:
-        return noise_std * stream.generator.standard_normal(n)
+    def noise_sampler(stream: RandomStream, size: int) -> np.ndarray:
+        return noise_std * stream.generator.standard_normal((size, n))
 
     # Q is symmetric positive definite: one eigendecomposition gives both
     # its spectral norm (the largest eigenvalue) and mu (the smallest)
@@ -416,9 +422,9 @@ _PL_LINES, _PL_BREAKS = _upper_envelope(PL_INTERCEPTS, PL_SLOPES)
 
 
 def _phi(t):
-    """max_j(v_j + s_j t), vectorized."""
+    """max_j(v_j + s_j t), elementwise over an array ``t`` of any shape."""
     t = np.asarray(t, dtype=float)
-    return np.max(PL_INTERCEPTS[:, None] + PL_SLOPES[:, None] * t[None, ...], axis=0)
+    return np.max(PL_INTERCEPTS + PL_SLOPES * t[..., None], axis=-1)
 
 
 def _norm_cdf(t: float) -> float:
@@ -482,14 +488,14 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
     c = np.arange(1, n + 1, dtype=float) / n
     feasible = FeasibleSet.unit_ball(n)
 
-    def eval_fn(x: np.ndarray, xi: np.ndarray) -> float:
-        t = float((c + xi) @ x)
-        return float(_phi(np.array([t]))[0] + 0.5 * mu * (x @ x))
+    # broadcasting over points of shape (..., n) and noise (..., n)
+    def eval_fn(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return _phi(np.vecdot(c + xi, x)) + 0.5 * mu * np.vecdot(x, x)
 
     def eval_axis(base, plus, minus, xi):
         w = c + xi
-        t_base = float(w @ base)
-        sq_base = float(base @ base)
+        t_base = np.vecdot(w, base)[:, None]
+        sq_base = np.vecdot(base, base)[:, None]
         t_plus = t_base + w * (plus - base)
         t_minus = t_base + w * (minus - base)
         sq_plus = sq_base - base * base + plus * plus
@@ -499,8 +505,8 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
             _phi(t_minus) + 0.5 * mu * sq_minus,
         )
 
-    def noise_sampler(stream: RandomStream) -> np.ndarray:
-        return stream.generator.standard_normal(n)
+    def noise_sampler(stream: RandomStream, size: int) -> np.ndarray:
+        return stream.generator.standard_normal((size, n))
 
     def exact_f(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -595,15 +601,17 @@ def nonconvex_min_problem(n: int) -> BenchmarkProblem:
         raise ValueError(f"n must be >= 1, got {n}")
     feasible = FeasibleSet.symmetric_box(10.0, n)
 
-    def eval_fn(x: np.ndarray, xi: float) -> float:
-        sq = float(x @ x)
-        total = float(x.sum())
+    # broadcasting over points of shape (..., n) and noise of shape (...)
+    def eval_fn(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        sq = np.vecdot(x, x)
+        total = x.sum(axis=-1)
         common = sq + n * xi * xi
-        return min(common - 2.0 * xi * total, common + 2.0 * xi * total)
+        return np.minimum(common - 2.0 * xi * total, common + 2.0 * xi * total)
 
     def eval_axis(base, plus, minus, xi):
-        sq_base = float(base @ base)
-        total_base = float(base.sum())
+        sq_base = np.vecdot(base, base)[:, None]
+        total_base = base.sum(axis=-1)[:, None]
+        xi = xi[:, None]
 
         def values(new):
             sq = sq_base - base * base + new * new
@@ -615,8 +623,8 @@ def nonconvex_min_problem(n: int) -> BenchmarkProblem:
 
         return values(plus), values(minus)
 
-    def noise_sampler(stream: RandomStream) -> float:
-        return float(stream.generator.uniform(0.0, 2.0))
+    def noise_sampler(stream: RandomStream, size: int) -> np.ndarray:
+        return stream.generator.uniform(0.0, 2.0, size)
 
     def exact_f(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

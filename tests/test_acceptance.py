@@ -40,18 +40,19 @@ def report(number, passed, detail):
 
 def linear_first_coordinate_oracle(l0, n):
     def eval_fn(x, xi):
-        return l0 * float(x[0])
+        return l0 * x[..., 0]
 
     def eval_axis(base, plus, minus, xi):
-        f_plus = np.full(n, l0 * base[0])
-        f_minus = np.full(n, l0 * base[0])
-        f_plus[0] = l0 * plus[0]
-        f_minus[0] = l0 * minus[0]
+        # only coordinate 1 moves F: the other replacements keep F(base)
+        f_plus = np.repeat(l0 * base[:, :1], n, axis=1)
+        f_minus = f_plus.copy()
+        f_plus[:, 0] = l0 * plus[:, 0]
+        f_minus[:, 0] = l0 * minus[:, 0]
         return f_plus, f_minus
 
     return StochasticOracle(
         eval=eval_fn,
-        noise_sampler=lambda stream: None,
+        noise_sampler=lambda stream, size: np.zeros(size),
         lipschitz_l0=l0,
         eval_axis=eval_axis,
     )
@@ -63,10 +64,12 @@ def test_criterion_1_unbiasedness_oracle_equivalence():
     x = np.array([0.4, -0.2])
 
     def f(p):
-        return abs(p[0]) + p[1] ** 2
+        return np.abs(p[..., 0]) + p[..., 1] ** 2
 
     oracle = StochasticOracle(
-        eval=lambda p, xi: f(p), noise_sampler=lambda s: None, lipschitz_l0=2.0
+        eval=lambda p, xi: f(p),
+        noise_sampler=lambda s, size: np.zeros(size),
+        lipschitz_l0=2.0,
     )
     count = 200_000
     stream = RandomStream(1001)

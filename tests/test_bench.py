@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zosmooth import bench, optimizer
+from zosmooth import bench, cli, optimizer
 from zosmooth.bench import (
     KINDS,
     BenchConfig,
@@ -168,8 +168,8 @@ class TestBudget:
     ):
         # a cheap oracle: the count must not depend on what F computes
         oracle = StochasticOracle(
-            eval=lambda x, xi: float(x @ x),
-            noise_sampler=lambda stream: None,
+            eval=lambda x, xi: np.vecdot(x, x),
+            noise_sampler=lambda stream, size: np.zeros(size),
             lipschitz_l0=1.0,
         )
         per_estimate = 2 * n if KINDS[kind].per_coordinate else 2
@@ -576,6 +576,41 @@ class TestCli:
             # the last row is the per-point error that results.csv reports
             assert dump[-1]["error"] == error
             assert float(dump[0]["error"]) == pytest.approx(start, rel=1e-12)
+
+    @staticmethod
+    def moments_oracle_with(monkeypatch, evaluate):
+        """Make ``zosmooth-bench moments`` probe an oracle with ``evaluate``."""
+        make = cli.StochasticOracle
+        monkeypatch.setattr(
+            cli, "StochasticOracle", lambda **fields: make(**{**fields, "eval": evaluate})
+        )
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [lambda x, xi: float(np.sum(x)), lambda x, xi: np.sum(x**2)],
+        ids=["python_float", "numpy_scalar"],
+    )
+    def test_moments_non_broadcasting_oracle_is_one_line(
+        self, tmp_path, monkeypatch, capsys, evaluate
+    ):
+        self.moments_oracle_with(monkeypatch, evaluate)
+        out = tmp_path / "out"
+        args = ["moments", "--dims", "3", "--samples", "20", "--out", str(out)]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "must broadcast" in err[0]
+
+    def test_moments_non_finite_probe_exit_code(self, tmp_path, monkeypatch, capsys):
+        self.moments_oracle_with(monkeypatch, lambda x, xi: np.full(x.shape[:-1], np.inf))
+        out = tmp_path / "out"
+        args = ["moments", "--dims", "3", "--samples", "20", "--out", str(out)]
+        with np.errstate(invalid="ignore"):
+            assert cli_main(args) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'esgs'" in err[0] and "sample 0 " in err[0]
+        assert not (out / "moments.csv").exists()
 
     @pytest.mark.parametrize(
         "error, code",

@@ -1,4 +1,6 @@
 import math
+from functools import lru_cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from zosmooth import estimators
 from zosmooth.estimators import (
     BATCH_ESTIMATORS,
     ESTIMATORS,
+    EVAL_CHUNK_VALUES,
     PROBE_BLOCK_VALUES,
     SQRT_2PI,
     GradientSample,
@@ -24,6 +28,7 @@ from zosmooth.estimators import (
 )
 from zosmooth.bench import KINDS
 from zosmooth.decision import esgs_dd_known, esgs_dd_unknown
+from zosmooth.optimizer import NonFiniteError
 from zosmooth.problems import market_problem, quad_l1_problem
 from zosmooth.rng import RandomStream
 
@@ -57,15 +62,17 @@ class ScriptedStream:
 def linear_oracle(c):
     c = np.asarray(c, dtype=float)
     return StochasticOracle(
-        eval=lambda x, xi: float(c @ x),
-        noise_sampler=lambda stream: None,
+        eval=lambda x, xi: np.vecdot(x, c),
+        noise_sampler=lambda stream, size: np.zeros(size),
         lipschitz_l0=float(np.linalg.norm(c)),
     )
 
 
 def constant_oracle():
     return StochasticOracle(
-        eval=lambda x, xi: 4.25, noise_sampler=lambda stream: None, lipschitz_l0=0.0
+        eval=lambda x, xi: np.full(x.shape[:-1], 4.25),
+        noise_sampler=lambda stream, size: np.zeros(size),
+        lipschitz_l0=0.0,
     )
 
 
@@ -74,7 +81,8 @@ def wrap_counting(oracle):
     inner = oracle.eval
 
     def counted(x, xi):
-        counter["calls"] += 1
+        # one oracle call per point evaluated
+        counter["calls"] += math.prod(x.shape[:-1])
         return inner(x, xi)
 
     wrapped = StochasticOracle(
@@ -142,8 +150,8 @@ class TestEsgs:
         eta = data.draw(st.floats(0.05, 2.0), label="eta")
         seed = data.draw(st.integers(0, 2**32), label="seed")
         oracle = StochasticOracle(
-            eval=lambda point, xi: float(c @ point) + d + xi,
-            noise_sampler=lambda stream: float(stream.generator.uniform(-1.0, 1.0)),
+            eval=lambda points, xi: np.vecdot(points, c) + d + xi,
+            noise_sampler=lambda stream, size: stream.generator.uniform(-1.0, 1.0, size),
             lipschitz_l0=float(np.linalg.norm(c)),
         )
 
@@ -155,13 +163,14 @@ class TestEsgs:
             np.testing.assert_allclose(estimate, expected, rtol=1e-12, atol=atol)
 
         sample = esgs_estimate(oracle, x, SmoothingParams(eta), RandomStream(seed))
-        root_2v, z_unit = sample.draws
+        root_2v, z_unit, _ = sample.draws
         check(sample.estimate, root_2v, eta * z_unit)
 
         # the driver's row kernel, fed from the block draws
         stream = RandomStream(seed)
         root_2v, z_unit = shift_draws(oracle, stream, 1, n)
-        rows, calls = esgs_rows(oracle, x[None, :], eta, (root_2v, z_unit), [stream])
+        xi = oracle.noise_sampler(stream, 1)
+        rows, calls = esgs_rows(oracle, x[None, :], eta, (root_2v, z_unit, xi), [stream])
         check(rows[0], root_2v[0], eta * z_unit[0])
         assert calls == 2 * n
 
@@ -273,8 +282,8 @@ class TestSecondMomentProbe:
     def test_esgs_dimension_bound_on_lipschitz_function(self):
         n, l0 = 50, 1.0
         oracle = StochasticOracle(
-            eval=lambda x, xi: float(np.abs(x).sum()) / math.sqrt(n),
-            noise_sampler=lambda stream: None,
+            eval=lambda x, xi: np.abs(x).sum(axis=-1) / math.sqrt(n),
+            noise_sampler=lambda stream, size: np.zeros(size),
             lipschitz_l0=l0,
         )
         # away from the kinks: at x = 0 every estimate of this even function is 0
@@ -288,8 +297,8 @@ class TestSecondMomentProbe:
         gs_over_n = []
         for n in dims:
             oracle = StochasticOracle(
-                eval=lambda x, xi, n=n: float(np.abs(x).sum()) / math.sqrt(n),
-                noise_sampler=lambda stream: None,
+                eval=lambda x, xi, n=n: np.abs(x).sum(axis=-1) / math.sqrt(n),
+                noise_sampler=lambda stream, size: np.zeros(size),
                 lipschitz_l0=1.0,
             )
             # esgs is probed away from the kinks, where its estimates are not all 0
@@ -344,6 +353,28 @@ class TestSecondMomentProbe:
         )
         assert probe == total / count
 
+    def test_non_finite_sample_names_kind_and_first_sample(self):
+        # F = x_1 is infinite where |x_1| >= 0.75; gs at x = 0 evaluates
+        # eta*Z, so the first bad sample is the first |Z_1| >= 2.5 of the
+        # probe's one block of draws (the noise block draws nothing)
+        oracle = StochasticOracle(
+            eval=lambda x, xi: np.where(np.abs(x[..., 0]) < 0.75, x[..., 0], np.inf),
+            noise_sampler=lambda stream, size: np.zeros(size),
+            lipschitz_l0=1.0,
+        )
+        count = 1000
+        z = RandomStream(21).generator.standard_normal((count, 2))
+        first = int(np.flatnonzero(np.abs(z[:, 0]) >= 2.5)[0])
+        assert first > 0
+        with pytest.raises(NonFiniteError, match=rf"'gs'.*non-finite.*sample {first} "):
+            second_moment_probe(gs_estimate, oracle, np.zeros(2), PARAMS, count, RandomStream(21))
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NonFiniteError, match=r"'esgs'.*non-finite.*sample 0 "
+        ):
+            second_moment_probe(
+                esgs_estimate, inf_oracle(), np.zeros(3), PARAMS, count, RandomStream(21)
+            )
+
     @pytest.mark.parametrize("kind", ["esgs", "gs", "spherical", "spsa"])
     def test_dimension_zero_is_a_value_error(self, kind):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
@@ -365,27 +396,102 @@ class TestOracleCallAccounting:
         assert sample.oracle_calls == (6 if estimator is esgs_estimate else 2)
 
 
+def inf_oracle():
+    return StochasticOracle(
+        eval=lambda x, xi: np.full(x.shape[:-1], np.inf),
+        noise_sampler=lambda stream, size: np.zeros(size),
+        lipschitz_l0=1.0,
+    )
+
+
+class TestOracleContract:
+    """``eval`` must return one value per point of the array it is given."""
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [lambda x, xi: float(np.sum(x)), lambda x, xi: np.sum(x**2)],
+        ids=["python_float", "numpy_scalar"],
+    )
+    @pytest.mark.parametrize("kind", ["esgs", "gs", "spherical", "spsa"])
+    def test_one_value_for_many_points_is_a_value_error(self, kind, evaluate):
+        oracle = StochasticOracle(
+            eval=evaluate,
+            noise_sampler=lambda stream, size: np.zeros(size),
+            lipschitz_l0=1.0,
+        )
+        with pytest.raises(ValueError, match=r"eval\(points, xi\) must broadcast"):
+            ESTIMATORS[kind](oracle, np.zeros(3), PARAMS, RandomStream(0))
+
+    def test_per_row_eval_axis_is_a_value_error(self):
+        n = 3
+        oracle = StochasticOracle(
+            eval=lambda x, xi: x[..., 0],
+            noise_sampler=lambda stream, size: np.zeros(size),
+            lipschitz_l0=1.0,
+            # the values of the first row only
+            eval_axis=lambda base, plus, minus, xi: (plus[0], minus[0]),
+        )
+        with pytest.raises(ValueError, match="every row at once"):
+            esgs_estimate(oracle, np.zeros(n), PARAMS, RandomStream(0))
+
+
+def eval_only(oracle):
+    """``oracle`` without its ``eval_axis``, so esgs takes the generic path."""
+    return StochasticOracle(
+        eval=oracle.eval,
+        noise_sampler=oracle.noise_sampler,
+        lipschitz_l0=oracle.lipschitz_l0,
+    )
+
+
+@lru_cache(maxsize=None)
+def quad_oracle(n):
+    return quad_l1_problem(n, 3).oracle
+
+
 class TestEvalPathEquivalence:
-    def test_axis_batch_and_loop_paths_agree(self):
-        problem = quad_l1_problem(12, 3)
-        oracle = problem.oracle
-        plain = StochasticOracle(
-            eval=oracle.eval,
-            noise_sampler=oracle.noise_sampler,
-            lipschitz_l0=oracle.lipschitz_l0,
+    """The esgs kernel's two ways of reaching the 2n replacement points."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_generic_path_equals_one_point_per_call(self, data):
+        # the chunked eval calls give each point the bits of an eval call on
+        # that point alone; small chunks split rows and cross row boundaries
+        n = data.draw(st.sampled_from([1, 2, 3, 7, 12, 100]), label="n")
+        rows = data.draw(st.integers(1, 5), label="rows")
+        chunk = data.draw(st.sampled_from([1, 5, 64, EVAL_CHUNK_VALUES]), label="chunk")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        oracle = eval_only(quad_oracle(n))
+        stream = RandomStream(seed)
+        x = stream.generator.uniform(-1.0, 1.0, (rows, n))
+        draws = tuple(
+            np.concatenate(parts)
+            for parts in zip(*(BATCH_ESTIMATORS["esgs"].draw(oracle, stream, 1, n) for _ in x))
         )
-        batch_only = StochasticOracle(
-            eval=oracle.eval,
-            noise_sampler=oracle.noise_sampler,
-            lipschitz_l0=oracle.lipschitz_l0,
-            eval_batch=lambda points, xi: np.array([oracle.eval(p, xi) for p in points]),
-        )
-        x = problem.x0
+        with patch.object(estimators, "EVAL_CHUNK_VALUES", chunk):
+            g, calls = esgs_rows(oracle, x, 0.3, draws, [stream] * rows)
+        root_2v, z_unit, xi = draws
+        expected = np.empty((rows, n))
+        for r in range(rows):
+            base = x[r] - 0.3 * z_unit[r]
+            shift = 0.3 * root_2v[r]
+            for i in range(n):
+                plus, minus = base.copy(), base.copy()
+                plus[i] = x[r, i] + shift
+                minus[i] = x[r, i] - shift
+                diff = oracle.eval(plus, xi[r]) - oracle.eval(minus, xi[r])
+                expected[r, i] = diff / (0.3 * SQRT_2PI)
+        assert np.array_equal(g, expected)
+        assert calls == 2 * n
+
+    def test_generic_and_axis_paths_agree(self):
+        # eval_axis updates F(base) by O(n) terms per point, so the two paths
+        # differ in rounding only
+        oracle = quad_oracle(12)
+        x = quad_l1_problem(12, 3).x0
         g_axis = esgs_estimate(oracle, x, PARAMS, RandomStream(77)).estimate
-        g_batch = esgs_estimate(batch_only, x, PARAMS, RandomStream(77)).estimate
-        g_loop = esgs_estimate(plain, x, PARAMS, RandomStream(77)).estimate
-        np.testing.assert_allclose(g_axis, g_loop, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(g_batch, g_loop, rtol=1e-12, atol=1e-14)
+        g_eval = esgs_estimate(eval_only(oracle), x, PARAMS, RandomStream(77)).estimate
+        np.testing.assert_allclose(g_axis, g_eval, rtol=1e-10, atol=1e-12)
 
 
 class TestRowKernels:
@@ -398,8 +504,7 @@ class TestRowKernels:
         x = np.linspace(-0.4, 0.5, n)
         for seed in range(5):
             sample = ESTIMATORS[kind](oracle, x, SmoothingParams(eta), RandomStream(seed))
-            # replay the single-sample draws, leaving the stream where the
-            # oracle's noise draw starts
+            # replay the single-sample draws, then the oracle's noise draw
             stream = RandomStream(seed)
             gen = stream.generator
             if kind == "esgs":
@@ -410,6 +515,7 @@ class TestRowKernels:
             else:
                 z = gen.standard_normal(n)
                 draws = ((z / np.linalg.norm(z) if kind == "spherical" else z)[None],)
+            draws += (oracle.noise_sampler(stream, 1),)
             g, calls = BATCH_ESTIMATORS[kind].estimate(oracle, x[None], eta, draws, [stream])
             np.testing.assert_array_equal(g[0], sample.estimate)
             assert calls == sample.oracle_calls

@@ -140,8 +140,8 @@ class TestStep:
 def linear_oracle(c):
     c = np.asarray(c, dtype=float)
     return StochasticOracle(
-        eval=lambda x, xi: float(c @ x),
-        noise_sampler=lambda stream: None,
+        eval=lambda x, xi: np.vecdot(x, c),
+        noise_sampler=lambda stream, size: np.zeros(size),
         lipschitz_l0=float(np.linalg.norm(c)),
     )
 
@@ -149,7 +149,9 @@ def linear_oracle(c):
 class TestRun:
     def test_constant_objective_stays_at_start(self):
         oracle = StochasticOracle(
-            eval=lambda x, xi: 2.0, noise_sampler=lambda s: None, lipschitz_l0=0.0
+            eval=lambda x, xi: np.full(x.shape[:-1], 2.0),
+            noise_sampler=lambda s, size: np.zeros(size),
+            lipschitz_l0=0.0,
         )
         sched = Schedule(kind="convex_diminishing", n=3)
         rec = Recorder()
@@ -221,8 +223,8 @@ class TestRun:
         # gradient noise; theta/k steps track the optimum at rate ~ 1/k.
         n = 5
         oracle = StochasticOracle(
-            eval=lambda x, xi: 0.5 * float(x @ x) + float(xi @ x),
-            noise_sampler=lambda s: s.generator.standard_normal(n),
+            eval=lambda x, xi: 0.5 * np.vecdot(x, x) + np.vecdot(xi, x),
+            noise_sampler=lambda s, size: s.generator.standard_normal((size, n)),
             lipschitz_l0=5.0,
         )
         sched = Schedule(kind="strongly_convex", theta=3.0, mu=1.0)
@@ -344,10 +346,13 @@ class TestBatchedRun:
         count = {"calls": 0}
 
         def eval_fn(x, xi):
+            # one call per iteration, on the row's 2n replacement points
             count["calls"] += 1
-            return math.nan if count["calls"] > 2 * 2 * 7 else float(x[0])
+            return x[..., 0] * (math.nan if count["calls"] > 7 else 1.0)
 
-        oracle = StochasticOracle(eval=eval_fn, noise_sampler=lambda s: None, lipschitz_l0=1.0)
+        oracle = StochasticOracle(
+            eval=eval_fn, noise_sampler=lambda s, size: np.zeros(size), lipschitz_l0=1.0
+        )
         sched = Schedule(kind="convex_diminishing", n=2)
         with pytest.raises(NonFiniteError, match=r"'esgs'.*estimate at iteration k=7"):
             run(
@@ -369,13 +374,15 @@ def noisy_quadratic_oracle(n):
     # F(x, xi) = 0.5 ||x||^2 + xi'x with xi ~ N(0, I); eval_axis keeps the
     # coordinate-wise kind at O(n) per row at large n
     def eval_axis(base, plus, minus, xi):
-        rest = 0.5 * (base @ base - base * base) + (xi @ base - xi * base)
+        rest = 0.5 * (np.vecdot(base, base)[:, None] - base * base) + (
+            np.vecdot(xi, base)[:, None] - xi * base
+        )
         value = lambda v: rest + 0.5 * v * v + xi * v
         return value(plus), value(minus)
 
     return StochasticOracle(
-        eval=lambda x, xi: 0.5 * float(x @ x) + float(xi @ x),
-        noise_sampler=lambda stream: stream.generator.standard_normal(n),
+        eval=lambda x, xi: 0.5 * np.vecdot(x, x) + np.vecdot(xi, x),
+        noise_sampler=lambda stream, size: stream.generator.standard_normal((size, n)),
         lipschitz_l0=1.0,
         eval_axis=eval_axis,
     )

@@ -31,10 +31,8 @@ from zosmooth.rng import RandomStream
 
 
 def mc_oracle_mean(problem, x, count, seed):
-    stream = RandomStream(seed)
-    values = np.array(
-        [problem.oracle.eval(x, problem.oracle.noise_sampler(stream)) for _ in range(count)]
-    )
+    xi = problem.oracle.noise_sampler(RandomStream(seed), count)
+    values = problem.oracle.eval(np.tile(x, (count, 1)), xi)
     return values.mean(), values.std(ddof=1) / math.sqrt(count)
 
 
@@ -406,25 +404,98 @@ def axis_problem(name, n):
     return AXIS_BUILDERS[name](n)
 
 
+COORDINATE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
 @pytest.mark.parametrize("name", sorted(AXIS_BUILDERS))
 @PROPERTY
 @given(data=st.data())
 def test_eval_axis_equals_per_point_eval(name, data):
     n = data.draw(st.integers(1, 8), label="n")
     oracle = axis_problem(name, n).oracle
-    coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
     base, plus, minus = (
-        data.draw(hnp.arrays(float, n, elements=coordinate), label=label)
+        data.draw(hnp.arrays(float, (1, n), elements=COORDINATE), label=label)
         for label in ("base", "plus", "minus")
     )
-    xi = oracle.noise_sampler(RandomStream(data.draw(st.integers(0, 2**32), label="seed")))
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    xi = oracle.noise_sampler(RandomStream(seed), 1)
     f_plus, f_minus = oracle.eval_axis(base, plus, minus, xi)
     for i in range(n):
-        for new, value in ((plus[i], f_plus[i]), (minus[i], f_minus[i])):
-            point = base.copy()
+        for new, value in ((plus[0, i], f_plus[0, i]), (minus[0, i], f_minus[0, i])):
+            point = base[0].copy()
             point[i] = new
-            expected = oracle.eval(point, xi)
+            expected = oracle.eval(point, xi[0])
             assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+def one_point_value(name, problem, x, xi):
+    """F(x, xi) at one point, written as a scalar expression per family."""
+    if name == "quad_l1":
+        q, b, w = (problem.extras[k] for k in ("q_hat", "b", "l1_weight"))
+        return float(0.5 * x @ (q @ x) + (b + xi) @ x + w * np.abs(x).sum())
+    if name == "piecewise_linear":
+        t = float((problem.extras["c"] + xi) @ x)
+        return float(np.max(PL_INTERCEPTS + PL_SLOPES * t) + 0.5 * problem.mu * (x @ x))
+    common = float(x @ x) + problem.n * xi * xi
+    total = float(x.sum())
+    return min(common - 2.0 * xi * total, common + 2.0 * xi * total)
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_BUILDERS))
+@PROPERTY
+@given(data=st.data())
+def test_eval_on_stacked_points_equals_one_point_values(name, data):
+    # the two-point kinds evaluate (R, 2, n) point pairs in one call; each
+    # value has the bits of the scalar expression at its point, at n = 1
+    # (where numpy's matvec is a dot) and at larger n alike
+    n = data.draw(st.integers(1, 60), label="n")
+    rows = data.draw(st.integers(1, 5), label="rows")
+    problem = axis_problem(name, n)
+    points = data.draw(hnp.arrays(float, (rows, 2, n), elements=COORDINATE), label="points")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    xi = problem.oracle.noise_sampler(RandomStream(seed), rows)
+    values = problem.oracle.eval(points, xi[:, None])
+    assert values.shape == (rows, 2)
+    for r in range(rows):
+        for side in range(2):
+            expected = one_point_value(name, problem, points[r, side], xi[r])
+            assert values[r, side] == expected
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_BUILDERS))
+@PROPERTY
+@given(data=st.data())
+def test_eval_axis_on_rows_equals_one_row_per_call(name, data):
+    n = data.draw(st.integers(1, 60), label="n")
+    rows = data.draw(st.integers(1, 6), label="rows")
+    oracle = axis_problem(name, n).oracle
+    base, plus, minus = (
+        data.draw(hnp.arrays(float, (rows, n), elements=COORDINATE), label=label)
+        for label in ("base", "plus", "minus")
+    )
+    xi = oracle.noise_sampler(RandomStream(data.draw(st.integers(0, 2**32), label="seed")), rows)
+    f_plus, f_minus = oracle.eval_axis(base, plus, minus, xi)
+    assert f_plus.shape == f_minus.shape == (rows, n)
+    for r in range(rows):
+        one = slice(r, r + 1)
+        g_plus, g_minus = oracle.eval_axis(base[one], plus[one], minus[one], xi[one])
+        assert np.array_equal(f_plus[one], g_plus)
+        assert np.array_equal(f_minus[one], g_minus)
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_BUILDERS))
+@PROPERTY
+@given(
+    n=st.integers(1, 30), size=st.integers(1, 40), seed=st.integers(0, 2**32)
+)
+def test_noise_block_equals_single_draws(name, n, size, seed):
+    # the kinds draw a block of noise where they once drew one per iteration
+    sampler = axis_problem(name, n).oracle.noise_sampler
+    block = sampler(RandomStream(seed), size)
+    stream = RandomStream(seed)
+    singles = np.concatenate([sampler(stream, 1) for _ in range(size)])
+    assert block.shape[0] == size
+    assert np.array_equal(block, singles)
 
 
 @PROPERTY
@@ -433,8 +504,7 @@ def test_exact_f_rows_equals_per_point_exact_f(data):
     n = data.draw(st.integers(1, 60), label="n")
     m = data.draw(st.integers(1, 40), label="m")  # m = 1 takes numpy's gemv path
     problem = axis_problem("quad_l1", n)
-    coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-    xs = data.draw(hnp.arrays(float, (m, n), elements=coordinate), label="xs")
+    xs = data.draw(hnp.arrays(float, (m, n), elements=COORDINATE), label="xs")
     values = problem.exact_f_rows(xs)
     assert values.shape == (m,)
     for x, value in zip(xs, values):
