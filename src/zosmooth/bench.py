@@ -1,10 +1,11 @@
 """Benchmark harness: equal-budget comparisons, replications, CSV output.
 
-Every estimator kind is one entry of :data:`KINDS`: its batched form, the
+Every estimator kind is one entry of :data:`KINDS`, the only kind
+registry: its batched form, the
 :class:`~zosmooth.problems.BenchmarkProblem` field holding its oracle, and
 whether it spends ``2n`` or 2 oracle calls per estimate.  Config
-validation, the budget rule and :func:`run_problem` read that entry, so a
-kind is added by adding one.
+validation, the budget rule, :func:`run_problem` and the ``moments`` CLI
+read that entry, so a kind is added by adding one.
 
 Estimator comparisons hold the oracle budget fixed: the coordinate-wise
 exponential-shift estimators run ``K`` iterations at ``2n`` oracle calls
@@ -34,7 +35,7 @@ import numpy as np
 # esgs_dd_known and esgs_dd_unknown are the single-sample forms of the two
 # decision-dependent kinds; perfbench/child.py instruments them by these names.
 from .decision import KNOWN_DENSITY, RANDOM_FIELD, esgs_dd_known, esgs_dd_unknown  # noqa: F401
-from .estimators import BATCH_ESTIMATORS, BatchEstimator
+from .estimators import ESGS, GS, SPHERICAL, SPSA, BatchEstimator
 from .optimizer import Observer, Schedule, Trajectory, run, weighted_average
 from .problems import PROBLEM_BUILDERS, BenchmarkProblem, error_metric, error_metric_rows
 from .rng import RandomStream
@@ -52,10 +53,10 @@ class Kind:
 
 
 KINDS: dict[str, Kind] = {
-    "esgs": Kind(BATCH_ESTIMATORS["esgs"], "oracle", per_coordinate=True),
-    "gs": Kind(BATCH_ESTIMATORS["gs"], "oracle", per_coordinate=False),
-    "spherical": Kind(BATCH_ESTIMATORS["spherical"], "oracle", per_coordinate=False),
-    "spsa": Kind(BATCH_ESTIMATORS["spsa"], "oracle", per_coordinate=False),
+    "esgs": Kind(ESGS, "oracle", per_coordinate=True),
+    "gs": Kind(GS, "oracle", per_coordinate=False),
+    "spherical": Kind(SPHERICAL, "oracle", per_coordinate=False),
+    "spsa": Kind(SPSA, "oracle", per_coordinate=False),
     "esgs_dd_known": Kind(KNOWN_DENSITY, "dd_known", per_coordinate=True),
     "esgs_dd_unknown": Kind(RANDOM_FIELD, "dd_unknown", per_coordinate=True),
 }
@@ -184,6 +185,9 @@ class BenchConfig:
         replications = _typed("replications", raw["replications"], int)
         if replications < 1:
             raise ConfigError("replications must be >= 1")
+        base_seed = _typed("base_seed", raw["base_seed"], int)
+        if base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {base_seed}")
         output = raw.get("output")
         if output is not None:
             output = _typed("output", output, str)
@@ -194,7 +198,7 @@ class BenchConfig:
             schedule=schedule,
             iterations=iterations,
             replications=replications,
-            base_seed=_typed("base_seed", raw["base_seed"], int),
+            base_seed=base_seed,
             output=output,
             record_trajectories=_typed(
                 "record_trajectories", raw.get("record_trajectories", False), bool

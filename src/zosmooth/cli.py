@@ -33,12 +33,7 @@ import numpy as np
 
 from . import bench
 from .decision import RatioBoundError, ValueBoundError
-from .estimators import (
-    BATCH_ESTIMATORS,
-    SmoothingParams,
-    StochasticOracle,
-    second_moment_probe,
-)
+from .estimators import SmoothingParams, StochasticOracle, second_moment_probe
 from .optimizer import NonFiniteError
 from .rng import RandomStream
 from .smoothing import QuadratureConvergenceError
@@ -103,10 +98,12 @@ def _cmd_moments(args) -> int:
             lipschitz_l0=1.0,
         )
         x = np.zeros(n)
-        for kind, estimator in BATCH_ESTIMATORS.items():
+        for kind, entry in bench.KINDS.items():
+            if entry.oracle_field != "oracle":
+                continue
             stream = RandomStream(seed, substream_id=n)
             probe = second_moment_probe(
-                estimator, oracle, x, SmoothingParams(eta), samples, stream
+                entry.estimator, oracle, x, SmoothingParams(eta), samples, stream
             )
             bound = 4.0 / np.pi * n
             lines.append(f"{kind},{n},1.0,{samples},{probe!r},{bound!r}\n")
@@ -208,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked before any subcommand runs, so no output directory is made
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

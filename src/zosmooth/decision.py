@@ -14,29 +14,27 @@ unbiasedness for the gradient of the mollified objective:
   separation (:func:`esgs_dd_unknown`).
 
 Both are the exponential-shift estimator of :mod:`zosmooth.estimators`
-with a different oracle: they draw ``(sqrt(2V), Z / eta)`` with
-:func:`~zosmooth.estimators.shift_draws`, share it across all coordinates
-and consume ``2n`` oracle calls per estimate.  The known-density estimator
-draws ``xi`` first.
-
-Each protocol is one :class:`~zosmooth.estimators.BatchEstimator`
-(:data:`KNOWN_DENSITY`, :data:`RANDOM_FIELD`, registered in
-:data:`zosmooth.bench.KINDS`), whose row kernel evaluates the ``2n``
-replacement points of every row in one call; :func:`esgs_dd_known` and
-:func:`esgs_dd_unknown` are its draw of size 1 followed by the kernel on
-one row.  So the oracles' callables broadcast over leading axes of points,
-as :class:`KnownDensityOracle` and :class:`RandomFieldOracle` document.
+with a different oracle: like esgs, each draws one ``(sqrt(2V), Z / eta,
+xi)`` triple per row, shares it across all coordinates and runs the row
+kernel :func:`~zosmooth.estimators.esgs_rows`, whose one ``eval_axis`` call
+is the oracle's method here.  The known-density ``xi`` is the reference
+draw, drawn before ``(V, Z)``; the random-field ``xi`` is the field's noise,
+drawn after them.  Each is one kind (:data:`KNOWN_DENSITY`,
+:data:`RANDOM_FIELD`, registered in :data:`zosmooth.bench.KINDS`), and
+:func:`esgs_dd_known` and :func:`esgs_dd_unknown` are its draw of size 1
+followed by the kernel on one row.  So the oracles' callables broadcast over
+leading axes of points, as :class:`KnownDensityOracle` and
+:class:`RandomFieldOracle` document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .estimators import SQRT_2PI, BatchEstimator, shift_draws
+from .estimators import BatchEstimator, esgs_rows, replacement_points, shift_draws
 # sample_exponential and sample_gaussian_vector stay importable from this
 # module, where perfbench/child.py instruments them
 from .rng import RandomStream, sample_exponential, sample_gaussian_vector  # noqa: F401
@@ -71,7 +69,8 @@ class KnownDensityOracle:
         ``ref_sampler(stream, size) -> xi`` drawing ``size`` independent
         realizations from the reference density, each component an array of
         shape ``(size,)``.  The known-density kind draws ``xi`` before
-        ``(V, Z)``.
+        ``(V, Z)`` and packs it into one ``(size, c)`` array for ``c``
+        components.
     ratio_bound_m : float
         Uniform bound on ``cond_density / ref_density``; checked at every
         evaluated point, violations raise :class:`RatioBoundError`.
@@ -114,6 +113,15 @@ class KnownDensityOracle:
             )
         return value * ratio
 
+    def eval_axis(self, base, plus, minus, xi):
+        """One :meth:`weighted_value` call at the rows' ``2n`` replacement
+        points, with ``xi`` the rows' ``(R, c)`` packed reference draws."""
+        n = base.shape[1]
+        points = replacement_points(base, np.concatenate((plus, minus), axis=1))
+        # component j of row r, broadcasting over the row's 2n points
+        w = self.weighted_value(points, tuple(xi.T[:, :, None]))
+        return w[:, :n], w[:, n:]
+
 
 @dataclass
 class RandomFieldOracle:
@@ -123,82 +131,43 @@ class RandomFieldOracle:
     points of shape ``(..., n)``, ``xi`` a tuple of component arrays that
     broadcast against their leading axes, one value per point.
 
-    ``field_sampler(x_plus, x_minus, stream)`` takes one pair of points of
-    shape ``(n,)`` and returns one pair ``(xi_1, xi_2)`` of realizations,
-    each a tuple of scalar components, whose marginal laws are ``D(x_plus)``
-    and ``D(x_minus)`` and whose mean-square difference satisfies
-    ``E||xi_1 - xi_2||^2 <= c_xi * ||x_plus - x_minus||^2``.  Each call is an
-    independent realization of the field.
+    ``noise_sampler(stream, size, n)`` draws a ``(size, n, ...)`` block of
+    noise, one independent entry per point pair, after ``(V, Z)``.
+    ``field_sampler(x_plus, x_minus, noise)`` maps it through the field at
+    point pairs of shape ``(..., n)`` and returns ``(xi_plus, xi_minus)``,
+    tuples of components of shape ``x_plus.shape[:-1]``, whose marginal
+    laws are ``D(x_plus)`` and ``D(x_minus)`` and whose mean-square
+    difference satisfies
+    ``E||xi_plus - xi_minus||^2 <= c_xi * ||x_plus - x_minus||^2``.
     """
 
     f_hat: Callable[[np.ndarray, tuple], np.ndarray]
-    field_sampler: Callable[[np.ndarray, np.ndarray, RandomStream], tuple[tuple, tuple]]
+    field_sampler: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[tuple, tuple]]
+    noise_sampler: Callable[[RandomStream, int, int], np.ndarray]
     c_xi: float
 
-
-def _replacement_points(x, eta, root_2v, z_unit) -> np.ndarray:
-    """The ``(R, 2n, n)`` coordinate-replacement points of each row.
-
-    Point ``j < n`` of row ``r`` is ``x_r - eta*Z_r`` with coordinate ``j``
-    set to ``x_rj + eta*sqrt(2V_r)``; point ``n + j`` sets it to
-    ``x_rj - eta*sqrt(2V_r)``.
-    """
-    shift = (eta * root_2v)[:, None]
-    moved = np.concatenate((x + shift, x - shift), axis=1)
-    base = x - eta * z_unit
-    return np.where(_replaced(x.shape[1]), moved[:, :, None], base[:, None, :])
-
-
-@lru_cache(maxsize=None)
-def _replaced(n: int) -> np.ndarray:
-    """``(2n, n)`` mask of the coordinate each replacement point moves."""
-    return np.tile(np.eye(n, dtype=bool), (2, 1))
-
-
-def known_rows(oracle: KnownDensityOracle, x, eta, draws, streams):
-    """Importance-reweighted estimates at the rows of ``x``.
-
-    ``draws = (sqrt(2V), Z / eta, *xi)`` with each noise component of shape
-    ``(R, 1)``; all ``R * 2n`` replacement points go to one
-    :meth:`KnownDensityOracle.weighted_value` call.
-    """
-    root_2v, z_unit, *xi = draws
-    n = x.shape[1]
-    points = _replacement_points(x, eta, root_2v, z_unit)
-    w = oracle.weighted_value(points, tuple(xi))
-    return (w[:, :n] - w[:, n:]) / (eta * SQRT_2PI), 2 * n
-
-
-def field_rows(oracle: RandomFieldOracle, x, eta, draws, streams):
-    """Random-field estimates at the rows of ``x``.
-
-    ``draws = (sqrt(2V), Z / eta)``.  The field is sampled once per row and
-    coordinate, from that row's stream; ``f_hat`` then evaluates all
-    ``R * 2n`` points in one call.
-    """
-    root_2v, z_unit = draws
-    rows, n = x.shape
-    points = _replacement_points(x, eta, root_2v, z_unit)
-    pairs = [
-        oracle.field_sampler(row[i], row[n + i], stream)
-        for row, stream in zip(points, streams)
-        for i in range(n)
-    ]
-    # (row, coordinate, side, component) -> per component, (row, 2n points)
-    xi = np.array(pairs, dtype=float).reshape(rows, n, 2, -1)
-    xi = xi.transpose(3, 0, 2, 1).reshape(-1, rows, 2 * n)
-    f = oracle.f_hat(points, tuple(xi))
-    return (f[:, :n] - f[:, n:]) / (eta * SQRT_2PI), 2 * n
+    def eval_axis(self, base, plus, minus, noise):
+        """One :attr:`field_sampler` call on the rows' ``(R, n)`` point pairs
+        with their noise, then one ``f_hat`` call at the ``2n`` points."""
+        n = base.shape[1]
+        points = replacement_points(base, np.concatenate((plus, minus), axis=1))
+        xi_plus, xi_minus = self.field_sampler(points[:, :n], points[:, n:], noise)
+        xi = tuple(np.concatenate(pair, axis=1) for pair in zip(xi_plus, xi_minus))
+        f = self.f_hat(points, xi)
+        return f[:, :n], f[:, n:]
 
 
 def _known_draws(oracle: KnownDensityOracle, stream, size: int, n: int):
-    xi = oracle.ref_sampler(stream, size)
-    # a trailing axis lets each component broadcast over an iterate's 2n points
-    return shift_draws(oracle, stream, size, n) + tuple(c[:, None] for c in xi)
+    xi = np.stack(oracle.ref_sampler(stream, size), axis=1)
+    return shift_draws(oracle, stream, size, n) + (xi,)
 
 
-KNOWN_DENSITY = BatchEstimator("esgs_dd_known", _known_draws, known_rows)
-RANDOM_FIELD = BatchEstimator("esgs_dd_unknown", shift_draws, field_rows)
+def _field_draws(oracle: RandomFieldOracle, stream, size: int, n: int):
+    return shift_draws(oracle, stream, size, n) + (oracle.noise_sampler(stream, size, n),)
+
+
+KNOWN_DENSITY = BatchEstimator("esgs_dd_known", _known_draws, esgs_rows)
+RANDOM_FIELD = BatchEstimator("esgs_dd_unknown", _field_draws, esgs_rows)
 
 # The single-sample estimator of each protocol.
 esgs_dd_known = KNOWN_DENSITY.sample
@@ -217,19 +186,17 @@ def kl_sym_normal(mean_x: float, mean_y: float, sigma: float) -> float:
     return d * d / (sigma * sigma)
 
 
-def field_correlation(
-    x_plus: float, x_minus: float, c_xi: float, beta: float, sigma: float
-) -> float:
+def field_correlation(x_plus, x_minus, c_xi: float, beta: float, sigma: float):
     """Correlation making a Gaussian field mean-square Lipschitz.
 
     For marginals ``N(a + beta*x, sigma^2)`` indexed by a scalar ``x``, the
     pair correlation ``max(1 - (c_xi - beta^2)(x_plus - x_minus)^2 /
     (2 sigma^2), -1)`` yields ``E[(xi_plus - xi_minus)^2] <= c_xi
-    (x_plus - x_minus)^2``.
+    (x_plus - x_minus)^2``.  ``x_plus`` and ``x_minus`` broadcast.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if c_xi < beta * beta:
         raise ValueError(f"c_xi must be >= beta^2, got c_xi={c_xi}, beta={beta}")
     d = x_plus - x_minus
-    return max(1.0 - (c_xi - beta * beta) * d * d / (2.0 * sigma * sigma), -1.0)
+    return np.maximum(1.0 - (c_xi - beta * beta) * d * d / (2.0 * sigma * sigma), -1.0)

@@ -18,21 +18,22 @@ the oracle's noise for the same iterations, and a row kernel that computes
 the estimates at every row of an ``(R, n)`` array of points.  The kernels
 hand all rows of an iteration to the oracle at once: a two-point kernel
 makes one :attr:`StochasticOracle.eval` call on the ``(R, 2, n)`` stacked
-point pairs, and the exponential-shift kernel one
-:attr:`StochasticOracle.eval_axis` call on the ``(R, n)`` rows, or, without
-one, ``eval`` calls on chunks of the ``R * 2n`` replacement points.  So the
-oracle's callables broadcast, as :class:`StochasticOracle` documents.  The
-driver advances R replications with them.  A single-sample estimator such
-as :func:`esgs_estimate` is its kind's draw of size 1 followed by its kernel
+point pairs, and the exponential-shift kernel :func:`esgs_rows` one
+``eval_axis`` call on the ``(R, n)`` rows, or, without one, ``eval`` calls
+on chunks of the ``R * 2n`` replacement points.  So the oracle's callables
+broadcast, as :class:`StochasticOracle` documents.  The driver advances R
+replications with them.  A single-sample estimator such as
+:func:`esgs_estimate` is its kind's draw of size 1 followed by its kernel
 on one row, and :func:`second_moment_probe` evaluates its samples in
-blocks, each block as the rows of one kernel call.
+blocks, each block as the rows of one kernel call.  The decision-dependent
+kinds of :mod:`zosmooth.decision` run :func:`esgs_rows` too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable
 
 import numpy as np
@@ -62,13 +63,12 @@ class GradientSample:
     """One realized gradient estimate together with the draws behind it.
 
     ``draws`` is the kind's tuple of block-sampler draws at this sample:
-    ``(sqrt(2V), Z / eta, xi)`` for the exponential-shift estimator,
-    ``(Z, xi)``, ``(u, xi)`` and ``(D, xi)`` for the two-point baselines,
-    where ``xi`` is the oracle's noise realization.  The decision-dependent
-    estimators draw no ``xi`` there: the known-density one appends the
-    components of its reference draw (drawn before ``(V, Z)``), each an
-    array of shape ``(1,)``, and the random-field one draws its noise in
-    the kernel.
+    ``(sqrt(2V), Z / eta, xi)`` for the exponential-shift estimator and both
+    decision-dependent ones, ``(Z, xi)``, ``(u, xi)`` and ``(D, xi)`` for
+    the two-point baselines, where ``xi`` is the oracle's noise
+    realization.  The known-density ``xi`` is its reference draw, one value
+    per component and drawn before ``(V, Z)``; the random-field ``xi`` is
+    the noise its field maps, one row per coordinate.
     ``oracle_calls`` counts noisy function evaluations consumed: ``2n`` for
     the coordinate-wise exponential-shift estimator, 2 for the two-point
     baselines.
@@ -139,22 +139,38 @@ def _evaluate(evaluate, points: np.ndarray, xi: Any) -> np.ndarray:
 EVAL_CHUNK_VALUES = 1 << 14
 
 
-def _replacement_values(evaluate, base, moved, xi) -> np.ndarray:
-    """``evaluate`` at the ``(R, 2n)`` coordinate-replacement points.
+def replacement_points(base, moved, first: int = 0, out=None) -> np.ndarray:
+    """``(R, m, n)`` points: point ``j`` of row ``r`` is ``base[r]`` with
+    coordinate ``(first + j) mod n`` set to ``moved[r, j]``, written into
+    ``out`` (C-contiguous) when given."""
+    rows, m = moved.shape
+    n = base.shape[1]
+    points = np.empty((rows, m, n)) if out is None else out
+    points[:] = base[:, None]
+    points.reshape(rows, -1)[:, _replaced(m, n, first)] = moved
+    return points
 
-    Point ``j`` of row ``r`` is ``base[r]`` with coordinate ``j mod n`` set
-    to ``moved[r, j]``, evaluated with the row's noise ``xi[r]``.  Each
-    chunk of points is filled with copies of its base row before the moved
-    coordinates are written, in one buffer that the next chunk overwrites.
-    """
+
+@lru_cache(maxsize=None)
+def _replaced(m: int, n: int, first: int) -> np.ndarray:
+    """Flat index of each replaced coordinate in an ``(m, n)`` block; cached,
+    because computing it took as long as the rest of a small call."""
+    j = np.arange(m)
+    index = j * n + (first + j) % n
+    index.flags.writeable = False
+    return index
+
+
+def _replacement_values(evaluate, base, moved, xi) -> np.ndarray:
+    """``evaluate`` at the ``(R, 2n)`` points of :func:`replacement_points`,
+    each with its row's noise ``xi[r]``, in chunks of one buffer that the
+    next chunk overwrites."""
     rows, n = base.shape
     per_row = 2 * n
     span = max(1, EVAL_CHUNK_VALUES // n)  # points per call
     # a call takes `step` whole rows, or `cols` < 2n points of one row
     cols = min(per_row, span)
     step = max(1, span // per_row)
-    offsets = np.arange(cols) * n
-    coordinate = np.arange(per_row) % n
     values = np.empty((rows, per_row))
     # one buffer for every chunk: a new array per chunk raised peak memory
     buffer = np.empty(min(rows, step) * cols * n)
@@ -163,9 +179,7 @@ def _replacement_values(evaluate, base, moved, xi) -> np.ndarray:
         for j0 in range(0, per_row, cols):
             j1 = min(per_row, j0 + cols)
             points = buffer[: (r1 - r0) * (j1 - j0) * n].reshape(r1 - r0, j1 - j0, n)
-            points[:] = base[r0:r1, None]
-            flat = points.reshape(r1 - r0, -1)
-            flat[:, offsets[: j1 - j0] + coordinate[j0:j1]] = moved[r0:r1, j0:j1]
+            replacement_points(base[r0:r1], moved[r0:r1, j0:j1], j0, points)
             values[r0:r1, j0:j1] = _evaluate(evaluate, points, xi[r0:r1, None])
     return values
 
@@ -184,7 +198,8 @@ def esgs_rows(oracle, x, eta, draws, streams):
     ``[F(x_i + eta*sqrt(2V), x^{-i} - Z^{-i}, xi)
        - F(x_i - eta*sqrt(2V), x^{-i} - Z^{-i}, xi)] / (eta*sqrt(2*pi))``
     with one realization of ``V ~ Exp(1)``, ``Z ~ N(0, eta^2 I)`` and ``xi``
-    shared across the row's components.
+    shared across the row's components, from one ``oracle.eval_axis`` call
+    (a method of the decision-dependent oracles) or else ``oracle.eval``.
     """
     root_2v, z_unit, xi = draws
     n = x.shape[1]
@@ -321,16 +336,15 @@ class BatchEstimator:
         return GradientSample(g[0], tuple(d[0] for d in draws), calls)
 
 
-BATCH_ESTIMATORS: dict[str, BatchEstimator] = {
-    "esgs": BatchEstimator("esgs", _with_noise(shift_draws), esgs_rows),
-    "gs": BatchEstimator("gs", _with_noise(_gaussian_draws), gs_rows),
-    "spherical": BatchEstimator("spherical", _with_noise(_sphere_draws), spherical_rows),
-    "spsa": BatchEstimator("spsa", _with_noise(_rademacher_draws), spsa_rows),
-}
+# The decision-independent kinds; zosmooth.bench.KINDS registers them.
+ESGS = BatchEstimator("esgs", _with_noise(shift_draws), esgs_rows)
+GS = BatchEstimator("gs", _with_noise(_gaussian_draws), gs_rows)
+SPHERICAL = BatchEstimator("spherical", _with_noise(_sphere_draws), spherical_rows)
+SPSA = BatchEstimator("spsa", _with_noise(_rademacher_draws), spsa_rows)
 
-# The single-sample estimator of each kind.
+# The single-sample estimator of each decision-independent kind.
 ESTIMATORS: dict[str, Callable[..., GradientSample]] = {
-    kind: batch.sample for kind, batch in BATCH_ESTIMATORS.items()
+    batch.name: batch.sample for batch in (ESGS, GS, SPHERICAL, SPSA)
 }
 esgs_estimate = ESTIMATORS["esgs"]
 gs_estimate = ESTIMATORS["gs"]

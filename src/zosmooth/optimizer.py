@@ -266,13 +266,20 @@ def run(
     t0 = time.perf_counter()
     for first in range(0, iterations, block):
         size = min(block, iterations - first)
-        drawn = [batch.draw(oracle, s, size, n) for s in streams]
-        # (size, R, ...) so that each iteration's slice is contiguous; one
-        # replication's block already is, and is used without a copy
-        blocks = [
-            parts[0][:, None] if rows == 1 else np.stack(parts, axis=1)
-            for parts in zip(*drawn)
-        ]
+        # (size, R, ...) so that each iteration's slice is contiguous, filled
+        # one replication at a time after the last block is dropped, so that
+        # besides the block only one replication's draws are alive; a single
+        # replication's draws are the block, without a copy
+        blocks = None
+        for r, s in enumerate(streams):
+            parts = batch.draw(oracle, s, size, n)
+            if rows == 1:
+                blocks = [p[:, None] for p in parts]
+                continue
+            if blocks is None:
+                blocks = [np.empty((size, rows) + p.shape[1:], p.dtype) for p in parts]
+            for i, part in enumerate(parts):
+                blocks[i][:, r] = part
         for j in range(size):
             k = first + j
             if observe is not None:

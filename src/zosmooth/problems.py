@@ -32,7 +32,8 @@ from .decision import KnownDensityOracle, RandomFieldOracle, field_correlation
 from .estimators import SQRT_2PI, StochasticOracle
 from .optimizer import Schedule
 from .projections import FeasibleSet, project
-from .rng import RandomStream, sample_correlated_pair
+# sample_correlated_pair is unused here, but perfbench/child.py instruments it here
+from .rng import RandomStream, correlate_pair, sample_correlated_pair  # noqa: F401
 
 
 @dataclass
@@ -807,21 +808,26 @@ def market_problem(
         lip_xi=lip_xi,
     )
 
-    def field_sampler(
-        x_plus: np.ndarray, x_minus: np.ndarray, stream: RandomStream
-    ) -> tuple[tuple[float, float], tuple[float, float]]:
+    def noise_sampler(stream: RandomStream, size: int, n: int) -> np.ndarray:
+        # per point pair: two standard normals, then one U[l2, r2] draw
+        normals = stream.generator.standard_normal((size, n, 2))
+        uniforms = stream.generator.uniform(l2, r2, (size, n, 1))
+        return np.concatenate((normals, uniforms), axis=2)
+
+    def field_sampler(x_plus: np.ndarray, x_minus: np.ndarray, noise: np.ndarray):
         # Only the first coordinate moves the demand law; the second noise
         # coordinate is decision-independent and shared across the pair.
-        rho = field_correlation(float(x_plus[0]), float(x_minus[0]), c_xi, beta, sigma)
-        m_plus = a + beta * float(x_plus[0])
-        m_minus = a + beta * float(x_minus[0])
-        zeta1_plus, zeta1_minus = sample_correlated_pair(
-            m_plus, m_minus, sigma, rho, stream
+        x1_plus, x1_minus = x_plus[..., 0], x_minus[..., 0]
+        rho = field_correlation(x1_plus, x1_minus, c_xi, beta, sigma)
+        zeta1_plus, zeta1_minus = correlate_pair(
+            a + beta * x1_plus, a + beta * x1_minus, sigma, rho, noise[..., 0], noise[..., 1]
         )
-        zeta2 = float(stream.generator.uniform(l2, r2))
+        zeta2 = noise[..., 2]
         return (zeta1_plus, zeta2), (zeta1_minus, zeta2)
 
-    dd_unknown = RandomFieldOracle(f_hat=f_hat, field_sampler=field_sampler, c_xi=c_xi)
+    dd_unknown = RandomFieldOracle(
+        f_hat=f_hat, field_sampler=field_sampler, noise_sampler=noise_sampler, c_xi=c_xi
+    )
 
     def sample_noise_at(x: np.ndarray, stream: RandomStream) -> tuple[float, float]:
         zeta1 = a + beta * float(x[0]) + sigma * stream.generator.standard_normal()

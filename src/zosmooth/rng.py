@@ -106,6 +106,13 @@ def sample_correlated_pair(
         raise ValueError(f"standard deviation must be >= 0, got {sigma}")
     z1 = stream.generator.standard_normal()
     z2 = stream.generator.standard_normal()
-    x1 = mean1 + sigma * z1
-    x2 = mean2 + sigma * (rho * z1 + np.sqrt(max(0.0, 1.0 - rho * rho)) * z2)
+    x1, x2 = correlate_pair(mean1, mean2, sigma, rho, z1, z2)
     return float(x1), float(x2)
+
+
+def correlate_pair(mean1, mean2, sigma, rho, z1, z2):
+    """The Cholesky map of :func:`sample_correlated_pair` applied to given
+    standard normals ``z1``, ``z2``; it broadcasts and does not check ``rho``."""
+    x1 = mean1 + sigma * z1
+    x2 = mean2 + sigma * (rho * z1 + np.sqrt(np.maximum(0.0, 1.0 - rho * rho)) * z2)
+    return x1, x2

@@ -491,6 +491,7 @@ class TestCli:
             ["--dims", "10,0", "--samples", "10"],
             ["--dims", "abc"],
             ["--dims", "10", "--samples", "-3"],
+            ["--seed", "-1"],
         ],
     )
     def test_moments_errors_are_one_line(self, tmp_path, capsys, args):
@@ -683,6 +684,7 @@ class TestCli:
             {"schedule": {"kind": "custom", "alpha": 0.5, "beta": 0.5, "gamma_scale": -1.0}},
             {"schedule": {"kind": "convex_constant", "n": 2, "horizon": 10,
                           "radius_scale": -1.0, "l0": 1.0}},
+            {"base_seed": -1},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -693,6 +695,19 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["moments", "run", "compare", "dd"])
+    def test_negative_seed_names_its_source(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        args = [command, "--seed", "-1", "--out", str(out)]
+        if command in ("run", "compare"):
+            args += ["--config", str(self.write_config(tmp_path, small_config_raw()))]
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+        config = self.write_config(tmp_path, small_config_raw(base_seed=-1))
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: base_seed must be >= 0, got -1\n"
 
     def test_env_var_output_override(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"

@@ -1,7 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zosmooth.decision import (
     KnownDensityOracle,
@@ -12,11 +16,11 @@ from zosmooth.decision import (
     field_correlation,
     kl_sym_normal,
 )
-from zosmooth.estimators import SmoothingParams
+from zosmooth.estimators import SmoothingParams, second_moment_probe
 from zosmooth.optimizer import Schedule, run
 from zosmooth.problems import market_problem
 from zosmooth.projections import FeasibleSet
-from zosmooth.rng import RandomStream
+from zosmooth.rng import RandomStream, sample_correlated_pair
 
 from recorder import Recorder
 
@@ -154,20 +158,29 @@ class TestKnownDensityEstimator:
 def shared_noise_field(c):
     """F_hat(x, xi) = c'x + xi with one N(0, 1) draw shared by each pair."""
 
-    def field_sampler(xp, xm, stream):
-        xi = stream.generator.standard_normal()
+    def field_sampler(xp, xm, noise):
+        xi = noise[..., 0]
         return (xi,), (xi,)
 
     return RandomFieldOracle(
-        f_hat=lambda x, xi: x @ c + xi[0], field_sampler=field_sampler, c_xi=0.0
+        f_hat=lambda x, xi: x @ c + xi[0],
+        field_sampler=field_sampler,
+        noise_sampler=lambda stream, size, n: stream.generator.standard_normal((size, n, 1)),
+        c_xi=0.0,
     )
+
+
+def market_field_noise(problem, stream, count):
+    """``count`` noise entries of the market field, one per point pair."""
+    return problem.dd_unknown.noise_sampler(stream, count, 1)[:, 0]
 
 
 class TestRandomFieldEstimator:
     def test_constant_gives_zero(self):
         oracle = RandomFieldOracle(
             f_hat=lambda x, xi: np.full(x.shape[:-1], 1.25),
-            field_sampler=lambda xp, xm, stream: ((0.0,), (0.0,)),
+            field_sampler=lambda xp, xm, noise: ((noise[..., 0],), (noise[..., 0],)),
+            noise_sampler=lambda stream, size, n: np.zeros((size, n, 1)),
             c_xi=1.0,
         )
         sample = esgs_dd_unknown(oracle, np.zeros(4), PARAMS, RandomStream(0))
@@ -199,11 +212,9 @@ class TestRandomFieldEstimator:
         for _ in range(5):
             xp = rng.uniform(-3.0, 3.0, size=2)
             xm = xp + rng.uniform(-1.0, 1.0, size=2)
-            diffs = []
-            for _ in range(4000):
-                xi_1, xi_2 = problem.dd_unknown.field_sampler(xp, xm, stream)
-                diffs.append(np.sum((np.array(xi_1) - np.array(xi_2)) ** 2))
-            sq = np.array(diffs)
+            noise = market_field_noise(problem, stream, 4000)
+            xi_1, xi_2 = problem.dd_unknown.field_sampler(xp, xm, noise)
+            sq = np.sum((np.array(xi_1) - np.array(xi_2)) ** 2, axis=0)
             bound = c_xi * float(np.sum((xp - xm) ** 2)) * 1.1
             assert sq.mean() <= bound + 3.0 * sq.std(ddof=1) / math.sqrt(len(sq))
 
@@ -215,13 +226,98 @@ class TestRandomFieldEstimator:
         xm = np.array([1.5, 1.0])
         stream = RandomStream(6)
         count = 50_000
-        zeta1 = np.array(
-            [problem.dd_unknown.field_sampler(xp, xm, stream)[0][0] for _ in range(count)]
-        )
+        noise = market_field_noise(problem, stream, count)
+        zeta1 = problem.dd_unknown.field_sampler(xp, xm, noise)[0][0]
         mean_se = sigma / math.sqrt(count)
         assert abs(zeta1.mean() - (a + beta * xp[0])) < 4.0 * mean_se
         var_se = math.sqrt(2.0 * sigma**4 / count)
         assert abs(zeta1.var(ddof=1) - sigma**2) < 4.0 * var_se
+
+
+class ScriptedNormals:
+    """Generator stand-in whose ``standard_normal()`` returns pinned values."""
+
+    def __init__(self, *normals):
+        self._normals = list(normals)
+
+    def standard_normal(self):
+        return self._normals.pop(0)
+
+
+class TestMarketBlockField:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_block_field_equals_scalar_map_pair_by_pair(self, data):
+        # the broadcasting field at (m, k) point pairs gives each pair the
+        # bits of the scalar field_correlation and sample_correlated_pair on
+        # that pair's normals
+        m = data.draw(st.integers(1, 4), label="m")
+        k = data.draw(st.integers(1, 3), label="k")
+        points = hnp.arrays(float, (m, k, 2), elements=st.floats(-25.0, 25.0))
+        x_plus, x_minus = data.draw(points, label="x_plus"), data.draw(points, label="x_minus")
+        noise = data.draw(
+            hnp.arrays(float, (m, k, 3), elements=st.floats(-6.0, 6.0)), label="noise"
+        )
+        problem = market_problem()
+        e = problem.extras
+        xi_plus, xi_minus = problem.dd_unknown.field_sampler(x_plus, x_minus, noise)
+        for i, j in np.ndindex(m, k):
+            xp, xm = float(x_plus[i, j, 0]), float(x_minus[i, j, 0])
+            z1, z2, zeta2 = (float(v) for v in noise[i, j])
+            rho = field_correlation(xp, xm, e["c_xi"], e["beta"], e["sigma"])
+            expected = sample_correlated_pair(
+                e["a"] + e["beta"] * xp,
+                e["a"] + e["beta"] * xm,
+                e["sigma"],
+                rho,
+                SimpleNamespace(generator=ScriptedNormals(z1, z2)),
+            )
+            assert (xi_plus[0][i, j], xi_minus[0][i, j]) == expected
+            assert xi_plus[1][i, j] == xi_minus[1][i, j] == zeta2
+
+
+class TestMomentGates:
+    """Two-sided closed-form gates on E||g||^2.  For a linear ``f_hat`` whose
+    noise cancels in each pair, ``g_i = 2 c_i sqrt(V / pi)``, so ``||g||^2 =
+    (4/pi) V ||c||^2`` with ``V ~ Exp(1)``: its mean and its standard
+    deviation are both ``(4/pi) ||c||^2``, and a probe of N samples lies
+    within 4 standard errors ``(4/pi) ||c||^2 / sqrt(N)`` of the mean."""
+
+    C = np.array([1.5, -0.5, 2.0])
+    X = np.array([0.2, -0.1, 0.4])
+    COUNT = 10_000
+
+    def assert_within_four_standard_errors(self, probe):
+        exact = 4.0 / math.pi * float(self.C @ self.C)
+        se = exact / math.sqrt(self.COUNT)
+        assert abs(probe - exact) <= 4.0 * se, (probe, exact, se)
+
+    def test_known_density_with_unit_ratio(self):
+        def normal_pdf(u):
+            return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+
+        oracle = KnownDensityOracle(
+            f_hat=lambda x, xi: x @ self.C + xi[0],
+            # the same density under every decision: the ratio is 1
+            cond_density=lambda xi, x: normal_pdf(xi[0]) * np.ones(x.shape[:-1]),
+            ref_density=lambda xi: normal_pdf(xi[0]),
+            ref_sampler=lambda stream, size: (stream.generator.standard_normal(size),),
+            ratio_bound_m=1.0,
+            value_bound_mf=1e6,
+            lip_f_hat=float(np.linalg.norm(self.C)),
+            lip_xi=0.0,
+        )
+        probe = second_moment_probe(
+            esgs_dd_known, oracle, self.X, PARAMS, self.COUNT, RandomStream(31)
+        )
+        self.assert_within_four_standard_errors(probe)
+
+    def test_shared_noise_field(self):
+        probe = second_moment_probe(
+            esgs_dd_unknown, shared_noise_field(self.C), self.X, PARAMS, self.COUNT,
+            RandomStream(32),
+        )
+        self.assert_within_four_standard_errors(probe)
 
 
 class TestDriverWithToyOracles:

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from zosmooth import estimators
 from zosmooth.estimators import (
-    BATCH_ESTIMATORS,
     ESTIMATORS,
     EVAL_CHUNK_VALUES,
     PROBE_BLOCK_VALUES,
@@ -332,7 +331,7 @@ class TestSecondMomentProbe:
         count = PROBE_BLOCK_VALUES // n + offset
         oracle, counter = wrap_counting(linear_oracle(np.arange(n) / n))
         second_moment_probe(
-            BATCH_ESTIMATORS[kind], oracle, np.zeros(n), PARAMS, count, RandomStream(4)
+            KINDS[kind].estimator, oracle, np.zeros(n), PARAMS, count, RandomStream(4)
         )
         assert counter["calls"] == count * (2 * n if kind == "esgs" else 2)
 
@@ -466,7 +465,7 @@ class TestEvalPathEquivalence:
         x = stream.generator.uniform(-1.0, 1.0, (rows, n))
         draws = tuple(
             np.concatenate(parts)
-            for parts in zip(*(BATCH_ESTIMATORS["esgs"].draw(oracle, stream, 1, n) for _ in x))
+            for parts in zip(*(KINDS["esgs"].estimator.draw(oracle, stream, 1, n) for _ in x))
         )
         with patch.object(estimators, "EVAL_CHUNK_VALUES", chunk):
             g, calls = esgs_rows(oracle, x, 0.3, draws, [stream] * rows)
@@ -516,7 +515,7 @@ class TestRowKernels:
                 z = gen.standard_normal(n)
                 draws = ((z / np.linalg.norm(z) if kind == "spherical" else z)[None],)
             draws += (oracle.noise_sampler(stream, 1),)
-            g, calls = BATCH_ESTIMATORS[kind].estimate(oracle, x[None], eta, draws, [stream])
+            g, calls = KINDS[kind].estimator.estimate(oracle, x[None], eta, draws, [stream])
             np.testing.assert_array_equal(g[0], sample.estimate)
             assert calls == sample.oracle_calls
 
@@ -548,8 +547,9 @@ def per_point_estimate(kind, oracle, x, eta, stream):
     """A decision-dependent estimate evaluated one point per oracle call.
 
     Replays the kind's draws from ``stream``: the known-density leg's ``xi``,
-    then ``(V, Z)``; the random field is sampled once per coordinate, after
-    them.  Each replacement point goes to the oracle alone.
+    then ``(V, Z)``, then the random field's noise block.  The field maps
+    each coordinate's point pair alone, and each replacement point goes to
+    the oracle alone.
     """
     gen = stream.generator
     n = x.shape[0]
@@ -559,6 +559,8 @@ def per_point_estimate(kind, oracle, x, eta, stream):
         xi = oracle.ref_sampler(stream, 1)
     shift = eta * np.sqrt(2.0 * -np.log1p(-gen.random()))
     base = x - eta * gen.standard_normal(n)
+    if kind == "esgs_dd_unknown":
+        (noise,) = oracle.noise_sampler(stream, 1, n)
     f_plus, f_minus = np.empty(n), np.empty(n)
     for i in range(n):
         plus, minus = base.copy(), base.copy()
@@ -568,7 +570,7 @@ def per_point_estimate(kind, oracle, x, eta, stream):
             (f_plus[i],) = oracle.weighted_value(plus, xi)
             (f_minus[i],) = oracle.weighted_value(minus, xi)
         else:
-            xi_plus, xi_minus = oracle.field_sampler(plus, minus, stream)
+            xi_plus, xi_minus = oracle.field_sampler(plus, minus, noise[i])
             f_plus[i] = oracle.f_hat(plus, xi_plus)
             f_minus[i] = oracle.f_hat(minus, xi_minus)
     return (f_plus - f_minus) / (eta * SQRT_2PI)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from zosmooth.bench import KINDS
 from zosmooth.decision import esgs_dd_known, esgs_dd_unknown
 from zosmooth.estimators import (
-    BATCH_ESTIMATORS,
     ESTIMATORS,
     SQRT_2PI,
     GradientSample,
@@ -396,7 +395,7 @@ class TestObserver:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
-        kind=st.sampled_from(sorted(BATCH_ESTIMATORS)),
+        kind=st.sampled_from(sorted(ESTIMATORS)),
         n=st.sampled_from([1, 3, 400, 900]),
         iterations=st.integers(0, 160),
         rows=st.integers(1, 3),
@@ -406,7 +405,7 @@ class TestObserver:
     def test_observed_records(self, kind, n, iterations, rows):
         def go(streams, observe=None):
             return run(
-                noisy_quadratic_oracle(n), BATCH_ESTIMATORS[kind],
+                noisy_quadratic_oracle(n), KINDS[kind].estimator,
                 Schedule(kind="custom", alpha=0.5, beta=0.5), iterations,
                 FeasibleSet.symmetric_box(1.0, n), np.full(n, 0.5), streams,
                 observe=observe,
