@@ -182,6 +182,9 @@ class BenchConfig:
             }
         else:
             raise ConfigError("iterations must be an int or a per-estimator mapping")
+        for kind, count in iterations.items():
+            if count < 0:
+                raise ConfigError(f"iterations[{kind!r}] must be >= 0, got {count}")
         replications = _typed("replications", raw["replications"], int)
         if replications < 1:
             raise ConfigError("replications must be >= 1")

@@ -18,13 +18,13 @@ with a different oracle: like esgs, each draws one ``(sqrt(2V), Z / eta,
 xi)`` triple per row, shares it across all coordinates and runs the row
 kernel :func:`~zosmooth.estimators.esgs_rows`, whose one ``eval_axis`` call
 is the oracle's method here.  The known-density ``xi`` is the reference
-draw, drawn before ``(V, Z)``; the random-field ``xi`` is the field's noise,
-drawn after them.  Each is one kind (:data:`KNOWN_DENSITY`,
-:data:`RANDOM_FIELD`, registered in :data:`zosmooth.bench.KINDS`), and
-:func:`esgs_dd_known` and :func:`esgs_dd_unknown` are its draw of size 1
-followed by the kernel on one row.  So the oracles' callables broadcast over
-leading axes of points, as :class:`KnownDensityOracle` and
-:class:`RandomFieldOracle` document.
+draw, drawn before ``(V, Z)`` and ending with its reference density; the
+random-field ``xi`` is the field's noise, drawn after them.  Each is one
+kind (:data:`KNOWN_DENSITY`, :data:`RANDOM_FIELD`, registered in
+:data:`zosmooth.bench.KINDS`), and :func:`esgs_dd_known` and
+:func:`esgs_dd_unknown` are its draw of size 1 followed by the kernel on one
+row.  So the oracles' callables broadcast over leading axes of points, as
+:class:`KnownDensityOracle` and :class:`RandomFieldOracle` document.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ class KnownDensityOracle:
         ``ref_sampler(stream, size) -> xi`` drawing ``size`` independent
         realizations from the reference density, each component an array of
         shape ``(size,)``.  The known-density kind draws ``xi`` before
-        ``(V, Z)`` and packs it into one ``(size, c)`` array for ``c``
-        components.
+        ``(V, Z)``, evaluates ``ref_density`` once on the block and packs
+        both into one ``(size, c + 1)`` array: the ``c`` components, then
+        their reference density.
     ratio_bound_m : float
         Uniform bound on ``cond_density / ref_density``; checked at every
         evaluated point, violations raise :class:`RatioBoundError`.
@@ -92,34 +93,43 @@ class KnownDensityOracle:
     lip_f_hat: float
     lip_xi: float
 
-    def weighted_value(self, x: np.ndarray, xi: tuple):
+    def weighted_value(self, x: np.ndarray, xi: tuple, ref: np.ndarray | None = None):
         """``f_hat(x, xi) * p(xi | x) / p_ref(xi)`` with bound checks.
 
         ``x`` is one point or an array of points along its last axis, with
         the components of ``xi`` broadcasting against its leading axes; both
-        bounds are checked at every point.
+        bounds are checked at every point, and a NaN ratio or value is no
+        violation.  ``ref`` is ``ref_density(xi)`` when the caller has it
+        already, as :meth:`eval_axis` does; it is computed when not given.
         """
-        ratio = self.cond_density(xi, x) / self.ref_density(xi)
-        if np.greater(ratio, self.ratio_bound_m).any():
+        if ref is None:
+            ref = self.ref_density(xi)
+        ratio = self.cond_density(xi, x) / ref
+        # fmax skips NaN, as a comparison does; one reduction is cheaper
+        # than comparing every entry and then testing any()
+        largest = np.fmax.reduce(ratio, axis=None)
+        if largest > self.ratio_bound_m:
             raise RatioBoundError(
-                f"density ratio {np.max(ratio):.6g} exceeds bound "
-                f"{self.ratio_bound_m:.6g}"
+                f"density ratio {largest:.6g} exceeds bound {self.ratio_bound_m:.6g}"
             )
         value = self.f_hat(x, xi)
-        if np.greater(np.abs(value), self.value_bound_mf).any():
+        largest = np.fmax.reduce(np.abs(value), axis=None)
+        if largest > self.value_bound_mf:
             raise ValueBoundError(
-                f"|f_hat| = {np.max(np.abs(value)):.6g} exceeds bound "
-                f"{self.value_bound_mf:.6g}"
+                f"|f_hat| = {largest:.6g} exceeds bound {self.value_bound_mf:.6g}"
             )
         return value * ratio
 
     def eval_axis(self, base, plus, minus, xi):
         """One :meth:`weighted_value` call at the rows' ``2n`` replacement
-        points, with ``xi`` the rows' ``(R, c)`` packed reference draws."""
+        points, with ``xi`` the rows' ``(R, c + 1)`` packed reference draws:
+        ``c`` components, then their reference density."""
         n = base.shape[1]
         points = replacement_points(base, np.concatenate((plus, minus), axis=1))
-        # component j of row r, broadcasting over the row's 2n points
-        w = self.weighted_value(points, tuple(xi.T[:, :, None]))
+        # component j of row r, broadcasting over the row's 2n points, then
+        # the row's reference density
+        *xi, ref = xi.T[:, :, None]
+        w = self.weighted_value(points, tuple(xi), ref)
         return w[:, :n], w[:, n:]
 
 
@@ -158,7 +168,10 @@ class RandomFieldOracle:
 
 
 def _known_draws(oracle: KnownDensityOracle, stream, size: int, n: int):
-    xi = np.stack(oracle.ref_sampler(stream, size), axis=1)
+    # the reference density depends on xi alone, so it is evaluated once per
+    # block, not once per iteration, and packed after the components
+    xi = oracle.ref_sampler(stream, size)
+    xi = np.stack((*xi, oracle.ref_density(xi)), axis=1)
     return shift_draws(oracle, stream, size, n) + (xi,)
 
 

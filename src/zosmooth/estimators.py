@@ -67,8 +67,9 @@ class GradientSample:
     decision-dependent ones, ``(Z, xi)``, ``(u, xi)`` and ``(D, xi)`` for
     the two-point baselines, where ``xi`` is the oracle's noise
     realization.  The known-density ``xi`` is its reference draw, one value
-    per component and drawn before ``(V, Z)``; the random-field ``xi`` is
-    the noise its field maps, one row per coordinate.
+    per component followed by their reference density, and drawn before
+    ``(V, Z)``; the random-field ``xi`` is the noise its field maps, one row
+    per coordinate.
     ``oracle_calls`` counts noisy function evaluations consumed: ``2n`` for
     the coordinate-wise exponential-shift estimator, 2 for the two-point
     baselines.
@@ -147,16 +148,18 @@ def replacement_points(base, moved, first: int = 0, out=None) -> np.ndarray:
     n = base.shape[1]
     points = np.empty((rows, m, n)) if out is None else out
     points[:] = base[:, None]
-    points.reshape(rows, -1)[:, _replaced(m, n, first)] = moved
+    # one put: a fancy-index assignment took most of a small call's time
+    points.put(_replaced(rows, m, n, first), moved)
     return points
 
 
-@lru_cache(maxsize=None)
-def _replaced(m: int, n: int, first: int) -> np.ndarray:
-    """Flat index of each replaced coordinate in an ``(m, n)`` block; cached,
-    because computing it took as long as the rest of a small call."""
+@lru_cache(maxsize=256)
+def _replaced(rows: int, m: int, n: int, first: int) -> np.ndarray:
+    """Flat index of each replaced coordinate in a C-contiguous ``(rows, m,
+    n)`` block, in the order of ``moved``; cached, because computing it took
+    as long as the rest of a small call."""
     j = np.arange(m)
-    index = j * n + (first + j) % n
+    index = (np.arange(rows)[:, None] * (m * n) + (j * n + (first + j) % n)).ravel()
     index.flags.writeable = False
     return index
 

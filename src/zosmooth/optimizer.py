@@ -181,7 +181,11 @@ def step(
             f"dimension mismatch: iterate {x_k.shape} vs gradient {gradient.shape}"
         )
     u = x_k - gamma_k * gradient
-    if not np.isfinite(u).all():
+    # one reduction, not ndarray.all(), whose Python wrapper cost more than
+    # the test; a finite-sum test would be cheaper still, but summing +inf
+    # with -inf, or finite entries that overflow, prints a RuntimeWarning
+    # beside the one-line error
+    if not np.logical_and.reduce(np.isfinite(u), axis=None):
         raise NonFiniteError("projected step met a NaN or infinite point")
     return project(feasible, u)
 
@@ -267,10 +271,12 @@ def run(
     for first in range(0, iterations, block):
         size = min(block, iterations - first)
         # (size, R, ...) so that each iteration's slice is contiguous, filled
-        # one replication at a time after the last block is dropped, so that
-        # besides the block only one replication's draws are alive; a single
-        # replication's draws are the block, without a copy
-        blocks = None
+        # one replication at a time.  The last block, with the last
+        # iteration's draws (views into it), is dropped before the block is
+        # filled, and each replication's draws before the next replication
+        # draws, so that besides the block only one replication's draws are
+        # alive; a single replication's draws are the block, without a copy
+        blocks = draws = None
         for r, s in enumerate(streams):
             parts = batch.draw(oracle, s, size, n)
             if rows == 1:
@@ -280,14 +286,15 @@ def run(
                 blocks = [np.empty((size, rows) + p.shape[1:], p.dtype) for p in parts]
             for i, part in enumerate(parts):
                 blocks[i][:, r] = part
-        for j in range(size):
+            parts = part = None
+        for j, *draws in zip(range(size), *blocks):
             k = first + j
             if observe is not None:
                 observe(k, x, weighted_sum, gamma_total, total_calls)
             gamma_k, eta_k = schedule_values(schedule, k + offset)
             if not eta_k > 0:
                 raise ValueError(f"smoothing radius eta must be > 0, got {eta_k}")
-            g, used = batch.estimate(oracle, x, eta_k, [b[j] for b in blocks], streams)
+            g, used = batch.estimate(oracle, x, eta_k, draws, streams)
             try:
                 x_next = step(x, g, gamma_k, feasible)
             except NonFiniteError:

@@ -88,6 +88,8 @@ class TestConfig:
         assert config.iterations == {"esgs": 5, "gs": 3}
         with pytest.raises(ConfigError, match="missing"):
             small_config(iterations={"esgs": 5})
+        with pytest.raises(ConfigError, match=r"iterations\['gs'\] must be >= 0, got -1"):
+            small_config(iterations={"esgs": 5, "gs": -1})
 
     @pytest.mark.parametrize(
         "params, message",
@@ -685,6 +687,8 @@ class TestCli:
             {"schedule": {"kind": "convex_constant", "n": 2, "horizon": 10,
                           "radius_scale": -1.0, "l0": 1.0}},
             {"base_seed": -1},
+            {"iterations": {"esgs": 3, "gs": -1}},
+            {"iterations": -1},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from zosmooth.decision import (
+    KNOWN_DENSITY,
     KnownDensityOracle,
     RandomFieldOracle,
     RatioBoundError,
+    ValueBoundError,
     esgs_dd_known,
     esgs_dd_unknown,
     field_correlation,
@@ -153,6 +155,44 @@ class TestKnownDensityEstimator:
         with pytest.raises(RatioBoundError):
             for _ in range(200):
                 esgs_dd_known(tight, np.array([1.0]), PARAMS, stream)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        size=st.integers(1, 1100),
+        rows=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_ref_density_matches_per_row(self, size, rows, seed):
+        # the draw block's reference-density column has the bits of the
+        # density evaluated on each iteration's (R, 1) components
+        oracle = market_problem().dd_known
+        xi = KNOWN_DENSITY.draw(oracle, RandomStream(seed), size, 2)[-1]
+        assert xi.shape == (size, 3)
+        for r0 in range(0, size, rows):
+            per_row = oracle.ref_density(tuple(xi[r0 : r0 + rows, :-1].T[:, :, None]))
+            assert np.array_equal(xi[r0 : r0 + rows, -1], per_row[:, 0])
+
+    @pytest.mark.parametrize("over", [5.0, math.inf])
+    def test_guards_skip_nan_but_not_an_offending_neighbour(self, over):
+        # ratio = first coordinate, value = second, reference density 1
+        oracle = KnownDensityOracle(
+            f_hat=lambda x, xi: x[..., 1],
+            cond_density=lambda xi, x: x[..., 0],
+            ref_density=lambda xi: np.ones(np.shape(xi[0])),
+            ref_sampler=None,
+            ratio_bound_m=2.0,
+            value_bound_mf=2.0,
+            lip_f_hat=0.0,
+            lip_xi=0.0,
+        )
+        xi = (np.zeros(2),)
+        with pytest.raises(RatioBoundError):
+            oracle.weighted_value(np.array([[math.nan, 0.0], [over, 0.0]]), xi)
+        with pytest.raises(ValueBoundError):
+            oracle.weighted_value(np.array([[1.0, math.nan], [1.0, -over]]), xi)
+        # an all-NaN ratio or value is no bound violation
+        assert np.isnan(oracle.weighted_value(np.array([[math.nan, 1.0]] * 2), xi)).all()
+        assert np.isnan(oracle.weighted_value(np.array([[1.0, math.nan]] * 2), xi)).all()
 
 
 def shared_noise_field(c):

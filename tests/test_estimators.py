@@ -20,6 +20,7 @@ from zosmooth.estimators import (
     esgs_estimate,
     esgs_rows,
     gs_estimate,
+    replacement_points,
     second_moment_probe,
     shift_draws,
     spherical_estimate,
@@ -491,6 +492,43 @@ class TestEvalPathEquivalence:
         g_axis = esgs_estimate(oracle, x, PARAMS, RandomStream(77)).estimate
         g_eval = esgs_estimate(eval_only(oracle), x, PARAMS, RandomStream(77)).estimate
         np.testing.assert_allclose(g_axis, g_eval, rtol=1e-10, atol=1e-12)
+
+
+def fancy_index_replacement_points(base, moved, first):
+    """Reference: the replaced coordinates written by one fancy-index
+    assignment into a broadcast copy of ``base``."""
+    rows, m = moved.shape
+    n = base.shape[1]
+    points = np.empty((rows, m, n))
+    points[:] = base[:, None]
+    j = np.arange(m)
+    points.reshape(rows, -1)[:, j * n + (first + j) % n] = moved
+    return points
+
+
+class TestReplacementPoints:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        rows=st.integers(1, 6),
+        m=st.integers(1, 12),
+        n=st.integers(1, 9),
+        first=st.integers(0, 20),
+        use_out=st.booleans(),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fancy_index_assignment(self, rows, m, n, first, use_out, strided, seed):
+        gen = np.random.default_rng(seed)
+        base = gen.standard_normal((rows, n))
+        moved = gen.standard_normal((rows, m + 2))
+        # the generic esgs path passes column slices of its moved values
+        moved = moved[:, 1 : m + 1] if strided else moved[:, :m].copy()
+        out = np.full((rows, m, n), np.nan) if use_out else None
+        points = replacement_points(base, moved, first, out)
+        assert points.shape == (rows, m, n)
+        assert np.array_equal(points, fancy_index_replacement_points(base, moved, first))
+        if use_out:
+            assert points is out
 
 
 class TestRowKernels:

@@ -135,6 +135,25 @@ class TestStep:
             step(np.zeros(2), np.array([math.nan, 0.0]), 0.1,
                  FeasibleSet.symmetric_box(1.0, 2))
 
+    # the guard prints no RuntimeWarning, which would sit beside the CLI's
+    # one-line error
+    @pytest.mark.filterwarnings("error")
+    def test_finite_point_whose_sum_overflows_passes(self):
+        out = step(np.array([[1e308, 1e308]]), np.zeros((1, 2)), 0.1,
+                   FeasibleSet.unconstrained())
+        np.testing.assert_array_equal(out, [[1e308, 1e308]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_non_finite_entry_raises(self, bad):
+        x = np.zeros((3, 2))
+        x[1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            step(x, np.zeros((3, 2)), 0.1, FeasibleSet.unconstrained())
+        x[2, 1] = -bad  # an inf of each sign, whose sum is NaN
+        with pytest.raises(NonFiniteError):
+            step(x, np.zeros((3, 2)), 0.1, FeasibleSet.unconstrained())
+
 
 def linear_oracle(c):
     c = np.asarray(c, dtype=float)
