@@ -25,7 +25,7 @@ import inspect
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -68,33 +68,6 @@ _ORACLE_NAMES = {
     "dd_unknown": "random-field",
 }
 
-_SCHEDULE_KEYS = {
-    "kind",
-    "n",
-    "horizon",
-    "radius_scale",
-    "l0",
-    "theta",
-    "mu",
-    "eta_fixed",
-    "alpha",
-    "beta",
-    "gamma_scale",
-    "eta_scale",
-}
-
-_CONFIG_KEYS = {
-    "problem",
-    "problem_params",
-    "estimators",
-    "schedule",
-    "iterations",
-    "replications",
-    "base_seed",
-    "output",
-    "record_trajectories",
-}
-
 
 class ConfigError(ValueError):
     """Raised on malformed benchmark configuration."""
@@ -118,7 +91,7 @@ class BenchConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "BenchConfig":
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - {f.name for f in fields(BenchConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("problem", "estimators", "iterations", "replications", "base_seed"):
@@ -157,7 +130,7 @@ class BenchConfig:
         if schedule is not None:
             if not isinstance(schedule, dict):
                 raise ConfigError("schedule must be a JSON object")
-            unknown = set(schedule) - _SCHEDULE_KEYS
+            unknown = set(schedule) - {f.name for f in fields(Schedule)}
             if unknown:
                 raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
             if "kind" not in schedule:

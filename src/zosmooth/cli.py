@@ -5,8 +5,8 @@ Subcommands
 moments   Second-moment scaling table for the estimators across dimensions.
 run       One benchmark from a JSON config; writes raw rows and, optionally,
           per-iterate trajectory dumps.
-compare   Estimator grid under an equal oracle budget; writes raw rows and a
-          mean/stddev aggregate table.
+compare   Estimator grid under an equal oracle budget; writes raw rows, a
+          mean/stddev aggregate table and, optionally, trajectory dumps.
 dd        Market problem under both decision-dependent protocols; writes raw
           rows and the convergence-target report.
 
@@ -116,8 +116,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    """``run`` writes the rows and any trajectories; ``compare`` writes the
-    rows and their aggregate table."""
+    """Write the rows and any recorded trajectories; ``compare`` also
+    writes the rows' aggregate table."""
     config = _load_config(args)
     rows, summary = bench.run_benchmark(config)
     out = bench.output_dir(config.output, args.out)
@@ -126,11 +126,9 @@ def _cmd_benchmark(args) -> int:
     if args.command == "compare":
         written.append(out / "aggregate.csv")
         bench.emit_aggregate_csv(rows, written[1])
-    else:
-        for kind, (iterates, calls) in summary.trajectories.items():
-            bench.emit_trajectory(
-                iterates, calls, summary.problem, out / f"trajectory_{kind}.csv"
-            )
+    for kind, (iterates, calls) in summary.trajectories.items():
+        written.append(out / f"trajectory_{kind}.csv")
+        bench.emit_trajectory(iterates, calls, summary.problem, written[-1])
     for kind in config.estimators:
         print(
             f"{kind}: mean error {summary.mean_error[kind]:.6g}, "
@@ -208,7 +206,10 @@ def main(argv: list[str] | None = None) -> int:
         # checked before any subcommand runs, so no output directory is made
         if args.seed is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        # numpy's overflow warnings would print lines before the one-line
+        # error; the NonFiniteError guards still stop every NaN and infinity
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

@@ -24,7 +24,12 @@ kind (:data:`KNOWN_DENSITY`, :data:`RANDOM_FIELD`, registered in
 :data:`zosmooth.bench.KINDS`), and :func:`esgs_dd_known` and
 :func:`esgs_dd_unknown` are its draw of size 1 followed by the kernel on one
 row.  So the oracles' callables broadcast over leading axes of points, as
-:class:`KnownDensityOracle` and :class:`RandomFieldOracle` document.
+:class:`KnownDensityOracle` and :class:`RandomFieldOracle` document.  The
+reference draw and the field's noise come from the block samplers, as all
+randomness does: the kernel takes no stream.  Another decision-dependent
+estimator is one more :class:`~zosmooth.estimators.BatchEstimator` whose
+kernel draws nothing; :func:`~zosmooth.optimizer.run` raises
+:class:`TypeError` for a plain function.
 """
 
 from __future__ import annotations

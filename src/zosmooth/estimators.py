@@ -15,10 +15,14 @@ estimate.
 Each kind is one :class:`BatchEstimator`: a block sampler that draws one
 replication's perturbations for many iterations from its own stream, then
 the oracle's noise for the same iterations, and a row kernel that computes
-the estimates at every row of an ``(R, n)`` array of points.  The kernels
-hand all rows of an iteration to the oracle at once: a two-point kernel
-makes one :attr:`StochasticOracle.eval` call on the ``(R, 2, n)`` stacked
-point pairs, and the exponential-shift kernel :func:`esgs_rows` one
+the estimates at every row of an ``(R, n)`` array of points.  A kernel
+takes no stream and draws nothing, so all randomness enters through the
+block sampler.  A custom estimator is one more :class:`BatchEstimator`;
+:func:`batch_form`, through which the driver and :func:`second_moment_probe`
+take their estimator, raises :class:`TypeError` for anything else.  The
+kernels hand all rows of an iteration to the oracle at once: a two-point
+kernel makes one :attr:`StochasticOracle.eval` call on the ``(R, 2, n)``
+stacked point pairs, and the exponential-shift kernel :func:`esgs_rows` one
 ``eval_axis`` call on the ``(R, n)`` rows, or, without one, ``eval`` calls
 on chunks of the ``R * 2n`` replacement points.  So the oracle's callables
 broadcast, as :class:`StochasticOracle` documents.  The driver advances R
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -190,11 +194,11 @@ def _replacement_values(evaluate, base, moved, xi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Row kernels: the estimates at every row of an (R, n) array of points.  Each
 # takes one draw per row, stacked over rows (``draws``, ending with the rows'
-# noise), and one stream per row; it returns the (R, n) estimates and the
+# noise), and draws nothing itself; it returns the (R, n) estimates and the
 # oracle calls each row consumed.
 
 
-def esgs_rows(oracle, x, eta, draws, streams):
+def esgs_rows(oracle, x, eta, draws):
     """Exponentially-shifted Gaussian smoothing from ``draws = (sqrt(2V), Z / eta, xi)``.
 
     Component ``i`` of row ``r`` is
@@ -234,7 +238,7 @@ def _two_point_diffs(oracle, plus, minus, xi) -> np.ndarray:
     return f[:, 0] - f[:, 1]
 
 
-def gs_rows(oracle, x, eta, draws, streams):
+def gs_rows(oracle, x, eta, draws):
     """Two-point Gaussian smoothing with unit covariance from ``draws = (Z, xi)``.
 
     ``g = ((F(x + eta*Z, xi) - F(x, xi)) / eta) * Z`` with ``Z`` standard
@@ -245,7 +249,7 @@ def gs_rows(oracle, x, eta, draws, streams):
     return (diff / eta)[:, None] * z, 2
 
 
-def spherical_rows(oracle, x, eta, draws, streams):
+def spherical_rows(oracle, x, eta, draws):
     """Two-point spherical smoothing from ``draws = (u, xi)``, unit rows.
 
     ``g = (n / (2*eta)) * (F(x + eta*u, xi) - F(x - eta*u, xi)) * u`` with
@@ -256,7 +260,7 @@ def spherical_rows(oracle, x, eta, draws, streams):
     return (x.shape[1] / (2.0 * eta)) * diff[:, None] * u, 2
 
 
-def spsa_rows(oracle, x, eta, draws, streams):
+def spsa_rows(oracle, x, eta, draws):
     """Two-point simultaneous perturbation from ``draws = (D, xi)``.
 
     ``g_i = (F(x + eta*D, xi) - F(x - eta*D, xi)) / (2*eta*D_i)`` with
@@ -315,9 +319,10 @@ class BatchEstimator:
     ``draw(oracle, stream, size, n)`` draws one replication's perturbations
     and noise for ``size`` consecutive iterations from that replication's
     own stream, as a tuple of arrays with leading axis ``size``.
-    ``estimate(oracle, x, eta, draws, streams)`` is the row kernel: ``draws``
-    holds each array of ``draw`` at the current iteration, stacked over the
-    R rows of ``x``.
+    ``estimate(oracle, x, eta, draws)`` is the row kernel: ``draws`` holds
+    each array of ``draw`` at the current iteration, stacked over the R rows
+    of ``x``.  The kernel gets no stream, so all randomness enters through
+    ``draw``, and a row's estimate does not depend on the rows beside it.
     """
 
     name: str
@@ -335,7 +340,7 @@ class BatchEstimator:
         then its row kernel (which states the formula) on ``x`` as one row."""
         x = np.asarray(x, dtype=float)
         draws = self.draw(oracle, stream, 1, x.shape[0])
-        g, calls = self.estimate(oracle, x[None], params.eta, draws, [stream])
+        g, calls = self.estimate(oracle, x[None], params.eta, draws)
         return GradientSample(g[0], tuple(d[0] for d in draws), calls)
 
 
@@ -354,41 +359,24 @@ gs_estimate = ESTIMATORS["gs"]
 spherical_estimate = ESTIMATORS["spherical"]
 spsa_estimate = ESTIMATORS["spsa"]
 
-EstimatorFn = Callable[..., GradientSample]
 
-
-def batch_form(estimator: BatchEstimator | EstimatorFn) -> BatchEstimator:
-    """The batched form of ``estimator``.
-
-    A :class:`BatchEstimator` is its own batched form, and a
-    :meth:`BatchEstimator.sample` resolves to the estimator it belongs to:
-    every entry of :data:`ESTIMATORS`, and
-    :func:`~zosmooth.decision.esgs_dd_known` and
-    :func:`~zosmooth.decision.esgs_dd_unknown`, whose kernels need the
-    broadcasting callables their oracles document.  Any other single-sample
-    function is called once per row, drawing from the row's stream as it
-    goes.
+def batch_form(estimator: object) -> BatchEstimator:
+    """The :class:`BatchEstimator` that ``estimator`` is, or whose
+    :meth:`~BatchEstimator.sample` it is: every entry of :data:`ESTIMATORS`,
+    and :func:`~zosmooth.decision.esgs_dd_known` and
+    :func:`~zosmooth.decision.esgs_dd_unknown`.  Anything else raises
+    :class:`TypeError`; a custom estimator is a :class:`BatchEstimator`
+    whose kernel draws nothing.
     """
     if isinstance(estimator, BatchEstimator):
         return estimator
     owner = getattr(estimator, "__self__", None)
     if isinstance(owner, BatchEstimator):
         return owner
-    name = getattr(estimator, "__name__", repr(estimator))
-    return BatchEstimator(name, _no_draws, partial(_per_row, estimator))
-
-
-def _no_draws(oracle, stream, size, n):
-    return ()
-
-
-def _per_row(sample, oracle, x, eta, draws, streams):
-    params = SmoothingParams(eta)
-    samples = [sample(oracle, row, params, s) for row, s in zip(x, streams)]
-    calls = {s.oracle_calls for s in samples}
-    if len(calls) != 1:
-        raise ValueError(f"rows used different oracle call counts {sorted(calls)}")
-    return np.array([s.estimate for s in samples]), calls.pop()
+    raise TypeError(
+        f"{estimator!r} is not a BatchEstimator or its sample method; wrap a "
+        f"custom estimator as BatchEstimator(name, draw, estimate)"
+    )
 
 
 # The probe's (rows, n) blocks hold about PROBE_BLOCK_VALUES numbers, fewer
@@ -401,7 +389,7 @@ PROBE_BLOCK_VALUES = 1 << 13
 
 
 def second_moment_probe(
-    make_estimate: BatchEstimator | EstimatorFn,
+    make_estimate: BatchEstimator,
     oracle: StochasticOracle,
     x: np.ndarray,
     params: SmoothingParams,
@@ -410,11 +398,12 @@ def second_moment_probe(
 ) -> float:
     """Monte-Carlo estimate of E[||g||^2] from ``sample_count`` fresh draws.
 
-    ``make_estimate`` is resolved by :func:`batch_form`.  The samples are
-    drawn from ``stream`` in blocks of rows, and each block is evaluated as
-    the rows of one kernel call, so the draws fall in a different order than
-    in ``sample_count`` single-sample calls on the same stream.  A function
-    without a batched form is called once per sample, in order.
+    ``make_estimate`` is a :class:`BatchEstimator` or its ``sample`` method,
+    resolved by :func:`batch_form`, which raises :class:`TypeError` for
+    anything else.  The samples are drawn from ``stream`` in blocks of rows,
+    and each block is evaluated as the rows of one kernel call, so the draws
+    fall in a different order than in ``sample_count`` single-sample calls
+    on the same stream.
 
     Raises :class:`NonFiniteError`, naming the estimator and the first
     sample, when a sample's ``||g||^2`` is NaN or infinite.
@@ -432,7 +421,7 @@ def second_moment_probe(
         size = min(block, sample_count - first)
         draws = batch.draw(oracle, stream, size, n)
         rows = np.broadcast_to(x, (size, n))
-        g, _ = batch.estimate(oracle, rows, params.eta, draws, [stream] * size)
+        g, _ = batch.estimate(oracle, rows, params.eta, draws)
         squares = np.vecdot(g, g)
         if not np.isfinite(squares).all():
             bad = first + int(np.flatnonzero(~np.isfinite(squares))[0])

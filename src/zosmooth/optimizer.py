@@ -42,7 +42,7 @@ import numpy as np
 
 # NonFiniteError lives in estimators, whose probe raises it too, and stays
 # importable from here
-from .estimators import BatchEstimator, EstimatorFn, NonFiniteError, batch_form
+from .estimators import BatchEstimator, NonFiniteError, batch_form
 from .projections import FeasibleSet, project
 from .rng import RandomStream
 
@@ -192,22 +192,18 @@ def step(
 
 @dataclass
 class Trajectory:
-    """Summary of one optimization run: the schedule values and cumulative
+    """Summary of one optimization run: the step sizes and cumulative
     oracle calls of each iteration, the final iterate ``x_K`` and the
     gamma-weighted sum over ``x_0 .. x_{K-1}``.  The iterates themselves are
-    kept only by an observer (see :func:`run`)."""
+    kept only by an observer (see :func:`run`), and the smoothing radii are
+    the schedule's (:func:`schedule_values`)."""
 
     gammas: np.ndarray
-    etas: np.ndarray
     oracle_calls_cumulative: np.ndarray
     wall_time_ms: float
     final_x: np.ndarray
     weighted_sum: np.ndarray
     gamma_total: float
-
-    @property
-    def iteration_count(self) -> int:
-        return len(self.gammas)
 
 
 # observe(k, x, weighted_sum, gamma_total, oracle_calls); see run
@@ -216,7 +212,7 @@ Observer = Callable[[int, np.ndarray, np.ndarray, float, int], None]
 
 def run(
     oracle,
-    estimator: BatchEstimator | EstimatorFn,
+    estimator: BatchEstimator,
     schedule: Schedule,
     iterations: int,
     feasible: FeasibleSet,
@@ -226,12 +222,14 @@ def run(
 ) -> Trajectory | list[Trajectory]:
     """Run ``iterations`` estimate-then-step updates from ``x0``.
 
-    ``stream`` is one stream, giving one :class:`Trajectory`, or a sequence
-    of R streams, one per replication, giving a list of R trajectories.  The
-    initial point is projected onto the feasible set if necessary.  Each
-    trajectory is fully deterministic given its own stream.  The trajectories
-    of one batch share their ``gammas``, ``etas`` and
-    ``oracle_calls_cumulative`` arrays.
+    ``estimator`` is a :class:`~zosmooth.estimators.BatchEstimator` or its
+    ``sample`` method; anything else raises :class:`TypeError` (see
+    :func:`~zosmooth.estimators.batch_form`).  ``stream`` is one stream,
+    giving one :class:`Trajectory`, or a sequence of R streams, one per
+    replication, giving a list of R trajectories.  The initial point is
+    projected onto the feasible set if necessary.  Each trajectory is fully
+    deterministic given its own stream.  The trajectories of one batch share
+    their ``gammas`` and ``oracle_calls_cumulative`` arrays.
 
     ``observe(k, x, weighted_sum, gamma_total, oracle_calls)``, when given,
     is called for each k = 0..K in order with the state before iteration k:
@@ -260,7 +258,6 @@ def run(
     offset = 1 if schedule.starts_at_one else 0
 
     gammas = np.empty(iterations)
-    etas = np.empty(iterations)
     calls = np.empty(iterations, dtype=np.int64)
     weighted_sum = np.zeros((rows, n))
     gamma_total = 0.0
@@ -294,7 +291,7 @@ def run(
             gamma_k, eta_k = schedule_values(schedule, k + offset)
             if not eta_k > 0:
                 raise ValueError(f"smoothing radius eta must be > 0, got {eta_k}")
-            g, used = batch.estimate(oracle, x, eta_k, draws, streams)
+            g, used = batch.estimate(oracle, x, eta_k, draws)
             try:
                 x_next = step(x, g, gamma_k, feasible)
             except NonFiniteError:
@@ -304,7 +301,6 @@ def run(
             x = x_next
             total_calls += used
             gammas[k] = gamma_k
-            etas[k] = eta_k
             calls[k] = total_calls
     if observe is not None:
         observe(iterations, x, weighted_sum, gamma_total, total_calls)
@@ -313,7 +309,6 @@ def run(
     trajectories = [
         Trajectory(
             gammas=gammas,
-            etas=etas,
             oracle_calls_cumulative=calls,
             wall_time_ms=wall_ms,
             final_x=x[r].copy(),

@@ -13,6 +13,7 @@ import pytest
 
 from zosmooth.bench import BenchConfig, emit_csv, run_benchmark, run_dd_benchmark, run_problem
 from zosmooth.estimators import (
+    ESTIMATORS,
     SmoothingParams,
     StochasticOracle,
     esgs_estimate,
@@ -128,6 +129,55 @@ def test_criterion_2_moment_bound_suite():
         ok and elapsed < 60.0,
         "; ".join(details) + f"; gs/esgs ratio at n=200: {ratio:.0f} (>= 10), "
         f"{elapsed:.1f}s (< 60s)",
+    )
+
+
+def closed_form_moments(kind, n, l0):
+    """Mean and variance of ||g||^2 on F = l0 * x_1 at any x and eta.
+
+    esgs: ||g||^2 = (4/pi) l0^2 V with V ~ Exp(1).  gs: l0^2 Z_1^2 ||Z||^2,
+    whose square has mean l0^4 (105 + 30(n-1) + 3(n-1)(n+1)).  spherical:
+    n^2 l0^2 u_1^2 with u uniform on the sphere.  spsa: n l0^2 always.
+    """
+    if kind == "esgs":
+        return 4.0 / math.pi * l0**2, 16.0 / math.pi**2 * l0**4
+    if kind == "gs":
+        mean = l0**2 * (n + 2)
+        fourth = l0**4 * (105 + 30 * (n - 1) + 3 * (n - 1) * (n + 1))
+        return mean, fourth - mean**2
+    if kind == "spherical":
+        return n * l0**2, n**2 * (2 * n - 2) / (n + 2) * l0**4
+    return n * l0**2, 0.0
+
+
+def test_criterion_2_closed_form_moments():
+    # each probe within 5 standard errors of its closed form; spsa's
+    # ||g||^2 is a constant, met to rounding
+    t0 = time.perf_counter()
+    eta = SmoothingParams(0.05)
+    l0, samples = 3.0, 5000
+    details = []
+    ok = True
+    for i, kind in enumerate(("esgs", "gs", "spherical", "spsa")):
+        for n in (10, 50, 200):
+            probe = second_moment_probe(
+                ESTIMATORS[kind], linear_first_coordinate_oracle(l0, n), np.zeros(n),
+                eta, samples, RandomStream(2005 + i, n),
+            )
+            mean, variance = closed_form_moments(kind, n, l0)
+            if kind == "spsa":
+                error = abs(probe - mean) / mean
+                ok = ok and error <= 1e-12
+                details.append(f"{kind} n={n}: rel {error:.1e}")
+            else:
+                z = (probe - mean) / math.sqrt(variance / samples)
+                ok = ok and abs(z) <= 5.0
+                details.append(f"{kind} n={n}: z {z:+.2f}")
+    elapsed = time.perf_counter() - t0
+    report(
+        2,
+        ok and elapsed < 30.0,
+        "; ".join(details) + f"; {elapsed:.1f}s (< 30s)",
     )
 
 

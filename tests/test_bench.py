@@ -429,6 +429,28 @@ class TestCli:
         assert (out / "results.csv").exists()
         assert (out / "aggregate.csv").exists()
 
+    def test_compare_writes_recorded_trajectories(self, tmp_path):
+        config = self.write_config(
+            tmp_path,
+            {
+                "problem": "quad_l1",
+                "problem_params": {"n": 3, "seed": 1},
+                "estimators": ["esgs", "gs"],
+                "iterations": 4,
+                "replications": 2,
+                "base_seed": 9,
+                "record_trajectories": True,
+            },
+        )
+        out = tmp_path / "out"
+        assert cli_main(["compare", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "aggregate.csv").exists()
+        # K_kind at the equal budget: 4 for esgs, 4n = 12 for gs
+        for kind, iterations in (("esgs", 4), ("gs", 12)):
+            with (out / f"trajectory_{kind}.csv").open() as fh:
+                dump = list(csv.DictReader(fh))
+            assert [int(rec["k"]) for rec in dump] == list(range(iterations + 1))
+
     def test_run_subcommand_with_trajectories(self, tmp_path):
         config = self.write_config(
             tmp_path,
@@ -608,8 +630,7 @@ class TestCli:
         self.moments_oracle_with(monkeypatch, lambda x, xi: np.full(x.shape[:-1], np.inf))
         out = tmp_path / "out"
         args = ["moments", "--dims", "3", "--samples", "20", "--out", str(out)]
-        with np.errstate(invalid="ignore"):
-            assert cli_main(args) == 4
+        assert cli_main(args) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "'esgs'" in err[0] and "sample 0 " in err[0]
@@ -647,15 +668,19 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: oracle budget mismatch")
 
     def test_non_finite_iterate_exit_code(self, tmp_path, capsys):
-        raw = small_config_raw(
-            schedule={"kind": "custom", "alpha": 0.5, "beta": 0.5, "gamma_scale": float("inf")}
-        )
-        config = self.write_config(tmp_path, raw)
-        out = tmp_path / "out"
-        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 4
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert "'esgs'" in err[0] and "iteration k=0" in err[0]
+        # a finite 1e308 step overflows in numpy, whose warning would print
+        # lines before the error line
+        for gamma_scale in (float("inf"), 1e308):
+            raw = small_config_raw(
+                schedule={"kind": "custom", "alpha": 0.5, "beta": 0.5,
+                          "gamma_scale": gamma_scale}
+            )
+            config = self.write_config(tmp_path, raw)
+            out = tmp_path / "out"
+            assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 4
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert "'esgs'" in err[0] and "iteration k=0" in err[0]
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"problem": "quad_l1"})

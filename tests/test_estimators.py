@@ -14,6 +14,7 @@ from zosmooth.estimators import (
     EVAL_CHUNK_VALUES,
     PROBE_BLOCK_VALUES,
     SQRT_2PI,
+    BatchEstimator,
     GradientSample,
     SmoothingParams,
     StochasticOracle,
@@ -170,7 +171,7 @@ class TestEsgs:
         stream = RandomStream(seed)
         root_2v, z_unit = shift_draws(oracle, stream, 1, n)
         xi = oracle.noise_sampler(stream, 1)
-        rows, calls = esgs_rows(oracle, x[None, :], eta, (root_2v, z_unit, xi), [stream])
+        rows, calls = esgs_rows(oracle, x[None, :], eta, (root_2v, z_unit, xi))
         check(rows[0], root_2v[0], eta * z_unit[0])
         assert calls == 2 * n
 
@@ -336,22 +337,28 @@ class TestSecondMomentProbe:
         )
         assert counter["calls"] == count * (2 * n if kind == "esgs" else 2)
 
-    def test_custom_single_sample_function_gives_the_loop_value(self):
+    def test_custom_estimator_is_a_batch_estimator(self):
         def doubled(oracle, x, params, stream):
             g = spherical_estimate(oracle, x, params, stream)
             return GradientSample(2.0 * g.estimate, g.draws, g.oracle_calls)
 
         n, count = 1024, 200  # several probe blocks
         oracle = linear_oracle(np.linspace(-1.0, 1.0, n))
-        stream = RandomStream(19)
-        total = 0.0
-        for _ in range(count):
-            g = doubled(oracle, np.zeros(n), PARAMS, stream)
-            total += float(g.estimate @ g.estimate)
-        probe = second_moment_probe(
-            doubled, oracle, np.zeros(n), PARAMS, count, RandomStream(19)
+        probe = lambda estimator: second_moment_probe(
+            estimator, oracle, np.zeros(n), PARAMS, count, RandomStream(19)
         )
-        assert probe == total / count
+        with pytest.raises(TypeError, match="doubled"):
+            probe(doubled)
+        # the same estimator as a kernel on the spherical kind's draws
+        spherical = KINDS["spherical"].estimator
+
+        def doubled_rows(oracle, x, eta, draws):
+            g, calls = spherical.estimate(oracle, x, eta, draws)
+            return 2.0 * g, calls
+
+        assert probe(BatchEstimator("doubled", spherical.draw, doubled_rows)) == (
+            4.0 * probe(spherical)
+        )
 
     def test_non_finite_sample_names_kind_and_first_sample(self):
         # F = x_1 is infinite where |x_1| >= 0.75; gs at x = 0 evaluates
@@ -469,7 +476,7 @@ class TestEvalPathEquivalence:
             for parts in zip(*(KINDS["esgs"].estimator.draw(oracle, stream, 1, n) for _ in x))
         )
         with patch.object(estimators, "EVAL_CHUNK_VALUES", chunk):
-            g, calls = esgs_rows(oracle, x, 0.3, draws, [stream] * rows)
+            g, calls = esgs_rows(oracle, x, 0.3, draws)
         root_2v, z_unit, xi = draws
         expected = np.empty((rows, n))
         for r in range(rows):
@@ -553,7 +560,7 @@ class TestRowKernels:
                 z = gen.standard_normal(n)
                 draws = ((z / np.linalg.norm(z) if kind == "spherical" else z)[None],)
             draws += (oracle.noise_sampler(stream, 1),)
-            g, calls = KINDS[kind].estimator.estimate(oracle, x[None], eta, draws, [stream])
+            g, calls = KINDS[kind].estimator.estimate(oracle, x[None], eta, draws)
             np.testing.assert_array_equal(g[0], sample.estimate)
             assert calls == sample.oracle_calls
 

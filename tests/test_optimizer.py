@@ -10,6 +10,7 @@ from zosmooth.decision import esgs_dd_known, esgs_dd_unknown
 from zosmooth.estimators import (
     ESTIMATORS,
     SQRT_2PI,
+    BatchEstimator,
     GradientSample,
     StochasticOracle,
     batch_form,
@@ -348,14 +349,23 @@ class TestBatchedRun:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.final_x, b.final_x)
 
-    def test_custom_single_sample_estimator_runs_per_row(self):
+    def test_custom_estimator_is_a_batch_estimator(self):
         def halving(oracle, x, params, stream):
             return GradientSample(estimate=0.5 * np.asarray(x), draws=(), oracle_calls=3)
 
         sched = Schedule(kind="convex_diminishing", n=2)
-        trajs = run(
-            linear_oracle([1.0, 0.0]), halving, sched, 4, FeasibleSet.unconstrained(),
+        go = lambda estimator: run(
+            linear_oracle([1.0, 0.0]), estimator, sched, 4, FeasibleSet.unconstrained(),
             np.ones(2), [RandomStream(0), RandomStream(1)],
+        )
+        with pytest.raises(TypeError, match="halving"):
+            go(halving)
+        # the same estimator as a kernel that draws nothing
+        trajs = go(
+            BatchEstimator(
+                "halving", lambda oracle, stream, size, n: (),
+                lambda oracle, x, eta, draws: (0.5 * x, 3),
+            )
         )
         np.testing.assert_array_equal(trajs[0].final_x, trajs[1].final_x)
         assert list(trajs[0].oracle_calls_cumulative) == [3, 6, 9, 12]
@@ -439,8 +449,7 @@ class TestObserver:
         assert list(rec.calls.values()) == [0, *observed[0].oracle_calls_cumulative]
         # (b) observing changes no bit of the trajectories
         for a, b in zip(observed, plain):
-            for name in ("gammas", "etas", "oracle_calls_cumulative", "final_x",
-                         "weighted_sum"):
+            for name in ("gammas", "oracle_calls_cumulative", "final_x", "weighted_sum"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
             assert a.gamma_total == b.gamma_total
         # (c) the last record is the trajectory's final state
@@ -469,7 +478,6 @@ def synthetic_trajectory(iterates, gammas):
     weighted = (gammas[:, None] * iterates[:-1]).sum(axis=0)
     return Trajectory(
         gammas=gammas,
-        etas=gammas.copy(),
         oracle_calls_cumulative=np.arange(1, len(gammas) + 1) * 2,
         wall_time_ms=0.0,
         final_x=iterates[-1].copy(),
