@@ -28,6 +28,7 @@ from .optimizer import (
     sample_random_iterate,
     schedule_values,
     step,
+    step_sizes,
     weighted_average,
 )
 from .problems import (
@@ -93,6 +94,7 @@ __all__ = [
     "spherical_estimate",
     "spsa_estimate",
     "step",
+    "step_sizes",
     "weighted_average",
 ]
 

@@ -118,6 +118,8 @@ class BenchConfig:
             raise ConfigError(
                 f"estimators must be a JSON array of strings, got {estimators!r}"
             )
+        if not estimators:
+            raise ConfigError("estimators must name at least one estimator")
         estimators = tuple(estimators)
         for kind in estimators:
             if kind not in KINDS:
@@ -307,11 +309,6 @@ def _replication_stream(config: BenchConfig, kind: str, replication: int) -> Ran
     return RandomStream(config.base_seed, substream_id=(kind_key(kind), replication))
 
 
-def _total_calls(trajectory: Trajectory) -> int:
-    calls = trajectory.oracle_calls_cumulative
-    return int(calls[-1]) if len(calls) else 0
-
-
 def _final_error(problem: BenchmarkProblem, trajectory: Trajectory) -> float:
     # Convex problems report suboptimality of the gamma-weighted average
     # (the quantity the diminishing-step analysis controls); strongly convex
@@ -373,7 +370,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
             replication=replication,
             error=_final_error(problem, trajectory),
             wall_time_ms=int(round(trajectory.wall_time_ms)),
-            oracle_calls=_total_calls(trajectory),
+            oracle_calls=trajectory.oracle_calls,
             seed=config.base_seed,
         )
         for kind, batch in batches.items()
@@ -407,8 +404,11 @@ def run_dd_benchmark(
 
     Reports, per replication and on average, the distance of the final
     iterate to the closed-form optimum and to the performatively stable
-    point.
+    point.  It writes no trajectory dumps, so a config that asks for them is
+    rejected.
     """
+    if config.record_trajectories:
+        raise ConfigError("dd writes no trajectory dumps; drop record_trajectories")
     problem = build_problem(config)
     if problem.x_star is None or problem.x_ps is None:
         raise ConfigError("decision-dependent benchmark needs closed-form targets")
@@ -420,7 +420,7 @@ def run_dd_benchmark(
             dist_to_optimum=float(np.linalg.norm(trajectory.final_x - problem.x_star)),
             dist_to_stable=float(np.linalg.norm(trajectory.final_x - problem.x_ps)),
             wall_time_ms=int(round(trajectory.wall_time_ms)),
-            oracle_calls=_total_calls(trajectory),
+            oracle_calls=trajectory.oracle_calls,
             seed=config.base_seed,
         )
         for kind, batch in _run_batches(config, problem)[0].items()

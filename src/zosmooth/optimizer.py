@@ -165,6 +165,14 @@ def schedule_values(schedule: Schedule, k: int) -> tuple[float, float]:
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
+def step_sizes(schedule: Schedule, iterations: int) -> np.ndarray:
+    """The step sizes ``gamma_0 .. gamma_{K-1}`` that :func:`run` takes in
+    ``iterations`` iterations, bit for bit (the strongly convex schedule's
+    ``k + 1`` included)."""
+    offset = 1 if schedule.starts_at_one else 0
+    return np.array([schedule_values(schedule, k + offset)[0] for k in range(iterations)])
+
+
 def step(
     x_k: np.ndarray, gradient: np.ndarray, gamma_k: float, feasible: FeasibleSet
 ) -> np.ndarray:
@@ -192,18 +200,17 @@ def step(
 
 @dataclass
 class Trajectory:
-    """Summary of one optimization run: the step sizes and cumulative
-    oracle calls of each iteration, the final iterate ``x_K`` and the
-    gamma-weighted sum over ``x_0 .. x_{K-1}``.  The iterates themselves are
-    kept only by an observer (see :func:`run`), and the smoothing radii are
-    the schedule's (:func:`schedule_values`)."""
+    """End state of one optimization run: the final iterate ``x_K``, the
+    sums of ``gamma_j * x_j`` and of ``gamma_j`` over ``j < K``, and one
+    replication's total oracle calls.  Nothing is kept per iteration: an
+    observer sees each state (see :func:`run`), and :func:`step_sizes` gives
+    the step sizes."""
 
-    gammas: np.ndarray
-    oracle_calls_cumulative: np.ndarray
     wall_time_ms: float
     final_x: np.ndarray
     weighted_sum: np.ndarray
     gamma_total: float
+    oracle_calls: int
 
 
 # observe(k, x, weighted_sum, gamma_total, oracle_calls); see run
@@ -228,8 +235,7 @@ def run(
     giving one :class:`Trajectory`, or a sequence of R streams, one per
     replication, giving a list of R trajectories.  The initial point is
     projected onto the feasible set if necessary.  Each trajectory is fully
-    deterministic given its own stream.  The trajectories of one batch share
-    their ``gammas`` and ``oracle_calls_cumulative`` arrays.
+    deterministic given its own stream.
 
     ``observe(k, x, weighted_sum, gamma_total, oracle_calls)``, when given,
     is called for each k = 0..K in order with the state before iteration k:
@@ -257,8 +263,6 @@ def run(
     x = np.tile(start_x, (rows, 1))
     offset = 1 if schedule.starts_at_one else 0
 
-    gammas = np.empty(iterations)
-    calls = np.empty(iterations, dtype=np.int64)
     weighted_sum = np.zeros((rows, n))
     gamma_total = 0.0
     total_calls = 0
@@ -300,20 +304,17 @@ def run(
             gamma_total += gamma_k
             x = x_next
             total_calls += used
-            gammas[k] = gamma_k
-            calls[k] = total_calls
     if observe is not None:
         observe(iterations, x, weighted_sum, gamma_total, total_calls)
     wall_ms = (time.perf_counter() - t0) * 1000.0 / rows
 
     trajectories = [
         Trajectory(
-            gammas=gammas,
-            oracle_calls_cumulative=calls,
             wall_time_ms=wall_ms,
             final_x=x[r].copy(),
             weighted_sum=weighted_sum[r],
             gamma_total=gamma_total,
+            oracle_calls=total_calls,
         )
         for r in range(rows)
     ]
@@ -341,9 +342,9 @@ def sample_random_iterate(
 ) -> np.ndarray:
     """Draw ``x_j`` with ``P[j] = gamma_j / sum(gamma)`` over ``j < K``.
 
-    ``gammas`` holds ``gamma_0 .. gamma_{K-1}`` (a prefix of a trajectory's
-    ``gammas``) and ``iterates`` one replication's ``x_0 .. x_{K-1}`` or
-    more, as an observer of :func:`run` kept them.
+    ``gammas`` holds ``gamma_0 .. gamma_{K-1}``, as :func:`step_sizes` gives
+    them, and ``iterates`` one replication's ``x_0 .. x_{K-1}`` or more, as
+    an observer of :func:`run` kept them.
     """
     if len(iterates) < len(gammas):
         raise ValueError(

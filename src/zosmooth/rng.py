@@ -41,10 +41,6 @@ class RandomStream:
         ss = np.random.SeedSequence(self.seed, spawn_key=spawn_key)
         self.generator = np.random.Generator(np.random.PCG64(ss))
 
-    def substream(self, substream_id: int | tuple[int, ...]) -> "RandomStream":
-        """Create a sibling stream with the same seed and a different id."""
-        return RandomStream(self.seed, substream_id)
-
 
 def sample_exponential(stream: RandomStream, size: int | None = None):
     """Draw unit-rate exponential variates via the inverse CDF.

@@ -20,7 +20,7 @@ from zosmooth.estimators import (
     gs_estimate,
     second_moment_probe,
 )
-from zosmooth.optimizer import Schedule, sample_random_iterate
+from zosmooth.optimizer import Schedule, sample_random_iterate, step_sizes
 from zosmooth.problems import (
     error_metric,
     nonconvex_min_problem,
@@ -271,10 +271,11 @@ def test_criterion_6_nonconvex_stationarity():
     streams = [RandomStream(6001, substream_id=rep) for rep in range(replications)]
     rec = Recorder()
     trajs = run_problem(problem, "esgs", schedule, 4096, streams, x0=x0, observe=rec)
+    gammas = step_sizes(schedule, 4096)
     for rep, (stream, traj) in enumerate(zip(streams, trajs)):
         iterates = rec.iterates(rep)
         for K in horizons:
-            x_r = sample_random_iterate(iterates, traj.gammas[:K], stream)
+            x_r = sample_random_iterate(iterates, gammas[:K], stream)
             g = problem.smoothed_gradient(x_r, eta)
             residuals[K].append(float(g @ g))
         final = traj.final_x

@@ -176,6 +176,7 @@ class TestBudget:
         )
         per_estimate = 2 * n if KINDS[kind].per_coordinate else 2
         steps = budget_iterations(kind, iterations, n)
+        rec = Recorder()
         trajectories = run(
             oracle,
             KINDS[kind].estimator,
@@ -184,12 +185,12 @@ class TestBudget:
             FeasibleSet.symmetric_box(1.0, n),
             np.zeros(n),
             [RandomStream(5, substream_id=r) for r in range(replications)],
+            observe=rec,
         )
-        expected = per_estimate * np.arange(1, steps + 1)
+        assert list(rec.calls.values()) == [per_estimate * k for k in range(steps + 1)]
         for trajectory in trajectories:
-            np.testing.assert_array_equal(trajectory.oracle_calls_cumulative, expected)
             # every kind spends the same 2nK calls at its budget iterations
-            assert trajectory.oracle_calls_cumulative[-1] == 2 * n * iterations
+            assert trajectory.oracle_calls == 2 * n * iterations
 
 
 class TestDeterminismAndOrdering:
@@ -221,9 +222,7 @@ class TestDeterminismAndOrdering:
             assert bench._final_error(problem, batch[r]) == bench._final_error(
                 problem, alone
             )
-            np.testing.assert_array_equal(
-                batch[r].oracle_calls_cumulative, alone.oracle_calls_cumulative
-            )
+            assert batch[r].oracle_calls == alone.oracle_calls
 
     def test_replication_permutation_leaves_aggregates_unchanged(self):
         config = small_config(iterations=20, replications=5)
@@ -486,6 +485,25 @@ class TestCli:
         assert code == 0
         assert (out / "dd_results.csv").exists()
 
+    def test_dd_rejects_trajectory_recording(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path,
+            {
+                "problem": "market",
+                "estimators": ["esgs_dd_unknown"],
+                "iterations": 20,
+                "replications": 1,
+                "base_seed": 3,
+                "record_trajectories": True,
+            },
+        )
+        out = tmp_path / "out"
+        assert cli_main(["dd", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "record_trajectories" in err[0]
+        assert not out.exists()
+
     def test_moments_subcommand(self, tmp_path):
         out = tmp_path / "out"
         code = cli_main(
@@ -714,6 +732,7 @@ class TestCli:
             {"base_seed": -1},
             {"iterations": {"esgs": 3, "gs": -1}},
             {"iterations": -1},
+            {"estimators": []},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -757,6 +776,15 @@ class TestCli:
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_shipped_configs_parse():
+    BenchConfig.from_json(CONFIG_DIR / "quad200.json")
+    # the shipped market config is the one dd runs without --config
+    assert BenchConfig.from_json(CONFIG_DIR / "market_dd.json") == BenchConfig.from_dict(
+        cli.DEFAULT_DD_CONFIG
+    )
+
 
 NO_SCIPY_SCRIPT = """
 import json, sys

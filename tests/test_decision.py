@@ -375,7 +375,7 @@ class TestDriverWithToyOracles:
         assert len(trajs) == 3
         for traj in trajs:
             assert np.isfinite(traj.final_x).all() and abs(traj.final_x[0]) <= 2.0
-            assert traj.oracle_calls_cumulative[-1] == 50 * 2
+            assert traj.oracle_calls == 50 * 2
         alone = run(
             toy_known_oracle(), esgs_dd_known, Schedule(kind="convex_diminishing", n=1),
             50, FeasibleSet.symmetric_box(2.0, 1), np.array([0.5]), RandomStream(8, 1),
@@ -391,7 +391,7 @@ class TestDriverWithToyOracles:
             oracle, esgs_dd_unknown, Schedule(kind="convex_diminishing", n=2), 40,
             FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(2),
         )
-        assert traj.oracle_calls_cumulative[-1] == 40 * 2 * 2
+        assert traj.oracle_calls == 40 * 2 * 2
         # the linear objective pushes every coordinate towards -sign(c)
         assert traj.final_x[0] < 0.0 < traj.final_x[1]
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zosmooth import optimizer
 from zosmooth.bench import KINDS
 from zosmooth.decision import esgs_dd_known, esgs_dd_unknown
 from zosmooth.estimators import (
@@ -25,6 +27,7 @@ from zosmooth.optimizer import (
     sample_random_iterate,
     schedule_values,
     step,
+    step_sizes,
     weighted_average,
 )
 from zosmooth.problems import market_problem
@@ -210,9 +213,8 @@ class TestRun:
             for rec in recs
         ]
         np.testing.assert_array_equal(recs[0].iterates(0), recs[1].iterates(0))
-        np.testing.assert_array_equal(
-            runs[0].oracle_calls_cumulative, runs[1].oracle_calls_cumulative
-        )
+        assert recs[0].calls == recs[1].calls
+        assert runs[0].oracle_calls == runs[1].oracle_calls
 
     def test_iterates_feasible_and_budget_counted(self):
         ball = FeasibleSet.unit_ball(3)
@@ -224,8 +226,8 @@ class TestRun:
         )
         for k in range(101):
             assert contains(ball, rec.x[k][0], tol=1e-12)
-        assert traj.oracle_calls_cumulative[-1] == 100 * 2 * 3
-        assert np.all(np.diff(traj.oracle_calls_cumulative) > 0)
+        assert traj.oracle_calls == rec.calls[100] == 100 * 2 * 3
+        assert np.all(np.diff(list(rec.calls.values())) > 0)
 
     def test_infeasible_start_projected(self):
         ball = FeasibleSet.unit_ball(2)
@@ -280,10 +282,69 @@ class TestRun:
         np.testing.assert_array_equal(checkpoints.x[10][0], iterates[10])
         np.testing.assert_array_equal(checkpoints.x[30][0], iterates[30])
         np.testing.assert_array_equal(iterates[30], traj.final_x)
-        gammas = traj.gammas[:10]
+        gammas = step_sizes(sched, 10)
         manual = (gammas[:, None] * iterates[:10]).sum(axis=0) / gammas.sum()
         np.testing.assert_allclose(checkpoints.average[10][0], manual, rtol=1e-12)
-        assert checkpoints.calls[10] == traj.oracle_calls_cumulative[9]
+        assert checkpoints.calls[10] == 10 * 2 * 2
+        assert checkpoints.calls[30] == traj.oracle_calls
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            Schedule(kind="convex_diminishing", n=2),
+            Schedule(kind="convex_constant", n=2, horizon=40, radius_scale=1.0, l0=1.5),
+            Schedule(kind="strongly_convex", theta=3.0, mu=1.0),
+            Schedule(kind="nonconvex_fixed_eta", eta_fixed=0.1, l0=1.5, n=2),
+            Schedule(kind="nonconvex_asymptotic", alpha=0.9, beta=0.3),
+            Schedule(kind="custom", alpha=0.5, beta=0.5, gamma_scale=0.3),
+        ],
+        ids=lambda schedule: schedule.kind,
+    )
+    def test_step_sizes_are_the_steps_run_takes(self, schedule, monkeypatch):
+        gammas = step_sizes(schedule, 40).tolist()
+        # every gamma_k that run looks up, and gamma_total before each k
+        taken, totals = [], []
+        values = optimizer.schedule_values
+
+        def spy(schedule, k):
+            gamma, eta = values(schedule, k)
+            taken.append(gamma)
+            return gamma, eta
+
+        monkeypatch.setattr(optimizer, "schedule_values", spy)
+        traj = run(
+            linear_oracle([1.0, -1.0]), esgs_estimate, schedule, 40,
+            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(3),
+            observe=lambda k, x, weighted_sum, gamma_total, calls: totals.append(gamma_total),
+        )
+        assert gammas == taken
+        total = 0.0
+        for k, gamma in enumerate(gammas):
+            assert totals[k] == total
+            total += gamma
+        assert total == totals[40] == traj.gamma_total
+
+    def test_memory_does_not_grow_with_iterations(self):
+        # a kernel that draws nothing and allocates one array, so that what
+        # could grow with the iteration count is run's own
+        estimator = BatchEstimator(
+            "halving", lambda oracle, stream, size, n: (),
+            lambda oracle, x, eta, draws: (0.5 * x, 2),
+        )
+        go = lambda iterations: run(
+            linear_oracle([1.0, 0.0]), estimator, Schedule(kind="convex_diminishing", n=2),
+            iterations, FeasibleSet.unconstrained(), np.ones(2), RandomStream(0),
+        )
+        go(2_000)
+        peaks = {}
+        for iterations in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                go(iterations)
+                peaks[iterations] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200_000] - peaks[20_000] <= 64 * 1024
 
 
 class TestBatchedRun:
@@ -304,7 +365,7 @@ class TestBatchedRun:
         )
         np.testing.assert_array_equal(at_k.x[k][0], short.final_x)
         np.testing.assert_array_equal(at_k.average[k][0], weighted_average(short))
-        assert at_k.calls[k] == short.oracle_calls_cumulative[-1]
+        assert at_k.calls[k] == short.oracle_calls
 
     def test_batch_returns_one_trajectory_per_stream(self):
         sched = Schedule(kind="convex_diminishing", n=2)
@@ -326,7 +387,7 @@ class TestBatchedRun:
         np.testing.assert_array_equal(batch_rec.iterates(1), alone_rec.iterates(0))
         np.testing.assert_array_equal(batch_rec.average[10][1], alone_rec.average[10][0])
         np.testing.assert_array_equal(trajs[1].final_x, alone.final_x)
-        assert trajs[1].oracle_calls_cumulative[-1] == 30 * 2 * 2
+        assert trajs[1].oracle_calls == 30 * 2 * 2
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_single_sample_estimator_resolves_to_its_kind(self, kind):
@@ -354,9 +415,10 @@ class TestBatchedRun:
             return GradientSample(estimate=0.5 * np.asarray(x), draws=(), oracle_calls=3)
 
         sched = Schedule(kind="convex_diminishing", n=2)
+        rec = Recorder()
         go = lambda estimator: run(
             linear_oracle([1.0, 0.0]), estimator, sched, 4, FeasibleSet.unconstrained(),
-            np.ones(2), [RandomStream(0), RandomStream(1)],
+            np.ones(2), [RandomStream(0), RandomStream(1)], observe=rec,
         )
         with pytest.raises(TypeError, match="halving"):
             go(halving)
@@ -368,7 +430,8 @@ class TestBatchedRun:
             )
         )
         np.testing.assert_array_equal(trajs[0].final_x, trajs[1].final_x)
-        assert list(trajs[0].oracle_calls_cumulative) == [3, 6, 9, 12]
+        assert list(rec.calls.values()) == [0, 3, 6, 9, 12]
+        assert trajs[0].oracle_calls == trajs[1].oracle_calls == 12
 
     def test_non_finite_estimate_names_kind_and_iteration(self):
         count = {"calls": 0}
@@ -446,22 +509,21 @@ class TestObserver:
         # (a) every k once, in order, with the state before iteration k
         assert rec.seen == list(range(iterations + 1))
         np.testing.assert_array_equal(rec.x[0], np.full((rows, n), 0.5))
-        assert list(rec.calls.values()) == [0, *observed[0].oracle_calls_cumulative]
+        per_estimate = 2 * n if KINDS[kind].per_coordinate else 2
+        assert list(rec.calls.values()) == [per_estimate * k for k in rec.seen]
         # (b) observing changes no bit of the trajectories
         for a, b in zip(observed, plain):
-            for name in ("gammas", "oracle_calls_cumulative", "final_x", "weighted_sum"):
+            for name in ("final_x", "weighted_sum"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-            assert a.gamma_total == b.gamma_total
+            assert (a.gamma_total, a.oracle_calls) == (b.gamma_total, b.oracle_calls)
         # (c) the last record is the trajectory's final state
         for r, traj in enumerate(observed):
             np.testing.assert_array_equal(rec.x[iterations][r], traj.final_x)
+            assert rec.calls[iterations] == traj.oracle_calls
             if iterations:
                 np.testing.assert_array_equal(
                     rec.average[iterations][r], weighted_average(traj)
                 )
-                assert rec.calls[iterations] == traj.oracle_calls_cumulative[-1]
-            else:
-                assert rec.calls[0] == 0
         # (d) row r is observed as replication r alone
         for r in range(rows):
             alone = Recorder()
@@ -477,12 +539,11 @@ def synthetic_trajectory(iterates, gammas):
     gammas = np.asarray(gammas, dtype=float)
     weighted = (gammas[:, None] * iterates[:-1]).sum(axis=0)
     return Trajectory(
-        gammas=gammas,
-        oracle_calls_cumulative=np.arange(1, len(gammas) + 1) * 2,
         wall_time_ms=0.0,
         final_x=iterates[-1].copy(),
         weighted_sum=weighted,
         gamma_total=float(gammas.sum()),
+        oracle_calls=2 * len(gammas),
     )
 
 
@@ -536,7 +597,7 @@ class TestAveragingAndSampling:
         )
         # x_0 .. x_4 are needed for K = 5 steps, only x_0 .. x_2 were kept
         with pytest.raises(ValueError, match="each of the 5 steps, got 3"):
-            sample_random_iterate(rec.iterates(0), traj.gammas, RandomStream(2))
-        sample_random_iterate(rec.iterates(0), traj.gammas[:3], RandomStream(2))
+            sample_random_iterate(rec.iterates(0), step_sizes(sched, 5), RandomStream(2))
+        sample_random_iterate(rec.iterates(0), step_sizes(sched, 3), RandomStream(2))
         # the running weighted average needs no observer
         assert weighted_average(traj).shape == (1,)
