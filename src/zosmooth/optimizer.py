@@ -166,9 +166,10 @@ def schedule_values(schedule: Schedule, k: int) -> tuple[float, float]:
 
 
 def step_sizes(schedule: Schedule, iterations: int) -> np.ndarray:
-    """The step sizes ``gamma_0 .. gamma_{K-1}`` that :func:`run` takes in
-    ``iterations`` iterations, bit for bit (the strongly convex schedule's
-    ``k + 1`` included)."""
+    """``gamma_0 .. gamma_{K-1}`` as :func:`run` takes them in ``iterations``
+    iterations, bit for bit (the strongly convex ``k + 1`` included)."""
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     offset = 1 if schedule.starts_at_one else 0
     return np.array([schedule_values(schedule, k + offset)[0] for k in range(iterations)])
 
@@ -202,9 +203,8 @@ def step(
 class Trajectory:
     """End state of one optimization run: the final iterate ``x_K``, the
     sums of ``gamma_j * x_j`` and of ``gamma_j`` over ``j < K``, and one
-    replication's total oracle calls.  Nothing is kept per iteration: an
-    observer sees each state (see :func:`run`), and :func:`step_sizes` gives
-    the step sizes."""
+    replication's total oracle calls.  An observer sees each state (see
+    :func:`run`); :func:`step_sizes` gives the step sizes."""
 
     wall_time_ms: float
     final_x: np.ndarray

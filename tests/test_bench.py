@@ -213,15 +213,20 @@ class TestDeterminismAndOrdering:
         config = small_config(replications=5)
         schedule = problem.default_schedule
         streams = [bench._replication_stream(config, kind, r) for r in range(5)]
-        batch = run_problem(problem, kind, schedule, iters, streams)
+        batch_rec = Recorder()
+        batch = run_problem(problem, kind, schedule, iters, streams, observe=batch_rec)
         for r in range(5):
+            alone_rec = Recorder()
             alone = run_problem(
-                problem, kind, schedule, iters, bench._replication_stream(config, kind, r)
+                problem, kind, schedule, iters, bench._replication_stream(config, kind, r),
+                observe=alone_rec,
             )
             np.testing.assert_array_equal(batch[r].final_x, alone.final_x)
             assert bench._final_error(problem, batch[r]) == bench._final_error(
                 problem, alone
             )
+            # one row's calls before every iteration k, and its total
+            assert batch_rec.calls == alone_rec.calls
             assert batch[r].oracle_calls == alone.oracle_calls
 
     def test_replication_permutation_leaves_aggregates_unchanged(self):

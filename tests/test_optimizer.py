@@ -324,6 +324,10 @@ class TestRun:
             total += gamma
         assert total == totals[40] == traj.gamma_total
 
+    def test_step_sizes_rejects_a_negative_horizon(self):
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            step_sizes(Schedule(kind="convex_diminishing", n=2), -1)
+
     def test_memory_does_not_grow_with_iterations(self):
         # a kernel that draws nothing and allocates one array, so that what
         # could grow with the iteration count is run's own
