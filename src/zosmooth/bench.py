@@ -12,11 +12,12 @@ exponential-shift estimators run ``K`` iterations at ``2n`` oracle calls
 each, while every two-point baseline runs ``n*K`` iterations at 2 calls
 each, so all methods consume exactly ``2nK`` noisy evaluations.
 
-:func:`run_benchmark` and :func:`run_dd_benchmark` share one loop: build
-the problem, resolve the schedule and run all replications of each kind as
-one batch (see :func:`zosmooth.optimizer.run`); replication ``r`` of kind
-``k`` draws from the substream keyed ``(kind_key(k), r)``.  Each then builds
-its own rows and summary.
+:func:`run_benchmark` (``results.csv``) and :func:`run_dd_benchmark`
+(``dd_results.csv``) run on one runner: it runs all replications of each
+kind as one batch (see :func:`zosmooth.optimizer.run`), with replication
+``r`` of kind ``k`` drawing from the substream keyed ``(kind_key(k), r)``,
+and turns each trajectory into a :class:`ResultRow` with the metric columns
+its table chooses.  Every CSV table is written by :func:`write_table`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import inspect
 import json
 import os
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -203,19 +204,22 @@ def _typed(name: str, value, kind: type):
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One replication of one kind; ``metrics`` holds its table's metric
+    columns in order (:data:`RESULT_METRICS` or :data:`DD_METRICS`)."""
+
     problem: str
     n: int
     estimator: str
     replication: int
-    error: float
+    metrics: dict[str, float]
     wall_time_ms: int
     oracle_calls: int
     seed: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchSummary:
-    """Per-kind means of the rows, plus the problem they were run on.
+    """The rows, a per-kind report on them, and the problem they were run on.
 
     ``trajectories`` maps each kind to replication 0's iterates
     ``x_0 .. x_K`` as a ``(K+1, n)`` array and its cumulative oracle calls
@@ -223,19 +227,9 @@ class BenchSummary:
     """
 
     rows: list[ResultRow]
-    mean_error: dict[str, float] = field(default_factory=dict)
-    mean_wall_time_ms: dict[str, float] = field(default_factory=dict)
-    problem: BenchmarkProblem | None = None
-    trajectories: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    def compute(self) -> "BenchSummary":
-        by_kind: dict[str, list[ResultRow]] = {}
-        for row in self.rows:
-            by_kind.setdefault(row.estimator, []).append(row)
-        for kind, rows in by_kind.items():
-            self.mean_error[kind] = sum(r.error for r in rows) / len(rows)
-            self.mean_wall_time_ms[kind] = sum(r.wall_time_ms for r in rows) / len(rows)
-        return self
+    report: dict[str, dict[str, float]]
+    problem: BenchmarkProblem
+    trajectories: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 def build_problem(config: BenchConfig) -> BenchmarkProblem:
@@ -309,6 +303,9 @@ def _replication_stream(config: BenchConfig, kind: str, replication: int) -> Ran
     return RandomStream(config.base_seed, substream_id=(kind_key(kind), replication))
 
 
+Metric = Callable[[BenchmarkProblem, Trajectory], float]
+
+
 def _final_error(problem: BenchmarkProblem, trajectory: Trajectory) -> float:
     # Convex problems report suboptimality of the gamma-weighted average
     # (the quantity the diminishing-step analysis controls); strongly convex
@@ -319,19 +316,32 @@ def _final_error(problem: BenchmarkProblem, trajectory: Trajectory) -> float:
     return error_metric(problem, trajectory.final_x)
 
 
-def _run_batches(
-    config: BenchConfig, problem: BenchmarkProblem, record: bool = False
-) -> tuple[dict[str, list[Trajectory]], dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Each configured kind's trajectories, one per replication, and, when
-    ``record``, :attr:`BenchSummary.trajectories`.  A trajectory does not
-    depend on which other replications or kinds are run: each pair has its
-    own substream."""
+# The metric columns of each rows table, computed from a replication's end
+# state.  They belong to the table, not the problem: ``compare`` on the
+# market still writes ``error``.
+RESULT_METRICS: dict[str, Metric] = {"error": _final_error}
+DD_METRICS: dict[str, Metric] = {
+    "final_x1": lambda p, t: t.final_x[0],
+    "dist_to_optimum": lambda p, t: np.linalg.norm(t.final_x - p.x_star),
+    "dist_to_stable": lambda p, t: np.linalg.norm(t.final_x - p.x_ps),
+}
+
+
+def _benchmark(
+    config: BenchConfig,
+    problem: BenchmarkProblem,
+    metrics: dict[str, Metric],
+    report: Callable[[BenchmarkProblem, list[ResultRow]], dict[str, float]],
+) -> BenchSummary:
+    """Run each kind's replications as one batch, turn every trajectory into
+    a row with the ``metrics`` columns, and ``report`` on each kind's rows.
+    A row's ``wall_time_ms`` is its batch's loop time per replication."""
     schedule = resolve_schedule(config.schedule, problem)
     batches, recorded = {}, {}
     for kind in config.estimators:
         iterations = budget_iterations(kind, config.iterations[kind], problem.n)
         observe = None
-        if record:
+        if config.record_trajectories:
             iterates = np.empty((iterations + 1, problem.n))
             calls = np.empty(iterations + 1, dtype=np.int64)
             recorded[kind] = iterates, calls
@@ -344,7 +354,26 @@ def _run_batches(
             [_replication_stream(config, kind, r) for r in range(config.replications)],
             observe=observe,
         )
-    return batches, recorded
+    # scored only after every kind has run: scoring between the runs raised
+    # market_dd's peak RSS by about 0.2 MB
+    rows = [
+        ResultRow(
+            problem=problem.name,
+            n=problem.n,
+            estimator=kind,
+            replication=replication,
+            metrics={c: float(m(problem, trajectory)) for c, m in metrics.items()},
+            wall_time_ms=int(round(trajectory.wall_time_ms)),
+            oracle_calls=trajectory.oracle_calls,
+            seed=config.base_seed,
+        )
+        for kind, batch in batches.items()
+        for replication, trajectory in enumerate(batch)
+    ]
+    by_kind = {
+        k: report(problem, [r for r in rows if r.estimator == k]) for k in config.estimators
+    }
+    return BenchSummary(rows, by_kind, problem, recorded)
 
 
 def _record_row_zero(iterates, calls, k, x, weighted_sum, gamma_total, oracle_calls):
@@ -353,178 +382,142 @@ def _record_row_zero(iterates, calls, k, x, weighted_sum, gamma_total, oracle_ca
     calls[k] = oracle_calls
 
 
+def _mean_error_and_time(
+    problem: BenchmarkProblem, rows: list[ResultRow]
+) -> dict[str, float]:
+    return {
+        "mean_error": sum(r.metrics["error"] for r in rows) / len(rows),
+        "mean_wall_time_ms": sum(r.wall_time_ms for r in rows) / len(rows),
+    }
+
+
 def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
     """Run the configured estimator grid under equal oracle budgets.
 
-    Each row's ``wall_time_ms`` is its kind's batch loop time divided by the
-    replication count.  Raises :class:`BudgetMismatchError` unless every row
-    consumed the same number of oracle calls.
+    The report gives each kind's ``mean_error`` and ``mean_wall_time_ms``.
+    Raises :class:`BudgetMismatchError` unless every row consumed the same
+    number of oracle calls.
     """
-    problem = build_problem(config)
-    batches, recorded = _run_batches(config, problem, config.record_trajectories)
-    rows = [
-        ResultRow(
-            problem=problem.name,
-            n=problem.n,
-            estimator=kind,
-            replication=replication,
-            error=_final_error(problem, trajectory),
-            wall_time_ms=int(round(trajectory.wall_time_ms)),
-            oracle_calls=trajectory.oracle_calls,
-            seed=config.base_seed,
-        )
-        for kind, batch in batches.items()
-        for replication, trajectory in enumerate(batch)
-    ]
-    calls = {row.oracle_calls for row in rows}
+    summary = _benchmark(config, build_problem(config), RESULT_METRICS, _mean_error_and_time)
+    calls = {row.oracle_calls for row in summary.rows}
     if len(calls) > 1:
         raise BudgetMismatchError(
-            f"oracle budget mismatch on problem {problem.name!r}: {sorted(calls)}"
+            f"oracle budget mismatch on problem {summary.problem.name!r}: {sorted(calls)}"
         )
-    summary = BenchSummary(rows=rows, problem=problem, trajectories=recorded)
-    return rows, summary.compute()
+    return summary.rows, summary
 
 
-@dataclass(frozen=True)
-class DDResultRow:
-    mode: str
-    replication: int
-    final_x1: float
-    dist_to_optimum: float
-    dist_to_stable: float
-    wall_time_ms: int
-    oracle_calls: int
-    seed: int
+def _distances_to_targets(
+    problem: BenchmarkProblem, rows: list[ResultRow]
+) -> dict[str, float]:
+    columns = [r.metrics for r in rows]
+    return {
+        "mean_dist_to_optimum": float(np.mean([c["dist_to_optimum"] for c in columns])),
+        "mean_dist_to_stable": float(np.mean([c["dist_to_stable"] for c in columns])),
+        "mean_abs_x1_minus_opt": float(
+            np.mean([abs(c["final_x1"] - problem.x_star[0]) for c in columns])
+        ),
+        "mean_abs_x1_minus_stable": float(
+            np.mean([abs(c["final_x1"] - problem.x_ps[0]) for c in columns])
+        ),
+    }
 
 
-def run_dd_benchmark(
-    config: BenchConfig,
-) -> tuple[list[DDResultRow], dict[str, dict[str, float]]]:
+def run_dd_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
     """Run the market problem under both decision-dependent protocols.
 
-    Reports, per replication and on average, the distance of the final
-    iterate to the closed-form optimum and to the performatively stable
-    point.  It writes no trajectory dumps, so a config that asks for them is
-    rejected.
+    The rows carry :data:`DD_METRICS`: the final iterate's distance to the
+    closed-form optimum and to the performatively stable point, whose
+    per-kind means the report gives.  Each kind keeps its own iteration
+    count, so no equal budget is enforced.
     """
-    if config.record_trajectories:
-        raise ConfigError("dd writes no trajectory dumps; drop record_trajectories")
     problem = build_problem(config)
     if problem.x_star is None or problem.x_ps is None:
         raise ConfigError("decision-dependent benchmark needs closed-form targets")
-    rows = [
-        DDResultRow(
-            mode=kind,
-            replication=replication,
-            final_x1=float(trajectory.final_x[0]),
-            dist_to_optimum=float(np.linalg.norm(trajectory.final_x - problem.x_star)),
-            dist_to_stable=float(np.linalg.norm(trajectory.final_x - problem.x_ps)),
-            wall_time_ms=int(round(trajectory.wall_time_ms)),
-            oracle_calls=trajectory.oracle_calls,
-            seed=config.base_seed,
-        )
-        for kind, batch in _run_batches(config, problem)[0].items()
-        for replication, trajectory in enumerate(batch)
-    ]
-
-    report: dict[str, dict[str, float]] = {}
-    for kind in config.estimators:
-        mode_rows = [r for r in rows if r.mode == kind]
-        report[kind] = {
-            "mean_dist_to_optimum": float(
-                np.mean([r.dist_to_optimum for r in mode_rows])
-            ),
-            "mean_dist_to_stable": float(
-                np.mean([r.dist_to_stable for r in mode_rows])
-            ),
-            "mean_abs_x1_minus_opt": float(
-                np.mean([abs(r.final_x1 - problem.x_star[0]) for r in mode_rows])
-            ),
-            "mean_abs_x1_minus_stable": float(
-                np.mean([abs(r.final_x1 - problem.x_ps[0]) for r in mode_rows])
-            ),
-        }
-    return rows, report
+    summary = _benchmark(config, problem, DD_METRICS, _distances_to_targets)
+    return summary.rows, summary
 
 
 # ---------------------------------------------------------------------------
 # CSV output
 
-
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def emit_csv(rows: Sequence[ResultRow], path: str | Path) -> None:
-    """Write raw result rows; header fixed, one line per row, newline at end."""
-    path = Path(path)
+def write_table(
+    path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """Write one CSV table: the header line, then one line per row, each
+    ending in a newline.  A float cell is written with ``repr``, so it reads
+    back bit for bit; an ``OSError`` names the path."""
     try:
-        with path.open("w", newline="") as fh:
-            fh.write("problem,n,estimator,replication,error,wall_time_ms,oracle_calls,seed\n")
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(
-                    ",".join(
-                        _format(v)
-                        for v in (
-                            row.problem,
-                            row.n,
-                            row.estimator,
-                            row.replication,
-                            row.error,
-                            row.wall_time_ms,
-                            row.oracle_calls,
-                            row.seed,
-                        )
-                    )
-                    + "\n"
-                )
+                fh.write(",".join(_format(v) for v in row) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def emit_aggregate_csv(rows: Sequence[ResultRow], path: str | Path) -> None:
+def _format(value) -> str:
+    # float() first: a numpy scalar's repr names its type
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def emit_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> None:
+    """Write ``results.csv``: one line per row."""
+    write_table(
+        path,
+        ("problem", "n", "estimator", "replication", *RESULT_METRICS,
+         "wall_time_ms", "oracle_calls", "seed"),
+        (
+            (r.problem, r.n, r.estimator, r.replication, *r.metrics.values(),
+             r.wall_time_ms, r.oracle_calls, r.seed)
+            for r in rows
+        ),
+    )
+
+
+def emit_dd_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> None:
+    """Write ``dd_results.csv``: one line per row.  The table holds one
+    problem, so a row is named by its kind alone, as ``mode``."""
+    write_table(
+        path,
+        ("mode", "replication", *DD_METRICS, "wall_time_ms", "oracle_calls", "seed"),
+        (
+            (r.estimator, r.replication, *r.metrics.values(),
+             r.wall_time_ms, r.oracle_calls, r.seed)
+            for r in rows
+        ),
+    )
+
+
+def emit_aggregate_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> None:
     """Write per-(problem, n, estimator) means and standard deviations."""
     groups: dict[tuple[str, int, str], list[ResultRow]] = {}
     for row in rows:
         groups.setdefault((row.problem, row.n, row.estimator), []).append(row)
-    path = Path(path)
-    try:
-        with path.open("w", newline="") as fh:
-            fh.write(
-                "problem,n,estimator,replications,mean_error,stddev_error,"
-                "mean_wall_time_ms,stddev_wall_time_ms,oracle_calls\n"
-            )
-            for (name, n, kind), group in groups.items():
-                errors = np.array([r.error for r in group])
-                times = np.array([float(r.wall_time_ms) for r in group])
-                fh.write(
-                    ",".join(
-                        _format(v)
-                        for v in (
-                            name,
-                            n,
-                            kind,
-                            len(group),
-                            float(errors.mean()),
-                            float(errors.std(ddof=0)),
-                            float(times.mean()),
-                            float(times.std(ddof=0)),
-                            group[0].oracle_calls,
-                        )
-                    )
-                    + "\n"
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    lines = []
+    for (name, n, kind), group in groups.items():
+        errors = np.array([r.metrics["error"] for r in group])
+        times = np.array([float(r.wall_time_ms) for r in group])
+        lines.append((
+            name, n, kind, len(group),
+            errors.mean(), errors.std(ddof=0), times.mean(), times.std(ddof=0),
+            group[0].oracle_calls,
+        ))
+    write_table(
+        path,
+        ("problem", "n", "estimator", "replications", "mean_error", "stddev_error",
+         "mean_wall_time_ms", "stddev_wall_time_ms", "oracle_calls"),
+        lines,
+    )
 
 
 def emit_trajectory(
     iterates: np.ndarray,
     oracle_calls: np.ndarray,
     problem: BenchmarkProblem,
-    path: str | Path,
+    path: str | os.PathLike,
 ) -> None:
     """Write ``k, error, oracle_calls`` for one replication's observed
     iterates ``x_0 .. x_K``, a ``(K+1, n)`` array, and the cumulative oracle
@@ -538,18 +531,15 @@ def emit_trajectory(
     problem's one-pass ``exact_f_rows`` when it has one, and agree with the
     per-point error to rounding.
     """
-    path = Path(path)
     errors = [
         *error_metric_rows(problem, iterates[:-1]),
-        error_metric(problem, iterates[-1]),
+        *(error_metric(problem, x) for x in iterates[-1:]),
     ]
-    try:
-        with path.open("w", newline="") as fh:
-            fh.write("k,error,oracle_calls\n")
-            for k, err in enumerate(errors):
-                fh.write(f"{k},{_format(float(err))},{int(oracle_calls[k])}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write trajectory to {path}: {exc}") from exc
+    write_table(
+        path,
+        ("k", "error", "oracle_calls"),
+        ((k, err, int(oracle_calls[k])) for k, err in enumerate(errors)),
+    )
 
 
 def output_dir(config_output: str | None, cli_out: str | None) -> Path:

@@ -8,7 +8,8 @@ run       One benchmark from a JSON config; writes raw rows and, optionally,
 compare   Estimator grid under an equal oracle budget; writes raw rows, a
           mean/stddev aggregate table and, optionally, trajectory dumps.
 dd        Market problem under both decision-dependent protocols; writes raw
-          rows and the convergence-target report.
+          rows, the convergence-target report and, optionally, trajectory
+          dumps.
 
 Flags: ``--config <path>`` (run, compare, dd), ``--seed <u64>`` (overrides
 the config's base seed; moments defaults to 7), ``--out <dir>`` (also via the
@@ -89,7 +90,7 @@ def _cmd_moments(args) -> int:
     eta = 0.05
     # every probe runs before the table is opened, so a probe that fails
     # leaves no partial table behind
-    lines = []
+    rows = []
     for n in dims:
         # unit-Lipschitz linear test function: only coordinate 1 matters
         oracle = StochasticOracle(
@@ -105,19 +106,19 @@ def _cmd_moments(args) -> int:
             probe = second_moment_probe(
                 entry.estimator, oracle, x, SmoothingParams(eta), samples, stream
             )
-            bound = 4.0 / np.pi * n
-            lines.append(f"{kind},{n},1.0,{samples},{probe!r},{bound!r}\n")
-    with path.open("w", newline="") as fh:
-        fh.write("estimator,n,l0,samples,second_moment,bound_linear_n\n")
-        for line in lines:
-            fh.write(line)
+            rows.append((kind, n, 1.0, samples, probe, 4.0 / np.pi * n))
+    bench.write_table(
+        path,
+        ("estimator", "n", "l0", "samples", "second_moment", "bound_linear_n"),
+        rows,
+    )
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_benchmark(args) -> int:
-    """Write the rows and any recorded trajectories; ``compare`` also
-    writes the rows' aggregate table."""
+    """Write the rows, ``compare``'s aggregate table of them and any
+    recorded trajectories."""
     config = _load_config(args)
     rows, summary = bench.run_benchmark(config)
     out = bench.output_dir(config.output, args.out)
@@ -126,42 +127,42 @@ def _cmd_benchmark(args) -> int:
     if args.command == "compare":
         written.append(out / "aggregate.csv")
         bench.emit_aggregate_csv(rows, written[1])
-    for kind, (iterates, calls) in summary.trajectories.items():
-        written.append(out / f"trajectory_{kind}.csv")
-        bench.emit_trajectory(iterates, calls, summary.problem, written[-1])
+    written += _emit_trajectories(summary, out)
     for kind in config.estimators:
+        report = summary.report[kind]
         print(
-            f"{kind}: mean error {summary.mean_error[kind]:.6g}, "
-            f"mean time {summary.mean_wall_time_ms[kind]:.1f} ms"
+            f"{kind}: mean error {report['mean_error']:.6g}, "
+            f"mean time {report['mean_wall_time_ms']:.1f} ms"
         )
     print("wrote " + " and ".join(str(path) for path in written))
     return 0
 
 
 def _cmd_dd(args) -> int:
+    """Write the rows and any recorded trajectories; print the report."""
     if args.config is not None:
         config = _load_config(args)
     else:
         config = bench.BenchConfig.from_dict(DEFAULT_DD_CONFIG)
         if args.seed is not None:
             config = replace(config, base_seed=args.seed)
-    rows, report = bench.run_dd_benchmark(config)
+    rows, summary = bench.run_dd_benchmark(config)
     out = bench.output_dir(config.output, args.out)
-    path = out / "dd_results.csv"
-    with path.open("w", newline="") as fh:
-        fh.write(
-            "mode,replication,final_x1,dist_to_optimum,dist_to_stable,"
-            "wall_time_ms,oracle_calls,seed\n"
-        )
-        for row in rows:
-            fh.write(
-                f"{row.mode},{row.replication},{row.final_x1!r},"
-                f"{row.dist_to_optimum!r},{row.dist_to_stable!r},"
-                f"{row.wall_time_ms},{row.oracle_calls},{row.seed}\n"
-            )
-    print(json.dumps(report, indent=2))
-    print(f"wrote {path}")
+    written = [out / "dd_results.csv"]
+    bench.emit_dd_csv(rows, written[0])
+    written += _emit_trajectories(summary, out)
+    print(json.dumps(summary.report, indent=2))
+    print("wrote " + " and ".join(str(path) for path in written))
     return 0
+
+
+def _emit_trajectories(summary: bench.BenchSummary, out) -> list:
+    """Write each recorded kind's ``trajectory_<kind>.csv``; their paths."""
+    paths = []
+    for kind, (iterates, calls) in summary.trajectories.items():
+        paths.append(out / f"trajectory_{kind}.csv")
+        bench.emit_trajectory(iterates, calls, summary.problem, paths[-1])
+    return paths
 
 
 def build_parser() -> argparse.ArgumentParser:

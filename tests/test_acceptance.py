@@ -238,8 +238,9 @@ def test_criterion_5_head_to_head_equal_budget():
     config = BenchConfig.from_dict(CRITERION_5_CONFIG)
     rows, summary = run_benchmark(config)
     calls = {row.oracle_calls for row in rows}
-    err_ratio = summary.mean_error["esgs"] / summary.mean_error["gs"]
-    time_ratio = summary.mean_wall_time_ms["esgs"] / summary.mean_wall_time_ms["gs"]
+    esgs, gs = summary.report["esgs"], summary.report["gs"]
+    err_ratio = esgs["mean_error"] / gs["mean_error"]
+    time_ratio = esgs["mean_wall_time_ms"] / gs["mean_wall_time_ms"]
     elapsed = time.perf_counter() - t0
     report(
         5,
@@ -311,8 +312,8 @@ def test_criterion_7_decision_dependent_targets():
     ok = True
     details = []
     for mode in ("esgs_dd_known", "esgs_dd_unknown"):
-        to_opt = summary[mode]["mean_abs_x1_minus_opt"]
-        to_stable = summary[mode]["mean_abs_x1_minus_stable"]
+        to_opt = summary.report[mode]["mean_abs_x1_minus_opt"]
+        to_stable = summary.report[mode]["mean_abs_x1_minus_stable"]
         ok = ok and to_opt < 0.1 and to_stable > 0.1
         details.append(
             f"{mode}: mean |x1 - 3.2143| = {to_opt:.3f} (< 0.1), "
@@ -387,8 +388,9 @@ def test_criterion_9_determinism_and_budget(tmp_path):
 
     dd_rows_a, _ = run_dd_benchmark(dd_config)
     dd_rows_b, _ = run_dd_benchmark(dd_config)
-    strip = lambda r: (r.mode, r.replication, r.final_x1, r.dist_to_optimum,
-                       r.dist_to_stable, r.oracle_calls, r.seed)
+    strip = lambda r: (r.estimator, r.replication, r.metrics["final_x1"],
+                       r.metrics["dist_to_optimum"], r.metrics["dist_to_stable"],
+                       r.oracle_calls, r.seed)
     dd_identical = [strip(r) for r in dd_rows_a] == [strip(r) for r in dd_rows_b]
     dd_budget = len({r.oracle_calls for r in dd_rows_a}) == 1
     elapsed = time.perf_counter() - t0

@@ -199,7 +199,7 @@ class TestDeterminismAndOrdering:
         rows_a, _ = run_benchmark(config)
         rows_b, _ = run_benchmark(config)
         strip = lambda row: (row.problem, row.n, row.estimator, row.replication,
-                             row.error, row.oracle_calls, row.seed)
+                             row.metrics["error"], row.oracle_calls, row.seed)
         assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
 
     @pytest.mark.parametrize("kind", list(KINDS))
@@ -234,9 +234,10 @@ class TestDeterminismAndOrdering:
         rows, summary = run_benchmark(config)
         rng = np.random.default_rng(0)
         for kind in ("esgs", "gs"):
-            group = [r.error for r in rows if r.estimator == kind]
+            group = [r.metrics["error"] for r in rows if r.estimator == kind]
             permuted = list(rng.permutation(group))
-            assert abs(sum(permuted) / len(permuted) - summary.mean_error[kind]) < 1e-12
+            mean = summary.report[kind]["mean_error"]
+            assert abs(sum(permuted) / len(permuted) - mean) < 1e-12
 
 
     def test_every_row_consumes_the_equal_budget(self):
@@ -262,7 +263,8 @@ class TestDeterminismAndOrdering:
             ("esgs", 1000),
             ("gs", 10000),
         }
-        ratio = summary.mean_wall_time_ms["esgs"] / summary.mean_wall_time_ms["gs"]
+        esgs, gs = summary.report["esgs"], summary.report["gs"]
+        ratio = esgs["mean_wall_time_ms"] / gs["mean_wall_time_ms"]
         assert ratio == pytest.approx(0.1)
 
 
@@ -272,7 +274,7 @@ class TestSubstreams:
         # existing kind's rows
         def strip(rows):
             return [
-                (r.estimator, r.replication, r.error, r.oracle_calls)
+                (r.estimator, r.replication, r.metrics["error"], r.oracle_calls)
                 for r in rows
                 if r.estimator != "newcomer"
             ]
@@ -299,12 +301,34 @@ class TestSubstreams:
 
 
 class TestCsvOutput:
-    def test_empty_rows_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_csv([], path)
-        assert path.read_text() == (
-            "problem,n,estimator,replication,error,wall_time_ms,oracle_calls,seed\n"
-        )
+    HEADERS = {
+        "results": "problem,n,estimator,replication,error,wall_time_ms,oracle_calls,seed",
+        "aggregate": "problem,n,estimator,replications,mean_error,stddev_error,"
+                     "mean_wall_time_ms,stddev_wall_time_ms,oracle_calls",
+        "trajectory": "k,error,oracle_calls",
+        "dd_results": "mode,replication,final_x1,dist_to_optimum,dist_to_stable,"
+                      "wall_time_ms,oracle_calls,seed",
+        "moments": "estimator,n,l0,samples,second_moment,bound_linear_n",
+    }
+
+    @pytest.mark.parametrize("table", HEADERS)
+    def test_empty_rows_header_only(self, tmp_path, monkeypatch, table):
+        path = tmp_path / f"{table}.csv"
+        if table == "results":
+            emit_csv([], path)
+        elif table == "aggregate":
+            emit_aggregate_csv([], path)
+        elif table == "trajectory":
+            emit_trajectory(np.empty((0, 2)), [], quad_l1_problem(2, 3), path)
+        elif table == "dd_results":
+            bench.emit_dd_csv([], path)
+        else:
+            # with no decision-independent kind registered, moments probes nothing
+            dd_only = {k: v for k, v in KINDS.items() if v.oracle_field != "oracle"}
+            monkeypatch.setattr(bench, "KINDS", dd_only)
+            args = ["moments", "--dims", "2", "--samples", "1", "--out", str(tmp_path)]
+            assert cli_main(args) == 0
+        assert path.read_text() == self.HEADERS[table] + "\n"
 
     def test_round_trip(self, tmp_path):
         rows, _ = run_benchmark(small_config(iterations=5, replications=2))
@@ -318,7 +342,7 @@ class TestCsvOutput:
             assert int(rec["n"]) == row.n
             assert rec["estimator"] == row.estimator
             assert int(rec["replication"]) == row.replication
-            assert float(rec["error"]) == row.error
+            assert float(rec["error"]) == row.metrics["error"]
             assert int(rec["oracle_calls"]) == row.oracle_calls
             assert int(rec["seed"]) == row.seed
         assert path.read_text().endswith("\n")
@@ -330,7 +354,7 @@ class TestCsvOutput:
         with path.open() as fh:
             parsed = {rec["estimator"]: rec for rec in csv.DictReader(fh)}
         for kind in ("esgs", "gs"):
-            errors = np.array([r.error for r in rows if r.estimator == kind])
+            errors = np.array([r.metrics["error"] for r in rows if r.estimator == kind])
             assert abs(float(parsed[kind]["mean_error"]) - errors.mean()) < 1e-12
             assert abs(float(parsed[kind]["stddev_error"]) - errors.std(ddof=0)) < 1e-12
             assert int(parsed[kind]["replications"]) == 4
@@ -366,7 +390,7 @@ class TestHeadToHeadSmall:
             }
         )
         _, summary = run_benchmark(config)
-        assert summary.mean_error["esgs"] < summary.mean_error["gs"]
+        assert summary.report["esgs"]["mean_error"] < summary.report["gs"]["mean_error"]
 
 
 class TestDDBenchmark:
@@ -383,7 +407,7 @@ class TestDDBenchmark:
         rows, _ = run_dd_benchmark(config)
         problem_star = np.array([4.5 / 1.4, 2.7 / 0.8])
         for row in rows:
-            assert row.dist_to_optimum == pytest.approx(
+            assert row.metrics["dist_to_optimum"] == pytest.approx(
                 float(np.linalg.norm(problem_star))
             )
             assert row.oracle_calls == 0
@@ -401,7 +425,7 @@ class TestDDBenchmark:
         )
         rows, _ = run_dd_benchmark(config)
         for row in rows:
-            assert row.dist_to_optimum == row.dist_to_stable
+            assert row.metrics["dist_to_optimum"] == row.metrics["dist_to_stable"]
 
     def test_requires_dd_oracle(self):
         config = small_config(estimators=["esgs_dd_known"])
@@ -490,24 +514,61 @@ class TestCli:
         assert code == 0
         assert (out / "dd_results.csv").exists()
 
-    def test_dd_rejects_trajectory_recording(self, tmp_path, capsys):
-        config = self.write_config(
-            tmp_path,
-            {
-                "problem": "market",
-                "estimators": ["esgs_dd_unknown"],
-                "iterations": 20,
-                "replications": 1,
-                "base_seed": 3,
-                "record_trajectories": True,
-            },
-        )
+    def test_dd_writes_recorded_trajectories(self, tmp_path):
+        raw = {
+            "problem": "market",
+            "estimators": ["esgs_dd_known", "esgs_dd_unknown"],
+            "iterations": {"esgs_dd_known": 30, "esgs_dd_unknown": 20},
+            "replications": 2,
+            "base_seed": 3,
+            "record_trajectories": True,
+        }
+        config = self.write_config(tmp_path, raw)
         out = tmp_path / "out"
-        assert cli_main(["dd", "--config", str(config), "--out", str(out)]) == 1
+        assert cli_main(["dd", "--config", str(config), "--out", str(out)]) == 0
+        problem = market_problem()
+        n, start = problem.n, problem.exact_f(problem.x0) - problem.f_star
+        bench_config = BenchConfig.from_dict(raw)
+        for kind, iterations in raw["iterations"].items():
+            with (out / f"trajectory_{kind}.csv").open() as fh:
+                dump = list(csv.DictReader(fh))
+            assert [int(rec["k"]) for rec in dump] == list(range(iterations + 1))
+            assert [int(rec["oracle_calls"]) for rec in dump] == [
+                2 * n * k for k in range(iterations + 1)
+            ]
+            assert float(dump[0]["error"]) == start
+            # replication 0 alone ends where it ends in its batch
+            alone = run_problem(
+                problem, kind, problem.default_schedule, iterations,
+                bench._replication_stream(bench_config, kind, 0),
+            )
+            assert dump[-1]["error"] == repr(float(error_metric(problem, alone.final_x)))
+
+    @pytest.mark.parametrize(
+        "command, table",
+        [
+            ("moments", "moments.csv"),
+            ("run", "results.csv"),
+            ("compare", "results.csv"),
+            ("dd", "dd_results.csv"),
+        ],
+    )
+    def test_unwritable_table_is_one_line(self, tmp_path, capsys, command, table):
+        out = tmp_path / "out"
+        (out / table).mkdir(parents=True)
+        args = [command, "--out", str(out)]
+        if command == "moments":
+            args += ["--dims", "2", "--samples", "5"]
+        else:
+            raw = small_config_raw()
+            if command == "dd":
+                market = {"problem": "market", "problem_params": {}}
+                raw.update(market, estimators=["esgs_dd_unknown"])
+            args += ["--config", str(self.write_config(tmp_path, raw))]
+        assert cli_main(args) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "record_trajectories" in err[0]
-        assert not out.exists()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write CSV to {out / table}: ")
 
     def test_moments_subcommand(self, tmp_path):
         out = tmp_path / "out"
