@@ -114,6 +114,10 @@ class BenchConfig:
             signature.bind(**problem_params)
         except TypeError as exc:
             raise ConfigError(f"problem_params for {problem!r}: {exc}") from None
+        # every builder takes numbers, and Python would read true as 1
+        for key, value in problem_params.items():
+            if type(value) is bool:
+                raise ConfigError(f"problem_params[{key!r}] must be a JSON number, got {value!r}")
         estimators = raw["estimators"]
         if not isinstance(estimators, list) or any(type(k) is not str for k in estimators):
             raise ConfigError(

@@ -16,8 +16,10 @@ unbiasedness for the gradient of the mollified objective:
 Both are the exponential-shift estimator of :mod:`zosmooth.estimators`
 with a different oracle: like esgs, each draws one ``(sqrt(2V), Z / eta,
 xi)`` triple per row, shares it across all coordinates and runs the row
-kernel :func:`~zosmooth.estimators.esgs_rows`, whose one ``eval_axis`` call
-is the oracle's method here.  The known-density ``xi`` is the reference
+kernel :func:`~zosmooth.estimators.esgs_rows`, whose one
+``eval_axis(base, moved, xi)`` call is the oracle's method here: it
+takes the ``(R, 2, n)`` replacement values ``x_i +- eta*sqrt(2V)`` and
+returns one value for each.  The known-density ``xi`` is the reference
 draw, drawn before ``(V, Z)`` and ending with its reference density; the
 random-field ``xi`` is the field's noise, drawn after them.  Each is one
 kind (:data:`KNOWN_DENSITY`, :data:`RANDOM_FIELD`, registered in
@@ -125,17 +127,15 @@ class KnownDensityOracle:
             )
         return value * ratio
 
-    def eval_axis(self, base, plus, minus, xi):
-        """One :meth:`weighted_value` call at the rows' ``2n`` replacement
-        points, with ``xi`` the rows' ``(R, c + 1)`` packed reference draws:
-        ``c`` components, then their reference density."""
-        n = base.shape[1]
-        points = replacement_points(base, np.concatenate((plus, minus), axis=1))
+    def eval_axis(self, base, moved, xi):
+        """One :meth:`weighted_value` call at the rows' ``(2, n)``
+        replacement points, with ``xi`` the rows' ``(R, c + 1)`` packed
+        reference draws: ``c`` components, then their reference density."""
+        points = _replacement_points(base, moved)
         # component j of row r, broadcasting over the row's 2n points, then
         # the row's reference density
-        *xi, ref = xi.T[:, :, None]
-        w = self.weighted_value(points, tuple(xi), ref)
-        return w[:, :n], w[:, n:]
+        *xi, ref = xi.T[:, :, None, None]
+        return self.weighted_value(points, tuple(xi), ref)
 
 
 @dataclass
@@ -161,15 +161,21 @@ class RandomFieldOracle:
     noise_sampler: Callable[[RandomStream, int, int], np.ndarray]
     c_xi: float
 
-    def eval_axis(self, base, plus, minus, noise):
+    def eval_axis(self, base, moved, noise):
         """One :attr:`field_sampler` call on the rows' ``(R, n)`` point pairs
-        with their noise, then one ``f_hat`` call at the ``2n`` points."""
-        n = base.shape[1]
-        points = replacement_points(base, np.concatenate((plus, minus), axis=1))
-        xi_plus, xi_minus = self.field_sampler(points[:, :n], points[:, n:], noise)
-        xi = tuple(np.concatenate(pair, axis=1) for pair in zip(xi_plus, xi_minus))
-        f = self.f_hat(points, xi)
-        return f[:, :n], f[:, n:]
+        with their noise, then one ``f_hat`` call at the ``(R, 2, n)``
+        points, each with the field's value at it."""
+        points = _replacement_points(base, moved)
+        pairs = zip(*self.field_sampler(points[:, 0], points[:, 1], noise))
+        # each component's two sides as (R, 2, n); np.stack took three times
+        # as long on the market's (8, 2) components
+        return self.f_hat(points, tuple(np.array(pair).swapaxes(0, 1) for pair in pairs))
+
+
+def _replacement_points(base, moved):
+    """The ``(R, 2, n, n)`` points of ``eval_axis``: point ``(s, i)`` of row
+    ``r`` is ``base[r]`` with coordinate ``i`` set to ``moved[r, s, i]``."""
+    return replacement_points(base, moved.reshape(len(base), -1)).reshape(*moved.shape, -1)
 
 
 def _known_draws(oracle: KnownDensityOracle, stream, size: int, n: int):

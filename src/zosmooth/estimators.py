@@ -23,8 +23,9 @@ take their estimator, raises :class:`TypeError` for anything else.  The
 kernels hand all rows of an iteration to the oracle at once: a two-point
 kernel makes one :attr:`StochasticOracle.eval` call on the ``(R, 2, n)``
 stacked point pairs, and the exponential-shift kernel :func:`esgs_rows` one
-``eval_axis`` call on the ``(R, n)`` rows, or, without one, ``eval`` calls
-on chunks of the ``R * 2n`` replacement points.  So the oracle's callables
+``eval_axis`` call on the ``(R, n)`` rows and their ``(R, 2, n)``
+replacement values, or, without one, ``eval`` calls on chunks of the
+``R * 2n`` replacement points.  So the oracle's callables
 broadcast, as :class:`StochasticOracle` documents.  The driver advances R
 replications with them.  A single-sample estimator such as
 :func:`esgs_estimate` is its kind's draw of size 1 followed by its kernel
@@ -108,22 +109,22 @@ class StochasticOracle:
         Not read by the estimators; ``eval`` broadcasts over points.  Kept
         so that code which inspects the field still finds it.
     eval_axis : callable, optional
-        ``eval_axis(base, plus, minus, xi) -> (f_plus, f_minus)`` over
-        ``(R, n)`` rows, with ``xi`` the ``(R, ...)`` noise of the rows:
-        entry ``(r, i)`` evaluates F at ``base[r]`` with coordinate ``i``
-        replaced by ``plus[r, i]`` (resp. ``minus[r, i]``).  Structured
-        objectives implement this in O(n) per row instead of O(n) full
-        evaluations; values must match ``eval`` on the same points.
+        ``eval_axis(base, moved, xi) -> values`` with ``base`` the ``(R, n)``
+        rows, ``moved`` the ``(R, 2, n)`` replacement values and ``xi`` the
+        ``(R, ...)`` noise of the rows: ``values[r, s, i]`` evaluates F at
+        ``base[r]`` with coordinate ``i`` replaced by ``moved[r, s, i]``,
+        so ``values`` has ``moved``'s shape.  esgs passes
+        ``x_i + eta*sqrt(2V)`` as side 0 and ``x_i - eta*sqrt(2V)`` as
+        side 1.  Structured objectives implement this in O(n) per row
+        instead of O(n) full evaluations; values must match ``eval`` on the
+        same points.
     """
 
     eval: Callable[[np.ndarray, Any], np.ndarray]
     noise_sampler: Callable[[RandomStream, int], Any]
     lipschitz_l0: float
     eval_batch: Callable[[np.ndarray, Any], np.ndarray] | None = None
-    eval_axis: (
-        Callable[[np.ndarray, np.ndarray, np.ndarray, Any], tuple[np.ndarray, np.ndarray]]
-        | None
-    ) = None
+    eval_axis: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
 
 
 def _evaluate(evaluate, points: np.ndarray, xi: Any) -> np.ndarray:
@@ -198,6 +199,11 @@ def _replacement_values(evaluate, base, moved, xi) -> np.ndarray:
 # oracle calls each row consumed.
 
 
+# The signs of the two sides, as a (2, 1) factor: x + (-s) and x - s are
+# the same IEEE value, so one broadcast builds both sides' bits.
+_SIDES = np.array([[1.0], [-1.0]])
+
+
 def esgs_rows(oracle, x, eta, draws):
     """Exponentially-shifted Gaussian smoothing from ``draws = (sqrt(2V), Z / eta, xi)``.
 
@@ -205,31 +211,26 @@ def esgs_rows(oracle, x, eta, draws):
     ``[F(x_i + eta*sqrt(2V), x^{-i} - Z^{-i}, xi)
        - F(x_i - eta*sqrt(2V), x^{-i} - Z^{-i}, xi)] / (eta*sqrt(2*pi))``
     with one realization of ``V ~ Exp(1)``, ``Z ~ N(0, eta^2 I)`` and ``xi``
-    shared across the row's components, from one ``oracle.eval_axis`` call
-    (a method of the decision-dependent oracles) or else ``oracle.eval``.
+    shared across the row's components.  The ``(R, 2, n)`` replacement
+    values ``x_i +- eta*sqrt(2V)`` go to one ``oracle.eval_axis`` call (a
+    method of the decision-dependent oracles) or else, as ``R`` rows of
+    ``2n``, to ``oracle.eval`` in chunks.
     """
     root_2v, z_unit, xi = draws
-    n = x.shape[1]
+    rows, n = x.shape
     base = x - eta * z_unit
-    shift = (eta * root_2v)[:, None]
+    moved = x[:, None] + (eta * root_2v)[:, None, None] * _SIDES
     if oracle.eval_axis is not None:
-        f_plus, f_minus = (
-            np.asarray(f, dtype=float)
-            for f in oracle.eval_axis(base, x + shift, x - shift, xi)
-        )
-        if f_plus.shape != x.shape or f_minus.shape != x.shape:
-            raise ValueError(
-                f"oracle eval_axis returned shapes {f_plus.shape} and "
-                f"{f_minus.shape} for rows of shape {x.shape}; it must "
-                f"evaluate every row at once"
-            )
+        f = np.asarray(oracle.eval_axis(base, moved, xi), dtype=float)
     else:
-        # x + shift and x - shift live only until they are concatenated
-        values = _replacement_values(
-            oracle.eval, base, np.concatenate((x + shift, x - shift), axis=1), xi
+        f = _replacement_values(oracle.eval, base, moved.reshape(rows, 2 * n), xi)
+        f = f.reshape(moved.shape)
+    if f.shape != moved.shape:
+        raise ValueError(
+            f"oracle eval_axis returned shape {f.shape} for replacement values "
+            f"of shape {moved.shape}; it must evaluate every row at once"
         )
-        f_plus, f_minus = values[:, :n], values[:, n:]
-    return (f_plus - f_minus) / (eta * SQRT_2PI), 2 * n
+    return (f[:, 0] - f[:, 1]) / (eta * SQRT_2PI), 2 * n
 
 
 def _two_point_diffs(oracle, plus, minus, xi) -> np.ndarray:

@@ -234,7 +234,7 @@ def make_quad_problem(
             + l1_weight * np.abs(x).sum(axis=-1)
         )
 
-    def eval_axis(base, plus, minus, xi):
+    def eval_axis(base, moved, xi):
         # All 2n points of a row share its `base` except one coordinate, so
         # one matvec plus O(n) work gives the per-point values up to rounding.
         q_base = np.matmul(q_hat, base[..., None])[..., 0]
@@ -243,20 +243,16 @@ def make_quad_problem(
             np.vecdot(0.5 * base, q_base)
             + np.vecdot(b + xi, base)
             + l1_weight * np.abs(base).sum(axis=-1)
-        )[:, None]
-        diag = np.diag(q_hat)
-        slope = q_base + b + xi
-
-        def values(new):
-            d = new - base
-            return (
-                f_base
-                + d * slope
-                + 0.5 * d * d * diag
-                + l1_weight * (np.abs(new) - np.abs(base))
-            )
-
-        return values(plus), values(minus)
+        )[:, None, None]
+        slope = (q_base + b + xi)[:, None]
+        base = base[:, None]
+        d = moved - base
+        return (
+            f_base
+            + d * slope
+            + 0.5 * d * d * np.diag(q_hat)
+            + l1_weight * (np.abs(moved) - np.abs(base))
+        )
 
     def noise_sampler(stream: RandomStream, size: int) -> np.ndarray:
         return noise_std * stream.generator.standard_normal((size, n))
@@ -493,18 +489,14 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
     def eval_fn(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return _phi(np.vecdot(c + xi, x)) + 0.5 * mu * np.vecdot(x, x)
 
-    def eval_axis(base, plus, minus, xi):
+    def eval_axis(base, moved, xi):
         w = c + xi
-        t_base = np.vecdot(w, base)[:, None]
-        sq_base = np.vecdot(base, base)[:, None]
-        t_plus = t_base + w * (plus - base)
-        t_minus = t_base + w * (minus - base)
-        sq_plus = sq_base - base * base + plus * plus
-        sq_minus = sq_base - base * base + minus * minus
-        return (
-            _phi(t_plus) + 0.5 * mu * sq_plus,
-            _phi(t_minus) + 0.5 * mu * sq_minus,
-        )
+        t_base = np.vecdot(w, base)[:, None, None]
+        sq_base = np.vecdot(base, base)[:, None, None]
+        w, base = w[:, None], base[:, None]
+        t = t_base + w * (moved - base)
+        sq = sq_base - base * base + moved * moved
+        return _phi(t) + 0.5 * mu * sq
 
     def noise_sampler(stream: RandomStream, size: int) -> np.ndarray:
         return stream.generator.standard_normal((size, n))
@@ -609,20 +601,15 @@ def nonconvex_min_problem(n: int) -> BenchmarkProblem:
         common = sq + n * xi * xi
         return np.minimum(common - 2.0 * xi * total, common + 2.0 * xi * total)
 
-    def eval_axis(base, plus, minus, xi):
-        sq_base = np.vecdot(base, base)[:, None]
-        total_base = base.sum(axis=-1)[:, None]
-        xi = xi[:, None]
-
-        def values(new):
-            sq = sq_base - base * base + new * new
-            totals = total_base - base + new
-            common = sq + n * xi * xi
-            return np.minimum(
-                common - 2.0 * xi * totals, common + 2.0 * xi * totals
-            )
-
-        return values(plus), values(minus)
+    def eval_axis(base, moved, xi):
+        sq_base = np.vecdot(base, base)[:, None, None]
+        total_base = base.sum(axis=-1)[:, None, None]
+        xi = xi[:, None, None]
+        base = base[:, None]
+        sq = sq_base - base * base + moved * moved
+        totals = total_base - base + moved
+        common = sq + n * xi * xi
+        return np.minimum(common - 2.0 * xi * totals, common + 2.0 * xi * totals)
 
     def noise_sampler(stream: RandomStream, size: int) -> np.ndarray:
         return stream.generator.uniform(0.0, 2.0, size)

@@ -39,17 +39,15 @@ def report(number, passed, detail):
     assert passed, f"criterion {number}: {detail}"
 
 
-def linear_first_coordinate_oracle(l0, n):
+def linear_first_coordinate_oracle(l0):
     def eval_fn(x, xi):
         return l0 * x[..., 0]
 
-    def eval_axis(base, plus, minus, xi):
+    def eval_axis(base, moved, xi):
         # only coordinate 1 moves F: the other replacements keep F(base)
-        f_plus = np.repeat(l0 * base[:, :1], n, axis=1)
-        f_minus = f_plus.copy()
-        f_plus[:, 0] = l0 * plus[:, 0]
-        f_minus[:, 0] = l0 * minus[:, 0]
-        return f_plus, f_minus
+        values = np.broadcast_to(l0 * base[:, None, :1], moved.shape).copy()
+        values[:, :, 0] = l0 * moved[:, :, 0]
+        return values
 
     return StochasticOracle(
         eval=eval_fn,
@@ -101,7 +99,7 @@ def test_criterion_2_moment_bound_suite():
     details = []
     ok = True
     for n in (10, 50, 200):
-        lin = linear_first_coordinate_oracle(l0, n)
+        lin = linear_first_coordinate_oracle(l0)
         probe_lin = second_moment_probe(
             esgs_estimate, lin, np.zeros(n), eta, 20_000, RandomStream(2001, n)
         )
@@ -114,7 +112,7 @@ def test_criterion_2_moment_bound_suite():
         ok = ok and probe_lin <= bound_lin and probe_pl <= bound_pl
         details.append(f"n={n}: lin {probe_lin:.1f}<={bound_lin:.0f} pl {probe_pl:.1f}<={bound_pl:.0f}")
     n = 200
-    lin = linear_first_coordinate_oracle(l0, n)
+    lin = linear_first_coordinate_oracle(l0)
     probe_es = second_moment_probe(
         esgs_estimate, lin, np.zeros(n), eta, 10_000, RandomStream(2003)
     )
@@ -161,7 +159,7 @@ def test_criterion_2_closed_form_moments():
     for i, kind in enumerate(("esgs", "gs", "spherical", "spsa")):
         for n in (10, 50, 200):
             probe = second_moment_probe(
-                ESTIMATORS[kind], linear_first_coordinate_oracle(l0, n), np.zeros(n),
+                ESTIMATORS[kind], linear_first_coordinate_oracle(l0), np.zeros(n),
                 eta, samples, RandomStream(2005 + i, n),
             )
             mean, variance = closed_form_moments(kind, n, l0)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -51,6 +52,12 @@ def small_config_raw(**overrides):
 
 def small_config(**overrides):
     return BenchConfig.from_dict(small_config_raw(**overrides))
+
+
+@lru_cache(maxsize=None)
+def independence_problem(oracle_field):
+    """The market for the decision-dependent kinds, else quad_l1 at n = 3."""
+    return market_problem() if oracle_field != "oracle" else quad_l1_problem(3, 2)
 
 
 class TestConfig:
@@ -127,6 +134,14 @@ class TestConfig:
             ({"output": 5}, "output must be a JSON str, got 5"),
             ({"estimators": "esgs"}, "estimators must be a JSON array of strings, got 'esgs'"),
             ({"estimators": ["esgs", 1]}, "estimators must be a JSON array of strings"),
+            (
+                {"problem_params": {"n": 2, "seed": True}},
+                r"problem_params\['seed'\] must be a JSON number, got True",
+            ),
+            (
+                {"problem": "market", "problem_params": {"a": True}},
+                r"problem_params\['a'\] must be a JSON number, got True",
+            ),
         ],
     )
     def test_json_types_are_not_coerced(self, overrides, message):
@@ -228,6 +243,36 @@ class TestDeterminismAndOrdering:
             # one row's calls before every iteration k, and its total
             assert batch_rec.calls == alone_rec.calls
             assert batch[r].oracle_calls == alone.oracle_calls
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(list(KINDS)), data=st.data())
+    def test_replication_bits_do_not_depend_on_the_rows_beside_it(self, kind, data):
+        # a few iterations, run as a batch of R rows and as any subset of
+        # them, a single row included
+        rows = data.draw(st.integers(1, 6), label="rows")
+        subset = data.draw(
+            st.lists(st.integers(0, rows - 1), min_size=1, max_size=rows, unique=True),
+            label="subset",
+        )
+        iterations = data.draw(st.integers(0, 12), label="iterations")
+        config = small_config(base_seed=data.draw(st.integers(0, 2**32), label="seed"))
+        problem = independence_problem(KINDS[kind].oracle_field)
+
+        def go(replications):
+            recorder = Recorder()
+            streams = [bench._replication_stream(config, kind, r) for r in replications]
+            return run_problem(
+                problem, kind, problem.default_schedule, iterations, streams,
+                observe=recorder,
+            ), recorder
+
+        (batch, batch_rec), (part, part_rec) = go(range(rows)), go(subset)
+        for j, r in enumerate(subset):
+            np.testing.assert_array_equal(part[j].final_x, batch[r].final_x)
+            np.testing.assert_array_equal(part_rec.iterates(j), batch_rec.iterates(r))
+            assert part[j].oracle_calls == batch[r].oracle_calls
+        # the calls before every iteration k
+        assert part_rec.calls == batch_rec.calls
 
     def test_replication_permutation_leaves_aggregates_unchanged(self):
         config = small_config(iterations=20, replications=5)
@@ -799,6 +844,7 @@ class TestCli:
             {"iterations": {"esgs": 3, "gs": -1}},
             {"iterations": -1},
             {"estimators": []},
+            {"problem_params": {"n": 2, "seed": True}},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])

@@ -436,7 +436,7 @@ class TestOracleContract:
             noise_sampler=lambda stream, size: np.zeros(size),
             lipschitz_l0=1.0,
             # the values of the first row only
-            eval_axis=lambda base, plus, minus, xi: (plus[0], minus[0]),
+            eval_axis=lambda base, moved, xi: moved[0],
         )
         with pytest.raises(ValueError, match="every row at once"):
             esgs_estimate(oracle, np.zeros(n), PARAMS, RandomStream(0))

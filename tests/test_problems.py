@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from zosmooth.decision import RatioBoundError, ValueBoundError
+from zosmooth.decision import KNOWN_DENSITY, RatioBoundError, ValueBoundError
 from zosmooth.estimators import SmoothingParams, esgs_estimate
 from zosmooth.problems import (
     PL_INTERCEPTS,
@@ -404,28 +404,70 @@ def axis_problem(name, n):
     return AXIS_BUILDERS[name](n)
 
 
+# The market's decision-dependent oracles, whose eval_axis the esgs_dd kinds
+# call, at the market's n = 2.
+DD_ORACLES = {"market_known": "dd_known", "market_field": "dd_unknown"}
+AXIS_ORACLES = sorted(AXIS_BUILDERS) + sorted(DD_ORACLES)
+
+
+@lru_cache(maxsize=None)
+def axis_oracle(name, n):
+    if name in DD_ORACLES:
+        return getattr(market_problem(), DD_ORACLES[name])
+    return axis_problem(name, n).oracle
+
+
+def axis_noise(name, oracle, seed, rows):
+    """The rows' ``xi`` as their esgs kind draws it: the known-density
+    leg's packed reference draws, the field's noise or the oracle's noise."""
+    if name == "market_known":
+        return KNOWN_DENSITY.draw(oracle, RandomStream(seed), rows, 2)[-1]
+    if name == "market_field":
+        return oracle.noise_sampler(RandomStream(seed), rows, 2)
+    return oracle.noise_sampler(RandomStream(seed), rows)
+
+
+def replaced(base, i, value):
+    point = base.copy()
+    point[i] = value
+    return point
+
+
 COORDINATE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
 
-@pytest.mark.parametrize("name", sorted(AXIS_BUILDERS))
+@pytest.mark.parametrize("name", AXIS_ORACLES)
 @PROPERTY
 @given(data=st.data())
 def test_eval_axis_equals_per_point_eval(name, data):
-    n = data.draw(st.integers(1, 8), label="n")
-    oracle = axis_problem(name, n).oracle
-    base, plus, minus = (
-        data.draw(hnp.arrays(float, (1, n), elements=COORDINATE), label=label)
-        for label in ("base", "plus", "minus")
-    )
-    seed = data.draw(st.integers(0, 2**32), label="seed")
-    xi = oracle.noise_sampler(RandomStream(seed), 1)
-    f_plus, f_minus = oracle.eval_axis(base, plus, minus, xi)
-    for i in range(n):
-        for new, value in ((plus[0, i], f_plus[0, i]), (minus[0, i], f_minus[0, i])):
-            point = base[0].copy()
-            point[i] = new
-            expected = oracle.eval(point, xi[0])
-            assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+    n = 2 if name in DD_ORACLES else data.draw(st.integers(1, 8), label="n")
+    oracle = axis_oracle(name, n)
+    base = data.draw(hnp.arrays(float, (1, n), elements=COORDINATE), label="base")
+    moved = data.draw(hnp.arrays(float, (1, 2, n), elements=COORDINATE), label="moved")
+    xi = axis_noise(name, oracle, data.draw(st.integers(0, 2**32), label="seed"), 1)
+    values = oracle.eval_axis(base, moved, xi)
+    assert values.shape == (1, 2, n)
+    for side in range(2):
+        for i in range(n):
+            point = replaced(base[0], i, moved[0, side, i])
+            value = values[0, side, i]
+            if name == "market_known":
+                # the row's reference draw, with components of shape (1,);
+                # numpy may round the density's exp of arrays of different
+                # lengths differently in the last bit
+                expected = oracle.weighted_value(point, tuple(xi[0, :-1, None]))
+                assert value == pytest.approx(expected[0], rel=1e-14, abs=0)
+            elif name == "market_field":
+                # the field maps coordinate i's point pair with its own noise
+                pair = (
+                    replaced(base[0], i, moved[0, 0, i]),
+                    replaced(base[0], i, moved[0, 1, i]),
+                )
+                field = oracle.field_sampler(*pair, xi[0, i])[side]
+                assert value == oracle.f_hat(point, field)
+            else:
+                expected = oracle.eval(point, xi[0])
+                assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
 def one_point_value(name, problem, x, xi):
@@ -462,25 +504,21 @@ def test_eval_on_stacked_points_equals_one_point_values(name, data):
             assert values[r, side] == expected
 
 
-@pytest.mark.parametrize("name", sorted(AXIS_BUILDERS))
+@pytest.mark.parametrize("name", AXIS_ORACLES)
 @PROPERTY
 @given(data=st.data())
 def test_eval_axis_on_rows_equals_one_row_per_call(name, data):
-    n = data.draw(st.integers(1, 60), label="n")
+    n = 2 if name in DD_ORACLES else data.draw(st.integers(1, 60), label="n")
     rows = data.draw(st.integers(1, 6), label="rows")
-    oracle = axis_problem(name, n).oracle
-    base, plus, minus = (
-        data.draw(hnp.arrays(float, (rows, n), elements=COORDINATE), label=label)
-        for label in ("base", "plus", "minus")
-    )
-    xi = oracle.noise_sampler(RandomStream(data.draw(st.integers(0, 2**32), label="seed")), rows)
-    f_plus, f_minus = oracle.eval_axis(base, plus, minus, xi)
-    assert f_plus.shape == f_minus.shape == (rows, n)
+    oracle = axis_oracle(name, n)
+    base = data.draw(hnp.arrays(float, (rows, n), elements=COORDINATE), label="base")
+    moved = data.draw(hnp.arrays(float, (rows, 2, n), elements=COORDINATE), label="moved")
+    xi = axis_noise(name, oracle, data.draw(st.integers(0, 2**32), label="seed"), rows)
+    values = oracle.eval_axis(base, moved, xi)
+    assert values.shape == (rows, 2, n)
     for r in range(rows):
         one = slice(r, r + 1)
-        g_plus, g_minus = oracle.eval_axis(base[one], plus[one], minus[one], xi[one])
-        assert np.array_equal(f_plus[one], g_plus)
-        assert np.array_equal(f_minus[one], g_minus)
+        assert np.array_equal(values[one], oracle.eval_axis(base[one], moved[one], xi[one]))
 
 
 @pytest.mark.parametrize("name", sorted(AXIS_BUILDERS))

@@ -5,14 +5,16 @@ from pathlib import Path
 
 import numpy as np
 
-from zosmooth import weighted_average
+from zosmooth import (
+    RandomStream, SmoothingParams, StochasticOracle, esgs_estimate, weighted_average,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
@@ -21,3 +23,17 @@ def test_library_example_runs():
         namespace["averages"][2000], weighted_average(namespace["trajectory"])
     )
     assert namespace["x_r"].shape == (20,)
+    # the structured oracle's eval_axis gives esgs the values of its eval,
+    # up to rounding
+    quadratic = namespace["quadratic"]
+    eval_only = StochasticOracle(
+        eval=quadratic.eval,
+        noise_sampler=quadratic.noise_sampler,
+        lipschitz_l0=quadratic.lipschitz_l0,
+    )
+    x = np.linspace(-1.0, 1.0, 20)
+    g_axis, g_eval = (
+        esgs_estimate(oracle, x, SmoothingParams(0.1), RandomStream(3)).estimate
+        for oracle in (quadratic, eval_only)
+    )
+    np.testing.assert_allclose(g_axis, g_eval, rtol=1e-9, atol=1e-9)
