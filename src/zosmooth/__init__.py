@@ -12,7 +12,6 @@ from .decision import (
 )
 from .estimators import (
     GradientSample,
-    SmoothingParams,
     StochasticOracle,
     esgs_estimate,
     gs_estimate,
@@ -64,7 +63,6 @@ __all__ = [
     "RatioBoundError",
     "Schedule",
     "SmoothedFunctionView",
-    "SmoothingParams",
     "StochasticOracle",
     "Trajectory",
     "ValueBoundError",

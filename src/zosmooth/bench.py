@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, fields
@@ -118,6 +119,7 @@ class BenchConfig:
         for key, value in problem_params.items():
             if type(value) is bool:
                 raise ConfigError(f"problem_params[{key!r}] must be a JSON number, got {value!r}")
+            _finite(f"problem_params[{key!r}]", value)
         estimators = raw["estimators"]
         if not isinstance(estimators, list) or any(type(k) is not str for k in estimators):
             raise ConfigError(
@@ -145,6 +147,7 @@ class BenchConfig:
             for key, value in schedule.items():
                 if key != "kind" and type(value) not in (int, float):
                     raise ConfigError(f"schedule {key!r} must be a number, got {value!r}")
+                _finite(f"schedule {key!r}", value)
         iterations = raw["iterations"]
         if type(iterations) is int:
             iterations = {kind: iterations for kind in estimators}
@@ -197,6 +200,13 @@ class BenchConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top-level config must be a JSON object")
         return BenchConfig.from_dict(raw)
+
+
+def _finite(name: str, value) -> None:
+    """Reject a NaN or infinity, which Python's json reads from ``NaN`` or
+    ``Infinity`` and which would fail far from the key holding it."""
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite JSON number, got {value!r}")
 
 
 def _typed(name: str, value, kind: type):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bench
 from .decision import RatioBoundError, ValueBoundError
-from .estimators import SmoothingParams, StochasticOracle, second_moment_probe
+from .estimators import StochasticOracle, second_moment_probe
 from .optimizer import NonFiniteError
 from .rng import RandomStream
 from .smoothing import QuadratureConvergenceError
@@ -103,9 +103,7 @@ def _cmd_moments(args) -> int:
             if entry.oracle_field != "oracle":
                 continue
             stream = RandomStream(seed, substream_id=n)
-            probe = second_moment_probe(
-                entry.estimator, oracle, x, SmoothingParams(eta), samples, stream
-            )
+            probe = second_moment_probe(entry.estimator, oracle, x, eta, samples, stream)
             rows.append((kind, n, 1.0, samples, probe, 4.0 / np.pi * n))
     bench.write_table(
         path,

@@ -52,15 +52,10 @@ class NonFiniteError(RuntimeError):
     """A gradient estimate or an iterate became NaN or infinite."""
 
 
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Smoothing radius eta > 0."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ValueError(f"smoothing radius eta must be > 0, got {self.eta}")
+def _check_eta(eta: float) -> None:
+    """Reject a smoothing radius that is not > 0, NaN included."""
+    if not eta > 0:
+        raise ValueError(f"smoothing radius eta must be > 0, got {eta}")
 
 
 @dataclass
@@ -233,9 +228,9 @@ def esgs_rows(oracle, x, eta, draws):
     return (f[:, 0] - f[:, 1]) / (eta * SQRT_2PI), 2 * n
 
 
-def _two_point_diffs(oracle, plus, minus, xi) -> np.ndarray:
-    """``F(plus_r, xi_r) - F(minus_r, xi_r)``, all rows in one ``eval`` call."""
-    f = _evaluate(oracle.eval, np.stack((plus, minus), axis=1), xi[:, None])
+def _two_point_diffs(oracle, points, xi) -> np.ndarray:
+    """``F(points[r, 0], xi_r) - F(points[r, 1], xi_r)``, all rows in one ``eval`` call."""
+    f = _evaluate(oracle.eval, points, xi[:, None])
     return f[:, 0] - f[:, 1]
 
 
@@ -246,7 +241,10 @@ def gs_rows(oracle, x, eta, draws):
     normal.
     """
     z, xi = draws
-    diff = _two_point_diffs(oracle, x + eta * z, x, xi)
+    points = np.empty((len(x), 2, x.shape[1]))
+    points[:, 0] = x + eta * z
+    points[:, 1] = x
+    diff = _two_point_diffs(oracle, points, xi)
     return (diff / eta)[:, None] * z, 2
 
 
@@ -257,7 +255,7 @@ def spherical_rows(oracle, x, eta, draws):
     ``u`` uniform on the unit sphere.
     """
     u, xi = draws
-    diff = _two_point_diffs(oracle, x + eta * u, x - eta * u, xi)
+    diff = _two_point_diffs(oracle, x[:, None] + (eta * u)[:, None] * _SIDES, xi)
     return (x.shape[1] / (2.0 * eta)) * diff[:, None] * u, 2
 
 
@@ -268,7 +266,7 @@ def spsa_rows(oracle, x, eta, draws):
     ``D_i`` i.i.d. uniform on {-1, +1}.
     """
     delta, xi = draws
-    diff = _two_point_diffs(oracle, x + eta * delta, x - eta * delta, xi)
+    diff = _two_point_diffs(oracle, x[:, None] + (eta * delta)[:, None] * _SIDES, xi)
     return diff[:, None] / (2.0 * eta * delta), 2
 
 
@@ -334,14 +332,16 @@ class BatchEstimator:
         self,
         oracle,
         x: np.ndarray,
-        params: SmoothingParams,
+        eta: float,
         stream: RandomStream,
     ) -> GradientSample:
-        """One estimate at ``x``: the kind's draw of size 1 from ``stream``,
-        then its row kernel (which states the formula) on ``x`` as one row."""
+        """One estimate at ``x`` at smoothing radius ``eta``: the kind's draw
+        of size 1 from ``stream``, then its row kernel (which states the
+        formula) on ``x`` as one row.  ``eta <= 0`` or NaN raises ValueError."""
+        _check_eta(eta)
         x = np.asarray(x, dtype=float)
         draws = self.draw(oracle, stream, 1, x.shape[0])
-        g, calls = self.estimate(oracle, x[None], params.eta, draws)
+        g, calls = self.estimate(oracle, x[None], eta, draws)
         return GradientSample(g[0], tuple(d[0] for d in draws), calls)
 
 
@@ -393,11 +393,12 @@ def second_moment_probe(
     make_estimate: BatchEstimator,
     oracle: StochasticOracle,
     x: np.ndarray,
-    params: SmoothingParams,
+    eta: float,
     sample_count: int,
     stream: RandomStream,
 ) -> float:
-    """Monte-Carlo estimate of E[||g||^2] from ``sample_count`` fresh draws.
+    """Monte-Carlo estimate of E[||g||^2] at smoothing radius ``eta > 0``
+    from ``sample_count`` fresh draws.
 
     ``make_estimate`` is a :class:`BatchEstimator` or its ``sample`` method,
     resolved by :func:`batch_form`, which raises :class:`TypeError` for
@@ -406,9 +407,11 @@ def second_moment_probe(
     fall in a different order than in ``sample_count`` single-sample calls
     on the same stream.
 
-    Raises :class:`NonFiniteError`, naming the estimator and the first
-    sample, when a sample's ``||g||^2`` is NaN or infinite.
+    Raises :class:`ValueError` when ``eta`` is not > 0, NaN included, and
+    :class:`NonFiniteError`, naming the estimator and the first sample, when
+    a sample's ``||g||^2`` is NaN or infinite.
     """
+    _check_eta(eta)
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     x = np.asarray(x, dtype=float)
@@ -422,7 +425,7 @@ def second_moment_probe(
         size = min(block, sample_count - first)
         draws = batch.draw(oracle, stream, size, n)
         rows = np.broadcast_to(x, (size, n))
-        g, _ = batch.estimate(oracle, rows, params.eta, draws)
+        g, _ = batch.estimate(oracle, rows, eta, draws)
         squares = np.vecdot(g, g)
         if not np.isfinite(squares).all():
             bad = first + int(np.flatnonzero(~np.isfinite(squares))[0])

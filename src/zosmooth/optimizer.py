@@ -42,7 +42,7 @@ import numpy as np
 
 # NonFiniteError lives in estimators, whose probe raises it too, and stays
 # importable from here
-from .estimators import BatchEstimator, NonFiniteError, batch_form
+from .estimators import BatchEstimator, NonFiniteError, _check_eta, batch_form
 from .projections import FeasibleSet, project
 from .rng import RandomStream
 
@@ -293,8 +293,7 @@ def run(
             if observe is not None:
                 observe(k, x, weighted_sum, gamma_total, total_calls)
             gamma_k, eta_k = schedule_values(schedule, k + offset)
-            if not eta_k > 0:
-                raise ValueError(f"smoothing radius eta must be > 0, got {eta_k}")
+            _check_eta(eta_k)
             g, used = batch.estimate(oracle, x, eta_k, draws)
             try:
                 x_next = step(x, g, gamma_k, feasible)

@@ -201,27 +201,28 @@ def _projected_gradient(
 
 
 # ---------------------------------------------------------------------------
-# quadratic + l1 family
+# quadratic + l1 family, with its noise standard deviation and box half-width
+
+QUAD_NOISE_STD = 1.0
+QUAD_BOX_HALF_WIDTH = 1.0
 
 
 def make_quad_problem(
     q_hat: np.ndarray,
     b: np.ndarray,
     l1_weight: float = 0.5,
-    noise_std: float = 1.0,
-    box_half_width: float = 1.0,
-    name: str = "quad_l1",
 ) -> BenchmarkProblem:
     """Quadratic-plus-l1 problem from explicit data.
 
     ``F(x, xi) = 0.5 x'Q x + (b + xi)'x + w*||x||_1`` with noise vector
-    ``xi`` of i.i.d. ``N(0, noise_std^2)`` coordinates, on ``[-h, h]^n``.
+    ``xi`` of i.i.d. ``N(0, s^2)`` coordinates, on ``[-h, h]^n``, where
+    ``s`` is :data:`QUAD_NOISE_STD` and ``h`` is :data:`QUAD_BOX_HALF_WIDTH`.
     ``q_hat`` must be symmetric positive definite.
     """
     q_hat = np.asarray(q_hat, dtype=float)
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    feasible = FeasibleSet.symmetric_box(box_half_width, n)
+    feasible = FeasibleSet.symmetric_box(QUAD_BOX_HALF_WIDTH, n)
 
     # The oracle callables broadcast: points have shape (..., n) and xi the
     # matching (..., n) noise.  The stacked matvec and vecdot give each point
@@ -255,14 +256,14 @@ def make_quad_problem(
         )
 
     def noise_sampler(stream: RandomStream, size: int) -> np.ndarray:
-        return noise_std * stream.generator.standard_normal((size, n))
+        return QUAD_NOISE_STD * stream.generator.standard_normal((size, n))
 
     # Q is symmetric positive definite: one eigendecomposition gives both
     # its spectral norm (the largest eigenvalue) and mu (the smallest)
     eigenvalues = np.linalg.eigvalsh(q_hat)
     mu, norm_q = float(eigenvalues[0]), float(eigenvalues[-1])
-    smooth_lip = norm_q * math.sqrt(n) * box_half_width + float(np.linalg.norm(b))
-    l0 = smooth_lip + l1_weight * math.sqrt(n) + noise_std
+    smooth_lip = norm_q * math.sqrt(n) * QUAD_BOX_HALF_WIDTH + float(np.linalg.norm(b))
+    l0 = smooth_lip + l1_weight * math.sqrt(n) + QUAD_NOISE_STD
 
     def exact_f(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -290,7 +291,7 @@ def make_quad_problem(
         eval_axis=eval_axis,
     )
     return BenchmarkProblem(
-        name=name,
+        name="quad_l1",
         n=n,
         oracle=oracle,
         exact_f=exact_f,
@@ -314,7 +315,7 @@ def make_quad_problem(
             "q_hat": q_hat,
             "b": b,
             "l1_weight": l1_weight,
-            "noise_std": noise_std,
+            "noise_std": QUAD_NOISE_STD,
             "norm_q": norm_q,
         },
     )

@@ -56,8 +56,9 @@ def project(feasible: FeasibleSet, u: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``u`` onto ``feasible``.
 
     ``u`` is one point of shape ``(n,)`` or a batch of points of shape
-    ``(R, n)``, projected row by row.  Idempotent and non-expansive; raises on
-    dimension mismatch.
+    ``(R, n)``, projected row by row; a point takes the same code as a batch,
+    so it gets the bits it would get as a row.  Idempotent and
+    non-expansive; raises on dimension mismatch.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 2 and len(u) == 1:
@@ -79,37 +80,22 @@ def project(feasible: FeasibleSet, u: np.ndarray) -> np.ndarray:
             )
         d = u - feasible.center
         radius = feasible.radius
-        if u.ndim == 1:
-            # one point: a scalar norm is cheaper than the batch path below
-            # and gives the same bits
-            norm = float(np.linalg.norm(d))
-            if norm <= radius:
-                return u.copy()
-            # rescaling can land one ulp outside; repeat so projection is
-            # exactly idempotent (the next call then takes the interior branch)
-            while norm > radius:
-                d = d * (radius / norm)
-                norm = float(np.linalg.norm(d))
-            # center + d can round outside again; step it toward the center,
-            # which is inside, until the interior test above passes
-            p = feasible.center + d
-            while float(np.linalg.norm(p - feasible.center)) > radius:
-                p = np.nextafter(p, feasible.center)
-            return p
         # one vecdot call gives every point's squared distance to the center
         norms = np.sqrt(np.vecdot(d, d))[..., None]
         top = norms.max()
         if top <= radius:
             return u.copy()
         outside = norms > radius
-        # as above, repeated until every point is inside; points already
-        # inside are scaled by exactly 1 and returned unchanged
+        # rescaling can land one ulp outside; repeat until every point is
+        # inside, so projection is exactly idempotent (the next call then
+        # takes the interior branch); points already inside are scaled by
+        # exactly 1 and returned unchanged
         while top > radius:
             d = d * (radius / np.maximum(norms, radius))
             norms = np.sqrt(np.vecdot(d, d))[..., None]
             top = norms.max()
-        # and, as above, stepped toward the center until each row passes
-        # the interior test
+        # center + d can round outside again; step each such point toward
+        # the center, which is inside, until it passes the interior test
         p = np.where(outside, feasible.center + d, u)
         while True:
             d = p - feasible.center

@@ -14,7 +14,6 @@ import pytest
 from zosmooth.bench import BenchConfig, emit_csv, run_benchmark, run_dd_benchmark, run_problem
 from zosmooth.estimators import (
     ESTIMATORS,
-    SmoothingParams,
     StochasticOracle,
     esgs_estimate,
     gs_estimate,
@@ -75,7 +74,7 @@ def test_criterion_1_unbiasedness_oracle_equivalence():
     acc = np.zeros(2)
     acc_sq = np.zeros(2)
     for _ in range(count):
-        g = esgs_estimate(oracle, x, SmoothingParams(eta), stream).estimate
+        g = esgs_estimate(oracle, x, eta, stream).estimate
         acc += g
         acc_sq += g * g
     mean = acc / count
@@ -94,7 +93,7 @@ def test_criterion_1_unbiasedness_oracle_equivalence():
 
 def test_criterion_2_moment_bound_suite():
     t0 = time.perf_counter()
-    eta = SmoothingParams(0.05)
+    eta = 0.05
     l0 = 3.0
     details = []
     ok = True
@@ -152,7 +151,7 @@ def test_criterion_2_closed_form_moments():
     # each probe within 5 standard errors of its closed form; spsa's
     # ||g||^2 is a constant, met to rounding
     t0 = time.perf_counter()
-    eta = SmoothingParams(0.05)
+    eta = 0.05
     l0, samples = 3.0, 5000
     details = []
     ok = True

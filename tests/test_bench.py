@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -148,6 +149,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             small_config(**overrides)
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (
+                '"problem": "piecewise_linear", "problem_params": {"n": 3, "mu": %s}',
+                r"problem_params\['mu'\] must be a finite JSON number, got ",
+            ),
+            (
+                '"problem": "quad_l1", "problem_params": {"n": 2, "seed": 1}, '
+                '"schedule": {"kind": "custom", "alpha": %s, "beta": 0.5}',
+                "schedule 'alpha' must be a finite JSON number, got ",
+            ),
+        ],
+        ids=["problem_params", "schedule"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, raw, message, number):
+        # Python's json reads NaN and the infinities, which builders and
+        # schedules would carry to a failure far from the key
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{' + raw % number + ', "estimators": ["esgs"], "iterations": 1, '
+            '"replications": 1, "base_seed": 1}'
+        )
+        value = repr(float(number))
+        with pytest.raises(ConfigError, match=message + value + "$"):
+            BenchConfig.from_json(path)
+
     def test_duplicate_estimator_rejected(self):
         with pytest.raises(ConfigError, match="listed twice"):
             small_config(estimators=["esgs", "esgs"])
@@ -206,6 +235,28 @@ class TestBudget:
         for trajectory in trajectories:
             # every kind spends the same 2nK calls at its budget iterations
             assert trajectory.oracle_calls == 2 * n * iterations
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(
+        n=st.integers(1, 8),
+        iterations=st.integers(1, 4),
+        kinds=st.lists(
+            st.sampled_from([k for k in KINDS if KINDS[k].oracle_field == "oracle"]),
+            min_size=1, unique=True,
+        ),
+    )
+    def test_every_kind_gets_the_same_budget(self, n, iterations, kinds):
+        for kind, entry in KINDS.items():
+            per_estimate = 2 * n if entry.per_coordinate else 2
+            assert budget_iterations(kind, iterations, n) * per_estimate == 2 * n * iterations
+        rows, _ = run_benchmark(
+            small_config(
+                problem_params={"n": n, "seed": 3}, estimators=kinds,
+                iterations=iterations, replications=2,
+            )
+        )
+        assert sorted(row.estimator for row in rows) == sorted(kinds * 2)
+        assert all(row.oracle_calls == 2 * n * iterations for row in rows)
 
 
 class TestDeterminismAndOrdering:
@@ -798,18 +849,21 @@ class TestCli:
 
     def test_non_finite_iterate_exit_code(self, tmp_path, capsys):
         # a finite 1e308 step overflows in numpy, whose warning would print
-        # lines before the error line
-        for gamma_scale in (float("inf"), 1e308):
+        # lines before the error line; an infinite one is a config error
+        for gamma_scale, code in ((float("inf"), 1), (1e308, 4)):
             raw = small_config_raw(
                 schedule={"kind": "custom", "alpha": 0.5, "beta": 0.5,
                           "gamma_scale": gamma_scale}
             )
             config = self.write_config(tmp_path, raw)
             out = tmp_path / "out"
-            assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 4
+            assert cli_main(["run", "--config", str(config), "--out", str(out)]) == code
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1
-            assert "'esgs'" in err[0] and "iteration k=0" in err[0]
+            if code == 1:
+                assert "schedule 'gamma_scale' must be a finite JSON number, got inf" in err[0]
+            else:
+                assert "'esgs'" in err[0] and "iteration k=0" in err[0]
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"problem": "quad_l1"})
@@ -845,6 +899,9 @@ class TestCli:
             {"iterations": -1},
             {"estimators": []},
             {"problem_params": {"n": 2, "seed": True}},
+            {"problem": "piecewise_linear", "problem_params": {"n": 3, "mu": math.nan}},
+            {"problem_params": {"n": 2, "seed": 1, "l1_weight": math.inf}},
+            {"schedule": {"kind": "custom", "alpha": math.nan, "beta": 0.5}},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])

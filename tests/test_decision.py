@@ -18,7 +18,7 @@ from zosmooth.decision import (
     field_correlation,
     kl_sym_normal,
 )
-from zosmooth.estimators import SmoothingParams, second_moment_probe
+from zosmooth.estimators import second_moment_probe
 from zosmooth.optimizer import Schedule, run
 from zosmooth.problems import market_problem
 from zosmooth.projections import FeasibleSet
@@ -26,7 +26,7 @@ from zosmooth.rng import RandomStream, sample_correlated_pair
 
 from recorder import Recorder
 
-PARAMS = SmoothingParams(0.3)
+ETA = 0.3
 
 
 class TestKlSymNormal:
@@ -107,7 +107,7 @@ class TestKnownDensityEstimator:
             lip_f_hat=0.0,
             lip_xi=0.0,
         )
-        sample = esgs_dd_known(oracle, np.zeros(3), PARAMS, RandomStream(0))
+        sample = esgs_dd_known(oracle, np.zeros(3), ETA, RandomStream(0))
         np.testing.assert_array_equal(sample.estimate, np.zeros(3))
         assert sample.oracle_calls == 6
 
@@ -132,7 +132,7 @@ class TestKnownDensityEstimator:
         count = 100_000
         acc = acc2 = 0.0
         for _ in range(count):
-            g = esgs_dd_known(oracle, x, PARAMS, stream).estimate[0]
+            g = esgs_dd_known(oracle, x, ETA, stream).estimate[0]
             acc += g
             acc2 += g * g
         mean = acc / count
@@ -154,7 +154,7 @@ class TestKnownDensityEstimator:
         stream = RandomStream(1)
         with pytest.raises(RatioBoundError):
             for _ in range(200):
-                esgs_dd_known(tight, np.array([1.0]), PARAMS, stream)
+                esgs_dd_known(tight, np.array([1.0]), ETA, stream)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(
@@ -223,7 +223,7 @@ class TestRandomFieldEstimator:
             noise_sampler=lambda stream, size, n: np.zeros((size, n, 1)),
             c_xi=1.0,
         )
-        sample = esgs_dd_unknown(oracle, np.zeros(4), PARAMS, RandomStream(0))
+        sample = esgs_dd_unknown(oracle, np.zeros(4), ETA, RandomStream(0))
         np.testing.assert_array_equal(sample.estimate, np.zeros(4))
         assert sample.oracle_calls == 8
 
@@ -237,7 +237,7 @@ class TestRandomFieldEstimator:
         acc = np.zeros(2)
         acc2 = np.zeros(2)
         for _ in range(count):
-            g = esgs_dd_unknown(oracle, np.array([0.2, 0.1]), PARAMS, stream).estimate
+            g = esgs_dd_unknown(oracle, np.array([0.2, 0.1]), ETA, stream).estimate
             acc += g
             acc2 += g * g
         mean = acc / count
@@ -348,13 +348,13 @@ class TestMomentGates:
             lip_xi=0.0,
         )
         probe = second_moment_probe(
-            esgs_dd_known, oracle, self.X, PARAMS, self.COUNT, RandomStream(31)
+            esgs_dd_known, oracle, self.X, ETA, self.COUNT, RandomStream(31)
         )
         self.assert_within_four_standard_errors(probe)
 
     def test_shared_noise_field(self):
         probe = second_moment_probe(
-            esgs_dd_unknown, shared_noise_field(self.C), self.X, PARAMS, self.COUNT,
+            esgs_dd_unknown, shared_noise_field(self.C), self.X, ETA, self.COUNT,
             RandomStream(32),
         )
         self.assert_within_four_standard_errors(probe)
@@ -409,7 +409,7 @@ class TestSecondMomentLinearity:
             stream = RandomStream(7)
             total = 0.0
             for _ in range(count):
-                g = estimator(oracle, x, PARAMS, stream).estimate
+                g = estimator(oracle, x, ETA, stream).estimate
                 total += float(g @ g)
             probe = total / count
             assert probe <= 4.0 / math.pi * l0**2 * n * 1.1

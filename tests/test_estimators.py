@@ -1,4 +1,5 @@
 import math
+import re
 from functools import lru_cache
 from unittest.mock import patch
 
@@ -16,7 +17,6 @@ from zosmooth.estimators import (
     SQRT_2PI,
     BatchEstimator,
     GradientSample,
-    SmoothingParams,
     StochasticOracle,
     esgs_estimate,
     esgs_rows,
@@ -29,8 +29,9 @@ from zosmooth.estimators import (
 )
 from zosmooth.bench import KINDS
 from zosmooth.decision import esgs_dd_known, esgs_dd_unknown
-from zosmooth.optimizer import NonFiniteError
+from zosmooth.optimizer import NonFiniteError, Schedule, run
 from zosmooth.problems import market_problem, quad_l1_problem
+from zosmooth.projections import FeasibleSet
 from zosmooth.rng import RandomStream
 
 
@@ -94,13 +95,13 @@ def wrap_counting(oracle):
     return wrapped, counter
 
 
-def mc_mean(estimator, oracle, x, params, count, seed):
+def mc_mean(estimator, oracle, x, eta, count, seed):
     stream = RandomStream(seed)
     n = len(x)
     acc = np.zeros(n)
     acc_sq = np.zeros(n)
     for _ in range(count):
-        g = estimator(oracle, np.asarray(x, float), params, stream).estimate
+        g = estimator(oracle, np.asarray(x, float), eta, stream).estimate
         acc += g
         acc_sq += g * g
     mean = acc / count
@@ -108,12 +109,12 @@ def mc_mean(estimator, oracle, x, params, count, seed):
     return mean, se
 
 
-PARAMS = SmoothingParams(0.3)
+ETA = 0.3
 
 
 class TestEsgs:
     def test_constant_function_gives_zero(self):
-        sample = esgs_estimate(constant_oracle(), np.zeros(3), PARAMS, RandomStream(0))
+        sample = esgs_estimate(constant_oracle(), np.zeros(3), ETA, RandomStream(0))
         np.testing.assert_array_equal(sample.estimate, np.zeros(3))
         assert sample.oracle_calls == 6
 
@@ -125,7 +126,7 @@ class TestEsgs:
         sample = esgs_estimate(
             linear_oracle([1.0, 0.0]),
             np.zeros(2),
-            SmoothingParams(0.7),
+            0.7,
             ScriptedStream(gen),
         )
         assert sample.draws[0] == pytest.approx(1.0)  # sqrt(2V) at V = 0.5
@@ -135,7 +136,7 @@ class TestEsgs:
 
     def test_unbiased_for_linear(self):
         c = np.array([1.0, -2.0])
-        mean, se = mc_mean(esgs_estimate, linear_oracle(c), [0.2, 0.5], PARAMS, 100_000, 7)
+        mean, se = mc_mean(esgs_estimate, linear_oracle(c), [0.2, 0.5], ETA, 100_000, 7)
         np.testing.assert_array_less(np.abs(mean - c), 3.0 * se)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -163,7 +164,7 @@ class TestEsgs:
             expected = c * 2.0 * root_2v / SQRT_2PI
             np.testing.assert_allclose(estimate, expected, rtol=1e-12, atol=atol)
 
-        sample = esgs_estimate(oracle, x, SmoothingParams(eta), RandomStream(seed))
+        sample = esgs_estimate(oracle, x, eta, RandomStream(seed))
         root_2v, z_unit, _ = sample.draws
         check(sample.estimate, root_2v, eta * z_unit)
 
@@ -187,20 +188,20 @@ class TestEsgs:
 
 class TestGs:
     def test_constant_function_gives_zero(self):
-        sample = gs_estimate(constant_oracle(), np.zeros(3), PARAMS, RandomStream(0))
+        sample = gs_estimate(constant_oracle(), np.zeros(3), ETA, RandomStream(0))
         np.testing.assert_array_equal(sample.estimate, np.zeros(3))
         assert sample.oracle_calls == 2
 
     def test_hand_computed_with_pinned_direction(self):
         gen = ScriptedGenerator(normals=[np.array([1.0, 1.0])])
         sample = gs_estimate(
-            linear_oracle([1.0, 0.0]), np.zeros(2), PARAMS, ScriptedStream(gen)
+            linear_oracle([1.0, 0.0]), np.zeros(2), ETA, ScriptedStream(gen)
         )
         np.testing.assert_allclose(sample.estimate, [1.0, 1.0], rtol=1e-12)
 
     def test_unbiased_for_linear(self):
         c = np.array([1.0, -2.0])
-        mean, se = mc_mean(gs_estimate, linear_oracle(c), [0.0, 0.0], PARAMS, 100_000, 8)
+        mean, se = mc_mean(gs_estimate, linear_oracle(c), [0.0, 0.0], ETA, 100_000, 8)
         np.testing.assert_array_less(np.abs(mean - c), 3.0 * se)
 
     def test_second_moment_between_linear_and_worst_case(self):
@@ -211,7 +212,7 @@ class TestGs:
             gs_estimate,
             linear_oracle([l0] + [0.0] * (n - 1)),
             np.zeros(n),
-            PARAMS,
+            ETA,
             100_000,
             RandomStream(9),
         )
@@ -220,28 +221,28 @@ class TestGs:
 
 class TestSpherical:
     def test_constant_function_gives_zero(self):
-        sample = spherical_estimate(constant_oracle(), np.zeros(2), PARAMS, RandomStream(0))
+        sample = spherical_estimate(constant_oracle(), np.zeros(2), ETA, RandomStream(0))
         np.testing.assert_array_equal(sample.estimate, np.zeros(2))
         assert sample.oracle_calls == 2
 
     def test_one_dimensional_hand_value(self):
         gen = ScriptedGenerator(normals=[np.array([0.7])])  # normalizes to u = +1
         sample = spherical_estimate(
-            linear_oracle([1.0]), np.zeros(1), SmoothingParams(0.1), ScriptedStream(gen)
+            linear_oracle([1.0]), np.zeros(1), 0.1, ScriptedStream(gen)
         )
         np.testing.assert_allclose(sample.estimate, [1.0], rtol=1e-12)
 
     def test_unbiased_for_linear(self):
         c = np.array([1.0, -2.0])
         mean, se = mc_mean(
-            spherical_estimate, linear_oracle(c), [0.1, -0.3], PARAMS, 100_000, 10
+            spherical_estimate, linear_oracle(c), [0.1, -0.3], ETA, 100_000, 10
         )
         np.testing.assert_array_less(np.abs(mean - c), 3.0 * se)
 
 
 class TestSpsa:
     def test_constant_function_gives_zero(self):
-        sample = spsa_estimate(constant_oracle(), np.zeros(2), PARAMS, RandomStream(0))
+        sample = spsa_estimate(constant_oracle(), np.zeros(2), ETA, RandomStream(0))
         np.testing.assert_array_equal(sample.estimate, np.zeros(2))
         assert sample.oracle_calls == 2
 
@@ -249,20 +250,20 @@ class TestSpsa:
         # ints [1, 0] map to direction (+1, -1); c = (3, 5) gives (-2, 2)
         gen = ScriptedGenerator(ints=[np.array([1, 0])])
         sample = spsa_estimate(
-            linear_oracle([3.0, 5.0]), np.zeros(2), PARAMS, ScriptedStream(gen)
+            linear_oracle([3.0, 5.0]), np.zeros(2), ETA, ScriptedStream(gen)
         )
         np.testing.assert_allclose(sample.estimate, [-2.0, 2.0], rtol=1e-12)
 
     def test_unbiased_for_linear(self):
         c = np.array([1.0, -2.0])
-        mean, se = mc_mean(spsa_estimate, linear_oracle(c), [0.0, 0.4], PARAMS, 100_000, 11)
+        mean, se = mc_mean(spsa_estimate, linear_oracle(c), [0.0, 0.4], ETA, 100_000, 11)
         np.testing.assert_array_less(np.abs(mean - c), 3.0 * se)
 
 
 class TestSecondMomentProbe:
     def test_constant_is_zero(self):
         probe = second_moment_probe(
-            esgs_estimate, constant_oracle(), np.zeros(4), PARAMS, 100, RandomStream(0)
+            esgs_estimate, constant_oracle(), np.zeros(4), ETA, 100, RandomStream(0)
         )
         assert probe == 0.0
 
@@ -273,7 +274,7 @@ class TestSecondMomentProbe:
         oracle = linear_oracle([l0] + [0.0] * (n - 1))
         values = np.array(
             [
-                float(np.sum(esgs_estimate(oracle, np.zeros(n), PARAMS, stream).estimate ** 2))
+                float(np.sum(esgs_estimate(oracle, np.zeros(n), ETA, stream).estimate ** 2))
                 for _ in range(count)
             ]
         )
@@ -289,7 +290,7 @@ class TestSecondMomentProbe:
         )
         # away from the kinks: at x = 0 every estimate of this even function is 0
         x = np.linspace(-0.5, 0.5, n)
-        probe = second_moment_probe(esgs_estimate, oracle, x, PARAMS, 20_000, RandomStream(14))
+        probe = second_moment_probe(esgs_estimate, oracle, x, ETA, 20_000, RandomStream(14))
         assert probe <= 4.0 / math.pi * l0**2 * n * 1.1
 
     def test_dimension_scaling_contrast(self):
@@ -304,11 +305,11 @@ class TestSecondMomentProbe:
             )
             # esgs is probed away from the kinks, where its estimates are not all 0
             p_es = second_moment_probe(
-                esgs_estimate, oracle, np.linspace(-0.5, 0.5, n), PARAMS, 4000,
+                esgs_estimate, oracle, np.linspace(-0.5, 0.5, n), ETA, 4000,
                 RandomStream(15, n),
             )
             p_gs = second_moment_probe(
-                gs_estimate, oracle, np.zeros(n), PARAMS, 4000, RandomStream(16, n)
+                gs_estimate, oracle, np.zeros(n), ETA, 4000, RandomStream(16, n)
             )
             assert p_es / n <= 4.0 / math.pi * 1.1
             assert p_gs / n**2 <= 2.0  # bounded after n^2 normalization
@@ -319,10 +320,10 @@ class TestSecondMomentProbe:
         n = 200
         oracle = linear_oracle([1.0] + [0.0] * (n - 1))
         p_es = second_moment_probe(
-            esgs_estimate, oracle, np.zeros(n), PARAMS, 10_000, RandomStream(17)
+            esgs_estimate, oracle, np.zeros(n), ETA, 10_000, RandomStream(17)
         )
         p_gs = second_moment_probe(
-            gs_estimate, oracle, np.zeros(n), PARAMS, 10_000, RandomStream(18)
+            gs_estimate, oracle, np.zeros(n), ETA, 10_000, RandomStream(18)
         )
         assert p_gs / p_es > 10.0
 
@@ -333,7 +334,7 @@ class TestSecondMomentProbe:
         count = PROBE_BLOCK_VALUES // n + offset
         oracle, counter = wrap_counting(linear_oracle(np.arange(n) / n))
         second_moment_probe(
-            KINDS[kind].estimator, oracle, np.zeros(n), PARAMS, count, RandomStream(4)
+            KINDS[kind].estimator, oracle, np.zeros(n), ETA, count, RandomStream(4)
         )
         assert counter["calls"] == count * (2 * n if kind == "esgs" else 2)
 
@@ -345,7 +346,7 @@ class TestSecondMomentProbe:
         n, count = 1024, 200  # several probe blocks
         oracle = linear_oracle(np.linspace(-1.0, 1.0, n))
         probe = lambda estimator: second_moment_probe(
-            estimator, oracle, np.zeros(n), PARAMS, count, RandomStream(19)
+            estimator, oracle, np.zeros(n), ETA, count, RandomStream(19)
         )
         with pytest.raises(TypeError, match="doubled"):
             probe(doubled)
@@ -374,19 +375,48 @@ class TestSecondMomentProbe:
         first = int(np.flatnonzero(np.abs(z[:, 0]) >= 2.5)[0])
         assert first > 0
         with pytest.raises(NonFiniteError, match=rf"'gs'.*non-finite.*sample {first} "):
-            second_moment_probe(gs_estimate, oracle, np.zeros(2), PARAMS, count, RandomStream(21))
+            second_moment_probe(gs_estimate, oracle, np.zeros(2), ETA, count, RandomStream(21))
         with np.errstate(invalid="ignore"), pytest.raises(
             NonFiniteError, match=r"'esgs'.*non-finite.*sample 0 "
         ):
             second_moment_probe(
-                esgs_estimate, inf_oracle(), np.zeros(3), PARAMS, count, RandomStream(21)
+                esgs_estimate, inf_oracle(), np.zeros(3), ETA, count, RandomStream(21)
             )
 
     @pytest.mark.parametrize("kind", ["esgs", "gs", "spherical", "spsa"])
     def test_dimension_zero_is_a_value_error(self, kind):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             second_moment_probe(
-                ESTIMATORS[kind], constant_oracle(), np.zeros(0), PARAMS, 10, RandomStream(0)
+                ESTIMATORS[kind], constant_oracle(), np.zeros(0), ETA, 10, RandomStream(0)
+            )
+
+
+class TestSmoothingRadius:
+    """Every entry point that takes eta, and run for each eta_k, rejects
+    eta <= 0 and NaN with one message."""
+
+    @pytest.mark.parametrize("eta", [0.0, -0.3, math.nan])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_bad_eta_is_one_value_error(self, kind, eta):
+        entry = KINDS[kind]
+        if entry.oracle_field == "oracle":
+            oracle = linear_oracle([1.0, 2.0])
+        else:
+            oracle = getattr(market_problem(), entry.oracle_field)
+        x = np.zeros(2)
+        message = re.escape(f"smoothing radius eta must be > 0, got {eta}")
+        stream = RandomStream(0)
+        with pytest.raises(ValueError, match=message):
+            entry.estimator.sample(oracle, x, eta, stream)
+        # rejected before anything is drawn
+        assert stream.generator.random() == RandomStream(0).generator.random()
+        with pytest.raises(ValueError, match=message):
+            second_moment_probe(entry.estimator, oracle, x, eta, 10, RandomStream(0))
+        schedule = Schedule(kind="custom", alpha=0.5, beta=0.5, eta_scale=eta)
+        with pytest.raises(ValueError, match=message):
+            run(
+                oracle, entry.estimator, schedule, 1, FeasibleSet.symmetric_box(1.0, 2),
+                x, RandomStream(0),
             )
 
 
@@ -398,7 +428,7 @@ class TestOracleCallAccounting:
     )
     def test_reported_calls_match_invocations(self, estimator):
         oracle, counter = wrap_counting(linear_oracle([1.0, 2.0, 3.0]))
-        sample = estimator(oracle, np.zeros(3), PARAMS, RandomStream(3))
+        sample = estimator(oracle, np.zeros(3), ETA, RandomStream(3))
         assert sample.oracle_calls == counter["calls"]
         assert sample.oracle_calls == (6 if estimator is esgs_estimate else 2)
 
@@ -427,7 +457,7 @@ class TestOracleContract:
             lipschitz_l0=1.0,
         )
         with pytest.raises(ValueError, match=r"eval\(points, xi\) must broadcast"):
-            ESTIMATORS[kind](oracle, np.zeros(3), PARAMS, RandomStream(0))
+            ESTIMATORS[kind](oracle, np.zeros(3), ETA, RandomStream(0))
 
     def test_per_row_eval_axis_is_a_value_error(self):
         n = 3
@@ -439,7 +469,7 @@ class TestOracleContract:
             eval_axis=lambda base, moved, xi: moved[0],
         )
         with pytest.raises(ValueError, match="every row at once"):
-            esgs_estimate(oracle, np.zeros(n), PARAMS, RandomStream(0))
+            esgs_estimate(oracle, np.zeros(n), ETA, RandomStream(0))
 
 
 def eval_only(oracle):
@@ -496,8 +526,8 @@ class TestEvalPathEquivalence:
         # differ in rounding only
         oracle = quad_oracle(12)
         x = quad_l1_problem(12, 3).x0
-        g_axis = esgs_estimate(oracle, x, PARAMS, RandomStream(77)).estimate
-        g_eval = esgs_estimate(eval_only(oracle), x, PARAMS, RandomStream(77)).estimate
+        g_axis = esgs_estimate(oracle, x, ETA, RandomStream(77)).estimate
+        g_eval = esgs_estimate(eval_only(oracle), x, ETA, RandomStream(77)).estimate
         np.testing.assert_allclose(g_axis, g_eval, rtol=1e-10, atol=1e-12)
 
 
@@ -547,7 +577,7 @@ class TestRowKernels:
         oracle, n, eta = problem.oracle, problem.n, 0.3
         x = np.linspace(-0.4, 0.5, n)
         for seed in range(5):
-            sample = ESTIMATORS[kind](oracle, x, SmoothingParams(eta), RandomStream(seed))
+            sample = ESTIMATORS[kind](oracle, x, eta, RandomStream(seed))
             # replay the single-sample draws, then the oracle's noise draw
             stream = RandomStream(seed)
             gen = stream.generator
@@ -574,7 +604,7 @@ class TestRowKernels:
     def test_decision_dependent_kernel_matches_single_sample(self, kind, x, eta, seed):
         problem = market_problem()
         oracle = getattr(problem, KINDS[kind].oracle_field)
-        sample = SINGLE_SAMPLE[kind](oracle, x, SmoothingParams(eta), RandomStream(seed))
+        sample = SINGLE_SAMPLE[kind](oracle, x, eta, RandomStream(seed))
         reference = per_point_estimate(kind, oracle, x, eta, RandomStream(seed))
         if kind == "esgs_dd_known":
             # numpy's elementwise math may round arrays of different lengths

@@ -168,6 +168,38 @@ def linear_oracle(c):
     )
 
 
+POSITIVE = st.floats(1e-3, 1e3)
+# Valid parameters of each schedule kind, with every eta_k > 0.
+VALID_SCHEDULES = {
+    "convex_diminishing": st.builds(
+        Schedule, kind=st.just("convex_diminishing"), n=st.integers(1, 10**6)
+    ),
+    "convex_constant": st.builds(
+        Schedule, kind=st.just("convex_constant"), n=st.integers(1, 1000),
+        horizon=st.integers(1, 10**6), radius_scale=POSITIVE, l0=POSITIVE,
+    ),
+    "strongly_convex": st.builds(
+        lambda mu, gap: Schedule(kind="strongly_convex", theta=1.0 / mu + gap, mu=mu),
+        POSITIVE, POSITIVE,
+    ),
+    "nonconvex_fixed_eta": st.builds(
+        Schedule, kind=st.just("nonconvex_fixed_eta"), eta_fixed=POSITIVE, l0=POSITIVE,
+        n=st.integers(1, 1000),
+    ),
+    # beta a fraction of 2*alpha - 1, so that 2*alpha - beta > 1
+    "nonconvex_asymptotic": st.builds(
+        lambda alpha, share: Schedule(
+            kind="nonconvex_asymptotic", alpha=alpha, beta=share * (2.0 * alpha - 1.0)
+        ),
+        st.floats(0.51, 0.99), st.floats(0.01, 0.99),
+    ),
+    "custom": st.builds(
+        Schedule, kind=st.just("custom"), alpha=st.floats(0.0, 2.0),
+        beta=st.floats(0.0, 2.0), gamma_scale=POSITIVE, eta_scale=POSITIVE,
+    ),
+}
+
+
 class TestRun:
     def test_constant_objective_stays_at_start(self):
         oracle = StochasticOracle(
@@ -323,6 +355,25 @@ class TestRun:
             assert totals[k] == total
             total += gamma
         assert total == totals[40] == traj.gamma_total
+
+    @pytest.mark.parametrize("kind", optimizer.SCHEDULE_KINDS)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(data=st.data(), iterations=st.integers(0, 300))
+    def test_gamma_total_is_the_left_to_right_sum_of_step_sizes(self, kind, data, iterations):
+        schedule = data.draw(VALID_SCHEDULES[kind])
+        total = 0.0
+        for gamma in step_sizes(schedule, iterations).tolist():
+            total += gamma
+        # a kernel that draws nothing and leaves x where it is
+        still = BatchEstimator(
+            "still", lambda oracle, stream, size, n: (),
+            lambda oracle, x, eta, draws: (np.zeros_like(x), 2),
+        )
+        trajectory = run(
+            linear_oracle([1.0, 0.0]), still, schedule, iterations,
+            FeasibleSet.unconstrained(), np.ones(2), RandomStream(0),
+        )
+        assert trajectory.gamma_total.hex() == total.hex()
 
     def test_step_sizes_rejects_a_negative_horizon(self):
         with pytest.raises(ValueError, match="iterations must be >= 0"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from zosmooth.decision import KNOWN_DENSITY, RatioBoundError, ValueBoundError
-from zosmooth.estimators import SmoothingParams, esgs_estimate
+from zosmooth.estimators import esgs_estimate
 from zosmooth.problems import (
     PL_INTERCEPTS,
     PL_SLOPES,
@@ -273,7 +273,7 @@ class TestNonconvex:
         acc = np.zeros(3)
         acc2 = np.zeros(3)
         for _ in range(count):
-            g = esgs_estimate(problem.oracle, x, SmoothingParams(eta), stream).estimate
+            g = esgs_estimate(problem.oracle, x, eta, stream).estimate
             acc += g
             acc2 += g * g
         mean = acc / count

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from zosmooth import (
-    RandomStream, SmoothingParams, StochasticOracle, esgs_estimate, weighted_average,
+    RandomStream, StochasticOracle, esgs_estimate, weighted_average,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,7 +33,7 @@ def test_library_example_runs():
     )
     x = np.linspace(-1.0, 1.0, 20)
     g_axis, g_eval = (
-        esgs_estimate(oracle, x, SmoothingParams(0.1), RandomStream(3)).estimate
+        esgs_estimate(oracle, x, 0.1, RandomStream(3)).estimate
         for oracle in (quadratic, eval_only)
     )
     np.testing.assert_allclose(g_axis, g_eval, rtol=1e-9, atol=1e-9)
