@@ -1,7 +1,8 @@
 """Benchmark harness: equal-budget comparisons, replications, CSV output.
 
 Every estimator kind is one entry of :data:`KINDS`, the only kind
-registry: its batched form, the
+registry: its :class:`~zosmooth.estimators.BatchEstimator`, the kind's
+public name (such as :func:`~zosmooth.estimators.esgs_estimate`), the
 :class:`~zosmooth.problems.BenchmarkProblem` field holding its oracle, and
 whether it spends ``2n`` or 2 oracle calls per estimate.  Config
 validation, the budget rule, :func:`run_problem` and the ``moments`` CLI
@@ -34,10 +35,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# esgs_dd_known and esgs_dd_unknown are the single-sample forms of the two
-# decision-dependent kinds; perfbench/child.py instruments them by these names.
-from .decision import KNOWN_DENSITY, RANDOM_FIELD, esgs_dd_known, esgs_dd_unknown  # noqa: F401
-from .estimators import ESGS, GS, SPHERICAL, SPSA, BatchEstimator
+from .decision import esgs_dd_known, esgs_dd_unknown
+from .estimators import (
+    BatchEstimator, esgs_estimate, gs_estimate, spherical_estimate, spsa_estimate,
+)
 from .optimizer import Observer, Schedule, Trajectory, run, weighted_average
 from .problems import PROBLEM_BUILDERS, BenchmarkProblem, error_metric, error_metric_rows
 from .rng import RandomStream
@@ -45,9 +46,9 @@ from .rng import RandomStream
 
 @dataclass(frozen=True)
 class Kind:
-    """An estimator kind: its batched form, the :class:`BenchmarkProblem`
-    field its oracle lives in, and whether one estimate costs ``2n`` oracle
-    calls (``per_coordinate``) or 2."""
+    """An estimator kind: its :class:`BatchEstimator`, the
+    :class:`BenchmarkProblem` field its oracle lives in, and whether one
+    estimate costs ``2n`` oracle calls (``per_coordinate``) or 2."""
 
     estimator: BatchEstimator
     oracle_field: str
@@ -55,12 +56,12 @@ class Kind:
 
 
 KINDS: dict[str, Kind] = {
-    "esgs": Kind(ESGS, "oracle", per_coordinate=True),
-    "gs": Kind(GS, "oracle", per_coordinate=False),
-    "spherical": Kind(SPHERICAL, "oracle", per_coordinate=False),
-    "spsa": Kind(SPSA, "oracle", per_coordinate=False),
-    "esgs_dd_known": Kind(KNOWN_DENSITY, "dd_known", per_coordinate=True),
-    "esgs_dd_unknown": Kind(RANDOM_FIELD, "dd_unknown", per_coordinate=True),
+    "esgs": Kind(esgs_estimate, "oracle", per_coordinate=True),
+    "gs": Kind(gs_estimate, "oracle", per_coordinate=False),
+    "spherical": Kind(spherical_estimate, "oracle", per_coordinate=False),
+    "spsa": Kind(spsa_estimate, "oracle", per_coordinate=False),
+    "esgs_dd_known": Kind(esgs_dd_known, "dd_known", per_coordinate=True),
+    "esgs_dd_unknown": Kind(esgs_dd_unknown, "dd_unknown", per_coordinate=True),
 }
 
 # How error messages name the oracle each problem field holds.
@@ -272,14 +273,14 @@ def run_problem(
     estimator_kind: str,
     schedule: Schedule,
     iterations: int,
-    stream: RandomStream | Sequence[RandomStream],
+    stream: RandomStream | Iterable[RandomStream],
     x0: np.ndarray | None = None,
     observe: Observer | None = None,
 ) -> Trajectory | list[Trajectory]:
     """Run the named estimator kind on ``problem``.
 
-    One stream gives one trajectory; a sequence of streams runs them as one
-    batch and gives one trajectory per stream.  ``observe`` is passed to
+    One stream gives one trajectory; any other iterable of streams runs them
+    as one batch and gives one trajectory per stream.  ``observe`` is passed to
     :func:`zosmooth.optimizer.run`.
     """
     if estimator_kind not in KINDS:
@@ -409,10 +410,19 @@ def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
     """Run the configured estimator grid under equal oracle budgets.
 
     The report gives each kind's ``mean_error`` and ``mean_wall_time_ms``.
-    Raises :class:`BudgetMismatchError` unless every row consumed the same
-    number of oracle calls.
+    Raises :class:`ConfigError`, before any kind runs, when a kind has 0
+    iterations on a convex problem, and :class:`BudgetMismatchError` unless
+    every row consumed the same number of oracle calls.
     """
-    summary = _benchmark(config, build_problem(config), RESULT_METRICS, _mean_error_and_time)
+    problem = build_problem(config)
+    zero = [kind for kind, count in config.iterations.items() if count == 0]
+    if zero and problem.convexity == "convex":
+        raise ConfigError(
+            f"iterations[{zero[0]!r}] must be >= 1 on the convex problem "
+            f"{problem.name!r}: it reports the error of the gamma-weighted "
+            f"average of the iterates, which needs at least one step"
+        )
+    summary = _benchmark(config, problem, RESULT_METRICS, _mean_error_and_time)
     calls = {row.oracle_calls for row in summary.rows}
     if len(calls) > 1:
         raise BudgetMismatchError(

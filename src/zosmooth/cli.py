@@ -96,7 +96,6 @@ def _cmd_moments(args) -> int:
         oracle = StochasticOracle(
             eval=lambda x, xi: x[..., 0],
             noise_sampler=lambda stream, size: np.zeros(size),
-            lipschitz_l0=1.0,
         )
         x = np.zeros(n)
         for kind, entry in bench.KINDS.items():

@@ -21,17 +21,20 @@ kernel :func:`~zosmooth.estimators.esgs_rows`, whose one
 takes the ``(R, 2, n)`` replacement values ``x_i +- eta*sqrt(2V)`` and
 returns one value for each.  The known-density ``xi`` is the reference
 draw, drawn before ``(V, Z)`` and ending with its reference density; the
-random-field ``xi`` is the field's noise, drawn after them.  Each is one
-kind (:data:`KNOWN_DENSITY`, :data:`RANDOM_FIELD`, registered in
-:data:`zosmooth.bench.KINDS`), and :func:`esgs_dd_known` and
-:func:`esgs_dd_unknown` are its draw of size 1 followed by the kernel on one
-row.  So the oracles' callables broadcast over leading axes of points, as
-:class:`KnownDensityOracle` and :class:`RandomFieldOracle` document.  The
-reference draw and the field's noise come from the block samplers, as all
-randomness does: the kernel takes no stream.  Another decision-dependent
-estimator is one more :class:`~zosmooth.estimators.BatchEstimator` whose
-kernel draws nothing; :func:`~zosmooth.optimizer.run` raises
-:class:`TypeError` for a plain function.
+random-field ``xi`` is the field's noise, drawn after them by its
+``noise_sampler(stream, size)``, as every oracle's noise is.  Each protocol
+is one callable :class:`~zosmooth.estimators.BatchEstimator`
+(:func:`esgs_dd_known`, :func:`esgs_dd_unknown`, registered in
+:data:`zosmooth.bench.KINDS`) whose call is its draw of size 1 followed by
+the kernel on one row; the field's kind draws with esgs's own block
+sampler.  So the oracles' callables broadcast over leading axes of points,
+as :class:`KnownDensityOracle` and :class:`RandomFieldOracle` document.
+The reference draw and the field's noise come from the block samplers, as
+all randomness does: the kernel takes no stream.  Another
+decision-dependent estimator is one more
+:class:`~zosmooth.estimators.BatchEstimator` whose kernel draws nothing;
+:func:`~zosmooth.optimizer.run` raises :class:`TypeError` for anything
+else.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import BatchEstimator, esgs_rows, replacement_points, shift_draws
+from .estimators import (
+    BatchEstimator, esgs_estimate, esgs_rows, replacement_points, shift_draws,
+)
 # sample_exponential and sample_gaussian_vector stay importable from this
 # module, where perfbench/child.py instruments them
 from .rng import RandomStream, sample_exponential, sample_gaussian_vector  # noqa: F401
@@ -146,8 +151,9 @@ class RandomFieldOracle:
     points of shape ``(..., n)``, ``xi`` a tuple of component arrays that
     broadcast against their leading axes, one value per point.
 
-    ``noise_sampler(stream, size, n)`` draws a ``(size, n, ...)`` block of
-    noise, one independent entry per point pair, after ``(V, Z)``.
+    ``noise_sampler(stream, size)`` draws a ``(size, n, ...)`` block of
+    noise, one independent entry per point pair, after ``(V, Z)``; the
+    oracle's builder fixes ``n``.
     ``field_sampler(x_plus, x_minus, noise)`` maps it through the field at
     point pairs of shape ``(..., n)`` and returns ``(xi_plus, xi_minus)``,
     tuples of components of shape ``x_plus.shape[:-1]``, whose marginal
@@ -158,7 +164,7 @@ class RandomFieldOracle:
 
     f_hat: Callable[[np.ndarray, tuple], np.ndarray]
     field_sampler: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[tuple, tuple]]
-    noise_sampler: Callable[[RandomStream, int, int], np.ndarray]
+    noise_sampler: Callable[[RandomStream, int], np.ndarray]
     c_xi: float
 
     def eval_axis(self, base, moved, noise):
@@ -186,16 +192,8 @@ def _known_draws(oracle: KnownDensityOracle, stream, size: int, n: int):
     return shift_draws(oracle, stream, size, n) + (xi,)
 
 
-def _field_draws(oracle: RandomFieldOracle, stream, size: int, n: int):
-    return shift_draws(oracle, stream, size, n) + (oracle.noise_sampler(stream, size, n),)
-
-
-KNOWN_DENSITY = BatchEstimator("esgs_dd_known", _known_draws, esgs_rows)
-RANDOM_FIELD = BatchEstimator("esgs_dd_unknown", _field_draws, esgs_rows)
-
-# The single-sample estimator of each protocol.
-esgs_dd_known = KNOWN_DENSITY.sample
-esgs_dd_unknown = RANDOM_FIELD.sample
+esgs_dd_known = BatchEstimator("esgs_dd_known", _known_draws, esgs_rows)
+esgs_dd_unknown = BatchEstimator("esgs_dd_unknown", esgs_estimate.draw, esgs_rows)
 
 
 def kl_sym_normal(mean_x: float, mean_y: float, sigma: float) -> float:

@@ -12,24 +12,26 @@ Three standard two-point baselines (Gaussian smoothing, spherical smoothing,
 SPSA) are provided for benchmarking, each consuming 2 oracle calls per
 estimate.
 
-Each kind is one :class:`BatchEstimator`: a block sampler that draws one
-replication's perturbations for many iterations from its own stream, then
-the oracle's noise for the same iterations, and a row kernel that computes
-the estimates at every row of an ``(R, n)`` array of points.  A kernel
-takes no stream and draws nothing, so all randomness enters through the
-block sampler.  A custom estimator is one more :class:`BatchEstimator`;
-:func:`batch_form`, through which the driver and :func:`second_moment_probe`
-take their estimator, raises :class:`TypeError` for anything else.  The
-kernels hand all rows of an iteration to the oracle at once: a two-point
-kernel makes one :attr:`StochasticOracle.eval` call on the ``(R, 2, n)``
-stacked point pairs, and the exponential-shift kernel :func:`esgs_rows` one
-``eval_axis`` call on the ``(R, n)`` rows and their ``(R, 2, n)``
-replacement values, or, without one, ``eval`` calls on chunks of the
-``R * 2n`` replacement points.  So the oracle's callables
+Each kind is one callable :class:`BatchEstimator`: a block sampler that
+draws one replication's perturbations for many iterations from its own
+stream, then the oracle's noise for the same iterations, and a row kernel
+that computes the estimates at every row of an ``(R, n)`` array of points.
+A kernel takes no stream and draws nothing, so all randomness enters
+through the block sampler.  The kinds' public names are those objects:
+:func:`esgs_estimate`, :func:`gs_estimate`, :func:`spherical_estimate` and
+:func:`spsa_estimate`, which :data:`ESTIMATORS` maps by name.  A custom
+estimator is one more :class:`BatchEstimator`; the driver and
+:func:`second_moment_probe` raise :class:`TypeError` for anything else.
+The kernels hand all rows of an iteration to the oracle at once: a
+two-point kernel makes one :attr:`StochasticOracle.eval` call on the
+``(R, 2, n)`` stacked point pairs, and the exponential-shift kernel
+:func:`esgs_rows` one ``eval_axis`` call on the ``(R, n)`` rows and their
+``(R, 2, n)`` replacement values, or, without one, ``eval`` calls on
+chunks of the ``R * 2n`` replacement points.  So the oracle's callables
 broadcast, as :class:`StochasticOracle` documents.  The driver advances R
-replications with them.  A single-sample estimator such as
-:func:`esgs_estimate` is its kind's draw of size 1 followed by its kernel
-on one row, and :func:`second_moment_probe` evaluates its samples in
+replications with them.  Calling a kind, as in ``esgs_estimate(oracle, x,
+eta, stream)``, gives one estimate: its draw of size 1 followed by its
+kernel on one row.  :func:`second_moment_probe` evaluates its samples in
 blocks, each block as the rows of one kernel call.  The decision-dependent
 kinds of :mod:`zosmooth.decision` run :func:`esgs_rows` too.
 """
@@ -56,6 +58,15 @@ def _check_eta(eta: float) -> None:
     """Reject a smoothing radius that is not > 0, NaN included."""
     if not eta > 0:
         raise ValueError(f"smoothing radius eta must be > 0, got {eta}")
+
+
+def _check_estimator(estimator: object) -> None:
+    """Reject anything that is not a :class:`BatchEstimator`."""
+    if not isinstance(estimator, BatchEstimator):
+        raise TypeError(
+            f"{estimator!r} is not a BatchEstimator; wrap a custom estimator "
+            f"as BatchEstimator(name, draw, estimate)"
+        )
 
 
 @dataclass
@@ -98,8 +109,6 @@ class StochasticOracle:
         ``noise_sampler(stream, size) -> xi``, an array of ``size``
         independent realizations along its leading axis.  Each kind draws
         it right after its perturbation block for the same iterations.
-    lipschitz_l0 : float
-        Lipschitz constant of ``F(., xi)`` in the L2(xi) sense.
     eval_batch : callable, optional
         Not read by the estimators; ``eval`` broadcasts over points.  Kept
         so that code which inspects the field still finds it.
@@ -117,7 +126,6 @@ class StochasticOracle:
 
     eval: Callable[[np.ndarray, Any], np.ndarray]
     noise_sampler: Callable[[RandomStream, int], Any]
-    lipschitz_l0: float
     eval_batch: Callable[[np.ndarray, Any], np.ndarray] | None = None
     eval_axis: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
 
@@ -328,7 +336,7 @@ class BatchEstimator:
     draw: Callable[..., tuple[np.ndarray, ...]]
     estimate: Callable[..., tuple[np.ndarray, int]]
 
-    def sample(
+    def __call__(
         self,
         oracle,
         x: np.ndarray,
@@ -346,38 +354,15 @@ class BatchEstimator:
 
 
 # The decision-independent kinds; zosmooth.bench.KINDS registers them.
-ESGS = BatchEstimator("esgs", _with_noise(shift_draws), esgs_rows)
-GS = BatchEstimator("gs", _with_noise(_gaussian_draws), gs_rows)
-SPHERICAL = BatchEstimator("spherical", _with_noise(_sphere_draws), spherical_rows)
-SPSA = BatchEstimator("spsa", _with_noise(_rademacher_draws), spsa_rows)
+esgs_estimate = BatchEstimator("esgs", _with_noise(shift_draws), esgs_rows)
+gs_estimate = BatchEstimator("gs", _with_noise(_gaussian_draws), gs_rows)
+spherical_estimate = BatchEstimator("spherical", _with_noise(_sphere_draws), spherical_rows)
+spsa_estimate = BatchEstimator("spsa", _with_noise(_rademacher_draws), spsa_rows)
 
-# The single-sample estimator of each decision-independent kind.
-ESTIMATORS: dict[str, Callable[..., GradientSample]] = {
-    batch.name: batch.sample for batch in (ESGS, GS, SPHERICAL, SPSA)
+ESTIMATORS: dict[str, BatchEstimator] = {
+    kind.name: kind
+    for kind in (esgs_estimate, gs_estimate, spherical_estimate, spsa_estimate)
 }
-esgs_estimate = ESTIMATORS["esgs"]
-gs_estimate = ESTIMATORS["gs"]
-spherical_estimate = ESTIMATORS["spherical"]
-spsa_estimate = ESTIMATORS["spsa"]
-
-
-def batch_form(estimator: object) -> BatchEstimator:
-    """The :class:`BatchEstimator` that ``estimator`` is, or whose
-    :meth:`~BatchEstimator.sample` it is: every entry of :data:`ESTIMATORS`,
-    and :func:`~zosmooth.decision.esgs_dd_known` and
-    :func:`~zosmooth.decision.esgs_dd_unknown`.  Anything else raises
-    :class:`TypeError`; a custom estimator is a :class:`BatchEstimator`
-    whose kernel draws nothing.
-    """
-    if isinstance(estimator, BatchEstimator):
-        return estimator
-    owner = getattr(estimator, "__self__", None)
-    if isinstance(owner, BatchEstimator):
-        return owner
-    raise TypeError(
-        f"{estimator!r} is not a BatchEstimator or its sample method; wrap a "
-        f"custom estimator as BatchEstimator(name, draw, estimate)"
-    )
 
 
 # The probe's (rows, n) blocks hold about PROBE_BLOCK_VALUES numbers, fewer
@@ -400,12 +385,12 @@ def second_moment_probe(
     """Monte-Carlo estimate of E[||g||^2] at smoothing radius ``eta > 0``
     from ``sample_count`` fresh draws.
 
-    ``make_estimate`` is a :class:`BatchEstimator` or its ``sample`` method,
-    resolved by :func:`batch_form`, which raises :class:`TypeError` for
-    anything else.  The samples are drawn from ``stream`` in blocks of rows,
-    and each block is evaluated as the rows of one kernel call, so the draws
-    fall in a different order than in ``sample_count`` single-sample calls
-    on the same stream.
+    ``make_estimate`` is a :class:`BatchEstimator`, such as
+    :func:`esgs_estimate`; anything else raises :class:`TypeError`.  The
+    samples are drawn from ``stream`` in blocks of rows, and each block is
+    evaluated as the rows of one kernel call, so the draws fall in a
+    different order than in ``sample_count`` single-sample calls on the
+    same stream.
 
     Raises :class:`ValueError` when ``eta`` is not > 0, NaN included, and
     :class:`NonFiniteError`, naming the estimator and the first sample, when
@@ -418,20 +403,20 @@ def second_moment_probe(
     n = x.shape[0]
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    batch = batch_form(make_estimate)
+    _check_estimator(make_estimate)
     block = max(1, PROBE_BLOCK_VALUES // n)
     total = 0.0
     for first in range(0, sample_count, block):
         size = min(block, sample_count - first)
-        draws = batch.draw(oracle, stream, size, n)
+        draws = make_estimate.draw(oracle, stream, size, n)
         rows = np.broadcast_to(x, (size, n))
-        g, _ = batch.estimate(oracle, rows, eta, draws)
+        g, _ = make_estimate.estimate(oracle, rows, eta, draws)
         squares = np.vecdot(g, g)
         if not np.isfinite(squares).all():
             bad = first + int(np.flatnonzero(~np.isfinite(squares))[0])
             raise NonFiniteError(
-                f"estimator {batch.name!r} produced a non-finite ||g||^2 at "
-                f"sample {bad} of the second-moment probe"
+                f"estimator {make_estimate.name!r} produced a non-finite "
+                f"||g||^2 at sample {bad} of the second-moment probe"
             )
         # summed in sample order, as a loop of single-sample calls sums
         for square in squares.tolist():

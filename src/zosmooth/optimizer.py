@@ -36,13 +36,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 # NonFiniteError lives in estimators, whose probe raises it too, and stays
 # importable from here
-from .estimators import BatchEstimator, NonFiniteError, _check_eta, batch_form
+from .estimators import BatchEstimator, NonFiniteError, _check_estimator, _check_eta
 from .projections import FeasibleSet, project
 from .rng import RandomStream
 
@@ -224,18 +224,20 @@ def run(
     iterations: int,
     feasible: FeasibleSet,
     x0: np.ndarray,
-    stream: RandomStream | Sequence[RandomStream],
+    stream: RandomStream | Iterable[RandomStream],
     observe: Observer | None = None,
 ) -> Trajectory | list[Trajectory]:
     """Run ``iterations`` estimate-then-step updates from ``x0``.
 
-    ``estimator`` is a :class:`~zosmooth.estimators.BatchEstimator` or its
-    ``sample`` method; anything else raises :class:`TypeError` (see
-    :func:`~zosmooth.estimators.batch_form`).  ``stream`` is one stream,
-    giving one :class:`Trajectory`, or a sequence of R streams, one per
-    replication, giving a list of R trajectories.  The initial point is
-    projected onto the feasible set if necessary.  Each trajectory is fully
-    deterministic given its own stream.
+    ``estimator`` is a :class:`~zosmooth.estimators.BatchEstimator`, such
+    as :func:`~zosmooth.estimators.esgs_estimate`; anything else raises
+    :class:`TypeError`.  ``stream`` is one :class:`RandomStream`, giving one
+    :class:`Trajectory`, or any other iterable of R streams (a list, a
+    tuple, a generator, an object array), one per replication, giving a
+    list of R trajectories; an entry that is not a :class:`RandomStream`
+    raises :class:`TypeError`.  The initial point is projected onto the
+    feasible set if necessary.  Each trajectory is fully deterministic
+    given its own stream.
 
     ``observe(k, x, weighted_sum, gamma_total, oracle_calls)``, when given,
     is called for each k = 0..K in order with the state before iteration k:
@@ -253,11 +255,14 @@ def run(
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    single = not isinstance(stream, (list, tuple))
+    single = isinstance(stream, RandomStream)
     streams = [stream] if single else list(stream)
     if not streams:
         raise ValueError("run needs at least one stream")
-    batch = batch_form(estimator)
+    for s in streams:
+        if not isinstance(s, RandomStream):
+            raise TypeError(f"stream entry {s!r} is not a RandomStream")
+    _check_estimator(estimator)
     start_x = project(feasible, np.asarray(x0, dtype=float))
     rows, n = len(streams), start_x.shape[0]
     x = np.tile(start_x, (rows, 1))
@@ -279,7 +284,7 @@ def run(
         # alive; a single replication's draws are the block, without a copy
         blocks = draws = None
         for r, s in enumerate(streams):
-            parts = batch.draw(oracle, s, size, n)
+            parts = estimator.draw(oracle, s, size, n)
             if rows == 1:
                 blocks = [p[:, None] for p in parts]
                 continue
@@ -294,11 +299,11 @@ def run(
                 observe(k, x, weighted_sum, gamma_total, total_calls)
             gamma_k, eta_k = schedule_values(schedule, k + offset)
             _check_eta(eta_k)
-            g, used = batch.estimate(oracle, x, eta_k, draws)
+            g, used = estimator.estimate(oracle, x, eta_k, draws)
             try:
                 x_next = step(x, g, gamma_k, feasible)
             except NonFiniteError:
-                raise _non_finite(batch.name, k, g, x - gamma_k * g) from None
+                raise _non_finite(estimator.name, k, g, x - gamma_k * g) from None
             weighted_sum += gamma_k * x
             gamma_total += gamma_k
             x = x_next

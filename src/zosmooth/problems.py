@@ -287,7 +287,6 @@ def make_quad_problem(
     oracle = StochasticOracle(
         eval=eval_fn,
         noise_sampler=noise_sampler,
-        lipschitz_l0=l0,
         eval_axis=eval_axis,
     )
     return BenchmarkProblem(
@@ -539,7 +538,6 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
         oracle=StochasticOracle(
             eval=eval_fn,
             noise_sampler=noise_sampler,
-            lipschitz_l0=l0,
             eval_axis=eval_axis,
         ),
         exact_f=exact_f,
@@ -650,7 +648,6 @@ def nonconvex_min_problem(n: int) -> BenchmarkProblem:
         oracle=StochasticOracle(
             eval=eval_fn,
             noise_sampler=noise_sampler,
-            lipschitz_l0=l0,
             eval_axis=eval_axis,
         ),
         exact_f=exact_f,
@@ -796,7 +793,7 @@ def market_problem(
         lip_xi=lip_xi,
     )
 
-    def noise_sampler(stream: RandomStream, size: int, n: int) -> np.ndarray:
+    def noise_sampler(stream: RandomStream, size: int) -> np.ndarray:
         # per point pair: two standard normals, then one U[l2, r2] draw
         normals = stream.generator.standard_normal((size, n, 2))
         uniforms = stream.generator.uniform(l2, r2, (size, n, 1))

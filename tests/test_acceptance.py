@@ -51,7 +51,6 @@ def linear_first_coordinate_oracle(l0):
     return StochasticOracle(
         eval=eval_fn,
         noise_sampler=lambda stream, size: np.zeros(size),
-        lipschitz_l0=l0,
         eval_axis=eval_axis,
     )
 
@@ -67,7 +66,6 @@ def test_criterion_1_unbiasedness_oracle_equivalence():
     oracle = StochasticOracle(
         eval=lambda p, xi: f(p),
         noise_sampler=lambda s, size: np.zeros(size),
-        lipschitz_l0=2.0,
     )
     count = 200_000
     stream = RandomStream(1001)

@@ -216,7 +216,6 @@ class TestBudget:
         oracle = StochasticOracle(
             eval=lambda x, xi: np.vecdot(x, x),
             noise_sampler=lambda stream, size: np.zeros(size),
-            lipschitz_l0=1.0,
         )
         per_estimate = 2 * n if KINDS[kind].per_coordinate else 2
         steps = budget_iterations(kind, iterations, n)
@@ -912,6 +911,29 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_zero_iterations_on_a_convex_problem_names_key_and_problem(
+        self, tmp_path, capsys, command
+    ):
+        # the convex error is that of the gamma-weighted average, which needs
+        # a step; strongly convex and nonconvex problems measure the start
+        raw = small_config_raw(
+            problem="piecewise_linear", problem_params={"n": 2},
+            iterations={"esgs": 2, "gs": 0},
+        )
+        out = tmp_path / "out"
+        config = self.write_config(tmp_path, raw)
+        assert cli_main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: iterations['gs']")
+        assert "'piecewise_linear'" in err[0]
+        assert not out.exists()
+        for problem, params in (("piecewise_linear", {"n": 2, "mu": 0.5}),
+                                ("nonconvex_min", {"n": 2})):
+            raw.update(problem=problem, problem_params=params, iterations=0)
+            config = self.write_config(tmp_path, raw)
+            assert cli_main([command, "--config", str(config), "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("command", ["moments", "run", "compare", "dd"])
     def test_negative_seed_names_its_source(self, tmp_path, capsys, command):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from zosmooth.decision import (
-    KNOWN_DENSITY,
     KnownDensityOracle,
     RandomFieldOracle,
     RatioBoundError,
@@ -166,7 +165,7 @@ class TestKnownDensityEstimator:
         # the draw block's reference-density column has the bits of the
         # density evaluated on each iteration's (R, 1) components
         oracle = market_problem().dd_known
-        xi = KNOWN_DENSITY.draw(oracle, RandomStream(seed), size, 2)[-1]
+        xi = esgs_dd_known.draw(oracle, RandomStream(seed), size, 2)[-1]
         assert xi.shape == (size, 3)
         for r0 in range(0, size, rows):
             per_row = oracle.ref_density(tuple(xi[r0 : r0 + rows, :-1].T[:, :, None]))
@@ -205,14 +204,16 @@ def shared_noise_field(c):
     return RandomFieldOracle(
         f_hat=lambda x, xi: x @ c + xi[0],
         field_sampler=field_sampler,
-        noise_sampler=lambda stream, size, n: stream.generator.standard_normal((size, n, 1)),
+        noise_sampler=lambda stream, size: stream.generator.standard_normal((size, len(c), 1)),
         c_xi=0.0,
     )
 
 
 def market_field_noise(problem, stream, count):
-    """``count`` noise entries of the market field, one per point pair."""
-    return problem.dd_unknown.noise_sampler(stream, count, 1)[:, 0]
+    """``count`` noise entries of the market field, one per point pair, for
+    an even ``count``: a block of ``count / 2`` draws for its n = 2 pairs,
+    which are the entries of ``count`` draws for one pair each."""
+    return problem.dd_unknown.noise_sampler(stream, count // 2).reshape(count, 3)
 
 
 class TestRandomFieldEstimator:
@@ -220,7 +221,7 @@ class TestRandomFieldEstimator:
         oracle = RandomFieldOracle(
             f_hat=lambda x, xi: np.full(x.shape[:-1], 1.25),
             field_sampler=lambda xp, xm, noise: ((noise[..., 0],), (noise[..., 0],)),
-            noise_sampler=lambda stream, size, n: np.zeros((size, n, 1)),
+            noise_sampler=lambda stream, size: np.zeros((size, 4, 1)),
             c_xi=1.0,
         )
         sample = esgs_dd_unknown(oracle, np.zeros(4), ETA, RandomStream(0))
@@ -361,8 +362,8 @@ class TestMomentGates:
 
 
 class TestDriverWithToyOracles:
-    """``run`` takes the single-sample estimators to their kinds' kernels,
-    with any oracle written to the broadcasting contract."""
+    """``run`` runs the decision-dependent kinds with any oracle written to
+    the broadcasting contract."""
 
     def test_known_density_toy_oracle(self):
         streams = [RandomStream(8, r) for r in range(3)]

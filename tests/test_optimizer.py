@@ -15,8 +15,10 @@ from zosmooth.estimators import (
     BatchEstimator,
     GradientSample,
     StochasticOracle,
-    batch_form,
     esgs_estimate,
+    gs_estimate,
+    spherical_estimate,
+    spsa_estimate,
 )
 from zosmooth.optimizer import (
     MAX_BLOCK_ITERATIONS,
@@ -30,7 +32,7 @@ from zosmooth.optimizer import (
     step_sizes,
     weighted_average,
 )
-from zosmooth.problems import market_problem
+from zosmooth.problems import market_problem, quad_l1_problem
 from zosmooth.projections import FeasibleSet, contains
 from zosmooth.rng import RandomStream
 
@@ -164,7 +166,6 @@ def linear_oracle(c):
     return StochasticOracle(
         eval=lambda x, xi: np.vecdot(x, c),
         noise_sampler=lambda stream, size: np.zeros(size),
-        lipschitz_l0=float(np.linalg.norm(c)),
     )
 
 
@@ -205,7 +206,6 @@ class TestRun:
         oracle = StochasticOracle(
             eval=lambda x, xi: np.full(x.shape[:-1], 2.0),
             noise_sampler=lambda s, size: np.zeros(size),
-            lipschitz_l0=0.0,
         )
         sched = Schedule(kind="convex_diminishing", n=3)
         rec = Recorder()
@@ -278,7 +278,6 @@ class TestRun:
         oracle = StochasticOracle(
             eval=lambda x, xi: 0.5 * np.vecdot(x, x) + np.vecdot(xi, x),
             noise_sampler=lambda s, size: s.generator.standard_normal((size, n)),
-            lipschitz_l0=5.0,
         )
         sched = Schedule(kind="strongly_convex", theta=3.0, mu=1.0)
         ks = [100, 450, 2000]
@@ -446,9 +445,43 @@ class TestBatchedRun:
         np.testing.assert_array_equal(trajs[1].final_x, alone.final_x)
         assert trajs[1].oracle_calls == 30 * 2 * 2
 
+    def test_any_iterable_of_streams_is_a_batch(self):
+        problem = quad_l1_problem(3, 1)
+        args = (
+            problem.oracle, esgs_estimate, problem.default_schedule, 30,
+            problem.feasible, problem.x0,
+        )
+        streams = lambda: [RandomStream(4, r) for r in range(3)]
+        array = np.empty(3, dtype=object)
+        array[:] = streams()
+        want = run(*args, streams())
+        for form in (tuple(streams()), (s for s in streams()), array):
+            got = run(*args, form)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a.final_x, b.final_x)
+                np.testing.assert_array_equal(a.weighted_sum, b.weighted_sum)
+                assert a.gamma_total == b.gamma_total
+        with pytest.raises(TypeError, match="Generator.* is not a RandomStream"):
+            run(*args, [RandomStream(4, 0), np.random.default_rng(4)])
+
     @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_single_sample_estimator_resolves_to_its_kind(self, kind):
-        assert batch_form(KINDS[kind].estimator.sample) is KINDS[kind].estimator
+    def test_kind_is_its_public_name(self, kind):
+        public = {
+            "esgs": esgs_estimate,
+            "gs": gs_estimate,
+            "spherical": spherical_estimate,
+            "spsa": spsa_estimate,
+            "esgs_dd_known": esgs_dd_known,
+            "esgs_dd_unknown": esgs_dd_unknown,
+        }
+        entry = KINDS[kind]
+        assert entry.estimator is public[kind]
+        assert entry.estimator.name == kind
+        if entry.oracle_field == "oracle":
+            assert ESTIMATORS[kind] is public[kind]
+        else:
+            assert kind not in ESTIMATORS
 
     @pytest.mark.parametrize(
         "kind, estimator",
@@ -479,6 +512,16 @@ class TestBatchedRun:
         )
         with pytest.raises(TypeError, match="halving"):
             go(halving)
+
+        class Halver:
+            def halving(self, oracle, x, params, stream):
+                return halving(oracle, x, params, stream)
+
+        # a bound method is rejected, a kind's own __call__ included
+        with pytest.raises(TypeError, match="Halver.halving"):
+            go(Halver().halving)
+        with pytest.raises(TypeError, match="BatchEstimator.__call__"):
+            go(esgs_estimate.__call__)
         # the same estimator as a kernel that draws nothing
         trajs = go(
             BatchEstimator(
@@ -499,7 +542,7 @@ class TestBatchedRun:
             return x[..., 0] * (math.nan if count["calls"] > 7 else 1.0)
 
         oracle = StochasticOracle(
-            eval=eval_fn, noise_sampler=lambda s, size: np.zeros(size), lipschitz_l0=1.0
+            eval=eval_fn, noise_sampler=lambda s, size: np.zeros(size)
         )
         sched = Schedule(kind="convex_diminishing", n=2)
         with pytest.raises(NonFiniteError, match=r"'esgs'.*estimate at iteration k=7"):
@@ -531,7 +574,6 @@ def noisy_quadratic_oracle(n):
     return StochasticOracle(
         eval=lambda x, xi: 0.5 * np.vecdot(x, x) + np.vecdot(xi, x),
         noise_sampler=lambda stream, size: stream.generator.standard_normal((size, n)),
-        lipschitz_l0=1.0,
         eval_axis=eval_axis,
     )
 

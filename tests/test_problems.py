@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from zosmooth.decision import KNOWN_DENSITY, RatioBoundError, ValueBoundError
+from zosmooth.decision import RatioBoundError, ValueBoundError, esgs_dd_known
 from zosmooth.estimators import esgs_estimate
 from zosmooth.problems import (
     PL_INTERCEPTS,
@@ -419,11 +419,9 @@ def axis_oracle(name, n):
 
 def axis_noise(name, oracle, seed, rows):
     """The rows' ``xi`` as their esgs kind draws it: the known-density
-    leg's packed reference draws, the field's noise or the oracle's noise."""
+    leg's packed reference draws, or else the oracle's noise."""
     if name == "market_known":
-        return KNOWN_DENSITY.draw(oracle, RandomStream(seed), rows, 2)[-1]
-    if name == "market_field":
-        return oracle.noise_sampler(RandomStream(seed), rows, 2)
+        return esgs_dd_known.draw(oracle, RandomStream(seed), rows, 2)[-1]
     return oracle.noise_sampler(RandomStream(seed), rows)
 
 

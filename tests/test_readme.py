@@ -29,7 +29,6 @@ def test_library_example_runs():
     eval_only = StochasticOracle(
         eval=quadratic.eval,
         noise_sampler=quadratic.noise_sampler,
-        lipschitz_l0=quadratic.lipschitz_l0,
     )
     x = np.linspace(-1.0, 1.0, 20)
     g_axis, g_eval = (
