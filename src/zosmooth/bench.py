@@ -2,9 +2,10 @@
 
 Every estimator kind is one entry of :data:`KINDS`, the only kind
 registry: its :class:`~zosmooth.estimators.BatchEstimator`, the kind's
-public name (such as :func:`~zosmooth.estimators.esgs_estimate`), the
-:class:`~zosmooth.problems.BenchmarkProblem` field holding its oracle, and
-whether it spends ``2n`` or 2 oracle calls per estimate.  Config
+public name (such as :func:`~zosmooth.estimators.esgs_estimate`), and the
+:class:`~zosmooth.problems.BenchmarkProblem` field holding its oracle.  The
+estimator states what one estimate costs (``oracle_calls(n)``, ``2n`` or
+2), and every oracle-call count here is derived from it.  Config
 validation, the budget rule, :func:`run_problem` and the ``moments`` CLI
 read that entry, so a kind is added by adding one.
 
@@ -12,6 +13,8 @@ Estimator comparisons hold the oracle budget fixed: the coordinate-wise
 exponential-shift estimators run ``K`` iterations at ``2n`` oracle calls
 each, while every two-point baseline runs ``n*K`` iterations at 2 calls
 each, so all methods consume exactly ``2nK`` noisy evaluations.
+:func:`run_benchmark` checks that, and that the problem holds every
+configured kind's oracle, before any kind runs.
 
 :func:`run_benchmark` (``results.csv``) and :func:`run_dd_benchmark`
 (``dd_results.csv``) run on one runner: it runs all replications of each
@@ -46,22 +49,21 @@ from .rng import RandomStream
 
 @dataclass(frozen=True)
 class Kind:
-    """An estimator kind: its :class:`BatchEstimator`, the
-    :class:`BenchmarkProblem` field its oracle lives in, and whether one
-    estimate costs ``2n`` oracle calls (``per_coordinate``) or 2."""
+    """An estimator kind: its :class:`BatchEstimator`, which also states
+    its oracle calls per estimate, and the :class:`BenchmarkProblem` field
+    its oracle lives in."""
 
     estimator: BatchEstimator
     oracle_field: str
-    per_coordinate: bool
 
 
 KINDS: dict[str, Kind] = {
-    "esgs": Kind(esgs_estimate, "oracle", per_coordinate=True),
-    "gs": Kind(gs_estimate, "oracle", per_coordinate=False),
-    "spherical": Kind(spherical_estimate, "oracle", per_coordinate=False),
-    "spsa": Kind(spsa_estimate, "oracle", per_coordinate=False),
-    "esgs_dd_known": Kind(esgs_dd_known, "dd_known", per_coordinate=True),
-    "esgs_dd_unknown": Kind(esgs_dd_unknown, "dd_unknown", per_coordinate=True),
+    "esgs": Kind(esgs_estimate, "oracle"),
+    "gs": Kind(gs_estimate, "oracle"),
+    "spherical": Kind(spherical_estimate, "oracle"),
+    "spsa": Kind(spsa_estimate, "oracle"),
+    "esgs_dd_known": Kind(esgs_dd_known, "dd_known"),
+    "esgs_dd_unknown": Kind(esgs_dd_unknown, "dd_unknown"),
 }
 
 # How error messages name the oracle each problem field holds.
@@ -77,7 +79,7 @@ class ConfigError(ValueError):
 
 
 class BudgetMismatchError(RuntimeError):
-    """Rows of one problem consumed different oracle budgets."""
+    """A config gives its kinds different oracle budgets on one problem."""
 
 
 @dataclass(frozen=True)
@@ -237,14 +239,14 @@ class BenchSummary:
     """The rows, a per-kind report on them, and the problem they were run on.
 
     ``trajectories`` maps each kind to replication 0's iterates
-    ``x_0 .. x_K`` as a ``(K+1, n)`` array and its cumulative oracle calls
-    before each, when the config asks for trajectory recording.
+    ``x_0 .. x_K`` as a ``(K+1, n)`` array, when the config asks for
+    trajectory recording.
     """
 
     rows: list[ResultRow]
     report: dict[str, dict[str, float]]
     problem: BenchmarkProblem
-    trajectories: dict[str, tuple[np.ndarray, np.ndarray]]
+    trajectories: dict[str, np.ndarray]
 
 
 def build_problem(config: BenchConfig) -> BenchmarkProblem:
@@ -285,16 +287,10 @@ def run_problem(
     """
     if estimator_kind not in KINDS:
         raise ConfigError(f"unknown estimator kind {estimator_kind!r}")
-    kind = KINDS[estimator_kind]
-    oracle = getattr(problem, kind.oracle_field)
-    if oracle is None:
-        raise ConfigError(
-            f"problem {problem.name} has no {_ORACLE_NAMES[kind.oracle_field]} oracle"
-        )
     start = problem.x0 if x0 is None else x0
     return run(
-        oracle,
-        kind.estimator,
+        kind_oracle(problem, estimator_kind),
+        KINDS[estimator_kind].estimator,
         schedule,
         iterations,
         problem.feasible,
@@ -304,9 +300,19 @@ def run_problem(
     )
 
 
+def kind_oracle(problem: BenchmarkProblem, kind: str):
+    """The oracle ``problem`` holds for ``kind``; a :class:`ConfigError`
+    when it holds none."""
+    field = KINDS[kind].oracle_field
+    oracle = getattr(problem, field)
+    if oracle is None:
+        raise ConfigError(f"problem {problem.name} has no {_ORACLE_NAMES[field]} oracle")
+    return oracle
+
+
 def budget_iterations(kind: str, iterations: int, n: int) -> int:
     """Iteration count giving every estimator the same 2nK oracle budget."""
-    return iterations if KINDS[kind].per_coordinate else iterations * n
+    return iterations if KINDS[kind].estimator.per_coordinate else iterations * n
 
 
 def kind_key(kind: str) -> int:
@@ -350,17 +356,18 @@ def _benchmark(
 ) -> BenchSummary:
     """Run each kind's replications as one batch, turn every trajectory into
     a row with the ``metrics`` columns, and ``report`` on each kind's rows.
-    A row's ``wall_time_ms`` is its batch's loop time per replication."""
+    A row's ``wall_time_ms`` is its batch's loop time per replication.
+    Every kind's oracle is looked up before any kind runs."""
     schedule = resolve_schedule(config.schedule, problem)
+    for kind in config.estimators:
+        kind_oracle(problem, kind)
     batches, recorded = {}, {}
     for kind in config.estimators:
         iterations = budget_iterations(kind, config.iterations[kind], problem.n)
         observe = None
         if config.record_trajectories:
-            iterates = np.empty((iterations + 1, problem.n))
-            calls = np.empty(iterations + 1, dtype=np.int64)
-            recorded[kind] = iterates, calls
-            observe = partial(_record_row_zero, iterates, calls)
+            recorded[kind] = np.empty((iterations + 1, problem.n))
+            observe = partial(_record_row_zero, recorded[kind])
         batches[kind] = run_problem(
             problem,
             kind,
@@ -391,10 +398,9 @@ def _benchmark(
     return BenchSummary(rows, by_kind, problem, recorded)
 
 
-def _record_row_zero(iterates, calls, k, x, weighted_sum, gamma_total, oracle_calls):
-    # the observer of a recorded run: keep replication 0's x_k and calls
+def _record_row_zero(iterates, k, x, weighted_sum, gamma_total, oracle_calls):
+    # the observer of a recorded run: keep replication 0's x_k
     iterates[k] = x[0]
-    calls[k] = oracle_calls
 
 
 def _mean_error_and_time(
@@ -410,9 +416,10 @@ def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
     """Run the configured estimator grid under equal oracle budgets.
 
     The report gives each kind's ``mean_error`` and ``mean_wall_time_ms``.
-    Raises :class:`ConfigError`, before any kind runs, when a kind has 0
-    iterations on a convex problem, and :class:`BudgetMismatchError` unless
-    every row consumed the same number of oracle calls.
+    Before any kind runs, raises :class:`ConfigError` when a kind has 0
+    iterations on a convex problem or the problem holds no oracle for a
+    kind, and :class:`BudgetMismatchError`, naming each kind's budget,
+    unless every kind's iterations times its ``oracle_calls(n)`` are equal.
     """
     problem = build_problem(config)
     zero = [kind for kind, count in config.iterations.items() if count == 0]
@@ -422,12 +429,19 @@ def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
             f"{problem.name!r}: it reports the error of the gamma-weighted "
             f"average of the iterates, which needs at least one step"
         )
-    summary = _benchmark(config, problem, RESULT_METRICS, _mean_error_and_time)
-    calls = {row.oracle_calls for row in summary.rows}
-    if len(calls) > 1:
+    n = problem.n
+    budgets = {
+        kind: budget_iterations(kind, config.iterations[kind], n)
+        * KINDS[kind].estimator.oracle_calls(n)
+        for kind in config.estimators
+    }
+    if len(set(budgets.values())) > 1:
         raise BudgetMismatchError(
-            f"oracle budget mismatch on problem {summary.problem.name!r}: {sorted(calls)}"
+            f"oracle budget mismatch on problem {problem.name!r}: "
+            + ", ".join(f"{kind} {calls}" for kind, calls in budgets.items())
+            + " oracle calls per replication"
         )
+    summary = _benchmark(config, problem, RESULT_METRICS, _mean_error_and_time)
     return summary.rows, summary
 
 
@@ -539,13 +553,13 @@ def emit_aggregate_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> No
 
 def emit_trajectory(
     iterates: np.ndarray,
-    oracle_calls: np.ndarray,
+    calls_per_iteration: int,
     problem: BenchmarkProblem,
     path: str | os.PathLike,
 ) -> None:
     """Write ``k, error, oracle_calls`` for one replication's observed
-    iterates ``x_0 .. x_K``, a ``(K+1, n)`` array, and the cumulative oracle
-    calls before each.
+    iterates ``x_0 .. x_K``, a ``(K+1, n)`` array, with ``oracle_calls``
+    the ``k * calls_per_iteration`` calls spent before ``x_k``.
 
     ``error`` is each iterate's own ``error_metric``.  ``results.csv``
     reports that of the final iterate for strongly convex and nonconvex
@@ -562,7 +576,7 @@ def emit_trajectory(
     write_table(
         path,
         ("k", "error", "oracle_calls"),
-        ((k, err, int(oracle_calls[k])) for k, err in enumerate(errors)),
+        ((k, err, k * calls_per_iteration) for k, err in enumerate(errors)),
     )
 
 

@@ -19,8 +19,9 @@ Exit status: 0 on success; 1 for an invalid configuration, input or output
 path; 2 for a command-line usage error; 3 when a decision-dependent oracle
 exceeds its declared ratio or value bound; 4 when an estimate or iterate
 becomes non-finite; 5 when the smoothing quadrature does not converge; 6
-when rows of one problem consumed different oracle budgets.  Every error is
-reported as one ``error:`` line on standard error.
+when the config gives kinds different oracle budgets (checked before any
+kind runs).  Every error is reported as one ``error:`` line on standard
+error.
 """
 
 from __future__ import annotations
@@ -156,9 +157,10 @@ def _cmd_dd(args) -> int:
 def _emit_trajectories(summary: bench.BenchSummary, out) -> list:
     """Write each recorded kind's ``trajectory_<kind>.csv``; their paths."""
     paths = []
-    for kind, (iterates, calls) in summary.trajectories.items():
+    for kind, iterates in summary.trajectories.items():
         paths.append(out / f"trajectory_{kind}.csv")
-        bench.emit_trajectory(iterates, calls, summary.problem, paths[-1])
+        cost = bench.KINDS[kind].estimator.oracle_calls(summary.problem.n)
+        bench.emit_trajectory(iterates, cost, summary.problem, paths[-1])
     return paths
 
 

@@ -192,8 +192,8 @@ def _known_draws(oracle: KnownDensityOracle, stream, size: int, n: int):
     return shift_draws(oracle, stream, size, n) + (xi,)
 
 
-esgs_dd_known = BatchEstimator("esgs_dd_known", _known_draws, esgs_rows)
-esgs_dd_unknown = BatchEstimator("esgs_dd_unknown", esgs_estimate.draw, esgs_rows)
+esgs_dd_known = BatchEstimator("esgs_dd_known", _known_draws, esgs_rows, True)
+esgs_dd_unknown = BatchEstimator("esgs_dd_unknown", esgs_estimate.draw, esgs_rows, True)
 
 
 def kl_sym_normal(mean_x: float, mean_y: float, sigma: float) -> float:

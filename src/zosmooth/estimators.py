@@ -14,14 +14,18 @@ estimate.
 
 Each kind is one callable :class:`BatchEstimator`: a block sampler that
 draws one replication's perturbations for many iterations from its own
-stream, then the oracle's noise for the same iterations, and a row kernel
-that computes the estimates at every row of an ``(R, n)`` array of points.
-A kernel takes no stream and draws nothing, so all randomness enters
-through the block sampler.  The kinds' public names are those objects:
-:func:`esgs_estimate`, :func:`gs_estimate`, :func:`spherical_estimate` and
-:func:`spsa_estimate`, which :data:`ESTIMATORS` maps by name.  A custom
-estimator is one more :class:`BatchEstimator`; the driver and
-:func:`second_moment_probe` raise :class:`TypeError` for anything else.
+stream, then the oracle's noise for the same iterations, a row kernel
+that computes the estimates at every row of an ``(R, n)`` array of points,
+and ``per_coordinate``, which states the kind's cost once:
+:meth:`BatchEstimator.oracle_calls` gives ``2n`` or 2 calls per estimate,
+and every oracle-call count of the driver and the benchmark derives from
+it.  A kernel returns the estimates alone, takes no stream and draws
+nothing, so all randomness enters through the block sampler.  The kinds'
+public names are those objects: :func:`esgs_estimate`, :func:`gs_estimate`,
+:func:`spherical_estimate` and :func:`spsa_estimate`, which
+:data:`ESTIMATORS` maps by name.  A custom estimator is one more
+:class:`BatchEstimator`; the driver and :func:`second_moment_probe` raise
+:class:`TypeError` for anything else.
 The kernels hand all rows of an iteration to the oracle at once: a
 two-point kernel makes one :attr:`StochasticOracle.eval` call on the
 ``(R, 2, n)`` stacked point pairs, and the exponential-shift kernel
@@ -65,7 +69,7 @@ def _check_estimator(estimator: object) -> None:
     if not isinstance(estimator, BatchEstimator):
         raise TypeError(
             f"{estimator!r} is not a BatchEstimator; wrap a custom estimator "
-            f"as BatchEstimator(name, draw, estimate)"
+            f"as BatchEstimator(name, draw, estimate, per_coordinate)"
         )
 
 
@@ -81,9 +85,9 @@ class GradientSample:
     per component followed by their reference density, and drawn before
     ``(V, Z)``; the random-field ``xi`` is the noise its field maps, one row
     per coordinate.
-    ``oracle_calls`` counts noisy function evaluations consumed: ``2n`` for
-    the coordinate-wise exponential-shift estimator, 2 for the two-point
-    baselines.
+    ``oracle_calls`` is the kind's :meth:`BatchEstimator.oracle_calls`:
+    ``2n`` noisy function evaluations for the coordinate-wise
+    exponential-shift estimators, 2 for the two-point baselines.
     """
 
     estimate: np.ndarray
@@ -198,8 +202,8 @@ def _replacement_values(evaluate, base, moved, xi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Row kernels: the estimates at every row of an (R, n) array of points.  Each
 # takes one draw per row, stacked over rows (``draws``, ending with the rows'
-# noise), and draws nothing itself; it returns the (R, n) estimates and the
-# oracle calls each row consumed.
+# noise), and draws nothing itself; it returns the (R, n) estimates alone:
+# what an estimate costs in oracle calls is its BatchEstimator's to say.
 
 
 # The signs of the two sides, as a (2, 1) factor: x + (-s) and x - s are
@@ -233,7 +237,7 @@ def esgs_rows(oracle, x, eta, draws):
             f"oracle eval_axis returned shape {f.shape} for replacement values "
             f"of shape {moved.shape}; it must evaluate every row at once"
         )
-    return (f[:, 0] - f[:, 1]) / (eta * SQRT_2PI), 2 * n
+    return (f[:, 0] - f[:, 1]) / (eta * SQRT_2PI)
 
 
 def _two_point_diffs(oracle, points, xi) -> np.ndarray:
@@ -253,7 +257,7 @@ def gs_rows(oracle, x, eta, draws):
     points[:, 0] = x + eta * z
     points[:, 1] = x
     diff = _two_point_diffs(oracle, points, xi)
-    return (diff / eta)[:, None] * z, 2
+    return (diff / eta)[:, None] * z
 
 
 def spherical_rows(oracle, x, eta, draws):
@@ -264,7 +268,7 @@ def spherical_rows(oracle, x, eta, draws):
     """
     u, xi = draws
     diff = _two_point_diffs(oracle, x[:, None] + (eta * u)[:, None] * _SIDES, xi)
-    return (x.shape[1] / (2.0 * eta)) * diff[:, None] * u, 2
+    return (x.shape[1] / (2.0 * eta)) * diff[:, None] * u
 
 
 def spsa_rows(oracle, x, eta, draws):
@@ -275,7 +279,7 @@ def spsa_rows(oracle, x, eta, draws):
     """
     delta, xi = draws
     diff = _two_point_diffs(oracle, x[:, None] + (eta * delta)[:, None] * _SIDES, xi)
-    return diff[:, None] / (2.0 * eta * delta), 2
+    return diff[:, None] / (2.0 * eta * delta)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +332,21 @@ class BatchEstimator:
     own stream, as a tuple of arrays with leading axis ``size``.
     ``estimate(oracle, x, eta, draws)`` is the row kernel: ``draws`` holds
     each array of ``draw`` at the current iteration, stacked over the R rows
-    of ``x``.  The kernel gets no stream, so all randomness enters through
-    ``draw``, and a row's estimate does not depend on the rows beside it.
+    of ``x``, and it returns the ``(R, n)`` estimates.  The kernel gets no
+    stream, so all randomness enters through ``draw``, and a row's estimate
+    does not depend on the rows beside it.  ``per_coordinate`` is the one
+    statement of what an estimate costs: ``2n`` oracle calls when true, 2
+    when false (see :meth:`oracle_calls`).
     """
 
     name: str
     draw: Callable[..., tuple[np.ndarray, ...]]
-    estimate: Callable[..., tuple[np.ndarray, int]]
+    estimate: Callable[..., np.ndarray]
+    per_coordinate: bool
+
+    def oracle_calls(self, n: int) -> int:
+        """Noisy function evaluations one estimate spends in dimension ``n``."""
+        return 2 * n if self.per_coordinate else 2
 
     def __call__(
         self,
@@ -349,15 +361,18 @@ class BatchEstimator:
         _check_eta(eta)
         x = np.asarray(x, dtype=float)
         draws = self.draw(oracle, stream, 1, x.shape[0])
-        g, calls = self.estimate(oracle, x[None], eta, draws)
+        g = self.estimate(oracle, x[None], eta, draws)
+        calls = self.oracle_calls(x.shape[0])
         return GradientSample(g[0], tuple(d[0] for d in draws), calls)
 
 
 # The decision-independent kinds; zosmooth.bench.KINDS registers them.
-esgs_estimate = BatchEstimator("esgs", _with_noise(shift_draws), esgs_rows)
-gs_estimate = BatchEstimator("gs", _with_noise(_gaussian_draws), gs_rows)
-spherical_estimate = BatchEstimator("spherical", _with_noise(_sphere_draws), spherical_rows)
-spsa_estimate = BatchEstimator("spsa", _with_noise(_rademacher_draws), spsa_rows)
+esgs_estimate = BatchEstimator("esgs", _with_noise(shift_draws), esgs_rows, True)
+gs_estimate = BatchEstimator("gs", _with_noise(_gaussian_draws), gs_rows, False)
+spherical_estimate = BatchEstimator(
+    "spherical", _with_noise(_sphere_draws), spherical_rows, False
+)
+spsa_estimate = BatchEstimator("spsa", _with_noise(_rademacher_draws), spsa_rows, False)
 
 ESTIMATORS: dict[str, BatchEstimator] = {
     kind.name: kind
@@ -410,7 +425,7 @@ def second_moment_probe(
         size = min(block, sample_count - first)
         draws = make_estimate.draw(oracle, stream, size, n)
         rows = np.broadcast_to(x, (size, n))
-        g, _ = make_estimate.estimate(oracle, rows, eta, draws)
+        g = make_estimate.estimate(oracle, rows, eta, draws)
         squares = np.vecdot(g, g)
         if not np.isfinite(squares).all():
             bad = first + int(np.flatnonzero(~np.isfinite(squares))[0])

@@ -203,7 +203,8 @@ def step(
 class Trajectory:
     """End state of one optimization run: the final iterate ``x_K``, the
     sums of ``gamma_j * x_j`` and of ``gamma_j`` over ``j < K``, and one
-    replication's total oracle calls.  An observer sees each state (see
+    replication's oracle calls, ``K`` times the estimator's
+    ``oracle_calls(n)``.  An observer sees each state (see
     :func:`run`); :func:`step_sizes` gives the step sizes."""
 
     wall_time_ms: float
@@ -243,8 +244,9 @@ def run(
     is called for each k = 0..K in order with the state before iteration k:
     the ``(R, n)`` iterate ``x_k``, the sum of ``gamma_j * x_j`` and the sum
     of ``gamma_j`` over ``j < k`` (their ratio is the weighted average
-    ``xbar_k``), and one row's cumulative oracle calls.  The arrays are the
-    loop's own, so an observer copies what it keeps, and picks its own k.
+    ``xbar_k``), and one row's oracle calls so far, ``k`` times the
+    estimator's ``oracle_calls(n)``.  The arrays are the loop's own, so an
+    observer copies what it keeps, and picks its own k.
 
     Wall time covers the iteration loop, including draws, estimator work
     and the observer, and is measured with a monotonic clock; each
@@ -270,7 +272,7 @@ def run(
 
     weighted_sum = np.zeros((rows, n))
     gamma_total = 0.0
-    total_calls = 0
+    cost = estimator.oracle_calls(n)
     block = max(1, min(MAX_BLOCK_ITERATIONS, BLOCK_VALUES // n))
 
     t0 = time.perf_counter()
@@ -296,10 +298,10 @@ def run(
         for j, *draws in zip(range(size), *blocks):
             k = first + j
             if observe is not None:
-                observe(k, x, weighted_sum, gamma_total, total_calls)
+                observe(k, x, weighted_sum, gamma_total, k * cost)
             gamma_k, eta_k = schedule_values(schedule, k + offset)
             _check_eta(eta_k)
-            g, used = estimator.estimate(oracle, x, eta_k, draws)
+            g = estimator.estimate(oracle, x, eta_k, draws)
             try:
                 x_next = step(x, g, gamma_k, feasible)
             except NonFiniteError:
@@ -307,9 +309,8 @@ def run(
             weighted_sum += gamma_k * x
             gamma_total += gamma_k
             x = x_next
-            total_calls += used
     if observe is not None:
-        observe(iterations, x, weighted_sum, gamma_total, total_calls)
+        observe(iterations, x, weighted_sum, gamma_total, iterations * cost)
     wall_ms = (time.perf_counter() - t0) * 1000.0 / rows
 
     trajectories = [
@@ -318,7 +319,7 @@ def run(
             final_x=x[r].copy(),
             weighted_sum=weighted_sum[r],
             gamma_total=gamma_total,
-            oracle_calls=total_calls,
+            oracle_calls=iterations * cost,
         )
         for r in range(rows)
     ]

@@ -178,10 +178,16 @@ def _projected_gradient(
     max_iters: int = 20_000,
     tol: float = 1e-12,
 ) -> np.ndarray:
-    """Projected gradient descent with Armijo backtracking."""
+    """Projected gradient descent with Armijo backtracking.
+
+    Stops when a step moves neither f nor x, or after 50 steps in a row
+    that did not decrease f: on a curved boundary the iterate can zig-zag
+    by about 2e-8 with f unchanged, so x never stops moving.
+    """
     x = x_init.astype(float).copy()
     fx = f(x)
     step = 1.0
+    stalled = 0
     for _ in range(max_iters):
         g = grad(x)
         while True:
@@ -195,7 +201,10 @@ def _projected_gradient(
             step *= 0.5
         if abs(fx - f_cand) < tol and float(np.max(np.abs(cand - x))) < 1e-9:
             return cand
+        stalled = stalled + 1 if f_cand >= fx else 0
         x, fx = cand, f_cand
+        if stalled == 50:
+            return x
         step = min(step * 2.0, 1e6)
     return x
 

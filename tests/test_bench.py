@@ -1,9 +1,11 @@
+import copy
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -217,7 +219,7 @@ class TestBudget:
             eval=lambda x, xi: np.vecdot(x, x),
             noise_sampler=lambda stream, size: np.zeros(size),
         )
-        per_estimate = 2 * n if KINDS[kind].per_coordinate else 2
+        per_estimate = 2 * n if KINDS[kind].estimator.per_coordinate else 2
         steps = budget_iterations(kind, iterations, n)
         rec = Recorder()
         trajectories = run(
@@ -246,7 +248,7 @@ class TestBudget:
     )
     def test_every_kind_gets_the_same_budget(self, n, iterations, kinds):
         for kind, entry in KINDS.items():
-            per_estimate = 2 * n if entry.per_coordinate else 2
+            per_estimate = 2 * n if entry.estimator.per_coordinate else 2
             assert budget_iterations(kind, iterations, n) * per_estimate == 2 * n * iterations
         rows, _ = run_benchmark(
             small_config(
@@ -256,6 +258,77 @@ class TestBudget:
         )
         assert sorted(row.estimator for row in rows) == sorted(kinds * 2)
         assert all(row.oracle_calls == 2 * n * iterations for row in rows)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_points_evaluated_are_the_counted_calls(self, kind):
+        # every point the oracle evaluates, through eval or eval_axis,
+        # counted: a K-iteration run of R rows evaluates K * R * oracle_calls(n)
+        entry = KINDS[kind]
+        problem = independence_problem(entry.oracle_field)
+        oracle = getattr(problem, entry.oracle_field)
+        oracles = [oracle]
+        if entry.oracle_field == "oracle":
+            oracles.append(replace(oracle, eval_axis=None))  # esgs's chunked eval path
+        iterations, replications, n = 7, 3, problem.n
+        for base in oracles:
+            counted, points = copy.copy(base), [0]
+            if getattr(base, "eval", None) is not None:
+                def eval_(x, xi, inner=base.eval):
+                    points[0] += math.prod(x.shape[:-1])
+                    return inner(x, xi)
+                counted.eval = eval_
+            if base.eval_axis is not None:
+                def eval_axis(rows, moved, xi, inner=base.eval_axis):
+                    points[0] += moved.size
+                    return inner(rows, moved, xi)
+                counted.eval_axis = eval_axis
+            trajectories = run(
+                counted, entry.estimator, problem.default_schedule, iterations,
+                problem.feasible, problem.x0,
+                [RandomStream(8, substream_id=r) for r in range(replications)],
+            )
+            cost = entry.estimator.oracle_calls(n)
+            assert points[0] == iterations * replications * cost
+            assert all(t.oracle_calls == iterations * cost for t in trajectories)
+
+
+class TestCheckedBeforeAnyRun:
+    """A config that would fail on one of its kinds fails before any kind
+    runs: ``bench.run`` is never called."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        seen = []
+
+        def spy(oracle, estimator, *args, **kwargs):
+            seen.append(estimator.name)
+            return run(oracle, estimator, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "run", spy)
+        return seen
+
+    def test_unequal_budgets(self, runs):
+        # quad_l1 at n = 2: esgs spends 2 * 4 calls, gs 1 * 2 * 2
+        with pytest.raises(
+            bench.BudgetMismatchError,
+            match=r"budget mismatch on problem 'quad_l1': esgs 8, gs 4 oracle calls",
+        ):
+            run_benchmark(small_config(iterations={"esgs": 2, "gs": 1}))
+        assert runs == []
+        run_benchmark(small_config(iterations={"esgs": 2, "gs": 2}))
+        assert runs == ["esgs", "gs"]
+
+    @pytest.mark.parametrize("runner", [run_benchmark, run_dd_benchmark])
+    def test_kind_without_an_oracle(self, runs, runner):
+        config = small_config(
+            problem="market", problem_params={},
+            estimators=["esgs_dd_known", "esgs"], iterations=3,
+        )
+        with pytest.raises(
+            ConfigError, match="problem market has no decision-independent oracle"
+        ):
+            runner(config)
+        assert runs == []
 
 
 class TestDeterminismAndOrdering:
@@ -414,7 +487,7 @@ class TestCsvOutput:
         elif table == "aggregate":
             emit_aggregate_csv([], path)
         elif table == "trajectory":
-            emit_trajectory(np.empty((0, 2)), [], quad_l1_problem(2, 3), path)
+            emit_trajectory(np.empty((0, 2)), 4, quad_l1_problem(2, 3), path)
         elif table == "dd_results":
             bench.emit_dd_csv([], path)
         else:
@@ -460,7 +533,8 @@ class TestCsvOutput:
         rec = Recorder()
         run_problem(problem, "esgs", schedule, 1, RandomStream(5), observe=rec)
         path = tmp_path / "traj.csv"
-        emit_trajectory(rec.iterates(0), list(rec.calls.values()), problem, path)
+        cost = KINDS["esgs"].estimator.oracle_calls(problem.n)
+        emit_trajectory(rec.iterates(0), cost, problem, path)
         with path.open() as fh:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 2  # k = 0, 1

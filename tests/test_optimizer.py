@@ -366,7 +366,7 @@ class TestRun:
         # a kernel that draws nothing and leaves x where it is
         still = BatchEstimator(
             "still", lambda oracle, stream, size, n: (),
-            lambda oracle, x, eta, draws: (np.zeros_like(x), 2),
+            lambda oracle, x, eta, draws: np.zeros_like(x), False,
         )
         trajectory = run(
             linear_oracle([1.0, 0.0]), still, schedule, iterations,
@@ -383,7 +383,7 @@ class TestRun:
         # could grow with the iteration count is run's own
         estimator = BatchEstimator(
             "halving", lambda oracle, stream, size, n: (),
-            lambda oracle, x, eta, draws: (0.5 * x, 2),
+            lambda oracle, x, eta, draws: 0.5 * x, False,
         )
         go = lambda iterations: run(
             linear_oracle([1.0, 0.0]), estimator, Schedule(kind="convex_diminishing", n=2),
@@ -483,22 +483,26 @@ class TestBatchedRun:
         else:
             assert kind not in ESTIMATORS
 
-    @pytest.mark.parametrize(
-        "kind, estimator",
-        [("esgs_dd_known", esgs_dd_known), ("esgs_dd_unknown", esgs_dd_unknown)],
-        ids=["esgs_dd_known", "esgs_dd_unknown"],
-    )
-    def test_decision_dependent_single_sample_runs_the_kernel(self, kind, estimator):
-        # run draws in blocks for the kernel, so a per-row fallback, drawing
-        # one sample at a time, would end elsewhere
+    @pytest.mark.parametrize("kind", ["esgs_dd_known", "esgs_dd_unknown"])
+    def test_decision_dependent_single_sample_runs_the_kernel(self, kind):
+        # replayed by hand: each row draws its 20 iterations as one block,
+        # then the kernel takes the stacked rows and step moves them; a
+        # per-row fallback, drawing one sample at a time, would end elsewhere
         problem = market_problem()
-        entry = KINDS[kind]
-        oracle = getattr(problem, entry.oracle_field)
-        args = (problem.default_schedule, 20, problem.feasible, problem.x0)
-        got = run(oracle, estimator, *args, [RandomStream(6, r) for r in range(2)])
-        want = run(oracle, entry.estimator, *args, [RandomStream(6, r) for r in range(2)])
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a.final_x, b.final_x)
+        estimator = KINDS[kind].estimator
+        oracle = getattr(problem, KINDS[kind].oracle_field)
+        schedule, feasible, n = problem.default_schedule, problem.feasible, problem.n
+        streams = lambda: [RandomStream(6, r) for r in range(2)]
+        got = run(oracle, estimator, schedule, 20, feasible, problem.x0, streams())
+        blocks = [estimator.draw(oracle, s, 20, n) for s in streams()]
+        want = np.tile(problem.x0, (2, 1))
+        offset = 1 if schedule.starts_at_one else 0
+        for k in range(20):
+            draws = tuple(np.stack([b[k] for b in parts]) for parts in zip(*blocks))
+            gamma, eta = schedule_values(schedule, k + offset)
+            want = step(want, estimator.estimate(oracle, want, eta, draws), gamma, feasible)
+        for r, trajectory in enumerate(got):
+            np.testing.assert_array_equal(trajectory.final_x, want[r])
 
     def test_custom_estimator_is_a_batch_estimator(self):
         def halving(oracle, x, params, stream):
@@ -526,12 +530,12 @@ class TestBatchedRun:
         trajs = go(
             BatchEstimator(
                 "halving", lambda oracle, stream, size, n: (),
-                lambda oracle, x, eta, draws: (0.5 * x, 3),
+                lambda oracle, x, eta, draws: 0.5 * x, False,
             )
         )
         np.testing.assert_array_equal(trajs[0].final_x, trajs[1].final_x)
-        assert list(rec.calls.values()) == [0, 3, 6, 9, 12]
-        assert trajs[0].oracle_calls == trajs[1].oracle_calls == 12
+        assert list(rec.calls.values()) == [0, 2, 4, 6, 8]
+        assert trajs[0].oracle_calls == trajs[1].oracle_calls == 8
 
     def test_non_finite_estimate_names_kind_and_iteration(self):
         count = {"calls": 0}
@@ -608,7 +612,7 @@ class TestObserver:
         # (a) every k once, in order, with the state before iteration k
         assert rec.seen == list(range(iterations + 1))
         np.testing.assert_array_equal(rec.x[0], np.full((rows, n), 0.5))
-        per_estimate = 2 * n if KINDS[kind].per_coordinate else 2
+        per_estimate = 2 * n if KINDS[kind].estimator.per_coordinate else 2
         assert list(rec.calls.values()) == [per_estimate * k for k in rec.seen]
         # (b) observing changes no bit of the trajectories
         for a, b in zip(observed, plain):

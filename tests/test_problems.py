@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from zosmooth import problems
 from zosmooth.decision import RatioBoundError, ValueBoundError, esgs_dd_known
 from zosmooth.estimators import esgs_estimate
 from zosmooth.problems import (
@@ -231,6 +232,25 @@ class TestPiecewiseLinear:
             assert abs(
                 problem.f_star - piecewise_linear_reference_cross_check(problem)
             ) < 1e-6
+
+    def test_reference_routes_stop_well_before_the_cap(self, monkeypatch):
+        # at n = 3 the route from ones(n)/sqrt(n) zig-zags on the sphere at
+        # rounding level with f unchanged, and ran to the 20 000-step cap
+        route, counts = problems._projected_gradient, []
+
+        def counted(f, grad, *args, **kwargs):
+            counts.append(0)
+
+            def counting_grad(x):
+                counts[-1] += 1
+                return grad(x)
+
+            return route(f, counting_grad, *args, **kwargs)
+
+        monkeypatch.setattr(problems, "_projected_gradient", counted)
+        piecewise_linear_problem(3, 0.0)
+        assert len(counts) == 2
+        assert max(counts) < 200
 
 
 class TestNonconvex:
