@@ -21,7 +21,8 @@ configured kind's oracle, before any kind runs.
 kind as one batch (see :func:`zosmooth.optimizer.run`), with replication
 ``r`` of kind ``k`` drawing from the substream keyed ``(kind_key(k), r)``,
 and turns each trajectory into a :class:`ResultRow` with the metric columns
-its table chooses.  Every CSV table is written by :func:`write_table`.
+its table chooses; :func:`emit_trajectory` streams a recorded run's rows.
+Every CSV line is written by :func:`write_table`'s line writer.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import json
 import math
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -236,17 +237,12 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class BenchSummary:
-    """The rows, a per-kind report on them, and the problem they were run on.
-
-    ``trajectories`` maps each kind to replication 0's iterates
-    ``x_0 .. x_K`` as a ``(K+1, n)`` array, when the config asks for
-    trajectory recording.
-    """
+    """The rows, a per-kind report on them, and the paths of the recorded
+    ``trajectory_<kind>.csv`` tables, in config order."""
 
     rows: list[ResultRow]
     report: dict[str, dict[str, float]]
-    problem: BenchmarkProblem
-    trajectories: dict[str, np.ndarray]
+    trajectory_paths: list[Path]
 
 
 def build_problem(config: BenchConfig) -> BenchmarkProblem:
@@ -357,25 +353,30 @@ def _benchmark(
     """Run each kind's replications as one batch, turn every trajectory into
     a row with the ``metrics`` columns, and ``report`` on each kind's rows.
     A row's ``wall_time_ms`` is its batch's loop time per replication.
-    Every kind's oracle is looked up before any kind runs."""
+    Every kind's oracle is looked up before any kind runs.  Recorded tables
+    stream into ``config.output`` or ``.``, and are removed if a run raises."""
     schedule = resolve_schedule(config.schedule, problem)
     for kind in config.estimators:
         kind_oracle(problem, kind)
-    batches, recorded = {}, {}
-    for kind in config.estimators:
-        iterations = budget_iterations(kind, config.iterations[kind], problem.n)
-        observe = None
-        if config.record_trajectories:
-            recorded[kind] = np.empty((iterations + 1, problem.n))
-            observe = partial(_record_row_zero, recorded[kind])
-        batches[kind] = run_problem(
-            problem,
-            kind,
-            schedule,
-            iterations,
-            [_replication_stream(config, kind, r) for r in range(config.replications)],
-            observe=observe,
-        )
+    batches, paths = {}, []
+    try:
+        for kind in config.estimators:
+            iterations = budget_iterations(kind, config.iterations[kind], problem.n)
+            streams = [_replication_stream(config, kind, r) for r in range(config.replications)]
+            if not config.record_trajectories:
+                batches[kind] = run_problem(problem, kind, schedule, iterations, streams)
+                continue
+            path = Path(config.output or ".") / f"trajectory_{kind}.csv"
+            cost = KINDS[kind].estimator.oracle_calls(problem.n)
+            with emit_trajectory(path, problem, cost, iterations) as observe:
+                paths.append(path)
+                batches[kind] = run_problem(
+                    problem, kind, schedule, iterations, streams, observe=observe
+                )
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
     # scored only after every kind has run: scoring between the runs raised
     # market_dd's peak RSS by about 0.2 MB
     rows = [
@@ -395,12 +396,7 @@ def _benchmark(
     by_kind = {
         k: report(problem, [r for r in rows if r.estimator == k]) for k in config.estimators
     }
-    return BenchSummary(rows, by_kind, problem, recorded)
-
-
-def _record_row_zero(iterates, k, x, weighted_sum, gamma_total, oracle_calls):
-    # the observer of a recorded run: keep replication 0's x_k
-    iterates[k] = x[0]
+    return BenchSummary(rows, by_kind, paths)
 
 
 def _mean_error_and_time(
@@ -485,9 +481,14 @@ def write_table(
     """Write one CSV table: the header line, then one line per row, each
     ending in a newline.  A float cell is written with ``repr``, so it reads
     back bit for bit; an ``OSError`` names the path."""
+    _write_lines(path, "w", [header, *rows])
+
+
+def _write_lines(path: str | os.PathLike, mode: str, rows: Iterable[Sequence]) -> None:
+    # "w" starts a table (making its directory), "a" adds rows to it
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, mode, newline="") as fh:
             for row in rows:
                 fh.write(",".join(_format(v) for v in row) + "\n")
     except OSError as exc:
@@ -551,39 +552,46 @@ def emit_aggregate_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> No
     )
 
 
+# A recorded run buffers at most CHUNK iterates and at most 2**20 numbers.
+CHUNK = 1024
+
+
+@contextmanager
 def emit_trajectory(
-    iterates: np.ndarray,
-    calls_per_iteration: int,
-    problem: BenchmarkProblem,
     path: str | os.PathLike,
-) -> None:
-    """Write ``k, error, oracle_calls`` for one replication's observed
-    iterates ``x_0 .. x_K``, a ``(K+1, n)`` array, with ``oracle_calls``
+    problem: BenchmarkProblem,
+    calls_per_iteration: int,
+    iterations: int,
+) -> Iterator[Observer]:
+    """Start the table ``k, error, oracle_calls`` at ``path`` and yield the
+    observer of an ``iterations``-iteration run that writes replication 0's
+    rows into it, :data:`CHUNK` iterates at a time, with ``oracle_calls``
     the ``k * calls_per_iteration`` calls spent before ``x_k``.
 
-    ``error`` is each iterate's own ``error_metric``.  ``results.csv``
-    reports that of the final iterate for strongly convex and nonconvex
-    problems, so there the last row equals replication 0's row error bit
-    for bit; for convex problems ``results.csv`` reports the error of the
-    gamma-weighted average instead.  The rows before the last use the
-    problem's one-pass ``exact_f_rows`` when it has one, and agree with the
-    per-point error to rounding.
+    ``error`` is each iterate's own ``error_metric``: per point in the last
+    row, which on strongly convex and nonconvex problems equals replication
+    0's ``results.csv`` error bit for bit, and from one ``error_metric_rows``
+    pass per buffer in the others, which agree with it to rounding.
     """
-    errors = [
-        *error_metric_rows(problem, iterates[:-1]),
-        *(error_metric(problem, x) for x in iterates[-1:]),
-    ]
-    write_table(
-        path,
-        ("k", "error", "oracle_calls"),
-        ((k, err, k * calls_per_iteration) for k, err in enumerate(errors)),
-    )
+    chunk = np.empty((min(iterations + 1, CHUNK, max(1, 2**20 // problem.n)), problem.n))
+    write_table(path, ("k", "error", "oracle_calls"), ())
+
+    def observe(k, x, *state):
+        row = k % len(chunk)
+        chunk[row] = x[0]
+        if k == iterations:
+            errors = [*error_metric_rows(problem, chunk[:row]), error_metric(problem, chunk[row])]
+        elif row + 1 == len(chunk):
+            errors = error_metric_rows(problem, chunk)
+        else:
+            return
+        lines = ((j, e, j * calls_per_iteration) for j, e in enumerate(errors, k - row))
+        _write_lines(path, "a", lines)
+
+    yield observe
 
 
 def output_dir(config_output: str | None, cli_out: str | None) -> Path:
-    """Resolve the output directory: flag > env override > config > cwd."""
-    env = os.environ.get("ZOSMOOTH_OUT")
-    chosen = cli_out or env or config_output or "."
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """Resolve the output directory: flag > env override > config > cwd.
+    The first table written into it makes it."""
+    return Path(cli_out or os.environ.get("ZOSMOOTH_OUT") or config_output or ".")

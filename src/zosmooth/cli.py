@@ -13,15 +13,15 @@ dd        Market problem under both decision-dependent protocols; writes raw
 
 Flags: ``--config <path>`` (run, compare, dd), ``--seed <u64>`` (overrides
 the config's base seed; moments defaults to 7), ``--out <dir>`` (also via the
-ZOSMOOTH_OUT environment variable).
+ZOSMOOTH_OUT environment variable; the first table written makes it).
 
 Exit status: 0 on success; 1 for an invalid configuration, input or output
-path; 2 for a command-line usage error; 3 when a decision-dependent oracle
-exceeds its declared ratio or value bound; 4 when an estimate or iterate
-becomes non-finite; 5 when the smoothing quadrature does not converge; 6
-when the config gives kinds different oracle budgets (checked before any
-kind runs).  Every error is reported as one ``error:`` line on standard
-error.
+path, or an allocation that fails (``MemoryError``); 2 for a command-line
+usage error; 3 when a decision-dependent oracle exceeds its declared ratio
+or value bound; 4 when an estimate or iterate becomes non-finite; 5 when
+the smoothing quadrature does not converge; 6 when the config gives kinds
+different oracle budgets (checked before any kind runs).  Every error is
+reported as one ``error:`` line on standard error.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (bench.ConfigError, 1),
     (ValueError, 1),
     (OSError, 1),
+    (MemoryError, 1),
     (RatioBoundError, 3),
     (ValueBoundError, 3),
     (NonFiniteError, 4),
@@ -115,17 +116,17 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    """Write the rows, ``compare``'s aggregate table of them and any
-    recorded trajectories."""
+    """Write the rows and ``compare``'s aggregate table of them (the run
+    writes any recorded trajectories)."""
     config = _load_config(args)
-    rows, summary = bench.run_benchmark(config)
     out = bench.output_dir(config.output, args.out)
+    rows, summary = bench.run_benchmark(replace(config, output=str(out)))
     written = [out / "results.csv"]
     bench.emit_csv(rows, written[0])
     if args.command == "compare":
         written.append(out / "aggregate.csv")
         bench.emit_aggregate_csv(rows, written[1])
-    written += _emit_trajectories(summary, out)
+    written += summary.trajectory_paths
     for kind in config.estimators:
         report = summary.report[kind]
         print(
@@ -137,31 +138,20 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_dd(args) -> int:
-    """Write the rows and any recorded trajectories; print the report."""
+    """Write the rows and print the report; the run writes any trajectories."""
     if args.config is not None:
         config = _load_config(args)
     else:
         config = bench.BenchConfig.from_dict(DEFAULT_DD_CONFIG)
         if args.seed is not None:
             config = replace(config, base_seed=args.seed)
-    rows, summary = bench.run_dd_benchmark(config)
     out = bench.output_dir(config.output, args.out)
-    written = [out / "dd_results.csv"]
+    rows, summary = bench.run_dd_benchmark(replace(config, output=str(out)))
+    written = [out / "dd_results.csv", *summary.trajectory_paths]
     bench.emit_dd_csv(rows, written[0])
-    written += _emit_trajectories(summary, out)
     print(json.dumps(summary.report, indent=2))
     print("wrote " + " and ".join(str(path) for path in written))
     return 0
-
-
-def _emit_trajectories(summary: bench.BenchSummary, out) -> list:
-    """Write each recorded kind's ``trajectory_<kind>.csv``; their paths."""
-    paths = []
-    for kind, iterates in summary.trajectories.items():
-        paths.append(out / f"trajectory_{kind}.csv")
-        cost = bench.KINDS[kind].estimator.oracle_calls(summary.problem.n)
-        bench.emit_trajectory(iterates, cost, summary.problem, paths[-1])
-    return paths
 
 
 def build_parser() -> argparse.ArgumentParser:

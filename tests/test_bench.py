@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -487,7 +488,9 @@ class TestCsvOutput:
         elif table == "aggregate":
             emit_aggregate_csv([], path)
         elif table == "trajectory":
-            emit_trajectory(np.empty((0, 2)), 4, quad_l1_problem(2, 3), path)
+            # a run that never reached the observer leaves the header alone
+            with emit_trajectory(path, quad_l1_problem(2, 3), 4, 0):
+                pass
         elif table == "dd_results":
             bench.emit_dd_csv([], path)
         else:
@@ -530,11 +533,10 @@ class TestCsvOutput:
     def test_trajectory_dump(self, tmp_path):
         problem = quad_l1_problem(2, 3)
         schedule = problem.default_schedule
-        rec = Recorder()
-        run_problem(problem, "esgs", schedule, 1, RandomStream(5), observe=rec)
         path = tmp_path / "traj.csv"
         cost = KINDS["esgs"].estimator.oracle_calls(problem.n)
-        emit_trajectory(rec.iterates(0), cost, problem, path)
+        with emit_trajectory(path, problem, cost, 1) as observe:
+            run_problem(problem, "esgs", schedule, 1, RandomStream(5), observe=observe)
         with path.open() as fh:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 2  # k = 0, 1
@@ -544,6 +546,59 @@ class TestCsvOutput:
         calls = [int(rec["oracle_calls"]) for rec in parsed]
         assert calls == sorted(calls)
         assert calls[0] == 0 and calls[-1] == 4
+
+
+class TestRecordedRun:
+    @staticmethod
+    def recorded_raw(iterations, **overrides):
+        return small_config_raw(
+            estimators=["esgs"], iterations=iterations, record_trajectories=True,
+            **overrides,
+        )
+
+    def test_memory_does_not_grow_with_iterations(self, tmp_path):
+        go = lambda iterations: run_benchmark(BenchConfig.from_dict(
+            self.recorded_raw(iterations, output=str(tmp_path))
+        ))
+        go(2_000)
+        peaks = {}
+        for iterations in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                go(iterations)
+                peaks[iterations] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the bound of the unrecorded run's test: keeping replication 0's
+        # iterate at n = 2 would grow by 288 000 bytes over these 18 000
+        assert peaks[20_000] - peaks[2_000] <= 6_553
+
+    def test_rows_stream_across_chunks(self, tmp_path):
+        iterations = 2_500
+        raw = self.recorded_raw(iterations)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+        with (out / "trajectory_esgs.csv").open() as fh:
+            dump = list(csv.DictReader(fh))
+        with (out / "results.csv").open() as fh:
+            (result,) = csv.DictReader(fh)
+        assert [int(rec["k"]) for rec in dump] == list(range(iterations + 1))
+        assert dump[-1]["error"] == result["error"]
+        # the rows on either side of each chunk edge, against the per-point
+        # error of the same iterates
+        chunk = bench.CHUNK
+        edges = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, iterations]
+        problem = quad_l1_problem(2, 3)
+        rec = Recorder(at=edges)
+        run_problem(
+            problem, "esgs", problem.default_schedule, iterations,
+            bench._replication_stream(BenchConfig.from_dict(raw), "esgs", 0), observe=rec,
+        )
+        for k in edges:
+            expected = error_metric(problem, rec.x[k][0])
+            assert float(dump[k]["error"]) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestHeadToHeadSmall:
@@ -897,6 +952,7 @@ class TestCli:
             (NonFiniteError("estimator 'esgs' produced a non-finite iterate"), 4),
             (QuadratureConvergenceError("no convergence"), 5),
             (bench.BudgetMismatchError("oracle budget mismatch"), 6),
+            (MemoryError("Unable to allocate 21.3 PiB for an array"), 1),
         ],
     )
     def test_library_errors_map_to_exit_codes(
@@ -937,6 +993,18 @@ class TestCli:
                 assert "schedule 'gamma_scale' must be a finite JSON number, got inf" in err[0]
             else:
                 assert "'esgs'" in err[0] and "iteration k=0" in err[0]
+
+    def test_recorded_non_finite_run_leaves_no_trajectory(self, tmp_path, capsys):
+        raw = small_config_raw(
+            schedule={"kind": "custom", "alpha": 0.5, "beta": 0.5, "gamma_scale": 1e308},
+            record_trajectories=True,
+        )
+        config = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not list(out.glob("trajectory_*.csv"))
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"problem": "quad_l1"})
