@@ -24,7 +24,7 @@ from .optimizer import (
     Schedule,
     Trajectory,
     run,
-    sample_random_iterate,
+    sample_iterate_index,
     schedule_values,
     step,
     step_sizes,
@@ -84,7 +84,7 @@ __all__ = [
     "sample_correlated_pair",
     "sample_exponential",
     "sample_gaussian_vector",
-    "sample_random_iterate",
+    "sample_iterate_index",
     "schedule_values",
     "second_moment_probe",
     "smoothed_gradient_quadrature",

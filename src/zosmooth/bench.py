@@ -32,7 +32,7 @@ import json
 import math
 import os
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -354,10 +354,15 @@ def _benchmark(
     a row with the ``metrics`` columns, and ``report`` on each kind's rows.
     A row's ``wall_time_ms`` is its batch's loop time per replication.
     Every kind's oracle is looked up before any kind runs.  Recorded tables
-    stream into ``config.output`` or ``.``, and are removed if a run raises."""
+    stream into ``config.output`` or ``.``.  If a run raises, the tables are
+    removed, and so are the directories that did not exist before the run
+    (the ones the first table made), once empty."""
     schedule = resolve_schedule(config.schedule, problem)
     for kind in config.estimators:
         kind_oracle(problem, kind)
+    out = Path(config.output or ".")
+    # deepest first, so that each is empty when its turn comes
+    missing = [d for d in (out, *out.parents) if not d.exists()]
     batches, paths = {}, []
     try:
         for kind in config.estimators:
@@ -366,16 +371,22 @@ def _benchmark(
             if not config.record_trajectories:
                 batches[kind] = run_problem(problem, kind, schedule, iterations, streams)
                 continue
-            path = Path(config.output or ".") / f"trajectory_{kind}.csv"
+            path = out / f"trajectory_{kind}.csv"
             cost = KINDS[kind].estimator.oracle_calls(problem.n)
+            # listed before the table is started, so that no moment leaves
+            # a table behind that the cleanup does not know of
+            paths.append(path)
             with emit_trajectory(path, problem, cost, iterations) as observe:
-                paths.append(path)
                 batches[kind] = run_problem(
                     problem, kind, schedule, iterations, streams, observe=observe
                 )
     except BaseException:
         for path in paths:
             path.unlink(missing_ok=True)
+        for directory in missing:
+            # rmdir leaves a directory that anything else wrote into
+            with suppress(OSError):
+                directory.rmdir()
         raise
     # scored only after every kind has run: scoring between the runs raised
     # market_dd's peak RSS by about 0.2 MB

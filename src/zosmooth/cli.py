@@ -22,12 +22,17 @@ or value bound; 4 when an estimate or iterate becomes non-finite; 5 when
 the smoothing quadrature does not converge; 6 when the config gives kinds
 different oracle budgets (checked before any kind runs).  Every error is
 reported as one ``error:`` line on standard error.
+
+A recorded run that fails, or whose command is stopped by SIGTERM, removes
+its trajectory tables and the output directories it made.  While a command
+runs, SIGTERM ends it with exit status 143 (128 + 15) and no error line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import replace
 
@@ -189,9 +194,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame):
+    # an exception, unlike the default action, unwinds through the cleanup
+    # of a recorded run; 128 + 15 is the status a shell reports for SIGTERM
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         # checked before any subcommand runs, so no output directory is made
         if args.seed is not None and args.seed < 0:
@@ -203,6 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

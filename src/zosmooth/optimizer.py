@@ -98,7 +98,7 @@ class Schedule:
                 )
         elif self.kind == "nonconvex_fixed_eta":
             self._require("eta_fixed", "l0", "n")
-            self._positive("l0", "n")
+            self._positive("l0", "n", "eta_fixed")
         elif self.kind == "nonconvex_asymptotic":
             self._require("alpha", "beta")
             if not (0 < self.alpha < 1 and 0 < self.beta < 1):
@@ -110,7 +110,7 @@ class Schedule:
                 )
         elif self.kind == "custom":
             self._require("alpha", "beta")
-            self._positive("gamma_scale")
+            self._positive("gamma_scale", "eta_scale")
 
     def _require(self, *names: str) -> None:
         for name in names:
@@ -118,8 +118,9 @@ class Schedule:
                 raise ValueError(f"schedule kind {self.kind!r} requires {name!r}")
 
     def _positive(self, *names: str) -> None:
-        # the schedule divides by these, or scales the step by them: a
-        # non-positive step scale would step uphill
+        # the schedule divides by these, or scales the step or the smoothing
+        # radius by them: a non-positive step scale would step uphill, and
+        # a non-positive radius would fail only once the run had begun
         for name in names:
             if not getattr(self, name) > 0:
                 raise ValueError(
@@ -342,19 +343,13 @@ def weighted_average(trajectory: Trajectory) -> np.ndarray:
     return trajectory.weighted_sum / trajectory.gamma_total
 
 
-def sample_random_iterate(
-    iterates: np.ndarray, gammas: np.ndarray, stream: RandomStream
-) -> np.ndarray:
-    """Draw ``x_j`` with ``P[j] = gamma_j / sum(gamma)`` over ``j < K``.
+def sample_iterate_index(gammas: np.ndarray, stream: RandomStream) -> int:
+    """Draw the index ``j`` of the random iterate ``x_R``, with
+    ``P[j] = gamma_j / sum(gamma)`` over ``j < K``.
 
     ``gammas`` holds ``gamma_0 .. gamma_{K-1}``, as :func:`step_sizes` gives
-    them, and ``iterates`` one replication's ``x_0 .. x_{K-1}`` or more, as
-    an observer of :func:`run` kept them.
+    them.  Drawn before the run, from a stream other than the run's own (so
+    that no draw of the run moves), ``j`` names the one iterate an observer
+    of :func:`run` keeps.
     """
-    if len(iterates) < len(gammas):
-        raise ValueError(
-            f"need an iterate for each of the {len(gammas)} steps, got {len(iterates)}"
-        )
-    weights = gammas / gammas.sum()
-    j = int(stream.generator.choice(len(weights), p=weights))
-    return iterates[j].copy()
+    return int(stream.generator.choice(len(gammas), p=gammas / gammas.sum()))

@@ -1,7 +1,5 @@
 """An observer for ``optimizer.run`` that copies the state at chosen k."""
 
-import numpy as np
-
 
 class Recorder:
     """Keeps, for each k in ``at`` (every k when ``at`` is None), the
@@ -20,7 +18,3 @@ class Recorder:
             self.x[k] = x.copy()
             self.average[k] = weighted_sum / gamma_total if gamma_total > 0 else x.copy()
             self.calls[k] = oracle_calls
-
-    def iterates(self, row):
-        """Row ``row``'s kept iterates, in order of k, as one array."""
-        return np.stack([x[row] for x in self.x.values()])

@@ -19,7 +19,7 @@ from zosmooth.estimators import (
     gs_estimate,
     second_moment_probe,
 )
-from zosmooth.optimizer import Schedule, sample_random_iterate, step_sizes
+from zosmooth.optimizer import Schedule, sample_iterate_index, step_sizes
 from zosmooth.problems import (
     error_metric,
     nonconvex_min_problem,
@@ -265,13 +265,20 @@ def test_criterion_6_nonconvex_stationarity():
     # itself a stationary point of the smoothed objective)
     x0 = 2.0 * np.ones(n)
     streams = [RandomStream(6001, substream_id=rep) for rep in range(replications)]
-    rec = Recorder()
-    trajs = run_problem(problem, "esgs", schedule, 4096, streams, x0=x0, observe=rec)
+    # each row's index R_K, drawn before the run from a substream of its own
+    # (drawing from the row's stream would move every draw of the run); the
+    # run then keeps only the drawn iterates
     gammas = step_sizes(schedule, 4096)
-    for rep, (stream, traj) in enumerate(zip(streams, trajs)):
-        iterates = rec.iterates(rep)
+    index = {}
+    for rep in range(replications):
+        pick = RandomStream(6001, substream_id=(rep, 1))
         for K in horizons:
-            x_r = sample_random_iterate(iterates, gammas[:K], stream)
+            index[rep, K] = sample_iterate_index(gammas[:K], pick)
+    rec = Recorder(at=index.values())
+    trajs = run_problem(problem, "esgs", schedule, 4096, streams, x0=x0, observe=rec)
+    for rep, traj in enumerate(trajs):
+        for K in horizons:
+            x_r = rec.x[index[rep, K]][rep]
             g = problem.smoothed_gradient(x_r, eta)
             residuals[K].append(float(g @ g))
         final = traj.final_x

@@ -3,8 +3,10 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
@@ -393,7 +395,8 @@ class TestDeterminismAndOrdering:
         (batch, batch_rec), (part, part_rec) = go(range(rows)), go(subset)
         for j, r in enumerate(subset):
             np.testing.assert_array_equal(part[j].final_x, batch[r].final_x)
-            np.testing.assert_array_equal(part_rec.iterates(j), batch_rec.iterates(r))
+            for k, x in part_rec.x.items():
+                np.testing.assert_array_equal(x[j], batch_rec.x[k][r])
             assert part[j].oracle_calls == batch[r].oracle_calls
         # the calls before every iteration k
         assert part_rec.calls == batch_rec.calls
@@ -1000,11 +1003,42 @@ class TestCli:
             record_trajectories=True,
         )
         config = self.write_config(tmp_path, raw)
-        out = tmp_path / "out"
+        # the run makes both directories, and removes both
+        out = tmp_path / "made" / "out"
         assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert not list(out.glob("trajectory_*.csv"))
+        assert not (tmp_path / "made").exists()
+        # a directory that was there before the run stays, without the table
+        out = tmp_path / "kept"
+        out.mkdir()
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert out.is_dir() and not list(out.iterdir())
+
+    def test_sigterm_removes_a_recorded_run_and_its_directory(self, tmp_path):
+        # a recorded run far too long to end, stopped once its table exists
+        raw = small_config_raw(estimators=["esgs"], iterations=10**9, record_trajectories=True)
+        config = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(bench.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zosmooth.cli", "run", "--config", str(config),
+             "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / "trajectory_esgs.csv").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        assert proc.returncode == 143 and err == ""
+        assert not out.exists()
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"problem": "quad_l1"})
@@ -1043,6 +1077,8 @@ class TestCli:
             {"problem": "piecewise_linear", "problem_params": {"n": 3, "mu": math.nan}},
             {"problem_params": {"n": 2, "seed": 1, "l1_weight": math.inf}},
             {"schedule": {"kind": "custom", "alpha": math.nan, "beta": 0.5}},
+            {"schedule": {"kind": "custom", "alpha": 0.5, "beta": 0.5, "eta_scale": -1.0},
+             "record_trajectories": True},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])

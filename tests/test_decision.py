@@ -382,7 +382,8 @@ class TestDriverWithToyOracles:
             50, FeasibleSet.symmetric_box(2.0, 1), np.array([0.5]), RandomStream(8, 1),
             observe=single,
         )
-        np.testing.assert_array_equal(single.iterates(0), batch.iterates(1))
+        for k, x in single.x.items():
+            np.testing.assert_array_equal(x[0], batch.x[k][1])
         np.testing.assert_array_equal(alone.final_x, trajs[1].final_x)
 
     def test_shared_noise_random_field_oracle(self):

@@ -28,7 +28,7 @@ from zosmooth.estimators import (
     spsa_estimate,
 )
 from zosmooth.bench import KINDS
-from zosmooth.optimizer import NonFiniteError, Schedule, run
+from zosmooth.optimizer import NonFiniteError, Schedule, run, schedule_values
 from zosmooth.problems import market_problem, quad_l1_problem
 from zosmooth.projections import FeasibleSet
 from zosmooth.rng import RandomStream
@@ -405,11 +405,26 @@ class TestSmoothingRadius:
         assert stream.generator.random() == RandomStream(0).generator.random()
         with pytest.raises(ValueError, match=message):
             second_moment_probe(entry.estimator, oracle, x, eta, 10, RandomStream(0))
-        schedule = Schedule(kind="custom", alpha=0.5, beta=0.5, eta_scale=eta)
+        with pytest.raises(ValueError, match="requires eta_scale > 0"):
+            Schedule(kind="custom", alpha=0.5, beta=0.5, eta_scale=eta)
+        # run checks each eta_k too; set past the schedule's own check, the
+        # bad scale reaches that guard at k = 0
+        schedule = Schedule(kind="custom", alpha=0.5, beta=0.5)
+        object.__setattr__(schedule, "eta_scale", eta)
         with pytest.raises(ValueError, match=message):
             run(
                 oracle, entry.estimator, schedule, 1, FeasibleSet.symmetric_box(1.0, 2),
                 x, RandomStream(0),
+            )
+
+    def test_run_rejects_an_eta_k_that_underflows(self):
+        # a valid schedule whose (k+1)**-beta is 0.0 from k = 1 on
+        schedule = Schedule(kind="custom", alpha=0.5, beta=1100.0)
+        assert schedule_values(schedule, 1)[1] == 0.0
+        with pytest.raises(ValueError, match="smoothing radius eta must be > 0, got 0.0"):
+            run(
+                linear_oracle([1.0, 2.0]), esgs_estimate, schedule, 2,
+                FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(0),
             )
 
 

@@ -26,7 +26,7 @@ from zosmooth.optimizer import (
     Schedule,
     Trajectory,
     run,
-    sample_random_iterate,
+    sample_iterate_index,
     schedule_values,
     step,
     step_sizes,
@@ -98,6 +98,12 @@ class TestSchedules:
             ("custom", {"alpha": 0.5, "beta": 0.5, "gamma_scale": -1.0}, "gamma_scale"),
             ("custom", {"alpha": 0.5, "beta": 0.5, "gamma_scale": 0.0}, "gamma_scale"),
             ("custom", {"alpha": 0.5, "beta": 0.5, "gamma_scale": math.nan}, "gamma_scale"),
+            ("custom", {"alpha": 0.5, "beta": 0.5, "eta_scale": -1.0}, "eta_scale"),
+            ("custom", {"alpha": 0.5, "beta": 0.5, "eta_scale": 0.0}, "eta_scale"),
+            ("custom", {"alpha": 0.5, "beta": 0.5, "eta_scale": math.nan}, "eta_scale"),
+            ("nonconvex_fixed_eta", {"eta_fixed": -1.0, "l0": 1.0, "n": 2}, "eta_fixed"),
+            ("nonconvex_fixed_eta", {"eta_fixed": 0.0, "l0": 1.0, "n": 2}, "eta_fixed"),
+            ("nonconvex_fixed_eta", {"eta_fixed": math.nan, "l0": 1.0, "n": 2}, "eta_fixed"),
         ],
     )
     def test_non_positive_divisor_rejected(self, kind, params, name):
@@ -244,7 +250,8 @@ class TestRun:
             )
             for rec in recs
         ]
-        np.testing.assert_array_equal(recs[0].iterates(0), recs[1].iterates(0))
+        for k, x in recs[0].x.items():
+            np.testing.assert_array_equal(x, recs[1].x[k])
         assert recs[0].calls == recs[1].calls
         assert runs[0].oracle_calls == runs[1].oracle_calls
 
@@ -309,12 +316,12 @@ class TestRun:
             FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(11),
             observe=observe,
         )
-        iterates = every.iterates(0)
-        np.testing.assert_array_equal(checkpoints.x[10][0], iterates[10])
-        np.testing.assert_array_equal(checkpoints.x[30][0], iterates[30])
-        np.testing.assert_array_equal(iterates[30], traj.final_x)
+        np.testing.assert_array_equal(checkpoints.x[10], every.x[10])
+        np.testing.assert_array_equal(checkpoints.x[30], every.x[30])
+        np.testing.assert_array_equal(every.x[30][0], traj.final_x)
         gammas = step_sizes(sched, 10)
-        manual = (gammas[:, None] * iterates[:10]).sum(axis=0) / gammas.sum()
+        first = np.concatenate([every.x[k] for k in range(10)])
+        manual = (gammas[:, None] * first).sum(axis=0) / gammas.sum()
         np.testing.assert_allclose(checkpoints.average[10][0], manual, rtol=1e-12)
         assert checkpoints.calls[10] == 10 * 2 * 2
         assert checkpoints.calls[30] == traj.oracle_calls
@@ -440,7 +447,8 @@ class TestBatchedRun:
             observe=alone_rec,
         )
         assert isinstance(alone, Trajectory)
-        np.testing.assert_array_equal(batch_rec.iterates(1), alone_rec.iterates(0))
+        for k, x in alone_rec.x.items():
+            np.testing.assert_array_equal(batch_rec.x[k][1], x[0])
         np.testing.assert_array_equal(batch_rec.average[10][1], alone_rec.average[10][0])
         np.testing.assert_array_equal(trajs[1].final_x, alone.final_x)
         assert trajs[1].oracle_calls == 30 * 2 * 2
@@ -664,43 +672,24 @@ class TestAveragingAndSampling:
         np.testing.assert_allclose(weighted_average(traj), [3.0])
 
     def test_single_iterate_sampled_with_probability_one(self):
-        iterates = np.array([[1.5], [2.5]])
         for _ in range(10):
-            np.testing.assert_array_equal(
-                sample_random_iterate(iterates, np.array([0.4]), RandomStream(0)), [1.5]
-            )
+            assert sample_iterate_index(np.array([0.4]), RandomStream(0)) == 0
 
     def test_uniform_sampling_frequencies(self):
-        iterates = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         gammas = np.ones(4)
         stream = RandomStream(17)
         draws = np.array(
-            [sample_random_iterate(iterates, gammas, stream)[0] for _ in range(100_000)]
+            [sample_iterate_index(gammas, stream) for _ in range(100_000)]
         )
         for j in range(4):
             assert abs((draws == j).mean() - 0.25) < 0.01
 
     def test_weighted_sampling_frequencies(self):
-        iterates = np.array([[0.0], [1.0], [2.0]])
         stream = RandomStream(18)
         draws = np.array(
             [
-                sample_random_iterate(iterates, np.array([1.0, 3.0]), stream)[0]
+                sample_iterate_index(np.array([1.0, 3.0]), stream)
                 for _ in range(100_000)
             ]
         )
         assert abs((draws == 1).mean() - 0.75) < 0.01
-
-    def test_sampling_requires_recorded_iterates(self):
-        sched = Schedule(kind="convex_diminishing", n=1)
-        rec = Recorder(at=[0, 1, 2])
-        traj = run(
-            linear_oracle([1.0]), esgs_estimate, sched, 5,
-            FeasibleSet.unconstrained(), np.zeros(1), RandomStream(1), observe=rec,
-        )
-        # x_0 .. x_4 are needed for K = 5 steps, only x_0 .. x_2 were kept
-        with pytest.raises(ValueError, match="each of the 5 steps, got 3"):
-            sample_random_iterate(rec.iterates(0), step_sizes(sched, 5), RandomStream(2))
-        sample_random_iterate(rec.iterates(0), step_sizes(sched, 3), RandomStream(2))
-        # the running weighted average needs no observer
-        assert weighted_average(traj).shape == (1,)
