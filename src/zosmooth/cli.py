@@ -88,6 +88,8 @@ def _cmd_moments(args) -> int:
         raise ValueError(
             f"--dims must be comma-separated integers >= 1, got {args.dims!r}"
         )
+    if len(set(dims)) < len(dims):
+        raise ValueError(f"a dimension is listed twice in --dims {args.dims!r}")
     samples = args.samples
     if samples < 1:
         raise ValueError(f"--samples must be >= 1, got {samples}")

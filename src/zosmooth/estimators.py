@@ -31,7 +31,9 @@ two-point kernel makes one :attr:`StochasticOracle.eval` call on the
 ``(R, 2, n)`` stacked point pairs, and the exponential-shift kernel
 :func:`esgs_rows` one ``eval_axis`` call on the ``(R, n)`` rows and their
 ``(R, 2, n)`` replacement values, or, without one, ``eval`` calls on
-chunks of the ``R * 2n`` replacement points.  So the oracle's callables
+chunks of the ``R * 2n`` replacement points.  Those chunks share one
+buffer: a row is copied into it once, and each call's replaced coordinates
+are restored after the call.  So the oracle's callables
 broadcast, as :class:`StochasticOracle` documents.  The driver advances R
 replications with them.  Calling a kind, as in ``esgs_estimate(oracle, x,
 eta, stream)``, gives one estimate: its draw of size 1 followed by its
@@ -149,6 +151,8 @@ def _evaluate(evaluate, points: np.ndarray, xi: Any) -> np.ndarray:
 # The generic esgs path hands ``eval`` about EVAL_CHUNK_VALUES coordinates of
 # replacement points per call: whole rows at small n, part of a row at large
 # n, where a whole row's 2n*n values (640 kB at n = 200) raised peak memory.
+# A row is copied into the chunk buffer once, and each call restores the
+# coordinates it replaced, so the rest of the buffer is not written again.
 EVAL_CHUNK_VALUES = 1 << 14
 
 
@@ -178,24 +182,46 @@ def _replaced(rows: int, m: int, n: int, first: int) -> np.ndarray:
 
 def _replacement_values(evaluate, base, moved, xi) -> np.ndarray:
     """``evaluate`` at the ``(R, 2n)`` points of :func:`replacement_points`,
-    each with its row's noise ``xi[r]``, in chunks of one buffer that the
-    next chunk overwrites."""
+    each with its row's noise ``xi[r]``, in chunks of one buffer.
+
+    The buffer takes a copy of its rows once.  Each chunk then puts its
+    replaced coordinates, is evaluated, and puts the rows' own values back,
+    so the next chunk of the same row starts from the plain copy again and
+    every call sees the points :func:`replacement_points` would build.
+    ``evaluate`` gets a read-only view: the buffer carries over from one
+    call to the next, so a write into it would change later points."""
     rows, n = base.shape
     per_row = 2 * n
     span = max(1, EVAL_CHUNK_VALUES // n)  # points per call
     # a call takes `step` whole rows, or `cols` < 2n points of one row
     cols = min(per_row, span)
     step = max(1, span // per_row)
+    block = min(rows, step)
     values = np.empty((rows, per_row))
     # one buffer for every chunk: a new array per chunk raised peak memory
-    buffer = np.empty(min(rows, step) * cols * n)
+    buffer = np.empty((block, cols, n))
+    chunks = []
+    for j0 in range(0, per_row, cols):
+        m = min(per_row, j0 + cols) - j0
+        # a chunk of fewer rows is a prefix of each of these
+        points = buffer.reshape(-1)[: block * m * n].reshape(block, m, n)
+        shown = points.view()
+        shown.flags.writeable = False
+        # the coordinates the chunk replaces, read back when the row goes on
+        coords = np.arange(j0, j0 + m) % n if j0 + m < per_row else None
+        chunks.append((slice(j0, j0 + m), _replaced(block, m, n, j0), coords, points, shown))
     for r0 in range(0, rows, step):
         r1 = min(rows, r0 + step)
-        for j0 in range(0, per_row, cols):
-            j1 = min(per_row, j0 + cols)
-            points = buffer[: (r1 - r0) * (j1 - j0) * n].reshape(r1 - r0, j1 - j0, n)
-            replacement_points(base[r0:r1], moved[r0:r1, j0:j1], j0, points)
-            values[r0:r1, j0:j1] = _evaluate(evaluate, points, xi[r0:r1, None])
+        k = r1 - r0
+        rows_base, rows_moved, rows_xi = base[r0:r1], moved[r0:r1], xi[r0:r1, None]
+        buffer[:k] = rows_base[:, None]
+        for j, index, coords, points, shown in chunks:
+            if k < block:  # the last, shorter block of whole rows
+                index, points, shown = index[: k * (j.stop - j.start)], points[:k], shown[:k]
+            points.put(index, rows_moved[:, j])
+            values[r0:r1, j] = _evaluate(evaluate, shown, rows_xi)
+            if coords is not None:  # the next chunk takes the same row
+                points.put(index, rows_base.take(coords, axis=1))
     return values
 
 
@@ -407,7 +433,8 @@ def second_moment_probe(
     different order than in ``sample_count`` single-sample calls on the
     same stream.
 
-    Raises :class:`ValueError` when ``eta`` is not > 0, NaN included, and
+    Raises :class:`ValueError` when ``eta`` is not > 0, NaN included, or
+    ``x`` is not one point of shape ``(n,)`` with ``n >= 1``, and
     :class:`NonFiniteError`, naming the estimator and the first sample, when
     a sample's ``||g||^2`` is NaN or infinite.
     """
@@ -415,6 +442,8 @@ def second_moment_probe(
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x must be one point of shape (n,), got shape {x.shape}")
     n = x.shape[0]
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")

@@ -827,6 +827,8 @@ class TestCli:
             ["--dims", "abc"],
             ["--dims", "10", "--samples", "-3"],
             ["--seed", "-1"],
+            # a repeated dimension would write each of its probes twice
+            ["--dims", "3,3"],
         ],
     )
     def test_moments_errors_are_one_line(self, tmp_path, capsys, args):

@@ -383,6 +383,11 @@ class TestSecondMomentProbe:
                 ESTIMATORS[kind], constant_oracle(), np.zeros(0), ETA, 10, RandomStream(0)
             )
 
+    @pytest.mark.parametrize("x", [np.float64(0.0), np.zeros((2, 3))], ids=["0-d", "2-d"])
+    def test_x_that_is_not_one_point_is_a_value_error(self, x):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {x.shape}")):
+            second_moment_probe(esgs_estimate, constant_oracle(), x, ETA, 10, RandomStream(0))
+
 
 class TestSmoothingRadius:
     """Every entry point that takes eta, and run for each eta_k, rejects
@@ -532,6 +537,54 @@ class TestEvalPathEquivalence:
         g_axis = esgs_estimate(oracle, x, ETA, RandomStream(77)).estimate
         g_eval = esgs_estimate(eval_only(oracle), x, ETA, RandomStream(77)).estimate
         np.testing.assert_allclose(g_axis, g_eval, rtol=1e-10, atol=1e-12)
+
+
+class TestEvalCallPlan:
+    """The generic esgs path's eval calls: their points, shapes, order and noise."""
+
+    @pytest.mark.parametrize(
+        "n, rows, chunk, plan",
+        [
+            # the default chunk at n = 200: 81 points per call, 2n = 400 per row
+            (200, 3, EVAL_CHUNK_VALUES, ([(1, 81, 200)] * 4 + [(1, 76, 200)]) * 3),
+            # 3 points per call, 2n = 10 per row, so each row ends on a short call
+            (5, 3, 15, ([(1, 3, 5)] * 3 + [(1, 1, 5)]) * 3),
+            # whole rows, two per call, the last call one row
+            (2, 5, 20, [(2, 4, 2), (2, 4, 2), (1, 4, 2)]),
+        ],
+        ids=["n200-default", "short-last-chunk", "whole-rows"],
+    )
+    def test_calls_follow_the_plan(self, n, rows, chunk, plan):
+        calls = []
+
+        def evaluate(points, xi):
+            calls.append((points.copy(), np.array(xi, copy=True), points.flags.writeable))
+            return quad_oracle(n).eval(points, xi)
+
+        oracle = StochasticOracle(eval=evaluate, noise_sampler=quad_oracle(n).noise_sampler)
+        stream = RandomStream(n + rows)
+        x = stream.generator.uniform(-1.0, 1.0, (rows, n))
+        draws = KINDS["esgs"].estimator.draw(oracle, stream, rows, n)
+        with patch.object(estimators, "EVAL_CHUNK_VALUES", chunk):
+            esgs_rows(oracle, x, 0.3, draws)
+        assert [points.shape for points, _, _ in calls] == plan
+        root_2v, z_unit, xi = draws
+        base = x - 0.3 * z_unit
+        moved = x[:, None] + (0.3 * root_2v)[:, None, None] * np.array([[1.0], [-1.0]])
+        moved = moved.reshape(rows, 2 * n)
+        r0 = j0 = 0
+        for points, call_xi, writeable in calls:
+            k, m, _ = points.shape
+            r = slice(r0, r0 + k)
+            want = fancy_index_replacement_points(base[r], moved[r, j0 : j0 + m], j0)
+            assert np.array_equal(points, want)
+            assert np.array_equal(call_xi, xi[r, None])
+            # the buffer carries over between calls, so eval may not write it
+            assert not writeable
+            j0 += m
+            if j0 == 2 * n:
+                r0, j0 = r0 + k, 0
+        assert (r0, j0) == (rows, 0)
 
 
 def fancy_index_replacement_points(base, moved, first):
