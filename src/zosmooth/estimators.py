@@ -111,6 +111,10 @@ class StochasticOracle:
         ``eval(points, xi) -> values`` of shape ``points.shape[:-1]``;
         deterministic given ``(points, xi)``.  The two-point kinds pass the
         ``(R, 2, n)`` point pairs of an iteration with ``xi[:, None]``.
+        ``points`` may be read-only and must not be written: esgs without
+        ``eval_axis`` passes a read-only view when a row's ``2n`` points
+        span several calls (n > 90), and a write there raises
+        :class:`ValueError`.
     noise_sampler : callable
         ``noise_sampler(stream, size) -> xi``, an array of ``size``
         independent realizations along its leading axis.  Each kind draws
@@ -138,7 +142,15 @@ class StochasticOracle:
 
 def _evaluate(evaluate, points: np.ndarray, xi: Any) -> np.ndarray:
     """``evaluate(points, xi)``, checked to give one value per point."""
-    values = np.asarray(evaluate(points, xi), dtype=float)
+    try:
+        values = np.asarray(evaluate(points, xi), dtype=float)
+    except ValueError as exc:
+        if points.flags.writeable or "read-only" not in str(exc):
+            raise
+        raise ValueError(
+            f"oracle eval wrote into its read-only points of shape {points.shape} "
+            f"({exc}); eval(points, xi) must not change its points"
+        ) from exc
     if values.shape != points.shape[:-1]:
         raise ValueError(
             f"oracle eval returned shape {values.shape} for points of shape "
@@ -156,13 +168,12 @@ def _evaluate(evaluate, points: np.ndarray, xi: Any) -> np.ndarray:
 EVAL_CHUNK_VALUES = 1 << 14
 
 
-def replacement_points(base, moved, first: int = 0, out=None) -> np.ndarray:
+def replacement_points(base, moved, first: int = 0) -> np.ndarray:
     """``(R, m, n)`` points: point ``j`` of row ``r`` is ``base[r]`` with
-    coordinate ``(first + j) mod n`` set to ``moved[r, j]``, written into
-    ``out`` (C-contiguous) when given."""
+    coordinate ``(first + j) mod n`` set to ``moved[r, j]``."""
     rows, m = moved.shape
     n = base.shape[1]
-    points = np.empty((rows, m, n)) if out is None else out
+    points = np.empty((rows, m, n))
     points[:] = base[:, None]
     # one put: a fancy-index assignment took most of a small call's time
     points.put(_replaced(rows, m, n, first), moved)
@@ -184,12 +195,12 @@ def _replacement_values(evaluate, base, moved, xi) -> np.ndarray:
     """``evaluate`` at the ``(R, 2n)`` points of :func:`replacement_points`,
     each with its row's noise ``xi[r]``, in chunks of one buffer.
 
-    The buffer takes a copy of its rows once.  Each chunk then puts its
-    replaced coordinates, is evaluated, and puts the rows' own values back,
-    so the next chunk of the same row starts from the plain copy again and
-    every call sees the points :func:`replacement_points` would build.
-    ``evaluate`` gets a read-only view: the buffer carries over from one
-    call to the next, so a write into it would change later points."""
+    Each point slot of the buffer takes its row once.  A chunk puts its
+    replaced coordinates and is evaluated.  When a row spans several
+    chunks, each but the last puts the row's own values back, so every
+    call sees the points :func:`replacement_points` would build, and
+    ``evaluate`` gets a read-only view, since a write into the buffer would
+    change the row's later points."""
     rows, n = base.shape
     per_row = 2 * n
     span = max(1, EVAL_CHUNK_VALUES // n)  # points per call
@@ -200,28 +211,33 @@ def _replacement_values(evaluate, base, moved, xi) -> np.ndarray:
     values = np.empty((rows, per_row))
     # one buffer for every chunk: a new array per chunk raised peak memory
     buffer = np.empty((block, cols, n))
+    flat = shown = buffer.reshape(-1)
+    if cols < per_row:
+        shown = flat.view()
+        shown.flags.writeable = False
+    # per chunk: its columns, the flat index of its replaced coordinates in
+    # the buffer, those coordinates when the row's next chunk follows, and
+    # the view of the buffer that eval gets; a block of fewer rows takes a
+    # prefix of the index and the view
     chunks = []
     for j0 in range(0, per_row, cols):
-        m = min(per_row, j0 + cols) - j0
-        # a chunk of fewer rows is a prefix of each of these
-        points = buffer.reshape(-1)[: block * m * n].reshape(block, m, n)
-        shown = points.view()
-        shown.flags.writeable = False
-        # the coordinates the chunk replaces, read back when the row goes on
-        coords = np.arange(j0, j0 + m) % n if j0 + m < per_row else None
-        chunks.append((slice(j0, j0 + m), _replaced(block, m, n, j0), coords, points, shown))
+        j1 = min(per_row, j0 + cols)
+        index = _replaced(block, j1 - j0, n, j0)
+        coords = np.arange(j0, j1) % n if j1 < per_row else None
+        points = shown[: index.size * n].reshape(block, j1 - j0, n)
+        chunks.append((slice(j0, j1), index, coords, points))
     for r0 in range(0, rows, step):
         r1 = min(rows, r0 + step)
         k = r1 - r0
         rows_base, rows_moved, rows_xi = base[r0:r1], moved[r0:r1], xi[r0:r1, None]
         buffer[:k] = rows_base[:, None]
-        for j, index, coords, points, shown in chunks:
+        for j, index, coords, points in chunks:
             if k < block:  # the last, shorter block of whole rows
-                index, points, shown = index[: k * (j.stop - j.start)], points[:k], shown[:k]
-            points.put(index, rows_moved[:, j])
-            values[r0:r1, j] = _evaluate(evaluate, shown, rows_xi)
-            if coords is not None:  # the next chunk takes the same row
-                points.put(index, rows_base.take(coords, axis=1))
+                index, points = index[: k * (j.stop - j.start)], points[:k]
+            flat.put(index, rows_moved[:, j])
+            values[r0:r1, j] = _evaluate(evaluate, points, rows_xi)
+            if coords is not None:
+                flat.put(index, rows_base.take(coords, axis=1))
     return values
 
 

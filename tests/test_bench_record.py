@@ -95,10 +95,9 @@ class TestStatistics:
             "workloads"
         ]["moments_generic"]
         assert entry["failed_rounds"] == 1 and len(entry["rounds"]) == 4
+        assert [r["metrics"]["wall_s"] for r in entry["rounds"]] == [1.0, 9.0, 2.0, 3.0]
         wall = entry["metrics"]["wall_s"]
-        assert wall["seeds"] == [1, 2, 3, 4]
-        assert wall["values"] == [1.0, 9.0, 2.0, 3.0]
-        assert (wall["median"], wall["count"]) == (2.0, 3)
+        assert wall == {"unit": "s", "median": 2.0, "q1": 1.5, "q3": 2.5, "count": 3}
 
 
 class TestCompare:

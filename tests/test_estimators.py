@@ -579,12 +579,40 @@ class TestEvalCallPlan:
             want = fancy_index_replacement_points(base[r], moved[r, j0 : j0 + m], j0)
             assert np.array_equal(points, want)
             assert np.array_equal(call_xi, xi[r, None])
-            # the buffer carries over between calls, so eval may not write it
-            assert not writeable
+            # a split row's calls share its copy, so eval may not write it
+            assert writeable == (m == 2 * n)
             j0 += m
             if j0 == 2 * n:
                 r0, j0 = r0 + k, 0
         assert (r0, j0) == (rows, 0)
+
+    def test_eval_that_writes_split_rows_is_a_value_error(self):
+        def evaluate(points, xi):
+            points -= 1.0
+            return points[..., 0]
+
+        oracle = StochasticOracle(eval=evaluate, noise_sampler=quad_oracle(200).noise_sampler)
+        with pytest.raises(ValueError, match=r"eval wrote into its read-only points of shape"):
+            esgs_estimate(oracle, np.zeros(200), 0.3, RandomStream(0))
+
+    def test_eval_that_writes_whole_rows_keeps_later_points(self):
+        # whole rows are copied into the buffer again before every call
+        def writes(points, xi):
+            points -= 1.0
+            return points[..., 0]
+
+        def reads(points, xi):
+            return points[..., 0] - 1.0
+
+        # two whole rows per call at n = 2, so 5 rows take 3 calls
+        draws = KINDS["esgs"].estimator.draw(quad_oracle(2), RandomStream(0), 5, 2)
+        x = np.arange(10.0).reshape(5, 2)
+        estimates = []
+        with patch.object(estimators, "EVAL_CHUNK_VALUES", 20):
+            for evaluate in (writes, reads):
+                oracle = StochasticOracle(eval=evaluate, noise_sampler=quad_oracle(2).noise_sampler)
+                estimates.append(esgs_rows(oracle, x, 0.3, draws))
+        assert np.array_equal(*estimates)
 
 
 def fancy_index_replacement_points(base, moved, first):
@@ -606,22 +634,18 @@ class TestReplacementPoints:
         m=st.integers(1, 12),
         n=st.integers(1, 9),
         first=st.integers(0, 20),
-        use_out=st.booleans(),
         strided=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_fancy_index_assignment(self, rows, m, n, first, use_out, strided, seed):
+    def test_matches_fancy_index_assignment(self, rows, m, n, first, strided, seed):
         gen = np.random.default_rng(seed)
         base = gen.standard_normal((rows, n))
         moved = gen.standard_normal((rows, m + 2))
         # the generic esgs path passes column slices of its moved values
         moved = moved[:, 1 : m + 1] if strided else moved[:, :m].copy()
-        out = np.full((rows, m, n), np.nan) if use_out else None
-        points = replacement_points(base, moved, first, out)
+        points = replacement_points(base, moved, first)
         assert points.shape == (rows, m, n)
         assert np.array_equal(points, fancy_index_replacement_points(base, moved, first))
-        if use_out:
-            assert points is out
 
 
 class TestRowKernels:

@@ -1,29 +1,28 @@
 """Paired benchmark records: the before/after files a perf claim cites.
 
-    python3 tools/bench_record.py pair --parent DIR --label L
-        [--workloads W ...] [--seeds A-B] [--seconds S]
+    python3 tools/bench_record.py pair --parent DIR --label L [--seeds A-B]
     python3 tools/bench_record.py compare BENCH_L_parent.json BENCH_L_change.json
 
-``pair`` runs ``python3 perfbench/run.py --workload W --seed S --seconds S
---trace 0`` (the command ``BENCHMARK.json`` declares) in the checkout DIR,
-the parent, and in this tree, the change, once per workload and seed.  The
+``pair`` runs ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` (the command ``BENCHMARK.json`` declares, with its
+``run_seconds`` as T) in the checkout DIR, the parent, and in this tree,
+the change, once per workload of ``BENCHMARK.json`` and seed.  The
 two sides run one after the other, and the side that runs first alternates
 with the seed and with the workload, so the host's drift falls on both.  It
 reads the last JSON line of each run's output and writes
 ``BENCH_<L>_parent.json`` and ``BENCH_<L>_change.json`` at the root of this
 tree, again after every pair, so an interrupted recording keeps its rounds.
-The defaults are every workload of ``BENCHMARK.json``, seeds 1-10 and its
-``run_seconds``.
+The seeds default to 1-10.
 
 Each file holds the host facts (CPU count and architecture, the Python
 and numpy versions of the interpreter that ran the benchmark, the tree's
 git revision and whether it was dirty, the BLAS thread variables and
-``PYTHONDONTWRITEBYTECODE``) and, per workload, every round and, per
-end-to-end metric, each seed's value with its median, quartiles and count.
-A round that reports ``correct: false``, or exits without a JSON line, is
-kept in ``rounds`` as failed and counted in ``failed_rounds``; its values
-are listed but left out of the statistics.  Quartiles are
-``statistics.quantiles(..., method="inclusive")``.
+``PYTHONDONTWRITEBYTECODE``) and, per workload, every round with its seed
+and metric values and, per end-to-end metric, the median, quartiles and
+count of the correct rounds' values.  A round that reports ``correct:
+false``, or exits without a JSON line, is kept in ``rounds`` as failed and
+counted in ``failed_rounds``; its values are left out of the statistics.
+Quartiles are ``statistics.quantiles(..., method="inclusive")``.
 
 ``compare A B`` prints, per workload and end-to-end metric, the median
 [q1, q3] of A and of B, the change in %, how many seeds read lower in B
@@ -117,8 +116,8 @@ def summary(values: list[float]) -> dict:
 
 
 def workload_entry(rounds: list[dict], metrics: list[dict]) -> dict:
-    """A workload's rounds and, per end-to-end metric, its values and
-    the statistics of the correct rounds' values."""
+    """A workload's rounds and, per end-to-end metric, the statistics of
+    the correct rounds' values."""
     entry = {
         "rounds": rounds,
         "failed_rounds": sum(not r["correct"] for r in rounds),
@@ -126,14 +125,8 @@ def workload_entry(rounds: list[dict], metrics: list[dict]) -> dict:
     }
     for metric in metrics:
         name = metric["name"]
-        values = [r["metrics"].get(name) for r in rounds]
         good = [r["metrics"][name] for r in rounds if r["correct"] and name in r["metrics"]]
-        entry["metrics"][name] = {
-            "unit": metric["unit"],
-            "seeds": [r["seed"] for r in rounds],
-            "values": values,
-            **summary(good),
-        }
+        entry["metrics"][name] = {"unit": metric["unit"], **summary(good)}
     return entry
 
 
@@ -183,15 +176,11 @@ def run_round(
 def cmd_pair(args) -> int:
     bench = load_benchmark()
     metrics = bench["end_to_end"]
-    names = [w["name"] for w in bench["workloads"]]
-    workloads = args.workloads or names
-    unknown = sorted(set(workloads) - set(names))
-    if unknown:
-        raise ValueError(f"unknown workloads {unknown}; choose from {names}")
+    workloads = [w["name"] for w in bench["workloads"]]
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
         raise ValueError(f"label must be letters, digits, '_', '.' or '-', got {args.label!r}")
     seeds = parse_seeds(args.seeds)
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     trees = {"parent": Path(args.parent).resolve(), "change": ROOT}
     if not (trees["parent"] / "perfbench" / "run.py").is_file():
         raise ValueError(f"no perfbench/run.py in {trees['parent']}")
@@ -292,9 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     pair = sub.add_parser("pair", help="record the parent and this tree, alternating")
     pair.add_argument("--parent", required=True, help="checkout of the parent commit")
     pair.add_argument("--label", required=True)
-    pair.add_argument("--workloads", nargs="+", default=None)
     pair.add_argument("--seeds", default="1-10", help="A-B, inclusive")
-    pair.add_argument("--seconds", type=float, default=None)
     pair.set_defaults(func=cmd_pair)
     compare = sub.add_parser("compare", help="print B against A")
     compare.add_argument("a")
