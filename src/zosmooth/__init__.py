@@ -21,8 +21,8 @@ from .estimators import (
 )
 from .optimizer import (
     NonFiniteError,
+    RunState,
     Schedule,
-    Trajectory,
     run,
     sample_iterate_index,
     schedule_values,
@@ -61,10 +61,10 @@ __all__ = [
     "RandomFieldOracle",
     "RandomStream",
     "RatioBoundError",
+    "RunState",
     "Schedule",
     "SmoothedFunctionView",
     "StochasticOracle",
-    "Trajectory",
     "ValueBoundError",
     "contains",
     "error_metric",

@@ -20,8 +20,9 @@ configured kind's oracle, before any kind runs.
 (``dd_results.csv``) run on one runner: it runs all replications of each
 kind as one batch (see :func:`zosmooth.optimizer.run`), with replication
 ``r`` of kind ``k`` drawing from the substream keyed ``(kind_key(k), r)``,
-and turns each trajectory into a :class:`ResultRow` with the metric columns
-its table chooses; :func:`emit_trajectory` streams a recorded run's rows.
+and turns each replication's final :class:`~zosmooth.optimizer.RunState`
+into a :class:`ResultRow` with the metric columns its table chooses;
+:func:`emit_trajectory` streams a recorded run's rows.
 Every CSV line is written by :func:`write_table`'s line writer.
 """
 
@@ -31,8 +32,9 @@ import inspect
 import json
 import math
 import os
+import time
 import zlib
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -43,7 +45,7 @@ from .decision import esgs_dd_known, esgs_dd_unknown
 from .estimators import (
     BatchEstimator, esgs_estimate, gs_estimate, spherical_estimate, spsa_estimate,
 )
-from .optimizer import Observer, Schedule, Trajectory, run, weighted_average
+from .optimizer import Observer, RunState, Schedule, run, weighted_average
 from .problems import PROBLEM_BUILDERS, BenchmarkProblem, error_metric, error_metric_rows
 from .rng import RandomStream
 
@@ -274,12 +276,12 @@ def run_problem(
     stream: RandomStream | Iterable[RandomStream],
     x0: np.ndarray | None = None,
     observe: Observer | None = None,
-) -> Trajectory | list[Trajectory]:
+) -> RunState | list[RunState]:
     """Run the named estimator kind on ``problem``.
 
-    One stream gives one trajectory; any other iterable of streams runs them
-    as one batch and gives one trajectory per stream.  ``observe`` is passed to
-    :func:`zosmooth.optimizer.run`.
+    One stream gives one final :class:`~zosmooth.optimizer.RunState`; any
+    other iterable of streams runs them as one batch and gives one state per
+    stream.  ``observe`` is passed to :func:`zosmooth.optimizer.run`.
     """
     if estimator_kind not in KINDS:
         raise ConfigError(f"unknown estimator kind {estimator_kind!r}")
@@ -320,17 +322,17 @@ def _replication_stream(config: BenchConfig, kind: str, replication: int) -> Ran
     return RandomStream(config.base_seed, substream_id=(kind_key(kind), replication))
 
 
-Metric = Callable[[BenchmarkProblem, Trajectory], float]
+Metric = Callable[[BenchmarkProblem, RunState], float]
 
 
-def _final_error(problem: BenchmarkProblem, trajectory: Trajectory) -> float:
+def _final_error(problem: BenchmarkProblem, state: RunState) -> float:
     # Convex problems report suboptimality of the gamma-weighted average
     # (the quantity the diminishing-step analysis controls); strongly convex
     # and nonconvex problems report the final iterate, whose convergence is
     # what their analyses track.
     if problem.convexity == "convex":
-        return error_metric(problem, weighted_average(trajectory))
-    return error_metric(problem, trajectory.final_x)
+        return error_metric(problem, weighted_average(state))
+    return error_metric(problem, state.x)
 
 
 # The metric columns of each rows table, computed from a replication's end
@@ -338,9 +340,9 @@ def _final_error(problem: BenchmarkProblem, trajectory: Trajectory) -> float:
 # market still writes ``error``.
 RESULT_METRICS: dict[str, Metric] = {"error": _final_error}
 DD_METRICS: dict[str, Metric] = {
-    "final_x1": lambda p, t: t.final_x[0],
-    "dist_to_optimum": lambda p, t: np.linalg.norm(t.final_x - p.x_star),
-    "dist_to_stable": lambda p, t: np.linalg.norm(t.final_x - p.x_ps),
+    "final_x1": lambda p, t: t.x[0],
+    "dist_to_optimum": lambda p, t: np.linalg.norm(t.x - p.x_star),
+    "dist_to_stable": lambda p, t: np.linalg.norm(t.x - p.x_ps),
 }
 
 
@@ -350,9 +352,10 @@ def _benchmark(
     metrics: dict[str, Metric],
     report: Callable[[BenchmarkProblem, list[ResultRow]], dict[str, float]],
 ) -> BenchSummary:
-    """Run each kind's replications as one batch, turn every trajectory into
-    a row with the ``metrics`` columns, and ``report`` on each kind's rows.
-    A row's ``wall_time_ms`` is its batch's loop time per replication.
+    """Run each kind's replications as one batch, turn every final state
+    into a row with the ``metrics`` columns, and ``report`` on each kind's
+    rows.  A row's ``wall_time_ms`` is its kind's :func:`run_problem` time,
+    measured here, divided by the replication count.
     Every kind's oracle is looked up before any kind runs.  Recorded tables
     stream into ``config.output`` or ``.``.  If a run raises, the tables are
     removed, and so are the directories that did not exist before the run
@@ -363,23 +366,25 @@ def _benchmark(
     out = Path(config.output or ".")
     # deepest first, so that each is empty when its turn comes
     missing = [d for d in (out, *out.parents) if not d.exists()]
-    batches, paths = {}, []
+    batches, wall_ms, paths = {}, {}, []
     try:
         for kind in config.estimators:
             iterations = budget_iterations(kind, config.iterations[kind], problem.n)
             streams = [_replication_stream(config, kind, r) for r in range(config.replications)]
-            if not config.record_trajectories:
-                batches[kind] = run_problem(problem, kind, schedule, iterations, streams)
-                continue
-            path = out / f"trajectory_{kind}.csv"
-            cost = KINDS[kind].estimator.oracle_calls(problem.n)
-            # listed before the table is started, so that no moment leaves
-            # a table behind that the cleanup does not know of
-            paths.append(path)
-            with emit_trajectory(path, problem, cost, iterations) as observe:
+            recording = nullcontext()
+            if config.record_trajectories:
+                path = out / f"trajectory_{kind}.csv"
+                cost = KINDS[kind].estimator.oracle_calls(problem.n)
+                # listed before the table is started, so that no moment leaves
+                # a table behind that the cleanup does not know of
+                paths.append(path)
+                recording = emit_trajectory(path, problem, cost, iterations)
+            start = time.perf_counter()
+            with recording as observe:
                 batches[kind] = run_problem(
                     problem, kind, schedule, iterations, streams, observe=observe
                 )
+            wall_ms[kind] = (time.perf_counter() - start) * 1000.0 / config.replications
     except BaseException:
         for path in paths:
             path.unlink(missing_ok=True)
@@ -396,13 +401,13 @@ def _benchmark(
             n=problem.n,
             estimator=kind,
             replication=replication,
-            metrics={c: float(m(problem, trajectory)) for c, m in metrics.items()},
-            wall_time_ms=int(round(trajectory.wall_time_ms)),
-            oracle_calls=trajectory.oracle_calls,
+            metrics={c: float(m(problem, state)) for c, m in metrics.items()},
+            wall_time_ms=int(round(wall_ms[kind])),
+            oracle_calls=state.oracle_calls,
             seed=config.base_seed,
         )
         for kind, batch in batches.items()
-        for replication, trajectory in enumerate(batch)
+        for replication, state in enumerate(batch)
     ]
     by_kind = {
         k: report(problem, [r for r in rows if r.estimator == k]) for k in config.estimators
@@ -587,16 +592,16 @@ def emit_trajectory(
     chunk = np.empty((min(iterations + 1, CHUNK, max(1, 2**20 // problem.n)), problem.n))
     write_table(path, ("k", "error", "oracle_calls"), ())
 
-    def observe(k, x, *state):
-        row = k % len(chunk)
-        chunk[row] = x[0]
-        if k == iterations:
+    def observe(state: RunState) -> None:
+        row = state.k % len(chunk)
+        chunk[row] = state.x[0]
+        if state.k == iterations:
             errors = [*error_metric_rows(problem, chunk[:row]), error_metric(problem, chunk[row])]
         elif row + 1 == len(chunk):
             errors = error_metric_rows(problem, chunk)
         else:
             return
-        lines = ((j, e, j * calls_per_iteration) for j, e in enumerate(errors, k - row))
+        lines = ((j, e, j * calls_per_iteration) for j, e in enumerate(errors, state.k - row))
         _write_lines(path, "a", lines)
 
     yield observe

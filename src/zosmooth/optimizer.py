@@ -26,15 +26,16 @@ its own stream, in blocks of iterations.  A block's size depends on the
 dimension and, for the last block, on the number of iterations left, never
 on R.  So a replication's trajectory is the same whichever replications
 share its batch; a single stream is the R = 1 case.  An optional
-``observe`` callable sees the state before each iteration k = 0..K (see
-:func:`run`); what it sees at k inside a longer run has the law of the end
-of a k-iteration run, and its bits when k is a multiple of the block size.
+``observe`` callable sees the :class:`RunState` before each iteration
+k = 0..K (see :func:`run`), and the run returns each replication's state at
+k = K; what an observer sees at k inside a longer run has the law of the
+end of a k-iteration run, and its bits when k is a multiple of the block
+size.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -200,23 +201,24 @@ def step(
     return project(feasible, u)
 
 
-@dataclass
-class Trajectory:
-    """End state of one optimization run: the final iterate ``x_K``, the
-    sums of ``gamma_j * x_j`` and of ``gamma_j`` over ``j < K``, and one
-    replication's oracle calls, ``K`` times the estimator's
-    ``oracle_calls(n)``.  An observer sees each state (see
-    :func:`run`); :func:`step_sizes` gives the step sizes."""
+@dataclass(frozen=True)
+class RunState:
+    """The state of a run before iteration ``k``: the iterate ``x_k``, the
+    sums of ``gamma_j * x_j`` and of ``gamma_j`` over ``j < k`` (their ratio
+    is the weighted average ``xbar_k``, see :func:`weighted_average`), and
+    one replication's oracle calls so far, ``k`` times the estimator's
+    ``oracle_calls(n)``.  :func:`run` shows an observer the ``(R, n)``
+    batch state and returns each replication's state at ``k = K``;
+    :func:`step_sizes` gives the step sizes."""
 
-    wall_time_ms: float
-    final_x: np.ndarray
+    k: int
+    x: np.ndarray
     weighted_sum: np.ndarray
     gamma_total: float
     oracle_calls: int
 
 
-# observe(k, x, weighted_sum, gamma_total, oracle_calls); see run
-Observer = Callable[[int, np.ndarray, np.ndarray, float, int], None]
+Observer = Callable[[RunState], None]
 
 
 def run(
@@ -228,30 +230,25 @@ def run(
     x0: np.ndarray,
     stream: RandomStream | Iterable[RandomStream],
     observe: Observer | None = None,
-) -> Trajectory | list[Trajectory]:
+) -> RunState | list[RunState]:
     """Run ``iterations`` estimate-then-step updates from ``x0``.
 
     ``estimator`` is a :class:`~zosmooth.estimators.BatchEstimator`, such
     as :func:`~zosmooth.estimators.esgs_estimate`; anything else raises
     :class:`TypeError`.  ``stream`` is one :class:`RandomStream`, giving one
-    :class:`Trajectory`, or any other iterable of R streams (a list, a
-    tuple, a generator, an object array), one per replication, giving a
-    list of R trajectories; an entry that is not a :class:`RandomStream`
-    raises :class:`TypeError`.  The initial point is projected onto the
-    feasible set if necessary.  Each trajectory is fully deterministic
-    given its own stream.
+    :class:`RunState` at ``k = K``, or any other iterable of R streams (a
+    list, a tuple, a generator, an object array), one per replication,
+    giving a list of R such states; an entry that is not a
+    :class:`RandomStream` raises :class:`TypeError`.  The initial point is
+    projected onto the feasible set if necessary.  Each returned state is
+    fully determined by its own stream.
 
-    ``observe(k, x, weighted_sum, gamma_total, oracle_calls)``, when given,
-    is called for each k = 0..K in order with the state before iteration k:
-    the ``(R, n)`` iterate ``x_k``, the sum of ``gamma_j * x_j`` and the sum
-    of ``gamma_j`` over ``j < k`` (their ratio is the weighted average
-    ``xbar_k``), and one row's oracle calls so far, ``k`` times the
-    estimator's ``oracle_calls(n)``.  The arrays are the loop's own, so an
-    observer copies what it keeps, and picks its own k.
-
-    Wall time covers the iteration loop, including draws, estimator work
-    and the observer, and is measured with a monotonic clock; each
-    trajectory reports the batch's loop time divided by R.
+    ``observe(state)``, when given, is called for each k = 0..K in order
+    with the :class:`RunState` before iteration k, whose ``x`` and
+    ``weighted_sum`` are ``(R, n)`` read-only views of the loop's own
+    arrays: writing into them raises :class:`ValueError`, and
+    ``weighted_sum`` moves on with the run, so an observer copies what it
+    keeps, and picks its own k.  The returned states' arrays are writable.
 
     Raises :class:`NonFiniteError`, naming the estimator and the iteration,
     as soon as an estimate or an iterate is NaN or infinite.
@@ -276,7 +273,6 @@ def run(
     cost = estimator.oracle_calls(n)
     block = max(1, min(MAX_BLOCK_ITERATIONS, BLOCK_VALUES // n))
 
-    t0 = time.perf_counter()
     for first in range(0, iterations, block):
         size = min(block, iterations - first)
         # (size, R, ...) so that each iteration's slice is contiguous, filled
@@ -299,7 +295,7 @@ def run(
         for j, *draws in zip(range(size), *blocks):
             k = first + j
             if observe is not None:
-                observe(k, x, weighted_sum, gamma_total, k * cost)
+                observe(_observed(k, x, weighted_sum, gamma_total, cost))
             gamma_k, eta_k = schedule_values(schedule, k + offset)
             _check_eta(eta_k)
             g = estimator.estimate(oracle, x, eta_k, draws)
@@ -311,20 +307,21 @@ def run(
             gamma_total += gamma_k
             x = x_next
     if observe is not None:
-        observe(iterations, x, weighted_sum, gamma_total, iterations * cost)
-    wall_ms = (time.perf_counter() - t0) * 1000.0 / rows
-
-    trajectories = [
-        Trajectory(
-            wall_time_ms=wall_ms,
-            final_x=x[r].copy(),
-            weighted_sum=weighted_sum[r],
-            gamma_total=gamma_total,
-            oracle_calls=iterations * cost,
-        )
+        observe(_observed(iterations, x, weighted_sum, gamma_total, cost))
+    states = [
+        RunState(iterations, x[r].copy(), weighted_sum[r], gamma_total, iterations * cost)
         for r in range(rows)
     ]
-    return trajectories[0] if single else trajectories
+    return states[0] if single else states
+
+
+def _observed(
+    k: int, x: np.ndarray, weighted_sum: np.ndarray, gamma_total: float, cost: int
+) -> RunState:
+    # read-only views: an observer writing into the loop's arrays would move the run
+    x, weighted_sum = x.view(), weighted_sum.view()
+    x.flags.writeable = weighted_sum.flags.writeable = False
+    return RunState(k, x, weighted_sum, gamma_total, k * cost)
 
 
 def _non_finite(kind: str, k: int, g: np.ndarray, u: np.ndarray) -> NonFiniteError:
@@ -336,11 +333,11 @@ def _non_finite(kind: str, k: int, g: np.ndarray, u: np.ndarray) -> NonFiniteErr
     )
 
 
-def weighted_average(trajectory: Trajectory) -> np.ndarray:
-    """Gamma-weighted mean of the iterates ``x_0 .. x_{K-1}``."""
-    if trajectory.gamma_total <= 0:
-        raise ValueError("trajectory has no accumulated steps")
-    return trajectory.weighted_sum / trajectory.gamma_total
+def weighted_average(state: RunState) -> np.ndarray:
+    """Gamma-weighted mean of the iterates ``x_0 .. x_{k-1}``."""
+    if state.gamma_total <= 0:
+        raise ValueError("run state has no accumulated steps")
+    return state.weighted_sum / state.gamma_total
 
 
 def sample_iterate_index(gammas: np.ndarray, stream: RandomStream) -> int:

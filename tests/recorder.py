@@ -12,9 +12,13 @@ class Recorder:
         self.seen = []
         self.x, self.average, self.calls = {}, {}, {}
 
-    def __call__(self, k, x, weighted_sum, gamma_total, oracle_calls):
+    def __call__(self, state):
+        k = state.k
         self.seen.append(k)
         if self.at is None or k in self.at:
-            self.x[k] = x.copy()
-            self.average[k] = weighted_sum / gamma_total if gamma_total > 0 else x.copy()
-            self.calls[k] = oracle_calls
+            self.x[k] = state.x.copy()
+            self.average[k] = (
+                state.weighted_sum / state.gamma_total if state.gamma_total > 0
+                else state.x.copy()
+            )
+            self.calls[k] = state.oracle_calls

@@ -281,7 +281,7 @@ def test_criterion_6_nonconvex_stationarity():
             x_r = rec.x[index[rep, K]][rep]
             g = problem.smoothed_gradient(x_r, eta)
             residuals[K].append(float(g @ g))
-        final = traj.final_x
+        final = traj.x
         dist = min(
             float(np.max(np.abs(final - 1.0))), float(np.max(np.abs(final + 1.0)))
         )

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zosmooth import bench, cli, optimizer
+from zosmooth import bench, cli
 from zosmooth.bench import (
     KINDS,
     BenchConfig,
@@ -34,7 +34,7 @@ from zosmooth.bench import (
 from zosmooth.cli import main as cli_main
 from zosmooth.decision import RatioBoundError, ValueBoundError
 from zosmooth.estimators import StochasticOracle
-from zosmooth.optimizer import NonFiniteError, Schedule, run
+from zosmooth.optimizer import NonFiniteError, Schedule, run, weighted_average
 from zosmooth.projections import FeasibleSet
 from zosmooth.problems import market_problem, quad_l1_problem, error_metric
 from zosmooth.rng import RandomStream
@@ -362,7 +362,7 @@ class TestDeterminismAndOrdering:
                 problem, kind, schedule, iters, bench._replication_stream(config, kind, r),
                 observe=alone_rec,
             )
-            np.testing.assert_array_equal(batch[r].final_x, alone.final_x)
+            np.testing.assert_array_equal(batch[r].x, alone.x)
             assert bench._final_error(problem, batch[r]) == bench._final_error(
                 problem, alone
             )
@@ -394,7 +394,7 @@ class TestDeterminismAndOrdering:
 
         (batch, batch_rec), (part, part_rec) = go(range(rows)), go(subset)
         for j, r in enumerate(subset):
-            np.testing.assert_array_equal(part[j].final_x, batch[r].final_x)
+            np.testing.assert_array_equal(part[j].x, batch[r].x)
             for k, x in part_rec.x.items():
                 np.testing.assert_array_equal(x[j], batch_rec.x[k][r])
             assert part[j].oracle_calls == batch[r].oracle_calls
@@ -424,11 +424,11 @@ class TestDeterminismAndOrdering:
         assert {row.oracle_calls for row in rows} == {2 * 3 * 7}
 
     def test_wall_time_is_batch_loop_time_per_replication(self, monkeypatch):
-        # esgs's loop takes 2 s and gs's 20 s on this clock; with two
-        # replications each row reports half its kind's loop time
+        # esgs's run takes 2 s and gs's 20 s on this clock; with two
+        # replications each row reports half its kind's run time
         ticks = iter([0.0, 2.0, 10.0, 30.0])
         monkeypatch.setattr(
-            optimizer, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
+            bench, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
         )
         rows, summary = run_benchmark(small_config(iterations=5, replications=2))
         assert {(r.estimator, r.wall_time_ms) for r in rows} == {
@@ -438,6 +438,23 @@ class TestDeterminismAndOrdering:
         esgs, gs = summary.report["esgs"], summary.report["gs"]
         ratio = esgs["mean_wall_time_ms"] / gs["mean_wall_time_ms"]
         assert ratio == pytest.approx(0.1)
+
+    def test_convex_error_is_the_error_of_the_weighted_average(self):
+        config = small_config(
+            problem="piecewise_linear", problem_params={"n": 3, "mu": 0.0},
+            estimators=["esgs"], iterations=20, replications=2,
+        )
+        rows, _ = run_benchmark(config)
+        problem = bench.build_problem(config)
+        assert problem.convexity == "convex"
+        alone = run_problem(
+            problem, "esgs", problem.default_schedule, 20,
+            bench._replication_stream(config, "esgs", 0),
+        )
+        assert rows[0].replication == 0
+        assert rows[0].metrics["error"] == error_metric(problem, weighted_average(alone))
+        # not the final iterate's error, which the other problems report
+        assert rows[0].metrics["error"] != error_metric(problem, alone.x)
 
 
 class TestSubstreams:
@@ -769,7 +786,7 @@ class TestCli:
                 problem, kind, problem.default_schedule, iterations,
                 bench._replication_stream(bench_config, kind, 0),
             )
-            assert dump[-1]["error"] == repr(float(error_metric(problem, alone.final_x)))
+            assert dump[-1]["error"] == repr(float(error_metric(problem, alone.x)))
 
     @pytest.mark.parametrize(
         "command, table",

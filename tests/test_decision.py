@@ -375,7 +375,7 @@ class TestDriverWithToyOracles:
         )
         assert len(trajs) == 3
         for traj in trajs:
-            assert np.isfinite(traj.final_x).all() and abs(traj.final_x[0]) <= 2.0
+            assert np.isfinite(traj.x).all() and abs(traj.x[0]) <= 2.0
             assert traj.oracle_calls == 50 * 2
         alone = run(
             toy_known_oracle(), esgs_dd_known, Schedule(kind="convex_diminishing", n=1),
@@ -384,7 +384,7 @@ class TestDriverWithToyOracles:
         )
         for k, x in single.x.items():
             np.testing.assert_array_equal(x[0], batch.x[k][1])
-        np.testing.assert_array_equal(alone.final_x, trajs[1].final_x)
+        np.testing.assert_array_equal(alone.x, trajs[1].x)
 
     def test_shared_noise_random_field_oracle(self):
         c = np.array([1.5, -0.5])
@@ -395,7 +395,7 @@ class TestDriverWithToyOracles:
         )
         assert traj.oracle_calls == 40 * 2 * 2
         # the linear objective pushes every coordinate towards -sign(c)
-        assert traj.final_x[0] < 0.0 < traj.final_x[1]
+        assert traj.x[0] < 0.0 < traj.x[1]
 
 
 class TestSecondMomentLinearity:

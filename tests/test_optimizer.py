@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,8 +25,8 @@ from zosmooth.estimators import (
 from zosmooth.optimizer import (
     MAX_BLOCK_ITERATIONS,
     NonFiniteError,
+    RunState,
     Schedule,
-    Trajectory,
     run,
     sample_iterate_index,
     schedule_values,
@@ -236,7 +238,7 @@ class TestRun:
         )
         gamma0 = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(
-            traj.final_x, [-gamma0 * 2.0 / SQRT_2PI, 0.0], rtol=1e-12
+            traj.x, [-gamma0 * 2.0 / SQRT_2PI, 0.0], rtol=1e-12
         )
 
     def test_deterministic_given_stream(self):
@@ -307,9 +309,9 @@ class TestRun:
         sched = Schedule(kind="convex_diminishing", n=2)
         checkpoints, every = Recorder(at=[10, 30]), Recorder()
 
-        def observe(*state):
-            checkpoints(*state)
-            every(*state)
+        def observe(state):
+            checkpoints(state)
+            every(state)
 
         traj = run(
             linear_oracle([1.0, 2.0]), esgs_estimate, sched, 30,
@@ -318,7 +320,7 @@ class TestRun:
         )
         np.testing.assert_array_equal(checkpoints.x[10], every.x[10])
         np.testing.assert_array_equal(checkpoints.x[30], every.x[30])
-        np.testing.assert_array_equal(every.x[30][0], traj.final_x)
+        np.testing.assert_array_equal(every.x[30][0], traj.x)
         gammas = step_sizes(sched, 10)
         first = np.concatenate([every.x[k] for k in range(10)])
         manual = (gammas[:, None] * first).sum(axis=0) / gammas.sum()
@@ -353,7 +355,7 @@ class TestRun:
         traj = run(
             linear_oracle([1.0, -1.0]), esgs_estimate, schedule, 40,
             FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(3),
-            observe=lambda k, x, weighted_sum, gamma_total, calls: totals.append(gamma_total),
+            observe=lambda state: totals.append(state.gamma_total),
         )
         assert gammas == taken
         total = 0.0
@@ -426,7 +428,7 @@ class TestBatchedRun:
         short = run(
             linear_oracle([1.0, 2.0]), estimator, sched, k, *args, RandomStream(9),
         )
-        np.testing.assert_array_equal(at_k.x[k][0], short.final_x)
+        np.testing.assert_array_equal(at_k.x[k][0], short.x)
         np.testing.assert_array_equal(at_k.average[k][0], weighted_average(short))
         assert at_k.calls[k] == short.oracle_calls
 
@@ -446,11 +448,11 @@ class TestBatchedRun:
             FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(5, 1),
             observe=alone_rec,
         )
-        assert isinstance(alone, Trajectory)
+        assert isinstance(alone, RunState)
         for k, x in alone_rec.x.items():
             np.testing.assert_array_equal(batch_rec.x[k][1], x[0])
         np.testing.assert_array_equal(batch_rec.average[10][1], alone_rec.average[10][0])
-        np.testing.assert_array_equal(trajs[1].final_x, alone.final_x)
+        np.testing.assert_array_equal(trajs[1].x, alone.x)
         assert trajs[1].oracle_calls == 30 * 2 * 2
 
     def test_any_iterable_of_streams_is_a_batch(self):
@@ -467,7 +469,7 @@ class TestBatchedRun:
             got = run(*args, form)
             assert len(got) == len(want)
             for a, b in zip(got, want):
-                np.testing.assert_array_equal(a.final_x, b.final_x)
+                np.testing.assert_array_equal(a.x, b.x)
                 np.testing.assert_array_equal(a.weighted_sum, b.weighted_sum)
                 assert a.gamma_total == b.gamma_total
         with pytest.raises(TypeError, match="Generator.* is not a RandomStream"):
@@ -510,7 +512,7 @@ class TestBatchedRun:
             gamma, eta = schedule_values(schedule, k + offset)
             want = step(want, estimator.estimate(oracle, want, eta, draws), gamma, feasible)
         for r, trajectory in enumerate(got):
-            np.testing.assert_array_equal(trajectory.final_x, want[r])
+            np.testing.assert_array_equal(trajectory.x, want[r])
 
     def test_custom_estimator_is_a_batch_estimator(self):
         def halving(oracle, x, params, stream):
@@ -541,7 +543,7 @@ class TestBatchedRun:
                 lambda oracle, x, eta, draws: 0.5 * x, False,
             )
         )
-        np.testing.assert_array_equal(trajs[0].final_x, trajs[1].final_x)
+        np.testing.assert_array_equal(trajs[0].x, trajs[1].x)
         assert list(rec.calls.values()) == [0, 2, 4, 6, 8]
         assert trajs[0].oracle_calls == trajs[1].oracle_calls == 8
 
@@ -592,9 +594,10 @@ def noisy_quadratic_oracle(n):
 
 class TestObserver:
     """``observe`` sees k = 0..K once each, in order and before iteration k,
-    changes nothing, ends on the trajectory's final state, and sees row r as
-    it would see replication r run alone.  At n = 400 and 900 a draw block
-    holds 163 and 72 iterations, so longer runs cross block boundaries."""
+    changes nothing, ends on each replication's final state, and sees row r
+    as it would see replication r run alone; it cannot write into the run.
+    At n = 400 and 900 a draw block holds 163 and 72 iterations, so longer
+    runs cross block boundaries."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
@@ -615,25 +618,36 @@ class TestObserver:
             )
 
         streams = lambda: [RandomStream(11, substream_id=r) for r in range(rows)]
-        rec = Recorder()
-        observed, plain = go(streams(), rec), go(streams())
+        rec, kept = Recorder(), []
+
+        def observe(state):
+            rec(state)
+            if state.k == iterations:
+                kept.append(copy.deepcopy(state))
+
+        observed, plain = go(streams(), observe), go(streams())
+        (last,) = kept
         # (a) every k once, in order, with the state before iteration k
         assert rec.seen == list(range(iterations + 1))
         np.testing.assert_array_equal(rec.x[0], np.full((rows, n), 0.5))
         per_estimate = 2 * n if KINDS[kind].estimator.per_coordinate else 2
         assert list(rec.calls.values()) == [per_estimate * k for k in rec.seen]
-        # (b) observing changes no bit of the trajectories
+        # (b) observing changes no bit of the final states
         for a, b in zip(observed, plain):
-            for name in ("final_x", "weighted_sum"):
-                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-            assert (a.gamma_total, a.oracle_calls) == (b.gamma_total, b.oracle_calls)
-        # (c) the last record is the trajectory's final state
-        for r, traj in enumerate(observed):
-            np.testing.assert_array_equal(rec.x[iterations][r], traj.final_x)
-            assert rec.calls[iterations] == traj.oracle_calls
+            for field in dataclasses.fields(RunState):
+                np.testing.assert_array_equal(
+                    getattr(a, field.name), getattr(b, field.name)
+                )
+        # (c) the last record is each replication's final state, row r of it
+        for r, final in enumerate(observed):
+            for field in dataclasses.fields(RunState):
+                seen = getattr(last, field.name)
+                if isinstance(seen, np.ndarray):
+                    seen = seen[r]
+                np.testing.assert_array_equal(seen, getattr(final, field.name))
             if iterations:
                 np.testing.assert_array_equal(
-                    rec.average[iterations][r], weighted_average(traj)
+                    rec.average[iterations][r], weighted_average(final)
                 )
         # (d) row r is observed as replication r alone
         for r in range(rows):
@@ -645,13 +659,43 @@ class TestObserver:
                 assert rec.calls[k] == alone.calls[k]
 
 
-def synthetic_trajectory(iterates, gammas):
+    def test_observer_cannot_write_into_the_run(self):
+        def go(observe=None):
+            return run(
+                linear_oracle([1.0, -1.0]), esgs_estimate,
+                Schedule(kind="convex_diminishing", n=2), 5,
+                FeasibleSet.symmetric_box(1.0, 2), np.zeros(2),
+                [RandomStream(2, r) for r in range(2)], observe=observe,
+            )
+
+        refused = []
+
+        def observe(state):
+            for name in ("x", "weighted_sum"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(state, name)[0, 0] = 9.0
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(state, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                state.k = 0
+            refused.append(state.k)
+
+        observed, plain = go(observe), go()
+        assert refused == list(range(6))
+        for a, b in zip(observed, plain):
+            np.testing.assert_array_equal(a.x, b.x)
+            np.testing.assert_array_equal(a.weighted_sum, b.weighted_sum)
+            # the states run returns stay writable
+            assert a.x.flags.writeable and a.weighted_sum.flags.writeable
+
+
+def synthetic_state(iterates, gammas):
     iterates = np.asarray(iterates, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     weighted = (gammas[:, None] * iterates[:-1]).sum(axis=0)
-    return Trajectory(
-        wall_time_ms=0.0,
-        final_x=iterates[-1].copy(),
+    return RunState(
+        k=len(gammas),
+        x=iterates[-1].copy(),
         weighted_sum=weighted,
         gamma_total=float(gammas.sum()),
         oracle_calls=2 * len(gammas),
@@ -660,16 +704,16 @@ def synthetic_trajectory(iterates, gammas):
 
 class TestAveragingAndSampling:
     def test_constant_trajectory_average(self):
-        traj = synthetic_trajectory([[2.0], [2.0], [2.0]], [0.3, 0.7])
-        np.testing.assert_allclose(weighted_average(traj), [2.0])
+        state = synthetic_state([[2.0], [2.0], [2.0]], [0.3, 0.7])
+        np.testing.assert_allclose(weighted_average(state), [2.0])
 
     def test_equal_weights(self):
-        traj = synthetic_trajectory([[0.0, 0.0], [2.0, 2.0], [9.0, 9.0]], [1.0, 1.0])
-        np.testing.assert_allclose(weighted_average(traj), [1.0, 1.0])
+        state = synthetic_state([[0.0, 0.0], [2.0, 2.0], [9.0, 9.0]], [1.0, 1.0])
+        np.testing.assert_allclose(weighted_average(state), [1.0, 1.0])
 
     def test_weighted_mean_value(self):
-        traj = synthetic_trajectory([[0.0], [4.0], [5.0]], [1.0, 3.0])
-        np.testing.assert_allclose(weighted_average(traj), [3.0])
+        state = synthetic_state([[0.0], [4.0], [5.0]], [1.0, 3.0])
+        np.testing.assert_allclose(weighted_average(state), [3.0])
 
     def test_single_iterate_sampled_with_probability_one(self):
         for _ in range(10):

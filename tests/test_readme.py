@@ -20,7 +20,7 @@ def test_library_example_runs():
         exec(compile(block, str(README), "exec"), namespace)
     # as the example says: the last record is the run's end
     np.testing.assert_array_equal(
-        namespace["averages"][2000], weighted_average(namespace["trajectory"])
+        namespace["averages"][2000], weighted_average(namespace["final"])
     )
     assert namespace["x_r"].shape == (20,)
     # the structured oracle's eval_axis gives esgs the values of its eval,
