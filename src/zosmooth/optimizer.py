@@ -2,19 +2,23 @@
 
 One iteration applies ``x_{k+1} = proj_X(x_k - gamma_k * g_k)`` where
 ``g_k`` is a single-sample gradient estimate at smoothing radius ``eta_k``.
-The schedules correspond to the analysis regimes:
+The schedules correspond to the analysis regimes.  Each kind reads only
+the :class:`Schedule` fields listed here; any other field must keep its
+default, or the constructor raises :class:`ValueError` naming it:
 
-==================== ==========================================================
-kind                 (gamma_k, eta_k)
-==================== ==========================================================
-convex_diminishing   1/sqrt(n*(k+1)) for both
-convex_constant      gamma = R/(L0*sqrt(n*K)), eta = 1/sqrt(n*K)
-strongly_convex      theta/k for both, k >= 1, requires theta > 1/mu
-nonconvex_fixed_eta  gamma = eta/(L0*sqrt(n)*sqrt(k+1)), eta fixed
-nonconvex_asymptotic gamma = (k+1)^-alpha, eta = (k+1)^-beta,
-                     0 < alpha, beta < 1 and 2*alpha - beta > 1
-custom               gamma = gamma_scale*(k+1)^-alpha, eta = eta_scale*(k+1)^-beta
-==================== ==========================================================
+==================== ========================= ===============================================
+kind                 fields read               (gamma_k, eta_k)
+==================== ========================= ===============================================
+convex_diminishing   n                         1/sqrt(n*(k+1)) for both
+convex_constant      n, horizon, radius_scale, gamma = R/(L0*sqrt(n*K)), eta = 1/sqrt(n*K)
+                     l0
+strongly_convex      theta, mu                 theta/k for both, k >= 1, requires theta > 1/mu
+nonconvex_fixed_eta  n, l0, eta_fixed          gamma = eta/(L0*sqrt(n)*sqrt(k+1)), eta fixed
+nonconvex_asymptotic alpha, beta               gamma = (k+1)^-alpha, eta = (k+1)^-beta,
+                                               0 < alpha, beta < 1 and 2*alpha - beta > 1
+custom               alpha, beta, gamma_scale, gamma = gamma_scale*(k+1)^-alpha,
+                     eta_scale                 eta = eta_scale*(k+1)^-beta
+==================== ========================= ===============================================
 
 The strongly convex schedule is undefined at k = 0, so the driver feeds it
 ``k + 1``; iterate indexing shifts accordingly.
@@ -36,7 +40,7 @@ size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 import numpy as np
@@ -52,15 +56,6 @@ from .rng import RandomStream
 # holds about BLOCK_VALUES numbers.
 BLOCK_VALUES = 1 << 16
 MAX_BLOCK_ITERATIONS = 1024
-
-SCHEDULE_KINDS = (
-    "convex_diminishing",
-    "convex_constant",
-    "strongly_convex",
-    "nonconvex_fixed_eta",
-    "nonconvex_asymptotic",
-    "custom",
-)
 
 
 @dataclass(frozen=True)
@@ -81,27 +76,32 @@ class Schedule:
     eta_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in SCHEDULE_KINDS:
+        if self.kind not in _SCHEDULES:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "convex_diminishing":
-            self._require("n")
-            self._positive("n")
-        elif self.kind == "convex_constant":
-            self._require("n", "horizon", "radius_scale", "l0")
-            self._positive("n", "horizon", "l0", "radius_scale")
-        elif self.kind == "strongly_convex":
-            self._require("theta", "mu")
-            self._positive("mu")
-            if not self.theta > 1.0 / self.mu:
+        reads = _SCHEDULES[self.kind][0]
+        # a field the kind reads is set and, the exponents aside, > 0: the
+        # schedule divides by it, or scales the step or the smoothing radius
+        # by it, and a non-positive step scale would step uphill and a
+        # non-positive radius fail only once the run had begun
+        for field in fields(self)[1:]:
+            name, value = field.name, getattr(self, field.name)
+            if name not in reads:
+                if value != field.default:
+                    raise ValueError(
+                        f"schedule kind {self.kind!r} does not read {name!r}, got {value!r}"
+                    )
+            elif value is None:
+                raise ValueError(f"schedule kind {self.kind!r} requires {name!r}")
+            elif name not in ("alpha", "beta") and not value > 0:
                 raise ValueError(
-                    f"strongly_convex requires theta > 1/mu; "
-                    f"got theta={self.theta}, 1/mu={1.0 / self.mu}"
+                    f"schedule kind {self.kind!r} requires {name} > 0, got {value!r}"
                 )
-        elif self.kind == "nonconvex_fixed_eta":
-            self._require("eta_fixed", "l0", "n")
-            self._positive("l0", "n", "eta_fixed")
-        elif self.kind == "nonconvex_asymptotic":
-            self._require("alpha", "beta")
+        if self.kind == "strongly_convex" and not self.theta > 1.0 / self.mu:
+            raise ValueError(
+                f"strongly_convex requires theta > 1/mu; "
+                f"got theta={self.theta}, 1/mu={1.0 / self.mu}"
+            )
+        if self.kind == "nonconvex_asymptotic":
             if not (0 < self.alpha < 1 and 0 < self.beta < 1):
                 raise ValueError("nonconvex_asymptotic requires 0 < alpha, beta < 1")
             if not 2 * self.alpha - self.beta > 1:
@@ -109,62 +109,53 @@ class Schedule:
                     "nonconvex_asymptotic requires 2*alpha - beta > 1; "
                     f"got alpha={self.alpha}, beta={self.beta}"
                 )
-        elif self.kind == "custom":
-            self._require("alpha", "beta")
-            self._positive("gamma_scale", "eta_scale")
-
-    def _require(self, *names: str) -> None:
-        for name in names:
-            if getattr(self, name) is None:
-                raise ValueError(f"schedule kind {self.kind!r} requires {name!r}")
-
-    def _positive(self, *names: str) -> None:
-        # the schedule divides by these, or scales the step or the smoothing
-        # radius by them: a non-positive step scale would step uphill, and
-        # a non-positive radius would fail only once the run had begun
-        for name in names:
-            if not getattr(self, name) > 0:
-                raise ValueError(
-                    f"schedule kind {self.kind!r} requires {name} > 0, "
-                    f"got {getattr(self, name)!r}"
-                )
 
     @property
     def starts_at_one(self) -> bool:
         return self.kind == "strongly_convex"
 
 
+# Each schedule kind's entry: the Schedule fields it reads, and its
+# (gamma_k, eta_k) as a function of the schedule and k.
+_SCHEDULES: dict[str, tuple[tuple[str, ...], Callable[[Schedule, int], tuple[float, float]]]] = {
+    "convex_diminishing": (
+        ("n",),
+        lambda s, k: (g := 1.0 / math.sqrt(s.n * (k + 1)), g),
+    ),
+    "convex_constant": (
+        ("n", "horizon", "radius_scale", "l0"),
+        lambda s, k: (
+            s.radius_scale / (s.l0 * math.sqrt(s.n * s.horizon)),
+            1.0 / math.sqrt(s.n * s.horizon),
+        ),
+    ),
+    "strongly_convex": (("theta", "mu"), lambda s, k: (g := s.theta / k, g)),
+    "nonconvex_fixed_eta": (
+        ("n", "l0", "eta_fixed"),
+        lambda s, k: (
+            s.eta_fixed / (s.l0 * math.sqrt(s.n) * math.sqrt(k + 1)),
+            s.eta_fixed,
+        ),
+    ),
+    "nonconvex_asymptotic": (
+        ("alpha", "beta"),
+        lambda s, k: ((k + 1) ** -s.alpha, (k + 1) ** -s.beta),
+    ),
+    "custom": (
+        ("alpha", "beta", "gamma_scale", "eta_scale"),
+        lambda s, k: (s.gamma_scale * (k + 1) ** -s.alpha, s.eta_scale * (k + 1) ** -s.beta),
+    ),
+}
+SCHEDULE_KINDS = tuple(_SCHEDULES)
+
+
 def schedule_values(schedule: Schedule, k: int) -> tuple[float, float]:
     """Return ``(gamma_k, eta_k)`` for iteration index ``k``."""
     if k < 0:
         raise ValueError(f"iteration index must be >= 0, got {k}")
-    kind = schedule.kind
-    if kind == "convex_diminishing":
-        g = 1.0 / math.sqrt(schedule.n * (k + 1))
-        return g, g
-    if kind == "convex_constant":
-        gamma = schedule.radius_scale / (
-            schedule.l0 * math.sqrt(schedule.n * schedule.horizon)
-        )
-        eta = 1.0 / math.sqrt(schedule.n * schedule.horizon)
-        return gamma, eta
-    if kind == "strongly_convex":
-        if k < 1:
-            raise ValueError("strongly_convex schedule is defined for k >= 1")
-        g = schedule.theta / k
-        return g, g
-    if kind == "nonconvex_fixed_eta":
-        eta = schedule.eta_fixed
-        gamma = eta / (schedule.l0 * math.sqrt(schedule.n) * math.sqrt(k + 1))
-        return gamma, eta
-    if kind == "nonconvex_asymptotic":
-        return (k + 1) ** -schedule.alpha, (k + 1) ** -schedule.beta
-    if kind == "custom":
-        return (
-            schedule.gamma_scale * (k + 1) ** -schedule.alpha,
-            schedule.eta_scale * (k + 1) ** -schedule.beta,
-        )
-    raise ValueError(f"unknown schedule kind {kind!r}")
+    if k < 1 and schedule.starts_at_one:
+        raise ValueError("strongly_convex schedule is defined for k >= 1")
+    return _SCHEDULES[schedule.kind][1](schedule, k)
 
 
 def step_sizes(schedule: Schedule, iterations: int) -> np.ndarray:

@@ -778,9 +778,13 @@ def market_problem(
     x1_reach = box_half_width + MARKET_SHIFT_ALLOWANCE
     m_max = a + beta * x1_reach
     zeta1_reach = MARKET_TRUNCATION_SDS * sigma
-    ratio_bound = math.exp(
-        (2.0 * zeta1_reach * m_max - 0.0) / (2.0 * sigma2)
-    )
+    try:
+        ratio_bound = math.exp((2.0 * zeta1_reach * m_max - 0.0) / (2.0 * sigma2))
+    except OverflowError:
+        raise ValueError(
+            "the density-ratio bound overflows a float at sigma2="
+            f"{sigma2}, beta={beta}, a={a}, box_half_width={box_half_width}"
+        ) from None
     value_bound = x1_reach * (zeta1_reach + m_max + a1 * x1_reach) + x1_reach * (
         max(abs(l2), abs(r2)) + a2 * x1_reach
     )
@@ -830,9 +834,6 @@ def market_problem(
 
     mu = 2.0 * min(a1 - beta, a2)
     l0_unknown = joint_lip * math.sqrt(2.0 + 2.0 * c_xi)
-    l0_known = math.sqrt(
-        2.0 * (ratio_bound**2 * grad_x_bound**2 + ratio_bound * value_bound**2 * lip_xi**2)
-    )
     return BenchmarkProblem(
         name="market",
         n=n,
@@ -861,9 +862,7 @@ def market_problem(
             "r2": r2,
             "c_xi": c_xi,
             "sample_noise_at": sample_noise_at,
-            "joint_lip": joint_lip,
             "l0_unknown": l0_unknown,
-            "l0_known": l0_known,
         },
     )
 

@@ -758,6 +758,36 @@ class TestCli:
         assert code == 0
         assert (out / "dd_results.csv").exists()
 
+    def test_dd_without_config_runs_the_shipped_market_config(self, monkeypatch, tmp_path):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def runner(config):
+            seen.append(config)
+            raise Stop  # the real run takes about 14 s
+
+        monkeypatch.setattr(bench, "run_dd_benchmark", runner)
+        out = tmp_path / "out"
+        with pytest.raises(Stop):
+            cli_main(["dd", "--seed", "5", "--out", str(out)])
+        shipped = BenchConfig.from_json(CONFIG_DIR / "market_dd.json")
+        assert seen == [replace(shipped, base_seed=5, output=str(out))]
+
+    def test_market_whose_ratio_bound_overflows_is_one_line(self, tmp_path, capsys):
+        raw = {"problem": "market", "estimators": ["esgs_dd_known"],
+               "iterations": 3, "replications": 1, "base_seed": 1}
+        for sigma2, status in ((0.01, 0), (0.001, 1)):
+            raw["problem_params"] = {"sigma2": sigma2}
+            config = self.write_config(tmp_path, raw)
+            out = tmp_path / f"out_{sigma2}"
+            assert cli_main(["dd", "--config", str(config), "--out", str(out)]) == status
+        assert (tmp_path / "out_0.01" / "dd_results.csv").exists()
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "sigma2=0.001" in err[0]
+
     def test_dd_writes_recorded_trajectories(self, tmp_path):
         raw = {
             "problem": "market",
@@ -1098,6 +1128,8 @@ class TestCli:
             {"schedule": {"kind": "custom", "alpha": math.nan, "beta": 0.5}},
             {"schedule": {"kind": "custom", "alpha": 0.5, "beta": 0.5, "eta_scale": -1.0},
              "record_trajectories": True},
+            {"schedule": {"kind": "nonconvex_asymptotic", "alpha": 0.9, "beta": 0.3,
+                          "gamma_scale": 1e-9}},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])

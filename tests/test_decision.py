@@ -404,8 +404,16 @@ class TestSecondMomentLinearity:
         n = problem.n
         x = np.array([2.0, 1.0])
         count = 3000
+        # the known-density estimate's Lipschitz figure, from the oracle's
+        # declared bounds
+        known = problem.dd_known
+        l0_known = math.sqrt(
+            2.0 * (known.ratio_bound_m**2 * known.lip_f_hat**2
+                   + known.ratio_bound_m * known.value_bound_mf**2 * known.lip_xi**2)
+        )
+        assert 4.0 / math.pi * l0_known**2 * n * 1.1 == 1.3708152037770904e19
         for estimator, oracle, l0 in (
-            (esgs_dd_known, problem.dd_known, problem.extras["l0_known"]),
+            (esgs_dd_known, known, l0_known),
             (esgs_dd_unknown, problem.dd_unknown, problem.extras["l0_unknown"]),
         ):
             stream = RandomStream(7)

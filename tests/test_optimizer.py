@@ -41,6 +41,17 @@ from zosmooth.rng import RandomStream
 from recorder import Recorder
 
 
+# Each kind with a value for every field it reads, and for no other.
+FULL_SCHEDULES = {
+    "convex_diminishing": {"n": 4},
+    "convex_constant": {"n": 4, "horizon": 100, "radius_scale": 2.0, "l0": 1.0},
+    "strongly_convex": {"theta": 2.0, "mu": 1.0},
+    "nonconvex_fixed_eta": {"n": 1, "l0": 1.0, "eta_fixed": 0.1},
+    "nonconvex_asymptotic": {"alpha": 0.9, "beta": 0.3},
+    "custom": {"alpha": 0.5, "beta": 0.5, "gamma_scale": 0.3, "eta_scale": 0.2},
+}
+
+
 class TestSchedules:
     def test_convex_diminishing_value(self):
         sched = Schedule(kind="convex_diminishing", n=4)
@@ -111,6 +122,43 @@ class TestSchedules:
     def test_non_positive_divisor_rejected(self, kind, params, name):
         with pytest.raises(ValueError, match=f"requires {name} > 0"):
             Schedule(kind=kind, **params)
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            (kind, field.name)
+            for kind, reads in FULL_SCHEDULES.items()
+            for field in dataclasses.fields(Schedule)[1:]
+            if field.name not in reads
+        ],
+    )
+    def test_field_the_kind_does_not_read_is_rejected(self, kind, name):
+        with pytest.raises(ValueError, match=f"does not read {name!r}"):
+            Schedule(kind=kind, **FULL_SCHEDULES[kind], **{name: 7})
+
+    @pytest.mark.parametrize("kind", optimizer.SCHEDULE_KINDS)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_values_are_the_closed_form_bit_for_bit(self, kind, data):
+        s = data.draw(VALID_SCHEDULES[kind])
+        k = data.draw(st.integers(1 if s.starts_at_one else 0, 10**9))
+        closed_form = {
+            "convex_diminishing": lambda: (1.0 / math.sqrt(s.n * (k + 1)),) * 2,
+            "convex_constant": lambda: (
+                s.radius_scale / (s.l0 * math.sqrt(s.n * s.horizon)),
+                1.0 / math.sqrt(s.n * s.horizon),
+            ),
+            "strongly_convex": lambda: (s.theta / k,) * 2,
+            "nonconvex_fixed_eta": lambda: (
+                s.eta_fixed / (s.l0 * math.sqrt(s.n) * math.sqrt(k + 1)), s.eta_fixed
+            ),
+            "nonconvex_asymptotic": lambda: ((k + 1) ** -s.alpha, (k + 1) ** -s.beta),
+            "custom": lambda: (
+                s.gamma_scale * (k + 1) ** -s.alpha, s.eta_scale * (k + 1) ** -s.beta
+            ),
+        }[kind]()
+        got = schedule_values(s, k)
+        assert [v.hex() for v in got] == [v.hex() for v in closed_form]
 
 
 class TestStep:

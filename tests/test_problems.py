@@ -396,6 +396,32 @@ class TestMarket:
         with pytest.raises(ValueError):
             market_problem(l2=3.0, r2=1.0)
 
+    def test_default_bounds_keep_their_bits(self):
+        problem = market_problem()
+        assert problem.dd_known.ratio_bound_m == 22972496.603409015
+        assert problem.dd_known.value_bound_mf == 1236.3608681896349
+        assert problem.l0 == 149.72776553968714
+
+    def test_ratio_bound_overflow_names_the_parameters(self):
+        market_problem(sigma2=0.01)  # a bound near 1e232 still builds
+        with pytest.raises(ValueError) as info:
+            market_problem(sigma2=0.001)
+        for name in ("sigma2", "beta", "a", "box_half_width"):
+            assert f" {name}=" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "x", [[0.0, 0.0], [2.0, -1.5], [-9.5, 9.0], [14.0, -30.0], [-25.0, 11.0]]
+    )
+    def test_grad_exact_matches_central_difference(self, x):
+        # the first three points are inside the box of half-width 10, the rest outside
+        problem = market_problem()
+        x, h = np.array(x), 1e-4
+        diff = [
+            (problem.exact_f(x + h * e) - problem.exact_f(x - h * e)) / (2.0 * h)
+            for e in np.eye(2)
+        ]
+        np.testing.assert_allclose(problem.grad_exact(x), diff, rtol=1e-7, atol=1e-7)
+
 
 class TestFeasibility:
     def test_feasible_sets_match_problem_dimensions(self):
