@@ -8,7 +8,6 @@ from .decision import (
     esgs_dd_known,
     esgs_dd_unknown,
     field_correlation,
-    kl_sym_normal,
 )
 from .estimators import (
     GradientSample,
@@ -73,7 +72,6 @@ __all__ = [
     "esgs_estimate",
     "field_correlation",
     "gs_estimate",
-    "kl_sym_normal",
     "market_problem",
     "nonconvex_min_problem",
     "performative_gap",

@@ -18,10 +18,10 @@ ZOSMOOTH_OUT environment variable; the first table written makes it).
 Exit status: 0 on success; 1 for an invalid configuration, input or output
 path, or an allocation that fails (``MemoryError``); 2 for a command-line
 usage error; 3 when a decision-dependent oracle exceeds its declared ratio
-or value bound; 4 when an estimate or iterate becomes non-finite; 5 when
-the smoothing quadrature does not converge; 6 when the config gives kinds
-different oracle budgets (checked before any kind runs).  Every error is
-reported as one ``error:`` line on standard error.
+or value bound; 4 when an estimate or iterate becomes non-finite; 6 when
+the config gives kinds different oracle budgets (checked before any kind
+runs).  Status 5 is unused: no subcommand runs the smoothing quadrature.
+Every error is reported as one ``error:`` line on standard error.
 
 A recorded run that fails, or whose command is stopped by SIGTERM, removes
 its trajectory tables and the output directories it made.  While a command
@@ -43,7 +43,6 @@ from .decision import RatioBoundError, ValueBoundError
 from .estimators import StochasticOracle, second_moment_probe
 from .optimizer import NonFiniteError
 from .rng import RandomStream
-from .smoothing import QuadratureConvergenceError
 
 # Exit status of each library error; the first matching class wins.
 EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
@@ -54,7 +53,6 @@ EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (RatioBoundError, 3),
     (ValueBoundError, 3),
     (NonFiniteError, 4),
-    (QuadratureConvergenceError, 5),
     (bench.BudgetMismatchError, 6),
 )
 

@@ -196,18 +196,6 @@ esgs_dd_known = BatchEstimator("esgs_dd_known", _known_draws, esgs_rows, True)
 esgs_dd_unknown = BatchEstimator("esgs_dd_unknown", esgs_estimate.draw, esgs_rows, True)
 
 
-def kl_sym_normal(mean_x: float, mean_y: float, sigma: float) -> float:
-    """Symmetric KL divergence between two normals with common variance.
-
-    Equals ``(mean_x - mean_y)^2 / sigma^2`` (each one-directional term
-    contributes half).
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    d = mean_x - mean_y
-    return d * d / (sigma * sigma)
-
-
 def field_correlation(x_plus, x_minus, c_xi: float, beta: float, sigma: float):
     """Correlation making a Gaussian field mean-square Lipschitz.
 

@@ -168,15 +168,15 @@ def _evaluate(evaluate, points: np.ndarray, xi: Any) -> np.ndarray:
 EVAL_CHUNK_VALUES = 1 << 14
 
 
-def replacement_points(base, moved, first: int = 0) -> np.ndarray:
+def replacement_points(base, moved) -> np.ndarray:
     """``(R, m, n)`` points: point ``j`` of row ``r`` is ``base[r]`` with
-    coordinate ``(first + j) mod n`` set to ``moved[r, j]``."""
+    coordinate ``j mod n`` set to ``moved[r, j]``."""
     rows, m = moved.shape
     n = base.shape[1]
     points = np.empty((rows, m, n))
     points[:] = base[:, None]
     # one put: a fancy-index assignment took most of a small call's time
-    points.put(_replaced(rows, m, n, first), moved)
+    points.put(_replaced(rows, m, n, 0), moved)
     return points
 
 
@@ -334,19 +334,19 @@ def spsa_rows(oracle, x, eta, draws):
 def shift_draws(oracle, stream: RandomStream, size: int, n: int):
     """``(sqrt(2V), Z / eta)`` blocks of the exponential-shift family."""
     root_2v = np.sqrt(2.0 * sample_exponential(stream, size))
-    return root_2v, sample_gaussian_vector(n, 1.0, stream, size)
+    return root_2v, sample_gaussian_vector(n, stream, size)
 
 
 def _gaussian_draws(oracle, stream: RandomStream, size: int, n: int):
-    return (sample_gaussian_vector(n, 1.0, stream, size),)
+    return (sample_gaussian_vector(n, stream, size),)
 
 
 def _sphere_draws(oracle, stream: RandomStream, size: int, n: int):
-    z = sample_gaussian_vector(n, 1.0, stream, size)
+    z = sample_gaussian_vector(n, stream, size)
     norms = np.sqrt(np.vecdot(z, z))
     while not norms.all():  # probability zero in practice
         zero = norms == 0.0
-        z[zero] = sample_gaussian_vector(n, 1.0, stream, int(zero.sum()))
+        z[zero] = sample_gaussian_vector(n, stream, int(zero.sum()))
         norms = np.sqrt(np.vecdot(z, z))
     return (z / norms[:, None],)
 

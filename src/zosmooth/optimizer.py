@@ -150,12 +150,21 @@ SCHEDULE_KINDS = tuple(_SCHEDULES)
 
 
 def schedule_values(schedule: Schedule, k: int) -> tuple[float, float]:
-    """Return ``(gamma_k, eta_k)`` for iteration index ``k``."""
+    """Return ``(gamma_k, eta_k)`` for iteration index ``k``; a value that
+    overflows a float raises :class:`ValueError` naming the kind, ``k`` and
+    the fields the kind reads."""
     if k < 0:
         raise ValueError(f"iteration index must be >= 0, got {k}")
     if k < 1 and schedule.starts_at_one:
         raise ValueError("strongly_convex schedule is defined for k >= 1")
-    return _SCHEDULES[schedule.kind][1](schedule, k)
+    reads, values = _SCHEDULES[schedule.kind]
+    try:
+        return values(schedule, k)
+    except OverflowError:
+        fields_read = ", ".join(f"{name}={getattr(schedule, name)!r}" for name in reads)
+        raise ValueError(
+            f"schedule kind {schedule.kind!r} overflows a float at k={k} ({fields_read})"
+        ) from None
 
 
 def step_sizes(schedule: Schedule, iterations: int) -> np.ndarray:

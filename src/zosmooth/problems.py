@@ -108,22 +108,21 @@ def _proximal_gradient_quad(
     feasible: FeasibleSet,
     x_init: np.ndarray,
     norm_q: float,
-    max_iters: int = 100_000,
-    tol: float = 1e-14,
 ) -> np.ndarray:
     """Proximal gradient on 0.5 x'Qx + b'x + w*||x||_1 over a box.
 
     ``norm_q`` is the spectral norm of ``q_hat``; the step is its inverse.
     For separable 1-D pieces the prox of ``w|.| + box indicator`` is the
-    clipped soft-threshold.
+    clipped soft-threshold.  Stops when no coordinate moves by 1e-14, or
+    after 100 000 steps.
     """
     step = 1.0 / norm_q
     x = x_init.astype(float).copy()
-    for _ in range(max_iters):
+    for _ in range(100_000):
         u = x - step * (q_hat @ x + b)
         new = np.sign(u) * np.maximum(np.abs(u) - l1_weight * step, 0.0)
         new = project(feasible, new)
-        if float(np.max(np.abs(new - x))) < tol:
+        if float(np.max(np.abs(new - x))) < 1e-14:
             return new
         x = new
     return x
@@ -175,20 +174,19 @@ def _projected_gradient(
     grad: Callable[[np.ndarray], np.ndarray],
     feasible: FeasibleSet,
     x_init: np.ndarray,
-    max_iters: int = 20_000,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Projected gradient descent with Armijo backtracking.
 
-    Stops when a step moves neither f nor x, or after 50 steps in a row
-    that did not decrease f: on a curved boundary the iterate can zig-zag
-    by about 2e-8 with f unchanged, so x never stops moving.
+    Stops when a step moves neither f (by 1e-12) nor x (by 1e-9), after 50
+    steps in a row that did not decrease f (on a curved boundary the
+    iterate can zig-zag by about 2e-8 with f unchanged, so x never stops
+    moving), or after 20 000 steps.
     """
     x = x_init.astype(float).copy()
     fx = f(x)
     step = 1.0
     stalled = 0
-    for _ in range(max_iters):
+    for _ in range(20_000):
         g = grad(x)
         while True:
             cand = project(feasible, x - step * g)
@@ -199,7 +197,7 @@ def _projected_gradient(
             if f_cand <= fx - 0.5 * decrease + 1e-18 or step < 1e-18:
                 break
             step *= 0.5
-        if abs(fx - f_cand) < tol and float(np.max(np.abs(cand - x))) < 1e-9:
+        if abs(fx - f_cand) < 1e-12 and float(np.max(np.abs(cand - x))) < 1e-9:
             return cand
         stalled = stalled + 1 if f_cand >= fx else 0
         x, fx = cand, f_cand
@@ -390,6 +388,10 @@ def quad_reference_cross_check(problem: BenchmarkProblem) -> float:
 
 PL_INTERCEPTS = np.array([0.2, 0.3, 0.6, 0.5, 0.8])
 PL_SLOPES = np.array([0.9, 0.2, 0.1, 0.5, 0.5])
+# The largest mu the reference solve takes: its backtracking stops at steps
+# of 1e-18, too long for a curvature above about 2e18, and from mu = 5e18 on
+# its two runs disagree at every n tried (1 to 20, 50, 100 and 200).
+PL_MAX_MU = 1e18
 
 
 def _upper_envelope(intercepts: np.ndarray, slopes: np.ndarray):
@@ -485,12 +487,12 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
     ``F(x, xi) = phi(sum_i (i/n + xi_i) x_i) + mu/2 ||x||^2`` with
     ``xi_i ~ N(0, 1)``.  The exact objective integrates the envelope against
     the Gaussian law of the inner argument (mean ``c'x``, variance
-    ``||x||^2``) in closed form.
+    ``||x||^2``) in closed form.  ``mu`` must lie in ``[0, PL_MAX_MU]``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    if not 0 <= mu <= PL_MAX_MU:
+        raise ValueError(f"mu must lie in [0, {PL_MAX_MU:g}], got mu={mu} at n={n}")
     c = np.arange(1, n + 1, dtype=float) / n
     feasible = FeasibleSet.unit_ball(n)
 
@@ -631,12 +633,12 @@ def nonconvex_min_problem(n: int) -> BenchmarkProblem:
         total = float(x.sum())
         return 2.0 * x - 2.0 * math.copysign(1.0, total) * np.ones(n)
 
-    def stationarity_residual(x: np.ndarray, tol: float = 1e-12) -> float:
+    def stationarity_residual(x: np.ndarray) -> float:
         # On the kink surface sum(x) = 0 the subdifferential is
         # {2x + v*1 : v in [-2, 2]}; report the squared min-norm element.
         x = np.asarray(x, dtype=float)
         total = float(x.sum())
-        if abs(total) > tol:
+        if abs(total) > 1e-12:
             g = grad_exact(x)
         else:
             v = min(2.0, max(-2.0, -2.0 * total / n))
@@ -781,10 +783,7 @@ def market_problem(
     try:
         ratio_bound = math.exp((2.0 * zeta1_reach * m_max - 0.0) / (2.0 * sigma2))
     except OverflowError:
-        raise ValueError(
-            "the density-ratio bound overflows a float at sigma2="
-            f"{sigma2}, beta={beta}, a={a}, box_half_width={box_half_width}"
-        ) from None
+        ratio_bound = math.inf
     value_bound = x1_reach * (zeta1_reach + m_max + a1 * x1_reach) + x1_reach * (
         max(abs(l2), abs(r2)) + a2 * x1_reach
     )
@@ -793,6 +792,21 @@ def market_problem(
         max(abs(l2), abs(r2)) + 2.0 * a2 * x1_reach,
     )
     joint_lip = math.hypot(grad_x_bound, math.sqrt(2.0) * x1_reach)
+    l0_unknown = joint_lip * math.sqrt(2.0 + 2.0 * c_xi)
+    # a bound that is not finite would make its check vacuous
+    for name, bound in (
+        ("density-ratio bound", ratio_bound),
+        ("value bound", value_bound),
+        ("Lipschitz bound of f_hat", grad_x_bound),
+        ("Lipschitz constant l0", l0_unknown),
+    ):
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"the market's {name} is not a finite float at a={a}, a1={a1}, a2={a2}, "
+                f"beta={beta}, sigma2={sigma2}, l2={l2}, r2={r2}, c_xi={c_xi}, "
+                f"box_half_width={box_half_width}"
+            )
+    # the symmetric KL of the demand laws at x1 and y1 is (beta*(x1 - y1))^2 / sigma2
     lip_xi = beta / sigma
 
     dd_known = KnownDensityOracle(
@@ -833,7 +847,6 @@ def market_problem(
         return zeta1, zeta2
 
     mu = 2.0 * min(a1 - beta, a2)
-    l0_unknown = joint_lip * math.sqrt(2.0 + 2.0 * c_xi)
     return BenchmarkProblem(
         name="market",
         n=n,

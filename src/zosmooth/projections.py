@@ -61,10 +61,6 @@ def project(feasible: FeasibleSet, u: np.ndarray) -> np.ndarray:
     non-expansive; raises on dimension mismatch.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim == 2 and len(u) == 1:
-        # a one-row batch is projected as its point: operations between an
-        # (n,) point and the set's (n,) arrays skip broadcasting
-        return project(feasible, u[0])[None]
     if feasible.variant == "unconstrained":
         return u.copy()
     if feasible.variant == "box":
@@ -106,9 +102,10 @@ def project(feasible: FeasibleSet, u: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown feasible set variant {feasible.variant!r}")
 
 
-def contains(feasible: FeasibleSet, x: np.ndarray, tol: float = 1e-12) -> bool:
-    """Membership test with absolute tolerance ``tol``."""
+def contains(feasible: FeasibleSet, x: np.ndarray) -> bool:
+    """Membership test with absolute tolerance 1e-12."""
     x = np.asarray(x, dtype=float)
+    tol = 1e-12
     if feasible.variant == "unconstrained":
         return True
     if feasible.variant == "box":

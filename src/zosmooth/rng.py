@@ -42,32 +42,20 @@ class RandomStream:
         self.generator = np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_exponential(stream: RandomStream, size: int | None = None):
-    """Draw unit-rate exponential variates via the inverse CDF.
+def sample_exponential(stream: RandomStream, size: int) -> np.ndarray:
+    """Draw ``size`` unit-rate exponential variates via the inverse CDF.
 
     Uses ``-log(1 - U)`` with ``U`` uniform on [0, 1), which is exact and
-    cannot overflow.  Returns one float, or an array of ``size`` draws.
+    cannot overflow.
     """
-    if size is None:
-        return float(-np.log1p(-stream.generator.random()))
     return -np.log1p(-stream.generator.random(size))
 
 
-def sample_gaussian_vector(
-    n: int, sigma: float, stream: RandomStream, size: int | None = None
-) -> np.ndarray:
-    """Draw a vector with n i.i.d. N(0, sigma^2) coordinates.
-
-    With ``size`` the result is a ``(size, n)`` block of such vectors.
-    """
+def sample_gaussian_vector(n: int, stream: RandomStream, size: int) -> np.ndarray:
+    """Draw a ``(size, n)`` block of vectors with i.i.d. N(0, 1) coordinates."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if sigma < 0:
-        raise ValueError(f"standard deviation must be >= 0, got {sigma}")
-    shape = n if size is None else (size, n)
-    if sigma == 0.0:
-        return np.zeros(shape)
-    return sigma * stream.generator.standard_normal(shape)
+    return stream.generator.standard_normal((size, n))
 
 
 def sample_correlated_pair(

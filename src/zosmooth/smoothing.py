@@ -10,7 +10,9 @@ deterministic tensor-quadrature oracle for its gradient
                       / (eta * sqrt(2*pi)),
 
 with ``V ~ Exp(1)`` and ``Z ~ N(0, eta^2 I)``.  The quadrature oracle is the
-reference against which the Monte-Carlo estimators are verified.
+reference against which the tests verify the Monte-Carlo estimators; no
+``zosmooth-bench`` subcommand runs it, so its
+:class:`QuadratureConvergenceError` reaches library callers only.
 """
 
 from __future__ import annotations
@@ -135,8 +137,6 @@ def smoothed_gradient_quadrature(
     rtol: float = 1e-6,
     atol: float = 1e-9,
     kink_coords: Sequence[int] = (),
-    start_nodes: int = 16,
-    max_nodes: int = 256,
 ) -> np.ndarray:
     """Deterministic quadrature for the gradient of the mollified function.
 
@@ -144,7 +144,7 @@ def smoothed_gradient_quadrature(
     integral is evaluated as described in :func:`_shift_integral`; in two
     dimensions the remaining coordinate is integrated against its
     ``N(0, eta^2)`` weight with Gauss-Hermite nodes.  Node counts double
-    until successive values agree to ``max(rtol*|value|, atol)``.
+    from 16 until successive values agree to ``max(rtol*|value|, atol)``.
 
     Parameters
     ----------
@@ -156,7 +156,7 @@ def smoothed_gradient_quadrature(
     Raises
     ------
     QuadratureConvergenceError
-        If doubling up to ``max_nodes`` does not converge.
+        If doubling up to 256 nodes does not converge.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -202,10 +202,10 @@ def smoothed_gradient_quadrature(
 
     grad = np.empty(n)
     for i in range(n):
-        m = start_nodes
+        m = 16
         previous = component(i, m)
         converged = False
-        while m < max_nodes:
+        while m < 256:
             m *= 2
             current = component(i, m)
             if not math.isfinite(current):
@@ -219,7 +219,7 @@ def smoothed_gradient_quadrature(
         if not converged:
             raise QuadratureConvergenceError(
                 f"component {i} did not converge below rtol={rtol} within "
-                f"{max_nodes} nodes (last change {abs(current - previous):.3e})"
+                f"256 nodes (last change {abs(current - previous):.3e})"
             )
         grad[i] = current
     return grad

@@ -1,24 +1,28 @@
 import copy
 import csv
+import inspect
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
-from dataclasses import replace
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, replace
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zosmooth import bench, cli
+from zosmooth import bench, cli, optimizer
 from zosmooth.bench import (
     KINDS,
     BenchConfig,
@@ -34,11 +38,10 @@ from zosmooth.bench import (
 from zosmooth.cli import main as cli_main
 from zosmooth.decision import RatioBoundError, ValueBoundError
 from zosmooth.estimators import StochasticOracle
-from zosmooth.optimizer import NonFiniteError, Schedule, run, weighted_average
+from zosmooth.optimizer import SCHEDULE_KINDS, NonFiniteError, Schedule, run, weighted_average
 from zosmooth.projections import FeasibleSet
-from zosmooth.problems import market_problem, quad_l1_problem, error_metric
+from zosmooth.problems import PROBLEM_BUILDERS, market_problem, quad_l1_problem, error_metric
 from zosmooth.rng import RandomStream
-from zosmooth.smoothing import QuadratureConvergenceError
 
 from recorder import Recorder
 
@@ -1002,7 +1005,7 @@ class TestCli:
             (RatioBoundError("density ratio 9 exceeds bound 2"), 3),
             (ValueBoundError("|f_hat| = 9 exceeds bound 2"), 3),
             (NonFiniteError("estimator 'esgs' produced a non-finite iterate"), 4),
-            (QuadratureConvergenceError("no convergence"), 5),
+            (ValueError("schedule kind 'custom' overflows a float at k=1"), 1),
             (bench.BudgetMismatchError("oracle budget mismatch"), 6),
             (MemoryError("Unable to allocate 21.3 PiB for an array"), 1),
         ],
@@ -1193,6 +1196,108 @@ class TestCli:
         )
         assert cli_main(["run", "--config", str(config)]) == 0
         assert (env_dir / "results.csv").exists()
+
+
+# Values the config property test draws from: signed zeros, a tiny and the
+# largest magnitudes, negatives and a few ordinary numbers.  Sizes stay
+# small, so that no config allocates more than a few MB.
+FUZZ_VALUES = (0, -0.0, 1e-300, 1e308, -1e308, -1.0, 0.3, 0.9, 1, 2, 10.0)
+FUZZ_SIZES = (1, 2, 3, -1, 0, 2.0, 0.5)
+DOCUMENTED_STATUSES = {0, 1, 3, 4, 6}
+
+
+def _mostly(likely, other):
+    """Three draws in four from ``likely``, else from ``other``."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(likely if i < 3 else other))
+
+
+@st.composite
+def cli_configs(draw):
+    """A command and a config over every problem, kind subset, schedule
+    kind and parameter, with at most 20 iterations and 2 replications.
+    Most configs are runnable, so that the runs meet the extreme values."""
+    problem = draw(st.sampled_from(sorted(PROBLEM_BUILDERS)), label="problem")
+    params = {}
+    for name, parameter in inspect.signature(PROBLEM_BUILDERS[problem]).parameters.items():
+        required = parameter.default is inspect.Parameter.empty
+        if required or draw(st.integers(0, 2)) == 0:
+            if name == "n":
+                values = _mostly(FUZZ_SIZES[:3], FUZZ_SIZES)
+            elif name == "seed":
+                values = _mostly(FUZZ_SIZES[:3], FUZZ_VALUES)
+            else:
+                values = st.sampled_from(FUZZ_VALUES)
+            params[name] = draw(values, label=name)
+    decision_dependent = [k for k in sorted(KINDS) if KINDS[k].oracle_field != "oracle"]
+    independent = [k for k in sorted(KINDS) if k not in decision_dependent]
+    kinds = decision_dependent if problem == "market" else independent
+    raw = {
+        "problem": problem,
+        "problem_params": params,
+        "estimators": draw(st.lists(_mostly(kinds, sorted(KINDS)), min_size=1,
+                                    max_size=3, unique=True), label="estimators"),
+        "iterations": draw(st.sampled_from([20, 2, 1, 0]), label="iterations"),
+        "replications": draw(st.sampled_from([1, 2]), label="replications"),
+        "base_seed": 1,
+        "record_trajectories": draw(st.booleans(), label="record"),
+    }
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(SCHEDULE_KINDS), label="schedule kind")
+        reads = optimizer._SCHEDULES[kind][0]
+        schedule = {"kind": kind}
+        for name in reads:
+            schedule[name] = draw(st.sampled_from(FUZZ_VALUES), label=name)
+        if draw(st.integers(0, 7)) == 0:
+            unread = [f.name for f in fields(Schedule)[1:] if f.name not in reads]
+            name = draw(st.sampled_from(unread), label="unread field")
+            schedule[name] = draw(st.sampled_from(FUZZ_VALUES), label=name)
+        raw["schedule"] = schedule
+    command = "dd" if problem == "market" else "run"
+    return draw(_mostly([command], ["run", "compare", "dd"]), label="command"), raw
+
+
+class TestEveryConfig:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(case=cli_configs())
+    # a market whose value bound and l0 are infinite, so that its checks are vacuous
+    @example(case=("dd", {"problem": "market",
+                          "problem_params": {"beta": 0.0, "box_half_width": 1e308},
+                          "estimators": ["esgs_dd_known"], "iterations": 3,
+                          "replications": 1, "base_seed": 1}))
+    # a curvature beyond what the reference solve takes
+    @example(case=("run", {"problem": "piecewise_linear",
+                           "problem_params": {"n": 3, "mu": 1e50},
+                           "estimators": ["esgs"], "iterations": 3,
+                           "replications": 1, "base_seed": 1}))
+    # a step size that overflows a float at k = 1
+    @example(case=("run", {"problem": "nonconvex_min", "problem_params": {"n": 2},
+                           "estimators": ["esgs"], "iterations": 3,
+                           "replications": 1, "base_seed": 1,
+                           "schedule": {"kind": "custom", "alpha": -1e308, "beta": 0.5}}))
+    def test_runs_or_fails_in_one_line(self, case):
+        # a nonzero status is a documented one, with one error line and no
+        # output directory; a run that succeeds had finite declared bounds
+        command, raw = case
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(raw))
+            out = Path(tmp) / "out"
+            stderr = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                status = cli_main([command, "--config", str(config), "--out", str(out)])
+            err = stderr.getvalue().splitlines()
+            assert status in DOCUMENTED_STATUSES
+            if status != 0:
+                assert len(err) == 1 and err[0].startswith("error: ")
+                assert not out.exists()
+                return
+            assert err == []
+            problem = bench.build_problem(BenchConfig.from_dict(raw))
+            bounds = [problem.l0]
+            if problem.dd_known is not None:
+                known = problem.dd_known
+                bounds += [known.ratio_bound_m, known.value_bound_mf, known.lip_f_hat]
+            assert all(math.isfinite(bound) for bound in bounds)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

@@ -15,7 +15,6 @@ from zosmooth.decision import (
     esgs_dd_known,
     esgs_dd_unknown,
     field_correlation,
-    kl_sym_normal,
 )
 from zosmooth.estimators import second_moment_probe
 from zosmooth.optimizer import Schedule, run
@@ -26,29 +25,6 @@ from zosmooth.rng import RandomStream, sample_correlated_pair
 from recorder import Recorder
 
 ETA = 0.3
-
-
-class TestKlSymNormal:
-    def test_equal_means_zero(self):
-        assert kl_sym_normal(1.3, 1.3, 2.0) == 0.0
-
-    def test_unit_case(self):
-        assert kl_sym_normal(1.0, 0.0, 1.0) == pytest.approx(1.0)
-
-    def test_sigma_scaling(self):
-        assert kl_sym_normal(2.0, 0.5, 2.0) == pytest.approx(
-            kl_sym_normal(2.0, 0.5, 1.0) / 4.0
-        )
-
-    def test_symmetric_and_quadratic(self):
-        assert kl_sym_normal(0.7, -0.2, 1.5) == kl_sym_normal(-0.2, 0.7, 1.5)
-        assert kl_sym_normal(0.0, 2.0, 1.0) == pytest.approx(
-            4.0 * kl_sym_normal(0.0, 1.0, 1.0)
-        )
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            kl_sym_normal(0.0, 1.0, 0.0)
 
 
 class TestFieldCorrelation:

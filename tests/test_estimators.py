@@ -633,19 +633,18 @@ class TestReplacementPoints:
         rows=st.integers(1, 6),
         m=st.integers(1, 12),
         n=st.integers(1, 9),
-        first=st.integers(0, 20),
         strided=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_fancy_index_assignment(self, rows, m, n, first, strided, seed):
+    def test_matches_fancy_index_assignment(self, rows, m, n, strided, seed):
         gen = np.random.default_rng(seed)
         base = gen.standard_normal((rows, n))
         moved = gen.standard_normal((rows, m + 2))
         # the generic esgs path passes column slices of its moved values
         moved = moved[:, 1 : m + 1] if strided else moved[:, :m].copy()
-        points = replacement_points(base, moved, first)
+        points = replacement_points(base, moved)
         assert points.shape == (rows, m, n)
-        assert np.array_equal(points, fancy_index_replacement_points(base, moved, first))
+        assert np.array_equal(points, fancy_index_replacement_points(base, moved, 0))
 
 
 class TestRowKernels:

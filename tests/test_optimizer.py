@@ -34,7 +34,7 @@ from zosmooth.optimizer import (
     step_sizes,
     weighted_average,
 )
-from zosmooth.problems import market_problem, quad_l1_problem
+from zosmooth.problems import market_problem, nonconvex_min_problem, quad_l1_problem
 from zosmooth.projections import FeasibleSet, contains
 from zosmooth.rng import RandomStream
 
@@ -82,6 +82,22 @@ class TestSchedules:
     def test_theta_constraint(self):
         with pytest.raises(ValueError):
             Schedule(kind="strongly_convex", theta=0.9, mu=1.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_overflow_is_a_value_error_naming_kind_k_and_field(self, field):
+        exponents = {"alpha": 0.5, "beta": 0.5, field: -1e308}
+        sched = Schedule(kind="custom", **exponents)
+        assert schedule_values(sched, 0) == (1.0, 1.0)
+        with pytest.raises(ValueError) as info:
+            schedule_values(sched, 1)
+        message = str(info.value)
+        assert "schedule kind 'custom'" in message and "at k=1 " in message
+        assert f"{field}=-1e+308" in message
+        # run stops with the same error at its second iteration
+        problem = nonconvex_min_problem(2)
+        with pytest.raises(ValueError, match="overflows a float at k=1 "):
+            run(problem.oracle, esgs_estimate, sched, 3, problem.feasible, problem.x0,
+                RandomStream(0))
 
     def test_asymptotic_exponent_constraints(self):
         Schedule(kind="nonconvex_asymptotic", alpha=0.9, beta=0.3)  # valid
@@ -314,7 +330,7 @@ class TestRun:
             np.array([5.0, 5.0, 5.0]), RandomStream(8), observe=rec,
         )
         for k in range(101):
-            assert contains(ball, rec.x[k][0], tol=1e-12)
+            assert contains(ball, rec.x[k][0])
         assert traj.oracle_calls == rec.calls[100] == 100 * 2 * 3
         assert np.all(np.diff(list(rec.calls.values())) > 0)
 

@@ -14,6 +14,7 @@ from zosmooth.decision import RatioBoundError, ValueBoundError, esgs_dd_known
 from zosmooth.estimators import esgs_estimate
 from zosmooth.problems import (
     PL_INTERCEPTS,
+    PL_MAX_MU,
     PL_SLOPES,
     _envelope_gaussian_stats,
     _proximal_gradient_quad,
@@ -252,6 +253,23 @@ class TestPiecewiseLinear:
         assert len(counts) == 2
         assert max(counts) < 200
 
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_mu_up_to_the_bound_builds_and_above_it_fails_before_any_solve(
+        self, monkeypatch, n
+    ):
+        # the two reference routes agree at the bound itself
+        problem = piecewise_linear_problem(n, PL_MAX_MU)
+        assert abs(problem.f_star - piecewise_linear_reference_cross_check(problem)) < 1e-6
+
+        def no_solve(*args):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr(problems, "_projected_gradient", no_solve)
+        for mu in (-1.0, 5e18, 1e50, 1e308):
+            with pytest.raises(ValueError) as info:
+                piecewise_linear_problem(n, mu)
+            assert f"mu={mu!r}" in str(info.value) and f"n={n}" in str(info.value)
+
 
 class TestNonconvex:
     def test_all_ones_is_stationary(self):
@@ -408,6 +426,23 @@ class TestMarket:
             market_problem(sigma2=0.001)
         for name in ("sigma2", "beta", "a", "box_half_width"):
             assert f" {name}=" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "params, bound",
+        [
+            # exp does not overflow, but the value bound and l0 are infinite
+            ({"beta": 0.0, "box_half_width": 1e308}, "value bound"),
+            ({"a1": 1e307, "a2": 1e307}, "value bound"),
+            ({"c_xi": 1e308}, "Lipschitz constant l0"),
+        ],
+    )
+    def test_non_finite_bound_names_the_parameters(self, params, bound):
+        with pytest.raises(ValueError) as info:
+            market_problem(**params)
+        message = str(info.value)
+        assert f"the market's {bound} is not a finite float" in message
+        for name, value in params.items():
+            assert f" {name}={value!r}" in message
 
     @pytest.mark.parametrize(
         "x", [[0.0, 0.0], [2.0, -1.5], [-9.5, 9.0], [14.0, -30.0], [-25.0, 11.0]]

@@ -45,7 +45,7 @@ def test_idempotent_and_feasible():
             u = rng.normal(scale=3.0, size=4)
             p = project(fs, u)
             np.testing.assert_array_equal(project(fs, p), p)
-            assert contains(fs, p, tol=1e-12)
+            assert contains(fs, p)
 
 
 def test_non_expansive():
@@ -85,7 +85,7 @@ def test_batch_rows_project_like_single_points():
         for r in range(len(batch)):  # a row's result does not depend on its batch
             np.testing.assert_array_equal(project(fs, batch[r : r + 1])[0], projected[r])
         np.testing.assert_array_equal(project(fs, projected), projected)
-        assert all(contains(fs, p, tol=1e-12) for p in projected)
+        assert all(contains(fs, p) for p in projected)
 
 
 def test_batch_dimension_mismatch():
