@@ -46,7 +46,6 @@ from .rng import (
     sample_gaussian_vector,
 )
 from .smoothing import (
-    SmoothedFunctionView,
     smoothed_gradient_quadrature,
     smoothed_value,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "RatioBoundError",
     "RunState",
     "Schedule",
-    "SmoothedFunctionView",
     "StochasticOracle",
     "ValueBoundError",
     "contains",

@@ -273,27 +273,26 @@ def run_problem(
     estimator_kind: str,
     schedule: Schedule,
     iterations: int,
-    stream: RandomStream | Iterable[RandomStream],
+    streams: Iterable[RandomStream],
     x0: np.ndarray | None = None,
     observe: Observer | None = None,
-) -> RunState | list[RunState]:
-    """Run the named estimator kind on ``problem``.
-
-    One stream gives one final :class:`~zosmooth.optimizer.RunState`; any
-    other iterable of streams runs them as one batch and gives one state per
-    stream.  ``observe`` is passed to :func:`zosmooth.optimizer.run`.
+) -> list[RunState]:
+    """Run the named estimator kind on ``problem`` from ``x0`` (the
+    problem's own by default), one replication per stream, as one batch,
+    and give each replication's final
+    :class:`~zosmooth.optimizer.RunState`.  ``observe`` is passed to
+    :func:`zosmooth.optimizer.run`.
     """
     if estimator_kind not in KINDS:
         raise ConfigError(f"unknown estimator kind {estimator_kind!r}")
-    start = problem.x0 if x0 is None else x0
     return run(
         kind_oracle(problem, estimator_kind),
         KINDS[estimator_kind].estimator,
         schedule,
         iterations,
         problem.feasible,
-        start,
-        stream,
+        problem.x0 if x0 is None else x0,
+        streams,
         observe=observe,
     )
 
@@ -424,7 +423,7 @@ def _mean_error_and_time(
     }
 
 
-def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
+def run_benchmark(config: BenchConfig) -> BenchSummary:
     """Run the configured estimator grid under equal oracle budgets.
 
     The report gives each kind's ``mean_error`` and ``mean_wall_time_ms``.
@@ -453,8 +452,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
             + ", ".join(f"{kind} {calls}" for kind, calls in budgets.items())
             + " oracle calls per replication"
         )
-    summary = _benchmark(config, problem, RESULT_METRICS, _mean_error_and_time)
-    return summary.rows, summary
+    return _benchmark(config, problem, RESULT_METRICS, _mean_error_and_time)
 
 
 def _distances_to_targets(
@@ -473,7 +471,7 @@ def _distances_to_targets(
     }
 
 
-def run_dd_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary]:
+def run_dd_benchmark(config: BenchConfig) -> BenchSummary:
     """Run the market problem under both decision-dependent protocols.
 
     The rows carry :data:`DD_METRICS`: the final iterate's distance to the
@@ -484,8 +482,7 @@ def run_dd_benchmark(config: BenchConfig) -> tuple[list[ResultRow], BenchSummary
     problem = build_problem(config)
     if problem.x_star is None or problem.x_ps is None:
         raise ConfigError("decision-dependent benchmark needs closed-form targets")
-    summary = _benchmark(config, problem, DD_METRICS, _distances_to_targets)
-    return summary.rows, summary
+    return _benchmark(config, problem, DD_METRICS, _distances_to_targets)
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,12 @@ def _cmd_benchmark(args) -> int:
     writes any recorded trajectories)."""
     config = _load_config(args)
     out = bench.output_dir(config.output, args.out)
-    rows, summary = bench.run_benchmark(replace(config, output=str(out)))
+    summary = bench.run_benchmark(replace(config, output=str(out)))
     written = [out / "results.csv"]
-    bench.emit_csv(rows, written[0])
+    bench.emit_csv(summary.rows, written[0])
     if args.command == "compare":
         written.append(out / "aggregate.csv")
-        bench.emit_aggregate_csv(rows, written[1])
+        bench.emit_aggregate_csv(summary.rows, written[1])
     written += summary.trajectory_paths
     for kind in config.estimators:
         report = summary.report[kind]
@@ -151,9 +151,9 @@ def _cmd_dd(args) -> int:
         if args.seed is not None:
             config = replace(config, base_seed=args.seed)
     out = bench.output_dir(config.output, args.out)
-    rows, summary = bench.run_dd_benchmark(replace(config, output=str(out)))
+    summary = bench.run_dd_benchmark(replace(config, output=str(out)))
     written = [out / "dd_results.csv", *summary.trajectory_paths]
-    bench.emit_dd_csv(rows, written[0])
+    bench.emit_dd_csv(summary.rows, written[0])
     print(json.dumps(summary.report, indent=2))
     print("wrote " + " and ".join(str(path) for path in written))
     return 0

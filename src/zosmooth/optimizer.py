@@ -12,7 +12,7 @@ kind                 fields read               (gamma_k, eta_k)
 convex_diminishing   n                         1/sqrt(n*(k+1)) for both
 convex_constant      n, horizon, radius_scale, gamma = R/(L0*sqrt(n*K)), eta = 1/sqrt(n*K)
                      l0
-strongly_convex      theta, mu                 theta/k for both, k >= 1, requires theta > 1/mu
+strongly_convex      theta, mu                 theta/(k+1) for both, requires theta > 1/mu
 nonconvex_fixed_eta  n, l0, eta_fixed          gamma = eta/(L0*sqrt(n)*sqrt(k+1)), eta fixed
 nonconvex_asymptotic alpha, beta               gamma = (k+1)^-alpha, eta = (k+1)^-beta,
                                                0 < alpha, beta < 1 and 2*alpha - beta > 1
@@ -20,16 +20,13 @@ custom               alpha, beta, gamma_scale, gamma = gamma_scale*(k+1)^-alpha,
                      eta_scale                 eta = eta_scale*(k+1)^-beta
 ==================== ========================= ===============================================
 
-The strongly convex schedule is undefined at k = 0, so the driver feeds it
-``k + 1``; iterate indexing shifts accordingly.
-
 :func:`run` advances R replications of one estimator kind together as an
 ``(R, n)`` iterate array: the schedule, step, projection and bookkeeping run
 once per iteration for the whole batch.  Each replication draws only from
 its own stream, in blocks of iterations.  A block's size depends on the
 dimension and, for the last block, on the number of iterations left, never
 on R.  So a replication's trajectory is the same whichever replications
-share its batch; a single stream is the R = 1 case.  An optional
+share its batch; one replication is the R = 1 case.  An optional
 ``observe`` callable sees the :class:`RunState` before each iteration
 k = 0..K (see :func:`run`), and the run returns each replication's state at
 k = K; what an observer sees at k inside a longer run has the law of the
@@ -110,10 +107,6 @@ class Schedule:
                     f"got alpha={self.alpha}, beta={self.beta}"
                 )
 
-    @property
-    def starts_at_one(self) -> bool:
-        return self.kind == "strongly_convex"
-
 
 # Each schedule kind's entry: the Schedule fields it reads, and its
 # (gamma_k, eta_k) as a function of the schedule and k.
@@ -129,7 +122,7 @@ _SCHEDULES: dict[str, tuple[tuple[str, ...], Callable[[Schedule, int], tuple[flo
             1.0 / math.sqrt(s.n * s.horizon),
         ),
     ),
-    "strongly_convex": (("theta", "mu"), lambda s, k: (g := s.theta / k, g)),
+    "strongly_convex": (("theta", "mu"), lambda s, k: (g := s.theta / (k + 1), g)),
     "nonconvex_fixed_eta": (
         ("n", "l0", "eta_fixed"),
         lambda s, k: (
@@ -155,8 +148,6 @@ def schedule_values(schedule: Schedule, k: int) -> tuple[float, float]:
     the fields the kind reads."""
     if k < 0:
         raise ValueError(f"iteration index must be >= 0, got {k}")
-    if k < 1 and schedule.starts_at_one:
-        raise ValueError("strongly_convex schedule is defined for k >= 1")
     reads, values = _SCHEDULES[schedule.kind]
     try:
         return values(schedule, k)
@@ -169,11 +160,10 @@ def schedule_values(schedule: Schedule, k: int) -> tuple[float, float]:
 
 def step_sizes(schedule: Schedule, iterations: int) -> np.ndarray:
     """``gamma_0 .. gamma_{K-1}`` as :func:`run` takes them in ``iterations``
-    iterations, bit for bit (the strongly convex ``k + 1`` included)."""
+    iterations, bit for bit."""
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    offset = 1 if schedule.starts_at_one else 0
-    return np.array([schedule_values(schedule, k + offset)[0] for k in range(iterations)])
+    return np.array([schedule_values(schedule, k)[0] for k in range(iterations)])
 
 
 def step(
@@ -228,17 +218,17 @@ def run(
     iterations: int,
     feasible: FeasibleSet,
     x0: np.ndarray,
-    stream: RandomStream | Iterable[RandomStream],
+    streams: Iterable[RandomStream],
     observe: Observer | None = None,
-) -> RunState | list[RunState]:
+) -> list[RunState]:
     """Run ``iterations`` estimate-then-step updates from ``x0``.
 
     ``estimator`` is a :class:`~zosmooth.estimators.BatchEstimator`, such
     as :func:`~zosmooth.estimators.esgs_estimate`; anything else raises
-    :class:`TypeError`.  ``stream`` is one :class:`RandomStream`, giving one
-    :class:`RunState` at ``k = K``, or any other iterable of R streams (a
-    list, a tuple, a generator, an object array), one per replication,
-    giving a list of R such states; an entry that is not a
+    :class:`TypeError`.  ``streams`` is an iterable of R
+    :class:`RandomStream` (a list, a tuple, a generator, an object array),
+    one per replication, and the run returns a list of R :class:`RunState`
+    at ``k = K``; a bare stream or an entry that is not a
     :class:`RandomStream` raises :class:`TypeError`.  The initial point is
     projected onto the feasible set if necessary.  Each returned state is
     fully determined by its own stream.
@@ -255,8 +245,7 @@ def run(
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    single = isinstance(stream, RandomStream)
-    streams = [stream] if single else list(stream)
+    streams = list(streams)
     if not streams:
         raise ValueError("run needs at least one stream")
     for s in streams:
@@ -266,7 +255,6 @@ def run(
     start_x = project(feasible, np.asarray(x0, dtype=float))
     rows, n = len(streams), start_x.shape[0]
     x = np.tile(start_x, (rows, 1))
-    offset = 1 if schedule.starts_at_one else 0
 
     weighted_sum = np.zeros((rows, n))
     gamma_total = 0.0
@@ -296,7 +284,7 @@ def run(
             k = first + j
             if observe is not None:
                 observe(_observed(k, x, weighted_sum, gamma_total, cost))
-            gamma_k, eta_k = schedule_values(schedule, k + offset)
+            gamma_k, eta_k = schedule_values(schedule, k)
             _check_eta(eta_k)
             g = estimator.estimate(oracle, x, eta_k, draws)
             try:
@@ -308,11 +296,10 @@ def run(
             x = x_next
     if observe is not None:
         observe(_observed(iterations, x, weighted_sum, gamma_total, cost))
-    states = [
+    return [
         RunState(iterations, x[r].copy(), weighted_sum[r], gamma_total, iterations * cost)
         for r in range(rows)
     ]
-    return states[0] if single else states
 
 
 def _observed(

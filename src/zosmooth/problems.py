@@ -792,6 +792,13 @@ def market_problem(
         max(abs(l2), abs(r2)) + 2.0 * a2 * x1_reach,
     )
     joint_lip = math.hypot(grad_x_bound, math.sqrt(2.0) * x1_reach)
+    at = (
+        f"at a={a}, a1={a1}, a2={a2}, beta={beta}, sigma2={sigma2}, l2={l2}, r2={r2}, "
+        f"c_xi={c_xi}, box_half_width={box_half_width}"
+    )
+    # checked here, not when the random-field leg first correlates a pair
+    if not c_xi >= beta * beta:
+        raise ValueError(f"the market's random field requires c_xi >= beta^2 {at}")
     l0_unknown = joint_lip * math.sqrt(2.0 + 2.0 * c_xi)
     # a bound that is not finite would make its check vacuous
     for name, bound in (
@@ -801,11 +808,7 @@ def market_problem(
         ("Lipschitz constant l0", l0_unknown),
     ):
         if not math.isfinite(bound):
-            raise ValueError(
-                f"the market's {name} is not a finite float at a={a}, a1={a1}, a2={a2}, "
-                f"beta={beta}, sigma2={sigma2}, l2={l2}, r2={r2}, c_xi={c_xi}, "
-                f"box_half_width={box_half_width}"
-            )
+            raise ValueError(f"the market's {name} is not a finite float {at}")
     # the symmetric KL of the demand laws at x1 and y1 is (beta*(x1 - y1))^2 / sigma2
     lip_xi = beta / sigma
 

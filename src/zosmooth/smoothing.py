@@ -2,8 +2,9 @@
 
 For a Lipschitz function ``f`` and radius ``eta``, the mollified function is
 ``f_eta(x) = E[f(x + eta*Z)]`` with ``Z`` standard normal.  This module
-provides a Monte-Carlo evaluator for ``f_eta`` and, in dimension <= 2, a
-deterministic tensor-quadrature oracle for its gradient
+provides a Monte-Carlo evaluator for ``f_eta``, :func:`smoothed_value`, and,
+in dimension <= 2, a deterministic tensor-quadrature oracle for its
+gradient, :func:`smoothed_gradient_quadrature`
 
     d/dx_i f_eta(x) = E_{V, Z^{-i}}[ f(x_i + eta*sqrt(2V), x^{-i} - Z^{-i})
                                    - f(x_i - eta*sqrt(2V), x^{-i} - Z^{-i}) ]
@@ -18,7 +19,6 @@ reference against which the tests verify the Monte-Carlo estimators; no
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -53,45 +53,24 @@ class QuadratureConvergenceError(RuntimeError):
     """Raised when node doubling fails to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class SmoothedFunctionView:
-    """A deterministic function together with its smoothing configuration."""
-
-    base_f: Callable[[np.ndarray], float]
-    eta: float
-    mc_samples: int = 20_000
-
-    def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
-
-
-@dataclass(frozen=True)
-class MCValue:
-    value: float
-    stderr: float
-
-
 def smoothed_value(
-    view: SmoothedFunctionView, x: np.ndarray, stream: RandomStream
-) -> MCValue:
-    """Monte-Carlo estimate of ``f_eta(x)`` with its sample standard error."""
+    f: Callable[[np.ndarray], float],
+    x: np.ndarray,
+    eta: float,
+    samples: int,
+    stream: RandomStream,
+) -> tuple[float, float]:
+    """Monte-Carlo estimate of ``f_eta(x)`` from ``samples`` draws, and its
+    sample standard error (infinite for one draw)."""
+    if not eta > 0:
+        raise ValueError(f"eta must be > 0, got {eta}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    z = stream.generator.standard_normal((view.mc_samples, n))
-    values = np.fromiter(
-        (view.base_f(x + view.eta * z[j]) for j in range(view.mc_samples)),
-        dtype=float,
-        count=view.mc_samples,
-    )
-    value = float(values.mean())
-    if view.mc_samples > 1:
-        stderr = float(values.std(ddof=1) / math.sqrt(view.mc_samples))
-    else:
-        stderr = math.inf
-    return MCValue(value=value, stderr=stderr)
+    z = stream.generator.standard_normal((samples, x.shape[0]))
+    values = np.fromiter((f(x + eta * z[j]) for j in range(samples)), dtype=float, count=samples)
+    stderr = values.std(ddof=1) / math.sqrt(samples) if samples > 1 else math.inf
+    return float(values.mean()), float(stderr)
 
 
 def _shift_integral(
@@ -134,8 +113,6 @@ def smoothed_gradient_quadrature(
     base_f: Callable[[np.ndarray], float],
     x: np.ndarray,
     eta: float,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
     kink_coords: Sequence[int] = (),
 ) -> np.ndarray:
     """Deterministic quadrature for the gradient of the mollified function.
@@ -144,7 +121,7 @@ def smoothed_gradient_quadrature(
     integral is evaluated as described in :func:`_shift_integral`; in two
     dimensions the remaining coordinate is integrated against its
     ``N(0, eta^2)`` weight with Gauss-Hermite nodes.  Node counts double
-    from 16 until successive values agree to ``max(rtol*|value|, atol)``.
+    from 16 until successive values agree to ``max(1e-6*|value|, 1e-9)``.
 
     Parameters
     ----------
@@ -204,7 +181,6 @@ def smoothed_gradient_quadrature(
     for i in range(n):
         m = 16
         previous = component(i, m)
-        converged = False
         while m < 256:
             m *= 2
             current = component(i, m)
@@ -212,14 +188,14 @@ def smoothed_gradient_quadrature(
                 raise QuadratureConvergenceError(
                     f"component {i}: non-finite quadrature value at {m} nodes"
                 )
-            if abs(current - previous) <= max(rtol * abs(current), atol):
-                converged = True
+            change = abs(current - previous)
+            if change <= max(1e-6 * abs(current), 1e-9):
                 break
             previous = current
-        if not converged:
+        else:
             raise QuadratureConvergenceError(
-                f"component {i} did not converge below rtol={rtol} within "
-                f"256 nodes (last change {abs(current - previous):.3e})"
+                f"component {i} did not converge to a relative 1e-6 within "
+                f"256 nodes (last change {change:.3e})"
             )
         grad[i] = current
     return grad

@@ -77,7 +77,7 @@ def test_criterion_1_unbiasedness_oracle_equivalence():
         acc_sq += g * g
     mean = acc / count
     se = np.sqrt((acc_sq / count - mean**2) / count)
-    reference = smoothed_gradient_quadrature(f, x, eta, rtol=1e-6, kink_coords=[0])
+    reference = smoothed_gradient_quadrature(f, x, eta, kink_coords=[0])
     combined = 4.0 * se + 1e-6 * np.abs(reference)
     deviation = np.abs(mean - reference)
     elapsed = time.perf_counter() - t0
@@ -231,8 +231,8 @@ CRITERION_5_CONFIG = {
 def test_criterion_5_head_to_head_equal_budget():
     t0 = time.perf_counter()
     config = BenchConfig.from_dict(CRITERION_5_CONFIG)
-    rows, summary = run_benchmark(config)
-    calls = {row.oracle_calls for row in rows}
+    summary = run_benchmark(config)
+    calls = {row.oracle_calls for row in summary.rows}
     esgs, gs = summary.report["esgs"], summary.report["gs"]
     err_ratio = esgs["mean_error"] / gs["mean_error"]
     time_ratio = esgs["mean_wall_time_ms"] / gs["mean_wall_time_ms"]
@@ -310,7 +310,7 @@ def test_criterion_7_decision_dependent_targets():
             "base_seed": 7001,
         }
     )
-    rows, summary = run_dd_benchmark(config)
+    summary = run_dd_benchmark(config)
     ok = True
     details = []
     for mode in ("esgs_dd_known", "esgs_dd_unknown"):
@@ -381,15 +381,15 @@ def test_criterion_9_determinism_and_budget(tmp_path):
     csvs = []
     budgets_ok = True
     for attempt in range(2):
-        rows, _ = run_benchmark(config)
+        rows = run_benchmark(config).rows
         path = tmp_path / f"run_{attempt}.csv"
         emit_csv(rows, path)
         csvs.append(masked(path))
         budgets_ok = budgets_ok and len({r.oracle_calls for r in rows}) == 1
     identical = csvs[0] == csvs[1]
 
-    dd_rows_a, _ = run_dd_benchmark(dd_config)
-    dd_rows_b, _ = run_dd_benchmark(dd_config)
+    dd_rows_a = run_dd_benchmark(dd_config).rows
+    dd_rows_b = run_dd_benchmark(dd_config).rows
     strip = lambda r: (r.estimator, r.replication, r.metrics["final_x1"],
                        r.metrics["dist_to_optimum"], r.metrics["dist_to_stable"],
                        r.oracle_calls, r.seed)

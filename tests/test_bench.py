@@ -204,7 +204,7 @@ class TestBudget:
         assert budget_iterations("spsa", 200, 50) == 10_000
 
     def test_minimal_run_consumes_equal_calls(self):
-        rows, _ = run_benchmark(small_config())
+        rows = run_benchmark(small_config()).rows
         calls = {row.estimator: row.oracle_calls for row in rows}
         assert calls == {"esgs": 4, "gs": 4}
 
@@ -256,12 +256,12 @@ class TestBudget:
         for kind, entry in KINDS.items():
             per_estimate = 2 * n if entry.estimator.per_coordinate else 2
             assert budget_iterations(kind, iterations, n) * per_estimate == 2 * n * iterations
-        rows, _ = run_benchmark(
+        rows = run_benchmark(
             small_config(
                 problem_params={"n": n, "seed": 3}, estimators=kinds,
                 iterations=iterations, replications=2,
             )
-        )
+        ).rows
         assert sorted(row.estimator for row in rows) == sorted(kinds * 2)
         assert all(row.oracle_calls == 2 * n * iterations for row in rows)
 
@@ -340,8 +340,8 @@ class TestCheckedBeforeAnyRun:
 class TestDeterminismAndOrdering:
     def test_rerun_identical_modulo_wall_time(self):
         config = small_config(iterations=20, replications=3)
-        rows_a, _ = run_benchmark(config)
-        rows_b, _ = run_benchmark(config)
+        rows_a = run_benchmark(config).rows
+        rows_b = run_benchmark(config).rows
         strip = lambda row: (row.problem, row.n, row.estimator, row.replication,
                              row.metrics["error"], row.oracle_calls, row.seed)
         assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
@@ -361,8 +361,8 @@ class TestDeterminismAndOrdering:
         batch = run_problem(problem, kind, schedule, iters, streams, observe=batch_rec)
         for r in range(5):
             alone_rec = Recorder()
-            alone = run_problem(
-                problem, kind, schedule, iters, bench._replication_stream(config, kind, r),
+            (alone,) = run_problem(
+                problem, kind, schedule, iters, [bench._replication_stream(config, kind, r)],
                 observe=alone_rec,
             )
             np.testing.assert_array_equal(batch[r].x, alone.x)
@@ -406,10 +406,10 @@ class TestDeterminismAndOrdering:
 
     def test_replication_permutation_leaves_aggregates_unchanged(self):
         config = small_config(iterations=20, replications=5)
-        rows, summary = run_benchmark(config)
+        summary = run_benchmark(config)
         rng = np.random.default_rng(0)
         for kind in ("esgs", "gs"):
-            group = [r.metrics["error"] for r in rows if r.estimator == kind]
+            group = [r.metrics["error"] for r in summary.rows if r.estimator == kind]
             permuted = list(rng.permutation(group))
             mean = summary.report[kind]["mean_error"]
             assert abs(sum(permuted) / len(permuted) - mean) < 1e-12
@@ -422,7 +422,7 @@ class TestDeterminismAndOrdering:
             iterations=7,
             replications=3,
         )
-        rows, _ = run_benchmark(config)
+        rows = run_benchmark(config).rows
         assert len(rows) == 12
         assert {row.oracle_calls for row in rows} == {2 * 3 * 7}
 
@@ -433,8 +433,8 @@ class TestDeterminismAndOrdering:
         monkeypatch.setattr(
             bench, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
         )
-        rows, summary = run_benchmark(small_config(iterations=5, replications=2))
-        assert {(r.estimator, r.wall_time_ms) for r in rows} == {
+        summary = run_benchmark(small_config(iterations=5, replications=2))
+        assert {(r.estimator, r.wall_time_ms) for r in summary.rows} == {
             ("esgs", 1000),
             ("gs", 10000),
         }
@@ -447,12 +447,12 @@ class TestDeterminismAndOrdering:
             problem="piecewise_linear", problem_params={"n": 3, "mu": 0.0},
             estimators=["esgs"], iterations=20, replications=2,
         )
-        rows, _ = run_benchmark(config)
+        rows = run_benchmark(config).rows
         problem = bench.build_problem(config)
         assert problem.convexity == "convex"
-        alone = run_problem(
+        (alone,) = run_problem(
             problem, "esgs", problem.default_schedule, 20,
-            bench._replication_stream(config, "esgs", 0),
+            [bench._replication_stream(config, "esgs", 0)],
         )
         assert rows[0].replication == 0
         assert rows[0].metrics["error"] == error_metric(problem, weighted_average(alone))
@@ -472,10 +472,10 @@ class TestSubstreams:
             ]
 
         raw = small_config_raw(iterations=5, replications=3)
-        before, _ = run_benchmark(BenchConfig.from_dict(raw))
+        before = run_benchmark(BenchConfig.from_dict(raw)).rows
         monkeypatch.setattr(bench, "KINDS", {"newcomer": KINDS["gs"], **KINDS})
         with_newcomer = {**raw, "estimators": ["newcomer"] + raw["estimators"]}
-        after, _ = run_benchmark(BenchConfig.from_dict(with_newcomer))
+        after = run_benchmark(BenchConfig.from_dict(with_newcomer)).rows
         assert [r.estimator for r in after[:3]] == ["newcomer"] * 3
         assert strip(after) == strip(before)
 
@@ -525,7 +525,7 @@ class TestCsvOutput:
         assert path.read_text() == self.HEADERS[table] + "\n"
 
     def test_round_trip(self, tmp_path):
-        rows, _ = run_benchmark(small_config(iterations=5, replications=2))
+        rows = run_benchmark(small_config(iterations=5, replications=2)).rows
         path = tmp_path / "rows.csv"
         emit_csv(rows, path)
         with path.open() as fh:
@@ -542,7 +542,7 @@ class TestCsvOutput:
         assert path.read_text().endswith("\n")
 
     def test_aggregate_matches_manual_recomputation(self, tmp_path):
-        rows, _ = run_benchmark(small_config(iterations=10, replications=4))
+        rows = run_benchmark(small_config(iterations=10, replications=4)).rows
         path = tmp_path / "agg.csv"
         emit_aggregate_csv(rows, path)
         with path.open() as fh:
@@ -559,7 +559,7 @@ class TestCsvOutput:
         path = tmp_path / "traj.csv"
         cost = KINDS["esgs"].estimator.oracle_calls(problem.n)
         with emit_trajectory(path, problem, cost, 1) as observe:
-            run_problem(problem, "esgs", schedule, 1, RandomStream(5), observe=observe)
+            run_problem(problem, "esgs", schedule, 1, [RandomStream(5)], observe=observe)
         with path.open() as fh:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 2  # k = 0, 1
@@ -617,7 +617,7 @@ class TestRecordedRun:
         rec = Recorder(at=edges)
         run_problem(
             problem, "esgs", problem.default_schedule, iterations,
-            bench._replication_stream(BenchConfig.from_dict(raw), "esgs", 0), observe=rec,
+            [bench._replication_stream(BenchConfig.from_dict(raw), "esgs", 0)], observe=rec,
         )
         for k in edges:
             expected = error_metric(problem, rec.x[k][0])
@@ -636,7 +636,7 @@ class TestHeadToHeadSmall:
                 "base_seed": 123,
             }
         )
-        _, summary = run_benchmark(config)
+        summary = run_benchmark(config)
         assert summary.report["esgs"]["mean_error"] < summary.report["gs"]["mean_error"]
 
 
@@ -651,7 +651,7 @@ class TestDDBenchmark:
                 "base_seed": 5,
             }
         )
-        rows, _ = run_dd_benchmark(config)
+        rows = run_dd_benchmark(config).rows
         problem_star = np.array([4.5 / 1.4, 2.7 / 0.8])
         for row in rows:
             assert row.metrics["dist_to_optimum"] == pytest.approx(
@@ -670,7 +670,7 @@ class TestDDBenchmark:
                 "base_seed": 5,
             }
         )
-        rows, _ = run_dd_benchmark(config)
+        rows = run_dd_benchmark(config).rows
         for row in rows:
             assert row.metrics["dist_to_optimum"] == row.metrics["dist_to_stable"]
 
@@ -778,6 +778,22 @@ class TestCli:
         shipped = BenchConfig.from_json(CONFIG_DIR / "market_dd.json")
         assert seen == [replace(shipped, base_seed=5, output=str(out))]
 
+    @pytest.mark.parametrize("c_xi", [-2.0, 0.001])
+    def test_market_field_below_beta_squared_is_one_line_before_any_run(
+        self, tmp_path, monkeypatch, capsys, c_xi
+    ):
+        runs = []
+        monkeypatch.setattr(bench, "run", lambda *args, **kwargs: runs.append(args))
+        raw = {"problem": "market", "problem_params": {"c_xi": c_xi},
+               "estimators": ["esgs_dd_known", "esgs_dd_unknown"],
+               "iterations": 100_000_000, "replications": 2, "base_seed": 1}
+        config = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli_main(["dd", "--config", str(config), "--out", str(out)]) == 1
+        assert runs == [] and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"c_xi={c_xi}" in err[0]
+
     def test_market_whose_ratio_bound_overflows_is_one_line(self, tmp_path, capsys):
         raw = {"problem": "market", "estimators": ["esgs_dd_known"],
                "iterations": 3, "replications": 1, "base_seed": 1}
@@ -815,9 +831,9 @@ class TestCli:
             ]
             assert float(dump[0]["error"]) == start
             # replication 0 alone ends where it ends in its batch
-            alone = run_problem(
+            (alone,) = run_problem(
                 problem, kind, problem.default_schedule, iterations,
-                bench._replication_stream(bench_config, kind, 0),
+                [bench._replication_stream(bench_config, kind, 0)],
             )
             assert dump[-1]["error"] == repr(float(error_metric(problem, alone.x)))
 

@@ -353,9 +353,9 @@ class TestDriverWithToyOracles:
         for traj in trajs:
             assert np.isfinite(traj.x).all() and abs(traj.x[0]) <= 2.0
             assert traj.oracle_calls == 50 * 2
-        alone = run(
+        (alone,) = run(
             toy_known_oracle(), esgs_dd_known, Schedule(kind="convex_diminishing", n=1),
-            50, FeasibleSet.symmetric_box(2.0, 1), np.array([0.5]), RandomStream(8, 1),
+            50, FeasibleSet.symmetric_box(2.0, 1), np.array([0.5]), [RandomStream(8, 1)],
             observe=single,
         )
         for k, x in single.x.items():
@@ -365,9 +365,9 @@ class TestDriverWithToyOracles:
     def test_shared_noise_random_field_oracle(self):
         c = np.array([1.5, -0.5])
         oracle = shared_noise_field(c)
-        traj = run(
+        (traj,) = run(
             oracle, esgs_dd_unknown, Schedule(kind="convex_diminishing", n=2), 40,
-            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(2),
+            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), [RandomStream(2)],
         )
         assert traj.oracle_calls == 40 * 2 * 2
         # the linear objective pushes every coordinate towards -sign(c)

@@ -54,10 +54,13 @@ class ScriptedGenerator:
         out = np.asarray(self._ints.pop(0))
         return np.reshape(out, size) if size is not None else out
 
+    def uniform(self, low, high, size=None):
+        return low + (high - low) * np.asarray(self.random(size))
+
 
 class ScriptedStream(RandomStream):
     """A :class:`RandomStream` whose generator is a :class:`ScriptedGenerator`,
-    so that ``run`` takes it as one stream."""
+    so that ``run`` takes it among its streams."""
 
     def __init__(self, generator):
         self.generator = generator
@@ -228,6 +231,23 @@ class TestSpherical:
             linear_oracle([1.0]), np.zeros(1), 0.1, ScriptedStream(gen)
         )
         np.testing.assert_allclose(sample.estimate, [1.0], rtol=1e-12)
+
+    def test_zero_draw_is_redrawn_from_the_next_draws(self):
+        # a zero row has no direction: the zero rows alone are redrawn, in
+        # order, until none is zero
+        gen = ScriptedGenerator(
+            normals=[
+                [[3.0, 4.0], [0.0, 0.0], [0.0, -2.0], [0.0, 0.0]],
+                [[0.0, 0.0], [1.0, 1.0]],
+                [[-5.0, 12.0]],
+            ]
+        )
+        (directions, _) = spherical_estimate.draw(
+            linear_oracle([1.0, 0.0]), ScriptedStream(gen), 4, 2
+        )
+        z = np.array([[3.0, 4.0], [-5.0, 12.0], [0.0, -2.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(directions, z / np.sqrt(np.vecdot(z, z))[:, None])
+        assert gen._normals == []
 
     def test_unbiased_for_linear(self):
         c = np.array([1.0, -2.0])
@@ -419,7 +439,7 @@ class TestSmoothingRadius:
         with pytest.raises(ValueError, match=message):
             run(
                 oracle, entry.estimator, schedule, 1, FeasibleSet.symmetric_box(1.0, 2),
-                x, RandomStream(0),
+                x, [RandomStream(0)],
             )
 
     def test_run_rejects_an_eta_k_that_underflows(self):
@@ -429,7 +449,7 @@ class TestSmoothingRadius:
         with pytest.raises(ValueError, match="smoothing radius eta must be > 0, got 0.0"):
             run(
                 linear_oracle([1.0, 2.0]), esgs_estimate, schedule, 2,
-                FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(0),
+                FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), [RandomStream(0)],
             )
 
 

@@ -58,13 +58,15 @@ class TestSchedules:
         assert schedule_values(sched, 0) == (0.5, 0.5)
 
     def test_strongly_convex_value(self):
+        # the paper's theta/k over k >= 1, indexed from the run's k = 0
         sched = Schedule(kind="strongly_convex", theta=2.0, mu=1.0)
-        assert schedule_values(sched, 4) == (0.5, 0.5)
+        assert schedule_values(sched, 3) == (0.5, 0.5)
 
-    def test_strongly_convex_undefined_at_zero(self):
-        sched = Schedule(kind="strongly_convex", theta=2.0, mu=1.0)
-        with pytest.raises(ValueError):
-            schedule_values(sched, 0)
+    def test_strongly_convex_step_sizes_start_at_theta(self):
+        sched = Schedule(kind="strongly_convex", theta=2.5, mu=1.0)
+        gammas = step_sizes(sched, 50)
+        assert gammas[0] == 2.5
+        assert [g.hex() for g in gammas] == [(2.5 / (k + 1)).hex() for k in range(50)]
 
     def test_nonconvex_fixed_eta_value(self):
         sched = Schedule(kind="nonconvex_fixed_eta", eta_fixed=0.1, l0=1.0, n=1)
@@ -97,7 +99,7 @@ class TestSchedules:
         problem = nonconvex_min_problem(2)
         with pytest.raises(ValueError, match="overflows a float at k=1 "):
             run(problem.oracle, esgs_estimate, sched, 3, problem.feasible, problem.x0,
-                RandomStream(0))
+                [RandomStream(0)])
 
     def test_asymptotic_exponent_constraints(self):
         Schedule(kind="nonconvex_asymptotic", alpha=0.9, beta=0.3)  # valid
@@ -157,14 +159,14 @@ class TestSchedules:
     @given(data=st.data())
     def test_values_are_the_closed_form_bit_for_bit(self, kind, data):
         s = data.draw(VALID_SCHEDULES[kind])
-        k = data.draw(st.integers(1 if s.starts_at_one else 0, 10**9))
+        k = data.draw(st.integers(0, 10**9))
         closed_form = {
             "convex_diminishing": lambda: (1.0 / math.sqrt(s.n * (k + 1)),) * 2,
             "convex_constant": lambda: (
                 s.radius_scale / (s.l0 * math.sqrt(s.n * s.horizon)),
                 1.0 / math.sqrt(s.n * s.horizon),
             ),
-            "strongly_convex": lambda: (s.theta / k,) * 2,
+            "strongly_convex": lambda: (s.theta / (k + 1),) * 2,
             "nonconvex_fixed_eta": lambda: (
                 s.eta_fixed / (s.l0 * math.sqrt(s.n) * math.sqrt(k + 1)), s.eta_fixed
             ),
@@ -283,7 +285,7 @@ class TestRun:
         rec = Recorder()
         run(
             oracle, esgs_estimate, sched, 20, FeasibleSet.unconstrained(),
-            np.array([1.0, -2.0, 0.5]), RandomStream(0), observe=rec,
+            np.array([1.0, -2.0, 0.5]), [RandomStream(0)], observe=rec,
         )
         assert rec.seen == list(range(21))
         for k in range(21):
@@ -296,9 +298,9 @@ class TestRun:
         u = 1.0 - math.exp(-0.5)
         gen = ScriptedGenerator(uniforms=[u], normals=[np.array([0.0, 0.0])])
         sched = Schedule(kind="convex_diminishing", n=2)
-        traj = run(
+        (traj,) = run(
             linear_oracle([1.0, 0.0]), esgs_estimate, sched, 1,
-            FeasibleSet.unconstrained(), np.zeros(2), ScriptedStream(gen),
+            FeasibleSet.unconstrained(), np.zeros(2), [ScriptedStream(gen)],
         )
         gamma0 = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(
@@ -311,9 +313,9 @@ class TestRun:
         runs = [
             run(
                 linear_oracle([1.0, -1.0]), esgs_estimate, sched, 50,
-                FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(5, 3),
+                FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), [RandomStream(5, 3)],
                 observe=rec,
-            )
+            )[0]
             for rec in recs
         ]
         for k, x in recs[0].x.items():
@@ -325,9 +327,9 @@ class TestRun:
         ball = FeasibleSet.unit_ball(3)
         sched = Schedule(kind="convex_diminishing", n=3)
         rec = Recorder()
-        traj = run(
+        (traj,) = run(
             linear_oracle([2.0, 1.0, -1.0]), esgs_estimate, sched, 100, ball,
-            np.array([5.0, 5.0, 5.0]), RandomStream(8), observe=rec,
+            np.array([5.0, 5.0, 5.0]), [RandomStream(8)], observe=rec,
         )
         for k in range(101):
             assert contains(ball, rec.x[k][0])
@@ -340,7 +342,7 @@ class TestRun:
         rec = Recorder(at=[0])
         run(
             linear_oracle([1.0, 0.0]), esgs_estimate, sched, 1, ball,
-            np.array([3.0, 4.0]), RandomStream(9), observe=rec,
+            np.array([3.0, 4.0]), [RandomStream(9)], observe=rec,
         )
         np.testing.assert_allclose(rec.x[0], [[0.6, 0.8]])
 
@@ -359,7 +361,7 @@ class TestRun:
             rec = Recorder(at=ks)
             run(
                 oracle, esgs_estimate, sched, 2000, FeasibleSet.unconstrained(),
-                2.0 * np.ones(n), RandomStream(100, rep), observe=rec,
+                2.0 * np.ones(n), [RandomStream(100, rep)], observe=rec,
             )
             for k in ks:
                 sq[k].append(float(rec.x[k][0] @ rec.x[k][0]))
@@ -377,9 +379,9 @@ class TestRun:
             checkpoints(state)
             every(state)
 
-        traj = run(
+        (traj,) = run(
             linear_oracle([1.0, 2.0]), esgs_estimate, sched, 30,
-            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(11),
+            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), [RandomStream(11)],
             observe=observe,
         )
         np.testing.assert_array_equal(checkpoints.x[10], every.x[10])
@@ -416,9 +418,9 @@ class TestRun:
             return gamma, eta
 
         monkeypatch.setattr(optimizer, "schedule_values", spy)
-        traj = run(
+        (traj,) = run(
             linear_oracle([1.0, -1.0]), esgs_estimate, schedule, 40,
-            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(3),
+            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), [RandomStream(3)],
             observe=lambda state: totals.append(state.gamma_total),
         )
         assert gammas == taken
@@ -441,9 +443,9 @@ class TestRun:
             "still", lambda oracle, stream, size, n: (),
             lambda oracle, x, eta, draws: np.zeros_like(x), False,
         )
-        trajectory = run(
+        (trajectory,) = run(
             linear_oracle([1.0, 0.0]), still, schedule, iterations,
-            FeasibleSet.unconstrained(), np.ones(2), RandomStream(0),
+            FeasibleSet.unconstrained(), np.ones(2), [RandomStream(0)],
         )
         assert trajectory.gamma_total.hex() == total.hex()
 
@@ -460,7 +462,7 @@ class TestRun:
         )
         go = lambda iterations: run(
             linear_oracle([1.0, 0.0]), estimator, Schedule(kind="convex_diminishing", n=2),
-            iterations, FeasibleSet.unconstrained(), np.ones(2), RandomStream(0),
+            iterations, FeasibleSet.unconstrained(), np.ones(2), [RandomStream(0)],
         )
         go(2_000)
         peaks = {}
@@ -487,10 +489,10 @@ class TestBatchedRun:
         at_k = Recorder(at=[k])
         run(
             linear_oracle([1.0, 2.0]), estimator, sched, k + 100, *args,
-            RandomStream(9), observe=at_k,
+            [RandomStream(9)], observe=at_k,
         )
-        short = run(
-            linear_oracle([1.0, 2.0]), estimator, sched, k, *args, RandomStream(9),
+        (short,) = run(
+            linear_oracle([1.0, 2.0]), estimator, sched, k, *args, [RandomStream(9)],
         )
         np.testing.assert_array_equal(at_k.x[k][0], short.x)
         np.testing.assert_array_equal(at_k.average[k][0], weighted_average(short))
@@ -507,9 +509,9 @@ class TestBatchedRun:
         )
         assert isinstance(trajs, list) and len(trajs) == 3
         assert all(x.shape == (3, 2) for x in batch_rec.x.values())
-        alone = run(
+        (alone,) = run(
             linear_oracle([1.0, -1.0]), esgs_estimate, sched, 30,
-            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(5, 1),
+            FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), [RandomStream(5, 1)],
             observe=alone_rec,
         )
         assert isinstance(alone, RunState)
@@ -538,6 +540,14 @@ class TestBatchedRun:
                 assert a.gamma_total == b.gamma_total
         with pytest.raises(TypeError, match="Generator.* is not a RandomStream"):
             run(*args, [RandomStream(4, 0), np.random.default_rng(4)])
+
+    def test_a_bare_stream_is_a_type_error(self):
+        problem = quad_l1_problem(3, 1)
+        with pytest.raises(TypeError, match="RandomStream"):
+            run(
+                problem.oracle, esgs_estimate, problem.default_schedule, 30,
+                problem.feasible, problem.x0, RandomStream(4),
+            )
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_kind_is_its_public_name(self, kind):
@@ -570,10 +580,9 @@ class TestBatchedRun:
         got = run(oracle, estimator, schedule, 20, feasible, problem.x0, streams())
         blocks = [estimator.draw(oracle, s, 20, n) for s in streams()]
         want = np.tile(problem.x0, (2, 1))
-        offset = 1 if schedule.starts_at_one else 0
         for k in range(20):
             draws = tuple(np.stack([b[k] for b in parts]) for parts in zip(*blocks))
-            gamma, eta = schedule_values(schedule, k + offset)
+            gamma, eta = schedule_values(schedule, k)
             want = step(want, estimator.estimate(oracle, want, eta, draws), gamma, feasible)
         for r, trajectory in enumerate(got):
             np.testing.assert_array_equal(trajectory.x, want[r])
@@ -626,7 +635,7 @@ class TestBatchedRun:
         with pytest.raises(NonFiniteError, match=r"'esgs'.*estimate at iteration k=7"):
             run(
                 oracle, esgs_estimate, sched, 20, FeasibleSet.symmetric_box(1.0, 2),
-                np.zeros(2), RandomStream(3),
+                np.zeros(2), [RandomStream(3)],
             )
 
     def test_non_finite_iterate_detected_through_box_projection(self):
@@ -635,7 +644,7 @@ class TestBatchedRun:
         with pytest.raises(NonFiniteError, match=r"iterate at iteration k=0"):
             run(
                 linear_oracle([1.0, 2.0]), esgs_estimate, sched, 5,
-                FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), RandomStream(4),
+                FeasibleSet.symmetric_box(1.0, 2), np.zeros(2), [RandomStream(4)],
             )
 
 
@@ -716,7 +725,7 @@ class TestObserver:
         # (d) row r is observed as replication r alone
         for r in range(rows):
             alone = Recorder()
-            go(RandomStream(11, substream_id=r), alone)
+            go([RandomStream(11, substream_id=r)], alone)
             for k in range(iterations + 1):
                 np.testing.assert_array_equal(rec.x[k][r], alone.x[k][0])
                 np.testing.assert_array_equal(rec.average[k][r], alone.average[k][0])

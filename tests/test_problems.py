@@ -444,6 +444,31 @@ class TestMarket:
         for name, value in params.items():
             assert f" {name}={value!r}" in message
 
+    @pytest.mark.parametrize("c_xi", [-2.0, 0.001])
+    def test_field_below_beta_squared_names_the_parameters(self, c_xi):
+        # beta = 0.1: the random field needs c_xi >= 0.01, checked at build
+        with pytest.raises(ValueError, match=f"c_xi={c_xi}") as info:
+            market_problem(c_xi=c_xi)
+        message = str(info.value)
+        assert "random field requires c_xi >= beta^2" in message
+        for name in ("a", "a1", "a2", "beta", "sigma2", "l2", "r2", "box_half_width"):
+            assert f" {name}=" in message
+
+    def test_ref_sampler_redraws_beyond_the_truncation_from_the_next_draws(self):
+        from test_estimators import ScriptedGenerator, ScriptedStream
+
+        # |z| > 8 is redrawn, in order, until none is; |z| = 8 is kept
+        gen = ScriptedGenerator(
+            uniforms=[[0.25, 0.5, 0.75, 0.0]],
+            normals=[[0.5, 9.0, -8.5, 8.0], [-10.0, 1.25], [-0.75]],
+        )
+        problem = market_problem()
+        zeta1, zeta2 = problem.dd_known.ref_sampler(ScriptedStream(gen), 4)
+        sigma, l2, r2 = (problem.extras[k] for k in ("sigma", "l2", "r2"))
+        np.testing.assert_array_equal(zeta1, sigma * np.array([0.5, -0.75, 1.25, 8.0]))
+        np.testing.assert_array_equal(zeta2, l2 + (r2 - l2) * np.array([0.25, 0.5, 0.75, 0.0]))
+        assert gen._normals == gen._uniforms == []
+
     @pytest.mark.parametrize(
         "x", [[0.0, 0.0], [2.0, -1.5], [-9.5, 9.0], [14.0, -30.0], [-25.0, 11.0]]
     )

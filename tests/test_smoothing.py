@@ -6,7 +6,6 @@ import pytest
 from zosmooth.rng import RandomStream
 from zosmooth.smoothing import (
     QuadratureConvergenceError,
-    SmoothedFunctionView,
     smoothed_gradient_quadrature,
     smoothed_value,
 )
@@ -18,50 +17,46 @@ def norm_cdf(t):
 
 class TestSmoothedValue:
     def test_linear_function_unchanged(self):
-        view = SmoothedFunctionView(lambda p: 2.0 * p[0] - p[1], eta=0.7, mc_samples=20_000)
         x = np.array([0.3, -1.0])
-        result = smoothed_value(view, x, RandomStream(1))
-        assert abs(result.value - (2.0 * 0.3 + 1.0)) < 3.0 * result.stderr
+        f = lambda p: 2.0 * p[0] - p[1]
+        value, stderr = smoothed_value(f, x, 0.7, 20_000, RandomStream(1))
+        assert abs(value - (2.0 * 0.3 + 1.0)) < 3.0 * stderr
 
     def test_squared_norm_shift(self):
         # E||x + eta Z||^2 = ||x||^2 + n eta^2 = f(x) + 0.5 here
-        view = SmoothedFunctionView(lambda p: float(p @ p), eta=0.5, mc_samples=50_000)
         x = np.array([0.6, -0.1])
-        result = smoothed_value(view, x, RandomStream(2))
-        assert abs(result.value - (float(x @ x) + 0.5)) < 3.0 * result.stderr
+        value, stderr = smoothed_value(lambda p: float(p @ p), x, 0.5, 50_000, RandomStream(2))
+        assert abs(value - (float(x @ x) + 0.5)) < 3.0 * stderr
 
     def test_convex_sandwich(self):
         # for convex f: f(x) <= f_eta(x) <= f(x) + L0 sqrt(n+1) eta
         l0 = math.sqrt(2.0)
         eta = 0.4
-        view = SmoothedFunctionView(
-            lambda p: abs(p[0]) + abs(p[1]), eta=eta, mc_samples=50_000
-        )
         x = np.array([0.2, -0.5])
         fx = abs(x[0]) + abs(x[1])
-        result = smoothed_value(view, x, RandomStream(3))
-        assert result.value >= fx - 3.0 * result.stderr
-        assert result.value <= fx + l0 * math.sqrt(3.0) * eta + 3.0 * result.stderr
+        value, stderr = smoothed_value(
+            lambda p: abs(p[0]) + abs(p[1]), x, eta, 50_000, RandomStream(3)
+        )
+        assert value >= fx - 3.0 * stderr
+        assert value <= fx + l0 * math.sqrt(3.0) * eta + 3.0 * stderr
 
     def test_lipschitz_transfer(self):
         l0 = 1.0
-        view = SmoothedFunctionView(lambda p: abs(p[0]), eta=0.3, mc_samples=50_000)
+        f = lambda p: abs(p[0])
         rng = np.random.default_rng(0)
         for i in range(5):
             x = rng.normal(size=1)
             y = rng.normal(size=1)
-            rx = smoothed_value(view, x, RandomStream(4, 2 * i))
-            ry = smoothed_value(view, y, RandomStream(4, 2 * i + 1))
-            slack = 3.0 * (rx.stderr + ry.stderr)
-            assert abs(rx.value - ry.value) <= l0 * abs(x[0] - y[0]) + slack
+            vx, ex = smoothed_value(f, x, 0.3, 50_000, RandomStream(4, 2 * i))
+            vy, ey = smoothed_value(f, y, 0.3, 50_000, RandomStream(4, 2 * i + 1))
+            assert abs(vx - vy) <= l0 * abs(x[0] - y[0]) + 3.0 * (ex + ey)
 
     def test_approximation_bound(self):
         # |f_eta(x) - f(x)| <= L0 sqrt(n+1) eta
         l0, eta = 1.0, 0.25
-        view = SmoothedFunctionView(lambda p: abs(p[0]), eta=eta, mc_samples=50_000)
         x = np.array([0.1])
-        result = smoothed_value(view, x, RandomStream(5))
-        assert abs(result.value - abs(x[0])) <= l0 * math.sqrt(2.0) * eta + 3.0 * result.stderr
+        value, stderr = smoothed_value(lambda p: abs(p[0]), x, eta, 50_000, RandomStream(5))
+        assert abs(value - abs(x[0])) <= l0 * math.sqrt(2.0) * eta + 3.0 * stderr
 
 
 class TestGradientQuadrature:
@@ -126,15 +121,28 @@ class TestGradientQuadrature:
             smoothed_gradient_quadrature(lambda p: p[0], np.zeros(3), eta=0.1)
 
     def test_undeclared_kink_fails_to_converge(self):
-        with pytest.raises(QuadratureConvergenceError):
+        # the message gives the last doubling's change, which is not 0
+        with pytest.raises(QuadratureConvergenceError, match=r"last change [1-9]"):
             smoothed_gradient_quadrature(lambda p: abs(p[0]), np.array([0.3]), eta=0.2)
 
 
 class TestViewValidation:
+    """``smoothed_value`` checks its radius and sample count before it
+    draws."""
+
     def test_bad_eta(self):
-        with pytest.raises(ValueError):
-            SmoothedFunctionView(lambda p: 0.0, eta=0.0)
+        stream = RandomStream(0)
+        with pytest.raises(ValueError, match="eta must be > 0, got 0.0"):
+            smoothed_value(lambda p: 0.0, np.zeros(1), 0.0, 10, stream)
+        assert stream.generator.random() == RandomStream(0).generator.random()
 
     def test_bad_sample_count(self):
-        with pytest.raises(ValueError):
-            SmoothedFunctionView(lambda p: 0.0, eta=1.0, mc_samples=0)
+        stream = RandomStream(0)
+        with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+            smoothed_value(lambda p: 0.0, np.zeros(1), 1.0, 0, stream)
+        assert stream.generator.random() == RandomStream(0).generator.random()
+
+    def test_one_sample_has_an_infinite_standard_error(self):
+        value, stderr = smoothed_value(lambda p: p[0], np.zeros(1), 1.0, 1, RandomStream(0))
+        assert value == RandomStream(0).generator.standard_normal((1, 1))[0, 0]
+        assert stderr == math.inf
