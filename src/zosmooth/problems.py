@@ -796,7 +796,7 @@ def market_problem(
         f"at a={a}, a1={a1}, a2={a2}, beta={beta}, sigma2={sigma2}, l2={l2}, r2={r2}, "
         f"c_xi={c_xi}, box_half_width={box_half_width}"
     )
-    # checked here, not when the random-field leg first correlates a pair
+    # the random field needs it; checked at build, so that no kind runs first
     if not c_xi >= beta * beta:
         raise ValueError(f"the market's random field requires c_xi >= beta^2 {at}")
     l0_unknown = joint_lip * math.sqrt(2.0 + 2.0 * c_xi)

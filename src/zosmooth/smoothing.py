@@ -3,8 +3,8 @@
 For a Lipschitz function ``f`` and radius ``eta``, the mollified function is
 ``f_eta(x) = E[f(x + eta*Z)]`` with ``Z`` standard normal.  This module
 provides a Monte-Carlo evaluator for ``f_eta``, :func:`smoothed_value`, and,
-in dimension <= 2, a deterministic tensor-quadrature oracle for its
-gradient, :func:`smoothed_gradient_quadrature`
+in dimension <= 2, a deterministic tensor-quadrature oracle,
+:func:`smoothed_gradient_quadrature`, for its gradient
 
     d/dx_i f_eta(x) = E_{V, Z^{-i}}[ f(x_i + eta*sqrt(2V), x^{-i} - Z^{-i})
                                    - f(x_i - eta*sqrt(2V), x^{-i} - Z^{-i}) ]
@@ -50,7 +50,7 @@ def _rule(kind: str, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when node doubling fails to reach the requested tolerance."""
+    """Raised when node doubling fails to reach the fixed tolerance."""
 
 
 def smoothed_value(
