@@ -38,16 +38,12 @@ from .problems import (
     piecewise_linear_problem,
     quad_l1_problem,
 )
-from .projections import FeasibleSet, contains, project
+from .projections import FeasibleSet, project
 from .rng import (
     RandomStream,
     sample_correlated_pair,
     sample_exponential,
     sample_gaussian_vector,
-)
-from .smoothing import (
-    smoothed_gradient_quadrature,
-    smoothed_value,
 )
 
 __all__ = [
@@ -63,7 +59,6 @@ __all__ = [
     "Schedule",
     "StochasticOracle",
     "ValueBoundError",
-    "contains",
     "error_metric",
     "esgs_dd_known",
     "esgs_dd_unknown",
@@ -83,8 +78,6 @@ __all__ = [
     "sample_iterate_index",
     "schedule_values",
     "second_moment_probe",
-    "smoothed_gradient_quadrature",
-    "smoothed_value",
     "spherical_estimate",
     "spsa_estimate",
     "step",

@@ -20,7 +20,7 @@ path, or an allocation that fails (``MemoryError``); 2 for a command-line
 usage error; 3 when a decision-dependent oracle exceeds its declared ratio
 or value bound; 4 when an estimate or iterate becomes non-finite; 6 when
 the config gives kinds different oracle budgets (checked before any kind
-runs).  Status 5 is unused: no subcommand runs the smoothing quadrature.
+runs).  Status 5 is unused.
 Every error is reported as one ``error:`` line on standard error.
 
 A recorded run that fails, or whose command is stopped by SIGTERM, removes

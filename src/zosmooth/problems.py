@@ -16,8 +16,9 @@ Four families:
   stable point.
 
 Every problem carries an exact objective, a reference optimal value
-computed by two independent deterministic routes, a feasible set, and a
-documented Lipschitz estimate.
+computed by a deterministic solve (or in closed form), a feasible set, and a
+documented Lipschitz estimate.  The tests check each solve against a second,
+independent route.
 """
 
 from __future__ import annotations
@@ -125,47 +126,6 @@ def _proximal_gradient_quad(
         if float(np.max(np.abs(new - x))) < 1e-14:
             return new
         x = new
-    return x
-
-
-def _quad_face_solve(
-    q_hat: np.ndarray,
-    b: np.ndarray,
-    l1_weight: float,
-    feasible: FeasibleSet,
-    x_guess: np.ndarray,
-) -> np.ndarray | None:
-    """Direct KKT solve on the face identified from an approximate solution.
-
-    Independent cross-check for the proximal-gradient reference: coordinates
-    at a box bound or at zero are pinned, the rest solve the reduced linear
-    system with the l1 signs frozen.  Returns None when the face solve is
-    inconsistent with its own assumptions.
-    """
-    tol = 1e-7
-    lo = feasible.lo if feasible.variant == "box" else None
-    hi = feasible.hi if feasible.variant == "box" else None
-    x = x_guess.copy()
-    at_zero = np.abs(x) <= tol
-    at_lo = lo is not None and np.abs(x - lo) <= tol
-    at_hi = hi is not None and np.abs(x - hi) <= tol
-    fixed = at_zero | at_lo | at_hi
-    x[at_zero] = 0.0
-    if lo is not None:
-        x[at_lo] = lo[at_lo]
-        x[at_hi] = hi[at_hi]
-    free = ~fixed
-    if np.any(free):
-        signs = np.sign(x[free])
-        rhs = -b[free] - l1_weight * signs - q_hat[np.ix_(free, ~free)] @ x[~free]
-        x_free = np.linalg.solve(q_hat[np.ix_(free, free)], rhs)
-        if np.any(np.sign(x_free) != signs):
-            return None
-        if lo is not None and (
-            np.any(x_free < lo[free] - tol) or np.any(x_free > hi[free] + tol)
-        ):
-            return None
-        x[free] = x_free
     return x
 
 
@@ -369,20 +329,6 @@ def quad_l1_problem(n: int, seed: int, l1_weight: float = 0.5) -> BenchmarkProbl
     return problem
 
 
-def quad_reference_cross_check(problem: BenchmarkProblem) -> float:
-    """Optimal value from the direct face solve; None-safe fallback raises."""
-    x = _quad_face_solve(
-        problem.extras["q_hat"],
-        problem.extras["b"],
-        problem.extras["l1_weight"],
-        problem.feasible,
-        problem.x_star.copy(),
-    )
-    if x is None:
-        raise RuntimeError("face solve inconsistent with proximal-gradient solution")
-    return problem.exact_f(x)
-
-
 # ---------------------------------------------------------------------------
 # piecewise-linear family
 
@@ -532,7 +478,8 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
     s_max = float(PL_SLOPES.max())
     l0 = s_max * math.sqrt(float(c @ c) + 1.0) + mu
 
-    # Reference route 1: projected gradient on the exact objective.
+    # The reference solve: projected gradient on the exact objective, from
+    # two starts that must agree.
     x_ref = _projected_gradient(exact_f, grad_exact, feasible, np.zeros(n))
     x_ref_b = _projected_gradient(
         exact_f, grad_exact, feasible, np.ones(n) / math.sqrt(n)
@@ -563,30 +510,6 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
         default_schedule=Schedule(kind="custom", alpha=0.52, beta=0.52),
         extras={"c": c, "mu": mu},
     )
-
-
-def piecewise_linear_reference_cross_check(problem: BenchmarkProblem) -> float:
-    """Independent optimal value via the (m, s) reduction.
-
-    The exact objective depends on x only through ``m = c'x`` and
-    ``s = ||x||``; every envelope slope is positive, so the minimum over the
-    ball sits on the ray ``x = -s * c/||c||``, reducing the problem to a 1-D
-    convex minimization solved by bounded Brent.
-    """
-    # Deferred so that importing the package loads no scipy module.
-    from scipy.optimize import minimize_scalar
-
-    c = problem.extras["c"]
-    mu = problem.extras["mu"]
-    c_norm = float(np.linalg.norm(c))
-
-    def h(s: float) -> float:
-        value, _, _ = _envelope_gaussian_stats(-c_norm * s, s)
-        return value + 0.5 * mu * s * s
-
-    res = minimize_scalar(h, bounds=(0.0, 1.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -844,11 +767,6 @@ def market_problem(
         f_hat=f_hat, field_sampler=field_sampler, noise_sampler=noise_sampler, c_xi=c_xi
     )
 
-    def sample_noise_at(x: np.ndarray, stream: RandomStream) -> tuple[float, float]:
-        zeta1 = a + beta * float(x[0]) + sigma * stream.generator.standard_normal()
-        zeta2 = float(stream.generator.uniform(l2, r2))
-        return zeta1, zeta2
-
     mu = 2.0 * min(a1 - beta, a2)
     return BenchmarkProblem(
         name="market",
@@ -877,7 +795,6 @@ def market_problem(
             "l2": l2,
             "r2": r2,
             "c_xi": c_xi,
-            "sample_noise_at": sample_noise_at,
             "l0_unknown": l0_unknown,
         },
     )

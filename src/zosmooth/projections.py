@@ -31,7 +31,7 @@ class FeasibleSet:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("box bounds must have matching shapes")
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):
             raise ValueError("box requires lo <= hi componentwise")
         return FeasibleSet("box", lo=lo, hi=hi)
 
@@ -43,7 +43,7 @@ class FeasibleSet:
     @staticmethod
     def ball(center, radius: float) -> "FeasibleSet":
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError(f"ball radius must be > 0, got {radius}")
         return FeasibleSet("ball", center=center, radius=float(radius))
 
@@ -101,17 +101,3 @@ def project(feasible: FeasibleSet, u: np.ndarray) -> np.ndarray:
             p = np.where(over, np.nextafter(p, feasible.center), p)
     raise ValueError(f"unknown feasible set variant {feasible.variant!r}")
 
-
-def contains(feasible: FeasibleSet, x: np.ndarray) -> bool:
-    """Membership test with absolute tolerance 1e-12."""
-    x = np.asarray(x, dtype=float)
-    tol = 1e-12
-    if feasible.variant == "unconstrained":
-        return True
-    if feasible.variant == "box":
-        return bool(
-            np.all(x >= feasible.lo - tol) and np.all(x <= feasible.hi + tol)
-        )
-    if feasible.variant == "ball":
-        return float(np.linalg.norm(x - feasible.center)) <= feasible.radius + tol
-    raise ValueError(f"unknown feasible set variant {feasible.variant!r}")

@@ -1,19 +1,23 @@
-"""Ground-truth oracles for the Gaussian-mollified function.
+"""Second, independent routes to the quantities the library computes.
 
-For a Lipschitz function ``f`` and radius ``eta``, the mollified function is
-``f_eta(x) = E[f(x + eta*Z)]`` with ``Z`` standard normal.  This module
-provides a Monte-Carlo evaluator for ``f_eta``, :func:`smoothed_value`, and,
-in dimension <= 2, a deterministic tensor-quadrature oracle,
-:func:`smoothed_gradient_quadrature`, for its gradient
+The tests check the library against these; no library path runs them.
 
-    d/dx_i f_eta(x) = E_{V, Z^{-i}}[ f(x_i + eta*sqrt(2V), x^{-i} - Z^{-i})
-                                   - f(x_i - eta*sqrt(2V), x^{-i} - Z^{-i}) ]
-                      / (eta * sqrt(2*pi)),
+* :func:`smoothed_value` and :func:`smoothed_gradient_quadrature` -- the
+  Gaussian-mollified function ``f_eta(x) = E[f(x + eta*Z)]``, ``Z``
+  standard normal, by Monte Carlo, and its gradient by deterministic
+  tensor quadrature in dimension <= 2:
 
-with ``V ~ Exp(1)`` and ``Z ~ N(0, eta^2 I)``.  The quadrature oracle is the
-reference against which the tests verify the Monte-Carlo estimators; no
-``zosmooth-bench`` subcommand runs it, so its
-:class:`QuadratureConvergenceError` reaches library callers only.
+      d/dx_i f_eta(x) = E_{V, Z^{-i}}[ f(x_i + eta*sqrt(2V), x^{-i} - Z^{-i})
+                                     - f(x_i - eta*sqrt(2V), x^{-i} - Z^{-i}) ]
+                        / (eta * sqrt(2*pi)),
+
+  with ``V ~ Exp(1)`` and ``Z ~ N(0, eta^2 I)``.
+* :func:`quad_reference_cross_check` and
+  :func:`piecewise_linear_reference_cross_check` -- each family's optimal
+  value by a route other than its builder's solve.
+* :func:`contains` -- feasible-set membership with a tolerance.
+* :func:`market_sample_noise_at` -- one draw of the market's demand
+  intercepts at a decision.
 """
 
 from __future__ import annotations
@@ -23,21 +27,26 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import minimize_scalar
+from scipy.special import (
+    roots_genlaguerre,
+    roots_hermite,
+    roots_laguerre,
+    roots_legendre,
+)
 
-from .estimators import SQRT_2PI
-from .rng import RandomStream
+from zosmooth.estimators import SQRT_2PI
+from zosmooth.problems import BenchmarkProblem, _envelope_gaussian_stats
+from zosmooth.projections import FeasibleSet
+from zosmooth.rng import RandomStream
+
+
+# ---------------------------------------------------------------------------
+# the mollified function
 
 
 @lru_cache(maxsize=64)
 def _rule(kind: str, m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Deferred so that importing the package loads no scipy module.
-    from scipy.special import (
-        roots_genlaguerre,
-        roots_hermite,
-        roots_laguerre,
-        roots_legendre,
-    )
-
     if kind == "genlag":  # weight v^(1/2) e^-v on [0, inf)
         return roots_genlaguerre(m, 0.5)
     if kind == "laguerre":  # weight e^-v on [0, inf)
@@ -199,3 +208,113 @@ def smoothed_gradient_quadrature(
             )
         grad[i] = current
     return grad
+
+
+# ---------------------------------------------------------------------------
+# optimal values by a second route
+
+
+def _quad_face_solve(
+    q_hat: np.ndarray,
+    b: np.ndarray,
+    l1_weight: float,
+    feasible: FeasibleSet,
+    x_guess: np.ndarray,
+) -> np.ndarray | None:
+    """Direct KKT solve on the face identified from an approximate solution.
+
+    Independent cross-check for the proximal-gradient reference: coordinates
+    at a box bound or at zero are pinned, the rest solve the reduced linear
+    system with the l1 signs frozen.  Returns None when the face solve is
+    inconsistent with its own assumptions.
+    """
+    tol = 1e-7
+    lo = feasible.lo if feasible.variant == "box" else None
+    hi = feasible.hi if feasible.variant == "box" else None
+    x = x_guess.copy()
+    at_zero = np.abs(x) <= tol
+    at_lo = lo is not None and np.abs(x - lo) <= tol
+    at_hi = hi is not None and np.abs(x - hi) <= tol
+    fixed = at_zero | at_lo | at_hi
+    x[at_zero] = 0.0
+    if lo is not None:
+        x[at_lo] = lo[at_lo]
+        x[at_hi] = hi[at_hi]
+    free = ~fixed
+    if np.any(free):
+        signs = np.sign(x[free])
+        rhs = -b[free] - l1_weight * signs - q_hat[np.ix_(free, ~free)] @ x[~free]
+        x_free = np.linalg.solve(q_hat[np.ix_(free, free)], rhs)
+        if np.any(np.sign(x_free) != signs):
+            return None
+        if lo is not None and (
+            np.any(x_free < lo[free] - tol) or np.any(x_free > hi[free] + tol)
+        ):
+            return None
+        x[free] = x_free
+    return x
+
+
+def quad_reference_cross_check(problem: BenchmarkProblem) -> float:
+    """Optimal value from the direct face solve; None-safe fallback raises."""
+    x = _quad_face_solve(
+        problem.extras["q_hat"],
+        problem.extras["b"],
+        problem.extras["l1_weight"],
+        problem.feasible,
+        problem.x_star.copy(),
+    )
+    if x is None:
+        raise RuntimeError("face solve inconsistent with proximal-gradient solution")
+    return problem.exact_f(x)
+
+
+def piecewise_linear_reference_cross_check(problem: BenchmarkProblem) -> float:
+    """Independent optimal value via the (m, s) reduction.
+
+    The exact objective depends on x only through ``m = c'x`` and
+    ``s = ||x||``; every envelope slope is positive, so the minimum over the
+    ball sits on the ray ``x = -s * c/||c||``, reducing the problem to a 1-D
+    convex minimization solved by bounded Brent.
+    """
+    c = problem.extras["c"]
+    mu = problem.extras["mu"]
+    c_norm = float(np.linalg.norm(c))
+
+    def h(s: float) -> float:
+        value, _, _ = _envelope_gaussian_stats(-c_norm * s, s)
+        return value + 0.5 * mu * s * s
+
+    res = minimize_scalar(h, bounds=(0.0, 1.0), method="bounded",
+                          options={"xatol": 1e-12})
+    return float(res.fun)
+
+
+# ---------------------------------------------------------------------------
+# feasible sets and the market's noise
+
+
+def contains(feasible: FeasibleSet, x: np.ndarray) -> bool:
+    """Membership test with absolute tolerance 1e-12."""
+    x = np.asarray(x, dtype=float)
+    tol = 1e-12
+    if feasible.variant == "unconstrained":
+        return True
+    if feasible.variant == "box":
+        return bool(
+            np.all(x >= feasible.lo - tol) and np.all(x <= feasible.hi + tol)
+        )
+    if feasible.variant == "ball":
+        return float(np.linalg.norm(x - feasible.center)) <= feasible.radius + tol
+    raise ValueError(f"unknown feasible set variant {feasible.variant!r}")
+
+
+def market_sample_noise_at(
+    problem: BenchmarkProblem, x: np.ndarray, stream: RandomStream
+) -> tuple[float, float]:
+    """One ``(zeta1, zeta2)`` draw from the market's demand laws at ``x``:
+    a standard normal, then one ``U[l2, r2]`` draw."""
+    e = problem.extras
+    zeta1 = e["a"] + e["beta"] * float(x[0]) + e["sigma"] * stream.generator.standard_normal()
+    zeta2 = float(stream.generator.uniform(e["l2"], e["r2"]))
+    return zeta1, zeta2

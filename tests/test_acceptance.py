@@ -27,9 +27,9 @@ from zosmooth.problems import (
     quad_l1_problem,
 )
 from zosmooth.rng import RandomStream
-from zosmooth.smoothing import smoothed_gradient_quadrature
 
 from recorder import Recorder
+from reference import smoothed_gradient_quadrature
 
 
 def report(number, passed, detail):

@@ -1329,24 +1329,44 @@ def test_shipped_configs_parse():
 
 NO_SCIPY_SCRIPT = """
 import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import zosmooth, zosmooth.cli, zosmooth.bench
-from zosmooth import bench
-for path in sys.argv[1:]:
+from zosmooth import bench, cli
+out, *configs = sys.argv[1:]
+for path in configs:
     bench.build_problem(bench.BenchConfig.from_json(path))
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+compare = {"problem": "quad_l1", "problem_params": {"n": 3, "seed": 1},
+           "estimators": ["esgs", "gs", "spherical", "spsa"],
+           "iterations": 5, "replications": 2, "base_seed": 1}
+dd = {"problem": "market", "estimators": ["esgs_dd_known", "esgs_dd_unknown"],
+      "iterations": 5, "replications": 2, "base_seed": 1}
+for name, config in (("compare", compare), ("dd", dd)):
+    with open(f"{out}/{name}.json", "w") as handle:
+        json.dump(config, handle)
+for argv in (
+    ["moments", "--dims", "3", "--samples", "50", "--out", f"{out}/moments"],
+    ["compare", "--config", f"{out}/compare.json", "--out", f"{out}/compare"],
+    ["dd", "--config", f"{out}/dd.json", "--out", f"{out}/dd"],
+):
+    assert cli.main(argv) == 0, argv
+loaded = (m for m, module in sys.modules.items() if module is not None)
+print(json.dumps(sorted(m for m in loaded if m.startswith("scipy"))))
 """
 
 
-def test_import_and_build_load_no_scipy():
-    # scipy is loaded on first use only; a fresh interpreter shows what
-    # importing the package and building the problems pulls in.
+def test_import_and_build_load_no_scipy(tmp_path):
+    # scipy is a test-only dependency; a fresh interpreter with scipy
+    # blocked imports the package, builds the problems and runs each
+    # subcommand.
     env = dict(os.environ, PYTHONPATH=str(Path(bench.__file__).resolve().parents[1]))
     configs = [str(CONFIG_DIR / "market_dd.json"), str(CONFIG_DIR / "quad200.json")]
     done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT, *configs],
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path), *configs],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
     assert json.loads(done.stdout.splitlines()[-1]) == []
+    for table in ("moments/moments.csv", "compare/aggregate.csv", "dd/dd_results.csv"):
+        assert (tmp_path / table).is_file(), table

@@ -35,10 +35,11 @@ from zosmooth.optimizer import (
     weighted_average,
 )
 from zosmooth.problems import market_problem, nonconvex_min_problem, quad_l1_problem
-from zosmooth.projections import FeasibleSet, contains
+from zosmooth.projections import FeasibleSet
 from zosmooth.rng import RandomStream
 
 from recorder import Recorder
+from reference import contains
 
 
 # Each kind with a value for every field it reads, and for no other.

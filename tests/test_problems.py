@@ -24,12 +24,17 @@ from zosmooth.problems import (
     nonconvex_min_problem,
     performative_gap,
     piecewise_linear_problem,
-    piecewise_linear_reference_cross_check,
     quad_l1_problem,
+)
+from zosmooth.projections import project
+from zosmooth.rng import RandomStream
+
+from reference import (
+    contains,
+    market_sample_noise_at,
+    piecewise_linear_reference_cross_check,
     quad_reference_cross_check,
 )
-from zosmooth.projections import contains, project
-from zosmooth.rng import RandomStream
 
 
 def mc_oracle_mean(problem, x, count, seed):
@@ -359,10 +364,9 @@ class TestMarket:
         se = vals.std(ddof=1) / math.sqrt(count)
         assert abs(vals.mean() - fx) < 4.0 * se
         # random-field route: marginal draws at x
-        sample_noise = problem.extras["sample_noise_at"]
         vals = np.empty(count)
         for i in range(count):
-            vals[i] = problem.dd_known.f_hat(x, sample_noise(x, stream))
+            vals[i] = problem.dd_known.f_hat(x, market_sample_noise_at(problem, x, stream))
         se = vals.std(ddof=1) / math.sqrt(count)
         assert abs(vals.mean() - fx) < 4.0 * se
 

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from zosmooth.projections import FeasibleSet, contains, project
+from zosmooth.projections import FeasibleSet, project
+
+from reference import contains
 
 
 def random_sets(n):
@@ -71,6 +75,11 @@ def test_invalid_construction():
         FeasibleSet.box(np.ones(2), -np.ones(2))
     with pytest.raises(ValueError):
         FeasibleSet.ball(np.zeros(2), 0.0)
+    # NaN compares false both ways, so it must fail the checks, not pass them
+    with pytest.raises(ValueError, match="ball radius must be > 0, got nan"):
+        FeasibleSet.ball(np.zeros(2), math.nan)
+    with pytest.raises(ValueError, match="box requires lo <= hi componentwise"):
+        FeasibleSet.box([math.nan, 0.0], [1.0, 1.0])
 
 
 def test_batch_rows_project_like_single_points():

