@@ -194,24 +194,18 @@ def make_quad_problem(
     # The oracle callables broadcast: points have shape (..., n) and xi the
     # matching (..., n) noise.  The stacked matvec and vecdot give each point
     # the bits of its own gemv and dot; a gemm over the points would not.
+    # F at x, given its matvec q_x = Qx
+    def value(x: np.ndarray, q_x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return np.vecdot(0.5 * x, q_x) + np.vecdot(b + xi, x) + l1_weight * np.abs(x).sum(-1)
+
     def eval_fn(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        q_x = np.matmul(q_hat, x[..., None])[..., 0]
-        return (
-            np.vecdot(0.5 * x, q_x)
-            + np.vecdot(b + xi, x)
-            + l1_weight * np.abs(x).sum(axis=-1)
-        )
+        return value(x, np.matmul(q_hat, x[..., None])[..., 0], xi)
 
     def eval_axis(base, moved, xi):
         # All 2n points of a row share its `base` except one coordinate, so
         # one matvec plus O(n) work gives the per-point values up to rounding.
         q_base = np.matmul(q_hat, base[..., None])[..., 0]
-        # eval_fn(base, xi) with the matvec reused
-        f_base = (
-            np.vecdot(0.5 * base, q_base)
-            + np.vecdot(b + xi, base)
-            + l1_weight * np.abs(base).sum(axis=-1)
-        )[:, None, None]
+        f_base = value(base, q_base, xi)[:, None, None]
         slope = (q_base + b + xi)[:, None]
         base = base[:, None]
         d = moved - base
@@ -277,13 +271,7 @@ def make_quad_problem(
             gamma_scale=1.0 / norm_q,
             eta_scale=1.0 / norm_q,
         ),
-        extras={
-            "q_hat": q_hat,
-            "b": b,
-            "l1_weight": l1_weight,
-            "noise_std": QUAD_NOISE_STD,
-            "norm_q": norm_q,
-        },
+        extras={"q_hat": q_hat, "b": b, "l1_weight": l1_weight, "norm_q": norm_q},
     )
 
 
@@ -302,6 +290,8 @@ def quad_l1_problem(n: int, seed: int, l1_weight: float = 0.5) -> BenchmarkProbl
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got seed={seed} at n={n}")
     gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
     d = gen.standard_normal((n, n))
     q_hat = d.T @ d
@@ -341,34 +331,29 @@ PL_MAX_MU = 1e18
 
 
 def _upper_envelope(intercepts: np.ndarray, slopes: np.ndarray):
-    """Upper envelope of lines: kept (intercept, slope) pairs and breakpoints."""
-    order = np.argsort(slopes, kind="stable")
-    kept: list[tuple[float, float]] = []
-    for j in order:
-        v, s = float(intercepts[j]), float(slopes[j])
-        while kept:
-            v0, s0 = kept[-1]
-            if s == s0:
-                if v <= v0:
-                    v = None
-                    break
-                kept.pop()
-                continue
-            if len(kept) >= 2:
-                v1, s1 = kept[-2]
-                # drop the last line if the new one crosses the one before it
-                # at or left of where the last line took over
-                t_prev = (v1 - v0) / (s0 - s1)
-                t_new = (v0 - v) / (s - s0)
-                if t_new <= t_prev:
-                    kept.pop()
-                    continue
-            break
-        if v is not None:
-            kept.append((v, s))
-    breaks = []
-    for (v0, s0), (v1, s1) in zip(kept[:-1], kept[1:]):
-        breaks.append((v0 - v1) / (s1 - s0))
+    """Upper envelope of lines: kept (intercept, slope) pairs and breakpoints.
+
+    Scans left to right from the least slope (the highest intercept among
+    equal slopes), each time to the line that overtakes the last kept one
+    first.
+    """
+    lines = list(zip(intercepts.tolist(), slopes.tolist()))
+    kept = [max(lines, key=lambda line: (-line[1], line[0]))]
+    breaks: list[float] = []
+
+    def crossing(line: tuple[float, float]) -> float:
+        return (kept[-1][0] - line[0]) / (line[1] - kept[-1][1])
+
+    while steeper := [line for line in lines if line[1] > kept[-1][1]]:
+        line = min(steeper, key=crossing)
+        # where several lines overtake at one point, or rounding puts the
+        # crossing at or left of where the last kept line took over, that
+        # line holds no span and is dropped
+        while breaks and crossing(line) <= breaks[-1]:
+            kept.pop()
+            breaks.pop()
+        breaks.append(crossing(line))
+        kept.append(line)
     return kept, breaks
 
 
@@ -397,25 +382,18 @@ def _envelope_gaussian_stats(m: float, s: float) -> tuple[float, float, float]:
     with standardized endpoints.
     """
     if s <= 0.0:
-        t = np.array([m])
-        val = float(_phi(t)[0])
-        slope = float(_phi_derivative(m))
-        return val, slope, 0.0
-    edges = [-math.inf] + list(_PL_BREAKS) + [math.inf]
-    total = 0.0
-    d_m = 0.0
-    d_s = 0.0
+        return float(_phi(m)), _phi_derivative(m), 0.0
+    # the outer edges standardize to -inf and inf, where the normal cdf is
+    # exactly 0 and 1 and its pdf exactly 0
+    edges = [-math.inf, *_PL_BREAKS, math.inf]
+    total = d_m = d_s = 0.0
     for (v, slope), a, b in zip(_PL_LINES, edges[:-1], edges[1:]):
-        a_std = (a - m) / s if a != -math.inf else -math.inf
-        b_std = (b - m) / s if b != math.inf else math.inf
-        cdf_a = _norm_cdf(a_std) if a_std != -math.inf else 0.0
-        cdf_b = _norm_cdf(b_std) if b_std != math.inf else 1.0
-        pdf_a = _norm_pdf(a_std) if a_std != -math.inf else 0.0
-        pdf_b = _norm_pdf(b_std) if b_std != math.inf else 0.0
-        mass = cdf_b - cdf_a
-        total += (v + slope * m) * mass + slope * s * (pdf_a - pdf_b)
+        a_std, b_std = (a - m) / s, (b - m) / s
+        mass = _norm_cdf(b_std) - _norm_cdf(a_std)
+        pdf_drop = _norm_pdf(a_std) - _norm_pdf(b_std)
+        total += (v + slope * m) * mass + slope * s * pdf_drop
         d_m += slope * mass
-        d_s += slope * (pdf_a - pdf_b)
+        d_s += slope * pdf_drop
     return total, d_m, d_s
 
 
@@ -442,34 +420,37 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
     c = np.arange(1, n + 1, dtype=float) / n
     feasible = FeasibleSet.unit_ball(n)
 
+    # F at the inner argument t and the squared norm sq
+    def value(t: np.ndarray, sq: np.ndarray) -> np.ndarray:
+        return _phi(t) + 0.5 * mu * sq
+
     # broadcasting over points of shape (..., n) and noise (..., n)
     def eval_fn(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return _phi(np.vecdot(c + xi, x)) + 0.5 * mu * np.vecdot(x, x)
+        return value(np.vecdot(c + xi, x), np.vecdot(x, x))
 
     def eval_axis(base, moved, xi):
         w = c + xi
         t_base = np.vecdot(w, base)[:, None, None]
         sq_base = np.vecdot(base, base)[:, None, None]
         w, base = w[:, None], base[:, None]
-        t = t_base + w * (moved - base)
-        sq = sq_base - base * base + moved * moved
-        return _phi(t) + 0.5 * mu * sq
+        return value(t_base + w * (moved - base), sq_base - base * base + moved * moved)
 
     def noise_sampler(stream: RandomStream, size: int) -> np.ndarray:
         return stream.generator.standard_normal((size, n))
 
-    def exact_f(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        m = float(c @ x)
+    # the inner argument's standard deviation ||x||, then the envelope's
+    # Gaussian stats at its mean c'x and that deviation
+    def gaussian_stats(x: np.ndarray) -> tuple[float, float, float, float]:
         s = float(np.linalg.norm(x))
-        value, _, _ = _envelope_gaussian_stats(m, s)
-        return value + 0.5 * mu * s * s
+        return s, *_envelope_gaussian_stats(float(c @ x), s)
+
+    def exact_f(x: np.ndarray) -> float:
+        s, expected, _, _ = gaussian_stats(np.asarray(x, dtype=float))
+        return expected + 0.5 * mu * s * s
 
     def grad_exact(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        m = float(c @ x)
-        s = float(np.linalg.norm(x))
-        _, d_m, d_s = _envelope_gaussian_stats(m, s)
+        s, _, d_m, d_s = gaussian_stats(x)
         g = d_m * c + mu * x
         if s > 0:
             g = g + d_s * (x / s)
@@ -484,10 +465,11 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
     x_ref_b = _projected_gradient(
         exact_f, grad_exact, feasible, np.ones(n) / math.sqrt(n)
     )
-    f_ref = min(exact_f(x_ref), exact_f(x_ref_b))
-    if abs(exact_f(x_ref) - exact_f(x_ref_b)) > 1e-6:
+    f_a, f_b = exact_f(x_ref), exact_f(x_ref_b)
+    if abs(f_a - f_b) > 1e-6:
         raise RuntimeError("piecewise-linear reference runs disagree beyond 1e-6")
-    if exact_f(x_ref_b) < exact_f(x_ref):
+    f_ref = min(f_a, f_b)
+    if f_b < f_a:
         x_ref = x_ref_b
 
     return BenchmarkProblem(
@@ -508,7 +490,7 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
         x0=np.zeros(n),
         grad_exact=grad_exact,
         default_schedule=Schedule(kind="custom", alpha=0.52, beta=0.52),
-        extras={"c": c, "mu": mu},
+        extras={"c": c},
     )
 
 
@@ -527,22 +509,21 @@ def nonconvex_min_problem(n: int) -> BenchmarkProblem:
         raise ValueError(f"n must be >= 1, got {n}")
     feasible = FeasibleSet.symmetric_box(10.0, n)
 
-    # broadcasting over points of shape (..., n) and noise of shape (...)
-    def eval_fn(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        sq = np.vecdot(x, x)
-        total = x.sum(axis=-1)
+    # F from the squared norm sq and coordinate sum total of a point
+    def value(sq: np.ndarray, total: np.ndarray, xi: np.ndarray) -> np.ndarray:
         common = sq + n * xi * xi
         return np.minimum(common - 2.0 * xi * total, common + 2.0 * xi * total)
+
+    # broadcasting over points of shape (..., n) and noise of shape (...)
+    def eval_fn(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return value(np.vecdot(x, x), x.sum(axis=-1), xi)
 
     def eval_axis(base, moved, xi):
         sq_base = np.vecdot(base, base)[:, None, None]
         total_base = base.sum(axis=-1)[:, None, None]
-        xi = xi[:, None, None]
         base = base[:, None]
         sq = sq_base - base * base + moved * moved
-        totals = total_base - base + moved
-        common = sq + n * xi * xi
-        return np.minimum(common - 2.0 * xi * totals, common + 2.0 * xi * totals)
+        return value(sq, total_base - base + moved, xi[:, None, None])
 
     def noise_sampler(stream: RandomStream, size: int) -> np.ndarray:
         return stream.generator.uniform(0.0, 2.0, size)
@@ -640,15 +621,27 @@ def market_problem(
     oracle importance-reweighted against the zero-mean ``N(0, sigma2)``
     reference, and a random-field oracle whose pair correlation follows
     :func:`zosmooth.decision.field_correlation` with constant ``c_xi``.
+    Their declared bounds take the largest demand mean as
+    ``|a| + |beta| * x1_reach``, so they hold for either sign of ``a`` and
+    ``beta``.
     """
+    at = (
+        f"at a={a}, a1={a1}, a2={a2}, beta={beta}, sigma2={sigma2}, l2={l2}, r2={r2}, "
+        f"c_xi={c_xi}, box_half_width={box_half_width}"
+    )
     if not a1 - beta > 0:
         raise ValueError(f"requires a1 - beta > 0, got a1={a1}, beta={beta}")
+    # x_ps repeatedly minimizes a1 z^2 - z E[zeta1], which needs a1 > 0
+    if not a1 > 0:
+        raise ValueError(f"the market requires a1 > 0 {at}")
     if not a2 > 0:
         raise ValueError(f"requires a2 > 0, got {a2}")
     if not l2 < r2:
         raise ValueError(f"requires l2 < r2, got l2={l2}, r2={r2}")
     if sigma2 <= 0:
         raise ValueError(f"requires sigma2 > 0, got {sigma2}")
+    if not box_half_width >= 0:
+        raise ValueError(f"the market requires box_half_width >= 0 {at}")
     sigma = math.sqrt(sigma2)
     mid2 = 0.5 * (l2 + r2)
     n = 2
@@ -678,18 +671,17 @@ def market_problem(
 
     uniform_density = 1.0 / (r2 - l2)
 
-    def cond_density(xi: tuple[float, float], x: np.ndarray):
-        zeta1, _ = xi
-        m = a + beta * x[..., 0]
+    # the density of (zeta1, zeta2) when zeta1 has mean m
+    def density(xi: tuple[float, float], m):
         return (
-            np.exp(-0.5 * ((zeta1 - m) / sigma) ** 2) / (sigma * SQRT_2PI)
+            np.exp(-0.5 * ((xi[0] - m) / sigma) ** 2) / (sigma * SQRT_2PI)
         ) * uniform_density
 
+    def cond_density(xi: tuple[float, float], x: np.ndarray):
+        return density(xi, a + beta * x[..., 0])
+
     def ref_density(xi: tuple[float, float]):
-        zeta1, _ = xi
-        return (
-            np.exp(-0.5 * (zeta1 / sigma) ** 2) / (sigma * SQRT_2PI)
-        ) * uniform_density
+        return density(xi, 0.0)
 
     def ref_sampler(stream: RandomStream, size: int):
         """A block of ``size`` ``(zeta1, zeta2)`` draws, as two arrays."""
@@ -701,10 +693,10 @@ def market_problem(
         return sigma * z, stream.generator.uniform(l2, r2, size)
 
     x1_reach = box_half_width + MARKET_SHIFT_ALLOWANCE
-    m_max = a + beta * x1_reach
+    m_max = abs(a) + abs(beta) * x1_reach
     zeta1_reach = MARKET_TRUNCATION_SDS * sigma
     try:
-        ratio_bound = math.exp((2.0 * zeta1_reach * m_max - 0.0) / (2.0 * sigma2))
+        ratio_bound = math.exp(2.0 * zeta1_reach * m_max / (2.0 * sigma2))
     except OverflowError:
         ratio_bound = math.inf
     value_bound = x1_reach * (zeta1_reach + m_max + a1 * x1_reach) + x1_reach * (
@@ -715,10 +707,6 @@ def market_problem(
         max(abs(l2), abs(r2)) + 2.0 * a2 * x1_reach,
     )
     joint_lip = math.hypot(grad_x_bound, math.sqrt(2.0) * x1_reach)
-    at = (
-        f"at a={a}, a1={a1}, a2={a2}, beta={beta}, sigma2={sigma2}, l2={l2}, r2={r2}, "
-        f"c_xi={c_xi}, box_half_width={box_half_width}"
-    )
     # the random field needs it; checked at build, so that no kind runs first
     if not c_xi >= beta * beta:
         raise ValueError(f"the market's random field requires c_xi >= beta^2 {at}")
@@ -794,8 +782,6 @@ def market_problem(
             "sigma2": sigma2,
             "l2": l2,
             "r2": r2,
-            "c_xi": c_xi,
-            "l0_unknown": l0_unknown,
         },
     )
 

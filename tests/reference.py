@@ -278,7 +278,7 @@ def piecewise_linear_reference_cross_check(problem: BenchmarkProblem) -> float:
     convex minimization solved by bounded Brent.
     """
     c = problem.extras["c"]
-    mu = problem.extras["mu"]
+    mu = problem.mu
     c_norm = float(np.linalg.norm(c))
 
     def h(s: float) -> float:

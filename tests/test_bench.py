@@ -106,6 +106,14 @@ class TestConfig:
             small_config(iterations={"esgs": 5})
         with pytest.raises(ConfigError, match=r"iterations\['gs'\] must be >= 0, got -1"):
             small_config(iterations={"esgs": 5, "gs": -1})
+        with pytest.raises(
+            ConfigError, match=r"iterations given for estimators not in the run: \['spsa'\]"
+        ):
+            small_config(iterations={"esgs": 5, "gs": 3, "spsa": 1})
+
+    def test_zero_replications_rejected(self):
+        with pytest.raises(ConfigError, match="replications must be >= 1"):
+            small_config(replications=0)
 
     @pytest.mark.parametrize(
         "params, message",
@@ -151,6 +159,8 @@ class TestConfig:
                 {"problem": "market", "problem_params": {"a": True}},
                 r"problem_params\['a'\] must be a JSON number, got True",
             ),
+            ({"problem_params": [2, 3]}, "problem_params must be a JSON object"),
+            ({"schedule": "custom"}, "schedule must be a JSON object"),
         ],
     )
     def test_json_types_are_not_coerced(self, overrides, message):
@@ -334,6 +344,12 @@ class TestCheckedBeforeAnyRun:
             ConfigError, match="problem market has no decision-independent oracle"
         ):
             runner(config)
+        assert runs == []
+
+    def test_unknown_kind(self, runs):
+        problem = quad_l1_problem(2, 1)
+        with pytest.raises(ConfigError, match="unknown estimator kind 'newton'"):
+            bench.run_problem(problem, "newton", problem.default_schedule, 1, [RandomStream(0)])
         assert runs == []
 
 
@@ -1149,6 +1165,10 @@ class TestCli:
              "record_trajectories": True},
             {"schedule": {"kind": "nonconvex_asymptotic", "alpha": 0.9, "beta": 0.3,
                           "gamma_scale": 1e-9}},
+            {"problem_params": [2, 3]},
+            {"schedule": "custom"},
+            {"iterations": {"esgs": 1, "gs": 1, "spsa": 1}},
+            {"replications": 0},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -1159,6 +1179,37 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_missing_config_is_one_line(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert cli_main([command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: this subcommand requires --config <path>\n"
+        assert not out.exists()
+
+    def test_top_level_array_is_one_line(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, [small_config_raw()])
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {config}: top-level config must be a JSON object"]
+        assert not out.exists()
+
+    def test_seed_overrides_the_config_base_seed(self, tmp_path):
+        # every perfbench round passes --seed with --config
+        config = self.write_config(tmp_path, small_config_raw(replications=2, iterations=3))
+        assert cli_main(["run", "--config", str(config), "--seed", "5",
+                         "--out", str(tmp_path / "seeded")]) == 0
+        config = self.write_config(
+            tmp_path, small_config_raw(replications=2, iterations=3, base_seed=5)
+        )
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "base")]) == 0
+        tables = []
+        for name in ("seeded", "base"):
+            with (tmp_path / name / "results.csv").open() as fh:
+                tables.append([{**row, "wall_time_ms": None} for row in csv.DictReader(fh)])
+        assert len(tables[0]) == 4 and {row["seed"] for row in tables[0]} == {"5"}
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_zero_iterations_on_a_convex_problem_names_key_and_problem(

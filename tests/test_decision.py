@@ -43,6 +43,11 @@ class TestFieldCorrelation:
         with pytest.raises(ValueError):
             field_correlation(0.0, 1.0, 0.0001, 0.1, 1.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_rejects_sigma_not_above_zero(self, sigma):
+        with pytest.raises(ValueError, match=f"sigma must be > 0, got {sigma}"):
+            field_correlation(0.0, 1.0, 1.0, 0.1, sigma)
+
 
 def toy_known_oracle():
     """F_hat(x, xi) = x*xi with p(xi|x) = N(x, 1) against reference N(0, 1)."""
@@ -223,7 +228,7 @@ class TestRandomFieldEstimator:
 
     def test_market_field_lipschitz(self):
         problem = market_problem()
-        c_xi = problem.extras["c_xi"]
+        c_xi = problem.dd_unknown.c_xi
         stream = RandomStream(4)
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -281,7 +286,7 @@ class TestMarketBlockField:
         for i, j in np.ndindex(m, k):
             xp, xm = float(x_plus[i, j, 0]), float(x_minus[i, j, 0])
             z1, z2, zeta2 = (float(v) for v in noise[i, j])
-            rho = field_correlation(xp, xm, e["c_xi"], e["beta"], e["sigma"])
+            rho = field_correlation(xp, xm, problem.dd_unknown.c_xi, e["beta"], e["sigma"])
             expected = sample_correlated_pair(
                 e["a"] + e["beta"] * xp,
                 e["a"] + e["beta"] * xm,
@@ -390,7 +395,7 @@ class TestSecondMomentLinearity:
         assert 4.0 / math.pi * l0_known**2 * n * 1.1 == 1.3708152037770904e19
         for estimator, oracle, l0 in (
             (esgs_dd_known, known, l0_known),
-            (esgs_dd_unknown, problem.dd_unknown, problem.extras["l0_unknown"]),
+            (esgs_dd_unknown, problem.dd_unknown, problem.l0),
         ):
             stream = RandomStream(7)
             total = 0.0

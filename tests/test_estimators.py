@@ -396,6 +396,12 @@ class TestSecondMomentProbe:
                 esgs_estimate, inf_oracle(), np.zeros(3), ETA, count, RandomStream(21)
             )
 
+    def test_zero_samples_is_a_value_error(self):
+        with pytest.raises(ValueError, match="sample_count must be >= 1"):
+            second_moment_probe(
+                esgs_estimate, constant_oracle(), np.zeros(3), ETA, 0, RandomStream(0)
+            )
+
     @pytest.mark.parametrize("kind", ["esgs", "gs", "spherical", "spsa"])
     def test_dimension_zero_is_a_value_error(self, kind):
         with pytest.raises(ValueError, match="dimension must be >= 1"):

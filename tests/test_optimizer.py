@@ -114,6 +114,24 @@ class TestSchedules:
             Schedule(kind="warp")
 
     @pytest.mark.parametrize(
+        "kind, name",
+        [
+            (kind, name)
+            for kind, params in FULL_SCHEDULES.items()
+            for name in params
+            if name not in ("gamma_scale", "eta_scale")  # these default to 1
+        ],
+    )
+    def test_missing_field_the_kind_reads_is_rejected(self, kind, name):
+        params = {key: value for key, value in FULL_SCHEDULES[kind].items() if key != name}
+        with pytest.raises(ValueError, match=f"^schedule kind {kind!r} requires {name!r}$"):
+            Schedule(kind=kind, **params)
+
+    def test_negative_iteration_index_rejected(self):
+        with pytest.raises(ValueError, match="iteration index must be >= 0, got -1"):
+            schedule_values(Schedule(kind="convex_diminishing", n=2), -1)
+
+    @pytest.mark.parametrize(
         "kind, params, name",
         [
             ("convex_diminishing", {"n": 0}, "n"),
@@ -291,6 +309,15 @@ class TestRun:
         assert rec.seen == list(range(21))
         for k in range(21):
             np.testing.assert_array_equal(rec.x[k], [[1.0, -2.0, 0.5]])
+
+    def test_weighted_average_needs_a_step(self):
+        problem = quad_l1_problem(3, 1)
+        (state,) = run(
+            problem.oracle, esgs_estimate, problem.default_schedule, 0,
+            problem.feasible, problem.x0, [RandomStream(0)],
+        )
+        with pytest.raises(ValueError, match="run state has no accumulated steps"):
+            weighted_average(state)
 
     def test_single_step_composes_estimate_and_projection(self):
         # same scripted draws as the estimator hand example: v = 0.5, any z
@@ -541,6 +568,14 @@ class TestBatchedRun:
                 assert a.gamma_total == b.gamma_total
         with pytest.raises(TypeError, match="Generator.* is not a RandomStream"):
             run(*args, [RandomStream(4, 0), np.random.default_rng(4)])
+
+    def test_negative_iterations_or_no_streams_is_a_value_error(self):
+        problem = quad_l1_problem(3, 1)
+        args = (problem.oracle, esgs_estimate, problem.default_schedule)
+        with pytest.raises(ValueError, match="iterations must be >= 0, got -1"):
+            run(*args, -1, problem.feasible, problem.x0, [RandomStream(4)])
+        with pytest.raises(ValueError, match="run needs at least one stream"):
+            run(*args, 30, problem.feasible, problem.x0, [])
 
     def test_a_bare_stream_is_a_type_error(self):
         problem = quad_l1_problem(3, 1)

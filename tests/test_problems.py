@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from zosmooth import problems
+from zosmooth.bench import run_problem
 from zosmooth.decision import RatioBoundError, ValueBoundError, esgs_dd_known
 from zosmooth.estimators import esgs_estimate
 from zosmooth.problems import (
+    MARKET_SHIFT_ALLOWANCE,
     PL_INTERCEPTS,
     PL_MAX_MU,
     PL_SLOPES,
@@ -194,6 +196,10 @@ class TestQuad:
         np.testing.assert_array_equal(a.extras["q_hat"], b.extras["q_hat"])
         assert not np.array_equal(a.extras["q_hat"], c.extras["q_hat"])
 
+    def test_negative_seed_names_the_parameter(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got seed=-1 at n=3$"):
+            quad_l1_problem(3, -1)
+
 
 class TestPiecewiseLinear:
     def test_value_at_origin_is_max_intercept(self):
@@ -204,6 +210,10 @@ class TestPiecewiseLinear:
         assert piecewise_linear_problem(4, 1.0).convexity == "strongly_convex"
         assert piecewise_linear_problem(4, 1.0).mu == 1.0
         assert piecewise_linear_problem(4, 0.0).convexity == "convex"
+
+    def test_envelope_of_the_shipped_lines(self):
+        assert problems._PL_LINES == [(0.6, 0.1), (0.8, 0.5), (0.2, 0.9)]
+        assert problems._PL_BREAKS == [-0.5000000000000001, 1.5000000000000002]
 
     def test_envelope_expectation_against_gauss_hermite(self):
         # independent 50-node Gauss-Hermite cross-check of the closed form
@@ -410,9 +420,33 @@ class TestMarket:
             ratio = problem.dd_known.cond_density(xi, x) / problem.dd_known.ref_density(xi)
             assert ratio <= problem.dd_known.ratio_bound_m
 
+    @pytest.mark.parametrize("params", [{}, {"a": -4.5}, {"a": 1.0, "beta": -0.3}])
+    def test_ratio_bound_holds_at_the_box_edge(self, params):
+        # the bound takes the largest demand mean as |a| + |beta| * x1_reach,
+        # which holds for either sign of a and beta
+        problem = market_problem(**params)
+        oracle = problem.dd_known
+        zeta1, zeta2 = oracle.ref_sampler(RandomStream(36), 20_000)
+        xi = (zeta1[:, None], zeta2[:, None])
+        reach = 10.0 + MARKET_SHIFT_ALLOWANCE
+        points = np.array([[-reach, 0.0], [-10.0, 10.0], [10.0, -10.0], [reach, 0.0]])
+        ratios = oracle.cond_density(xi, points) / oracle.ref_density(xi)
+        assert ratios.max() <= oracle.ratio_bound_m
+
+    def test_known_density_kind_runs_at_negative_a(self):
+        problem = market_problem(a=-4.5)
+        streams = [RandomStream(1, substream_id=r) for r in range(2)]
+        states = run_problem(problem, "esgs_dd_known", problem.default_schedule, 5000, streams)
+        for state in states:
+            # 4.66 at the start x0 = 0
+            assert np.linalg.norm(state.x - problem.x_star) < 1.0
+
     def test_parameter_preconditions(self):
         with pytest.raises(ValueError):
             market_problem(a1=0.1, beta=0.2)
+        # a1 - beta > 0 holds, but x_ps would divide by 2 a1 - beta = 0
+        with pytest.raises(ValueError, match="requires a1 > 0 at a=4.5, a1=-0.05, "):
+            market_problem(a1=-0.05, beta=-0.1)
         with pytest.raises(ValueError):
             market_problem(a2=0.0)
         with pytest.raises(ValueError):
@@ -447,6 +481,12 @@ class TestMarket:
         assert f"the market's {bound} is not a finite float" in message
         for name, value in params.items():
             assert f" {name}={value!r}" in message
+
+    @pytest.mark.parametrize("box_half_width", [-1.0, math.nan])
+    def test_box_half_width_below_zero_names_the_parameter(self, box_half_width):
+        with pytest.raises(ValueError, match="requires box_half_width >= 0 at a=") as info:
+            market_problem(box_half_width=box_half_width)
+        assert f" box_half_width={box_half_width}" in str(info.value)
 
     @pytest.mark.parametrize("c_xi", [-2.0, 0.001])
     def test_field_below_beta_squared_names_the_parameters(self, c_xi):
@@ -655,3 +695,21 @@ def test_exact_f_rows_equals_per_point_exact_f(data):
     assert values.shape == (m,)
     for x, value in zip(xs, values):
         assert value == pytest.approx(problem.exact_f(x), rel=1e-12, abs=1e-12)
+
+
+LINE_COEFFICIENT = st.floats(-10.0, 10.0)
+
+
+@PROPERTY
+@given(lines=st.lists(st.tuples(LINE_COEFFICIENT, LINE_COEFFICIENT), min_size=1, max_size=8))
+def test_upper_envelope_is_the_maximum_over_all_lines(lines):
+    intercepts, slopes = (np.array(part) for part in zip(*lines))
+    kept, breaks = problems._upper_envelope(intercepts, slopes)
+    assert len(kept) == len(breaks) + 1
+    assert all(left < right for left, right in zip(breaks, breaks[1:]))
+    # between two breaks, the kept line there is the maximum over all lines
+    t = np.linspace(-30.0, 30.0, 241)
+    v, s = np.array(kept).T
+    span = np.searchsorted(breaks, t, side="right")
+    full = np.max(intercepts + slopes * t[:, None], axis=1)
+    np.testing.assert_allclose(v[span] + s[span] * t, full, rtol=1e-9, atol=1e-9)

@@ -80,6 +80,8 @@ def test_invalid_construction():
         FeasibleSet.ball(np.zeros(2), math.nan)
     with pytest.raises(ValueError, match="box requires lo <= hi componentwise"):
         FeasibleSet.box([math.nan, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="box bounds must have matching shapes"):
+        FeasibleSet.box(np.zeros(2), np.ones(3))
 
 
 def test_batch_rows_project_like_single_points():

@@ -108,3 +108,7 @@ class TestCorrelatedPair:
         stream = RandomStream(0)
         with pytest.raises(ValueError):
             sample_correlated_pair(0.0, 0.0, 1.0, 1.5, stream)
+
+    def test_rejects_negative_sigma(self):
+        with pytest.raises(ValueError, match="standard deviation must be >= 0, got -1.0"):
+            sample_correlated_pair(0.0, 0.0, -1.0, 0.5, RandomStream(0))
