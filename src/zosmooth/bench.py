@@ -37,7 +37,7 @@ import zlib
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -121,11 +121,9 @@ class BenchConfig:
             signature.bind(**problem_params)
         except TypeError as exc:
             raise ConfigError(f"problem_params for {problem!r}: {exc}") from None
-        # every builder takes numbers, and Python would read true as 1
+        declared = get_type_hints(PROBLEM_BUILDERS[problem])
         for key, value in problem_params.items():
-            if type(value) is bool:
-                raise ConfigError(f"problem_params[{key!r}] must be a JSON number, got {value!r}")
-            _finite(f"problem_params[{key!r}]", value)
+            _number(f"problem_params[{key!r}]", value, declared[key])
         estimators = raw["estimators"]
         if not isinstance(estimators, list) or any(type(k) is not str for k in estimators):
             raise ConfigError(
@@ -145,15 +143,15 @@ class BenchConfig:
         if schedule is not None:
             if not isinstance(schedule, dict):
                 raise ConfigError("schedule must be a JSON object")
-            unknown = set(schedule) - {f.name for f in fields(Schedule)}
+            declared = get_type_hints(Schedule)
+            unknown = set(schedule) - set(declared)
             if unknown:
                 raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
             if "kind" not in schedule:
                 raise ConfigError("schedule needs a 'kind'")
             for key, value in schedule.items():
-                if key != "kind" and type(value) not in (int, float):
-                    raise ConfigError(f"schedule {key!r} must be a number, got {value!r}")
-                _finite(f"schedule {key!r}", value)
+                if key != "kind":
+                    _number(f"schedule {key!r}", value, declared[key])
         iterations = raw["iterations"]
         if type(iterations) is int:
             iterations = {kind: iterations for kind in estimators}
@@ -208,11 +206,17 @@ class BenchConfig:
         return BenchConfig.from_dict(raw)
 
 
-def _finite(name: str, value) -> None:
-    """Reject a NaN or infinity, which Python's json reads from ``NaN`` or
-    ``Infinity`` and which would fail far from the key holding it."""
+def _number(name: str, value, declared) -> None:
+    """Reject a ``value`` that is no JSON number (so ``true``, which Python
+    would read as 1), a NaN or infinity (which Python's json reads from
+    ``NaN`` or ``Infinity``), or a float where ``declared``, the type its
+    builder or :class:`Schedule` annotates, is an int."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a JSON number, got {value!r}")
     if type(value) is float and not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite JSON number, got {value!r}")
+    if declared in (int, int | None):
+        _typed(name, value, int)
 
 
 def _typed(name: str, value, kind: type):
@@ -248,12 +252,8 @@ class BenchSummary:
 
 
 def build_problem(config: BenchConfig) -> BenchmarkProblem:
-    """Build the configured problem; a ``problem_params`` value of the wrong
-    type (the builder's ``TypeError``) becomes a :class:`ConfigError`."""
-    try:
-        return PROBLEM_BUILDERS[config.problem](**config.problem_params)
-    except TypeError as exc:
-        raise ConfigError(f"problem_params for {config.problem!r}: {exc}") from None
+    """Build the configured problem."""
+    return PROBLEM_BUILDERS[config.problem](**config.problem_params)
 
 
 def resolve_schedule(
@@ -515,32 +515,27 @@ def _format(value) -> str:
     return str(value)
 
 
-def emit_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> None:
-    """Write ``results.csv``: one line per row."""
+def _emit_rows(path, rows: Sequence[ResultRow], key: dict[str, str], metrics: dict) -> None:
+    """Write a rows table, one line per row: the ``key`` columns (header:
+    the :class:`ResultRow` field each holds), ``replication``, the
+    ``metrics`` columns, ``wall_time_ms``, ``oracle_calls`` and ``seed``."""
     write_table(
         path,
-        ("problem", "n", "estimator", "replication", *RESULT_METRICS,
-         "wall_time_ms", "oracle_calls", "seed"),
-        (
-            (r.problem, r.n, r.estimator, r.replication, *r.metrics.values(),
-             r.wall_time_ms, r.oracle_calls, r.seed)
-            for r in rows
-        ),
+        (*key, "replication", *metrics, "wall_time_ms", "oracle_calls", "seed"),
+        ((*(getattr(r, f) for f in key.values()), r.replication, *r.metrics.values(),
+          r.wall_time_ms, r.oracle_calls, r.seed) for r in rows),
     )
+
+
+def emit_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> None:
+    """Write ``results.csv``."""
+    _emit_rows(path, rows, {c: c for c in ("problem", "n", "estimator")}, RESULT_METRICS)
 
 
 def emit_dd_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> None:
-    """Write ``dd_results.csv``: one line per row.  The table holds one
-    problem, so a row is named by its kind alone, as ``mode``."""
-    write_table(
-        path,
-        ("mode", "replication", *DD_METRICS, "wall_time_ms", "oracle_calls", "seed"),
-        (
-            (r.estimator, r.replication, *r.metrics.values(),
-             r.wall_time_ms, r.oracle_calls, r.seed)
-            for r in rows
-        ),
-    )
+    """Write ``dd_results.csv``.  The table holds one problem, so a row is
+    named by its kind alone, as ``mode``."""
+    _emit_rows(path, rows, {"mode": "estimator"}, DD_METRICS)
 
 
 def emit_aggregate_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> None:

@@ -46,7 +46,6 @@ from .rng import RandomStream
 
 # Exit status of each library error; the first matching class wins.
 EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
-    (bench.ConfigError, 1),
     (ValueError, 1),
     (OSError, 1),
     (MemoryError, 1),
@@ -67,9 +66,14 @@ DEFAULT_DD_CONFIG = {
 
 
 def _load_config(args) -> bench.BenchConfig:
-    if args.config is None:
+    """The ``--config`` file, else the command's default config, with the
+    ``--seed`` override."""
+    if args.config is not None:
+        config = bench.BenchConfig.from_json(args.config)
+    elif args.default_config is not None:
+        config = bench.BenchConfig.from_dict(args.default_config)
+    else:
         raise bench.ConfigError("this subcommand requires --config <path>")
-    config = bench.BenchConfig.from_json(args.config)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
     return config
@@ -98,12 +102,12 @@ def _cmd_moments(args) -> int:
     # every probe runs before the table is opened, so a probe that fails
     # leaves no partial table behind
     rows = []
+    # unit-Lipschitz linear test function: only coordinate 1 matters
+    oracle = StochasticOracle(
+        eval=lambda x, xi: x[..., 0],
+        noise_sampler=lambda stream, size: np.zeros(size),
+    )
     for n in dims:
-        # unit-Lipschitz linear test function: only coordinate 1 matters
-        oracle = StochasticOracle(
-            eval=lambda x, xi: x[..., 0],
-            noise_sampler=lambda stream, size: np.zeros(size),
-        )
         x = np.zeros(n)
         for kind, entry in bench.KINDS.items():
             if entry.oracle_field != "oracle":
@@ -121,55 +125,37 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    """Write the rows and ``compare``'s aggregate table of them (the run
-    writes any recorded trajectories)."""
+    """Run the command's benchmark, write its tables and print its report
+    (the run writes any recorded trajectories)."""
     config = _load_config(args)
     out = bench.output_dir(config.output, args.out)
-    summary = bench.run_benchmark(replace(config, output=str(out)))
-    written = [out / "results.csv"]
-    bench.emit_csv(summary.rows, written[0])
-    if args.command == "compare":
-        written.append(out / "aggregate.csv")
-        bench.emit_aggregate_csv(summary.rows, written[1])
+    summary = args.runner(replace(config, output=str(out)))
+    written = []
+    for name, emit in args.tables:
+        written.append(out / name)
+        emit(summary.rows, written[-1])
+    args.report(summary.report)
     written += summary.trajectory_paths
-    for kind in config.estimators:
-        report = summary.report[kind]
+    print("wrote " + " and ".join(str(path) for path in written))
+    return 0
+
+
+def _print_means(report: dict[str, dict[str, float]]) -> None:
+    for kind, means in report.items():
         print(
-            f"{kind}: mean error {report['mean_error']:.6g}, "
-            f"mean time {report['mean_wall_time_ms']:.1f} ms"
+            f"{kind}: mean error {means['mean_error']:.6g}, "
+            f"mean time {means['mean_wall_time_ms']:.1f} ms"
         )
-    print("wrote " + " and ".join(str(path) for path in written))
-    return 0
-
-
-def _cmd_dd(args) -> int:
-    """Write the rows and print the report; the run writes any trajectories."""
-    if args.config is not None:
-        config = _load_config(args)
-    else:
-        config = bench.BenchConfig.from_dict(DEFAULT_DD_CONFIG)
-        if args.seed is not None:
-            config = replace(config, base_seed=args.seed)
-    out = bench.output_dir(config.output, args.out)
-    summary = bench.run_dd_benchmark(replace(config, output=str(out)))
-    written = [out / "dd_results.csv", *summary.trajectory_paths]
-    bench.emit_dd_csv(summary.rows, written[0])
-    print(json.dumps(summary.report, indent=2))
-    print("wrote " + " and ".join(str(path) for path in written))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  ``main`` builds it per call, so the
+    ``bench`` runners and writers it names are the ones in place then."""
     parser = argparse.ArgumentParser(
         prog="zosmooth-bench",
         description="Zeroth-order optimization benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", type=str, default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="base seed override")
-        p.add_argument("--out", type=str, default=None, help="output directory")
 
     p_moments = sub.add_parser("moments", help="second-moment scaling table")
     p_moments.add_argument("--seed", type=int, default=None, help="seed (default 7)")
@@ -180,17 +166,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_moments.add_argument("--samples", type=int, default=20_000)
     p_moments.set_defaults(func=_cmd_moments)
 
-    p_run = sub.add_parser("run", help="single benchmark run")
-    common(p_run)
-    p_run.set_defaults(func=_cmd_benchmark)
-
-    p_compare = sub.add_parser("compare", help="estimator grid at equal budget")
-    common(p_compare)
-    p_compare.set_defaults(func=_cmd_benchmark)
-
-    p_dd = sub.add_parser("dd", help="decision-dependent market benchmark")
-    common(p_dd)
-    p_dd.set_defaults(func=_cmd_dd)
+    results = ("results.csv", bench.emit_csv)
+    for command, about, runner, tables, report, default_config in (
+        ("run", "single benchmark run", bench.run_benchmark, [results], _print_means, None),
+        ("compare", "estimator grid at equal budget", bench.run_benchmark,
+         [results, ("aggregate.csv", bench.emit_aggregate_csv)], _print_means, None),
+        ("dd", "decision-dependent market benchmark", bench.run_dd_benchmark,
+         [("dd_results.csv", bench.emit_dd_csv)],
+         lambda report: print(json.dumps(report, indent=2)), DEFAULT_DD_CONFIG),
+    ):
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", type=str, default=None, help="JSON config path")
+        p.add_argument("--seed", type=int, default=None, help="base seed override")
+        p.add_argument("--out", type=str, default=None, help="output directory")
+        p.set_defaults(
+            func=_cmd_benchmark, runner=runner, tables=tables, report=report,
+            default_config=default_config,
+        )
     return parser
 
 

@@ -69,6 +69,9 @@ def independence_problem(oracle_field):
     return market_problem() if oracle_field != "oracle" else quad_l1_problem(3, 2)
 
 
+INT_N = r"problem_params\['n'\] must be a JSON int, got 2.0"
+
+
 class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -127,14 +130,16 @@ class TestConfig:
             small_config(problem_params=params)
 
     def test_non_numeric_schedule_value_rejected(self):
-        with pytest.raises(ConfigError, match="schedule 'alpha' must be a number"):
+        with pytest.raises(ConfigError, match="schedule 'alpha' must be a JSON number"):
             small_config(schedule={"kind": "custom", "alpha": "x", "beta": 0.5})
 
     def test_wrong_type_problem_param_rejected_at_build(self):
-        # the names bind, so only the builder can see the bad value
-        config = small_config(problem_params={"n": "x", "seed": 1})
-        with pytest.raises(ConfigError, match="problem_params for 'quad_l1': "):
-            bench.build_problem(config)
+        # the names bind, and the builder's signature declares n an int, so
+        # the config rejects the value before any build
+        with pytest.raises(
+            ConfigError, match=r"problem_params\['n'\] must be a JSON number, got 'x'"
+        ):
+            small_config(problem_params={"n": "x", "seed": 1})
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -161,6 +166,23 @@ class TestConfig:
             ),
             ({"problem_params": [2, 3]}, "problem_params must be a JSON object"),
             ({"schedule": "custom"}, "schedule must be a JSON object"),
+            # a field the builder or Schedule declares an int takes no float
+            ({"problem_params": {"n": 2.0, "seed": 3}}, INT_N),
+            ({"problem": "piecewise_linear", "problem_params": {"n": 2.0}}, INT_N),
+            ({"problem": "nonconvex_min", "problem_params": {"n": 2.0}}, INT_N),
+            (
+                {"problem_params": {"n": 2, "seed": 1.5}},
+                r"problem_params\['seed'\] must be a JSON int, got 1.5",
+            ),
+            (
+                {"schedule": {"kind": "convex_diminishing", "n": 2.5}},
+                "schedule 'n' must be a JSON int, got 2.5",
+            ),
+            (
+                {"schedule": {"kind": "convex_constant", "n": 2, "horizon": 10.0,
+                              "radius_scale": 1.0, "l0": 1.0}},
+                "schedule 'horizon' must be a JSON int, got 10.0",
+            ),
         ],
     )
     def test_json_types_are_not_coerced(self, overrides, message):
@@ -1054,6 +1076,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {error}\n"
 
+    def test_commands_call_the_bench_names_in_place(self, tmp_path, monkeypatch, capsys):
+        # perfbench/child.py replaces these names before it calls main, so
+        # each command must look them up then, not when cli was imported
+        calls = []
+
+        def runner(name):
+            def run(config):
+                calls.append((name, config.problem, config.base_seed))
+                means = {"mean_error": 0.0, "mean_wall_time_ms": 0.0}
+                return bench.BenchSummary([], dict.fromkeys(config.estimators, means), [])
+            return run
+
+        def emitter(name):
+            return lambda rows, path: calls.append((name, Path(path).name))
+
+        for name in ("run_benchmark", "run_dd_benchmark"):
+            monkeypatch.setattr(bench, name, runner(name))
+        for name in ("emit_csv", "emit_aggregate_csv", "emit_dd_csv"):
+            monkeypatch.setattr(bench, name, emitter(name))
+        config = str(self.write_config(tmp_path, small_config_raw()))
+        expected = {
+            "run": [("run_benchmark", "quad_l1", 5), ("emit_csv", "results.csv")],
+            "compare": [("run_benchmark", "quad_l1", 5), ("emit_csv", "results.csv"),
+                        ("emit_aggregate_csv", "aggregate.csv")],
+            # without --config, dd runs its default config at the --seed given
+            "dd": [("run_dd_benchmark", "market", 5), ("emit_dd_csv", "dd_results.csv")],
+        }
+        for command, want in expected.items():
+            calls.clear()
+            args = [command, "--seed", "5", "--out", str(tmp_path / command)]
+            if command != "dd":
+                args += ["--config", config]
+            assert cli_main(args) == 0
+            assert calls == want
+        assert capsys.readouterr().err == ""
+
     def test_budget_mismatch_exit_code(self, tmp_path, capsys):
         config = self.write_config(
             tmp_path, small_config_raw(iterations={"esgs": 2, "gs": 1})
@@ -1169,6 +1227,13 @@ class TestCli:
             {"schedule": "custom"},
             {"iterations": {"esgs": 1, "gs": 1, "spsa": 1}},
             {"replications": 0},
+            {"problem_params": {"n": 2.0, "seed": 3}},
+            {"problem": "piecewise_linear", "problem_params": {"n": 2.0}},
+            {"problem": "nonconvex_min", "problem_params": {"n": 2.0}},
+            {"problem_params": {"n": 2, "seed": 1.5}},
+            {"schedule": {"kind": "convex_diminishing", "n": 2.5}},
+            {"schedule": {"kind": "convex_constant", "n": 2, "horizon": 10.0,
+                          "radius_scale": 1.0, "l0": 1.0}},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])
