@@ -105,7 +105,7 @@ class BenchConfig:
         for key in ("problem", "estimators", "iterations", "replications", "base_seed"):
             if key not in raw:
                 raise ConfigError(f"missing config key {key!r}")
-        problem = raw["problem"]
+        problem = _typed("problem", raw["problem"], str)
         if problem not in PROBLEM_BUILDERS:
             raise ConfigError(
                 f"unknown problem {problem!r}; choose from {sorted(PROBLEM_BUILDERS)}"
@@ -149,6 +149,7 @@ class BenchConfig:
                 raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
             if "kind" not in schedule:
                 raise ConfigError("schedule needs a 'kind'")
+            _typed("schedule 'kind'", schedule["kind"], str)
             for key, value in schedule.items():
                 if key != "kind":
                     _number(f"schedule {key!r}", value, declared[key])
@@ -256,18 +257,6 @@ def build_problem(config: BenchConfig) -> BenchmarkProblem:
     return PROBLEM_BUILDERS[config.problem](**config.problem_params)
 
 
-def resolve_schedule(
-    config_schedule: dict | None, problem: BenchmarkProblem
-) -> Schedule:
-    if config_schedule is None:
-        if problem.default_schedule is None:
-            raise ConfigError(
-                f"problem {problem.name} has no default schedule; configure one"
-            )
-        return problem.default_schedule
-    return Schedule(**config_schedule)
-
-
 def run_problem(
     problem: BenchmarkProblem,
     estimator_kind: str,
@@ -359,7 +348,9 @@ def _benchmark(
     stream into ``config.output`` or ``.``.  If a run raises, the tables are
     removed, and so are the directories that did not exist before the run
     (the ones the first table made), once empty."""
-    schedule = resolve_schedule(config.schedule, problem)
+    schedule = (
+        problem.default_schedule if config.schedule is None else Schedule(**config.schedule)
+    )
     for kind in config.estimators:
         kind_oracle(problem, kind)
     out = Path(config.output or ".")

@@ -48,17 +48,17 @@ class BenchmarkProblem:
     feasible: FeasibleSet
     l0: float
     convexity: str  # "strongly_convex" | "convex" | "nonconvex"
+    f_star: float
+    x0: np.ndarray
+    grad_exact: Callable[[np.ndarray], np.ndarray]
+    default_schedule: Schedule
     mu: float = 0.0
-    f_star: float | None = None
     x_star: np.ndarray | None = None
     x_ps: np.ndarray | None = None
-    x0: np.ndarray | None = None
-    grad_exact: Callable[[np.ndarray], np.ndarray] | None = None
     stationarity_residual: Callable[[np.ndarray], float] | None = None
     smoothed_gradient: Callable[[np.ndarray, float], np.ndarray] | None = None
     dd_known: KnownDensityOracle | None = None
     dd_unknown: RandomFieldOracle | None = None
-    default_schedule: Schedule | None = None
     # exact_f of each row of an (m, n) array, in one pass over the rows
     exact_f_rows: Callable[[np.ndarray], np.ndarray] | None = None
     extras: dict[str, Any] = field(default_factory=dict)
@@ -71,8 +71,6 @@ def error_metric(problem: BenchmarkProblem, x: np.ndarray) -> float:
         if problem.stationarity_residual is None:
             raise ValueError(f"problem {problem.name} lacks a stationarity residual")
         return problem.stationarity_residual(x)
-    if problem.f_star is None:
-        raise ValueError(f"problem {problem.name} has no reference optimal value")
     return problem.exact_f(x) - problem.f_star
 
 
@@ -86,8 +84,6 @@ def error_metric_rows(problem: BenchmarkProblem, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if problem.exact_f_rows is None or problem.convexity == "nonconvex":
         return np.array([error_metric(problem, x) for x in xs])
-    if problem.f_star is None:
-        raise ValueError(f"problem {problem.name} has no reference optimal value")
     return problem.exact_f_rows(xs) - problem.f_star
 
 
@@ -242,8 +238,7 @@ def make_quad_problem(
     x_ref = _proximal_gradient_quad(q_hat, b, l1_weight, feasible, np.zeros(n), norm_q)
 
     x0 = np.zeros(n)
-    x0[: min(5, n)] = 5.0
-    x0 = project(feasible, x0)
+    x0[:5] = QUAD_BOX_HALF_WIDTH
 
     oracle = StochasticOracle(
         eval=eval_fn,
@@ -329,35 +324,13 @@ PL_SLOPES = np.array([0.9, 0.2, 0.1, 0.5, 0.5])
 # its two runs disagree at every n tried (1 to 20, 50, 100 and 200).
 PL_MAX_MU = 1e18
 
-
-def _upper_envelope(intercepts: np.ndarray, slopes: np.ndarray):
-    """Upper envelope of lines: kept (intercept, slope) pairs and breakpoints.
-
-    Scans left to right from the least slope (the highest intercept among
-    equal slopes), each time to the line that overtakes the last kept one
-    first.
-    """
-    lines = list(zip(intercepts.tolist(), slopes.tolist()))
-    kept = [max(lines, key=lambda line: (-line[1], line[0]))]
-    breaks: list[float] = []
-
-    def crossing(line: tuple[float, float]) -> float:
-        return (kept[-1][0] - line[0]) / (line[1] - kept[-1][1])
-
-    while steeper := [line for line in lines if line[1] > kept[-1][1]]:
-        line = min(steeper, key=crossing)
-        # where several lines overtake at one point, or rounding puts the
-        # crossing at or left of where the last kept line took over, that
-        # line holds no span and is dropped
-        while breaks and crossing(line) <= breaks[-1]:
-            kept.pop()
-            breaks.pop()
-        breaks.append(crossing(line))
-        kept.append(line)
-    return kept, breaks
-
-
-_PL_LINES, _PL_BREAKS = _upper_envelope(PL_INTERCEPTS, PL_SLOPES)
+# The upper envelope of the five lines v + s*t above, which the closed forms
+# integrate piece by piece: its (v, s) lines from left to right and the
+# breaks between them, each the crossing of its two neighbours.  (0.3, 0.2)
+# lies below the envelope everywhere, and (0.5, 0.5) below (0.8, 0.5), whose
+# slope it shares.  _phi takes the maximum over all five.
+_PL_LINES = [(0.6, 0.1), (0.8, 0.5), (0.2, 0.9)]
+_PL_BREAKS = [(0.6 - 0.8) / (0.5 - 0.1), (0.8 - 0.2) / (0.9 - 0.5)]
 
 
 def _phi(t):

@@ -183,6 +183,15 @@ class TestConfig:
                               "radius_scale": 1.0, "l0": 1.0}},
                 "schedule 'horizon' must be a JSON int, got 10.0",
             ),
+            ({"problem": ["quad_l1"]}, r"problem must be a JSON str, got \['quad_l1'\]"),
+            (
+                {"problem": {"name": "quad_l1"}},
+                r"problem must be a JSON str, got \{'name': 'quad_l1'\}",
+            ),
+            (
+                {"schedule": {"kind": ["custom"], "alpha": 0.5, "beta": 0.5}},
+                r"schedule 'kind' must be a JSON str, got \['custom'\]",
+            ),
         ],
     )
     def test_json_types_are_not_coerced(self, overrides, message):
@@ -799,6 +808,16 @@ class TestCli:
         assert code == 0
         assert (out / "dd_results.csv").exists()
 
+    def test_dd_on_a_problem_without_closed_form_targets_is_one_line(self, tmp_path, capsys):
+        # quad_l1 has an optimum but no performatively stable point
+        config = self.write_config(tmp_path, small_config_raw())
+        out = tmp_path / "out"
+        assert cli_main(["dd", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: decision-dependent benchmark needs closed-form targets\n"
+        )
+        assert not out.exists()
+
     def test_dd_without_config_runs_the_shipped_market_config(self, monkeypatch, tmp_path):
         class Stop(Exception):
             pass
@@ -1234,6 +1253,9 @@ class TestCli:
             {"schedule": {"kind": "convex_diminishing", "n": 2.5}},
             {"schedule": {"kind": "convex_constant", "n": 2, "horizon": 10.0,
                           "radius_scale": 1.0, "l0": 1.0}},
+            {"problem": ["quad_l1"]},
+            {"problem": {"name": "quad_l1"}},
+            {"schedule": {"kind": ["custom"], "alpha": 0.5, "beta": 0.5}},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -1406,6 +1428,14 @@ class TestEveryConfig:
                            "estimators": ["esgs"], "iterations": 3,
                            "replications": 1, "base_seed": 1,
                            "schedule": {"kind": "custom", "alpha": -1e308, "beta": 0.5}}))
+    # a problem and a schedule kind that are no JSON strings
+    @example(case=("run", {"problem": ["quad_l1"], "problem_params": {"n": 2},
+                           "estimators": ["esgs"], "iterations": 3,
+                           "replications": 1, "base_seed": 1}))
+    @example(case=("run", {"problem": "nonconvex_min", "problem_params": {"n": 2},
+                           "estimators": ["esgs"], "iterations": 3,
+                           "replications": 1, "base_seed": 1,
+                           "schedule": {"kind": ["custom"], "alpha": 0.5, "beta": 0.5}}))
     def test_runs_or_fails_in_one_line(self, case):
         # a nonzero status is a documented one, with one error line and no
         # output directory; a run that succeeds had finite declared bounds

@@ -214,6 +214,19 @@ class TestPiecewiseLinear:
     def test_envelope_of_the_shipped_lines(self):
         assert problems._PL_LINES == [(0.6, 0.1), (0.8, 0.5), (0.2, 0.9)]
         assert problems._PL_BREAKS == [-0.5000000000000001, 1.5000000000000002]
+        lines, breaks = problems._PL_LINES, problems._PL_BREAKS
+        # the kept line active at t is the maximum over all five lines, on a
+        # grid and just either side of each break
+        t = np.concatenate(
+            [np.linspace(-30.0, 30.0, 241), *([b - 1e-9, b + 1e-9] for b in breaks)]
+        )
+        v, s = np.array(lines).T
+        span = np.searchsorted(breaks, t, side="right")
+        full = np.max(PL_INTERCEPTS + PL_SLOPES * t[:, None], axis=1)
+        np.testing.assert_array_equal(v[span] + s[span] * t, full)
+        # each break is the crossing of its two neighbouring kept lines
+        for (v_left, s_left), (v_right, s_right), brk in zip(lines, lines[1:], breaks):
+            assert (v_left - v_right) / (s_right - s_left) == brk
 
     def test_envelope_expectation_against_gauss_hermite(self):
         # independent 50-node Gauss-Hermite cross-check of the closed form
@@ -695,21 +708,3 @@ def test_exact_f_rows_equals_per_point_exact_f(data):
     assert values.shape == (m,)
     for x, value in zip(xs, values):
         assert value == pytest.approx(problem.exact_f(x), rel=1e-12, abs=1e-12)
-
-
-LINE_COEFFICIENT = st.floats(-10.0, 10.0)
-
-
-@PROPERTY
-@given(lines=st.lists(st.tuples(LINE_COEFFICIENT, LINE_COEFFICIENT), min_size=1, max_size=8))
-def test_upper_envelope_is_the_maximum_over_all_lines(lines):
-    intercepts, slopes = (np.array(part) for part in zip(*lines))
-    kept, breaks = problems._upper_envelope(intercepts, slopes)
-    assert len(kept) == len(breaks) + 1
-    assert all(left < right for left, right in zip(breaks, breaks[1:]))
-    # between two breaks, the kept line there is the maximum over all lines
-    t = np.linspace(-30.0, 30.0, 241)
-    v, s = np.array(kept).T
-    span = np.searchsorted(breaks, t, side="right")
-    full = np.max(intercepts + slopes * t[:, None], axis=1)
-    np.testing.assert_allclose(v[span] + s[span] * t, full, rtol=1e-9, atol=1e-9)
