@@ -34,10 +34,10 @@ import math
 import os
 import time
 import zlib
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
+from typing import Callable, Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -361,19 +361,18 @@ def _benchmark(
         for kind in config.estimators:
             iterations = budget_iterations(kind, config.iterations[kind], problem.n)
             streams = [_replication_stream(config, kind, r) for r in range(config.replications)]
-            recording = nullcontext()
+            observe = None
             if config.record_trajectories:
                 path = out / f"trajectory_{kind}.csv"
                 cost = KINDS[kind].estimator.oracle_calls(problem.n)
                 # listed before the table is started, so that no moment leaves
                 # a table behind that the cleanup does not know of
                 paths.append(path)
-                recording = emit_trajectory(path, problem, cost, iterations)
+                observe = emit_trajectory(path, problem, cost, iterations)
             start = time.perf_counter()
-            with recording as observe:
-                batches[kind] = run_problem(
-                    problem, kind, schedule, iterations, streams, observe=observe
-                )
+            batches[kind] = run_problem(
+                problem, kind, schedule, iterations, streams, observe=observe
+            )
             wall_ms[kind] = (time.perf_counter() - start) * 1000.0 / config.replications
     except BaseException:
         for path in paths:
@@ -555,14 +554,13 @@ def emit_aggregate_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> No
 CHUNK = 1024
 
 
-@contextmanager
 def emit_trajectory(
     path: str | os.PathLike,
     problem: BenchmarkProblem,
     calls_per_iteration: int,
     iterations: int,
-) -> Iterator[Observer]:
-    """Start the table ``k, error, oracle_calls`` at ``path`` and yield the
+) -> Observer:
+    """Start the table ``k, error, oracle_calls`` at ``path`` and return the
     observer of an ``iterations``-iteration run that writes replication 0's
     rows into it, :data:`CHUNK` iterates at a time, with ``oracle_calls``
     the ``k * calls_per_iteration`` calls spent before ``x_k``.
@@ -587,7 +585,7 @@ def emit_trajectory(
         lines = ((j, e, j * calls_per_iteration) for j, e in enumerate(errors, state.k - row))
         _write_lines(path, "a", lines)
 
-    yield observe
+    return observe
 
 
 def output_dir(config_output: str | None, cli_out: str | None) -> Path:

@@ -42,6 +42,7 @@ from . import bench
 from .decision import RatioBoundError, ValueBoundError
 from .estimators import StochasticOracle, second_moment_probe
 from .optimizer import NonFiniteError
+from .problems import check_dimension
 from .rng import RandomStream
 
 # Exit status of each library error; the first matching class wins.
@@ -92,6 +93,8 @@ def _cmd_moments(args) -> int:
         )
     if len(set(dims)) < len(dims):
         raise ValueError(f"a dimension is listed twice in --dims {args.dims!r}")
+    for n in dims:
+        check_dimension(n, name="--dims")
     samples = args.samples
     if samples < 1:
         raise ValueError(f"--samples must be >= 1, got {samples}")

@@ -136,11 +136,10 @@ class KnownDensityOracle:
         """One :meth:`weighted_value` call at the rows' ``(2, n)``
         replacement points, with ``xi`` the rows' ``(R, c + 1)`` packed
         reference draws: ``c`` components, then their reference density."""
-        points = _replacement_points(base, moved)
         # component j of row r, broadcasting over the row's 2n points, then
         # the row's reference density
         *xi, ref = xi.T[:, :, None, None]
-        return self.weighted_value(points, tuple(xi), ref)
+        return self.weighted_value(replacement_points(base, moved), tuple(xi), ref)
 
 
 @dataclass
@@ -171,17 +170,11 @@ class RandomFieldOracle:
         """One :attr:`field_sampler` call on the rows' ``(R, n)`` point pairs
         with their noise, then one ``f_hat`` call at the ``(R, 2, n)``
         points, each with the field's value at it."""
-        points = _replacement_points(base, moved)
+        points = replacement_points(base, moved)
         pairs = zip(*self.field_sampler(points[:, 0], points[:, 1], noise))
         # each component's two sides as (R, 2, n); np.stack took three times
         # as long on the market's (8, 2) components
         return self.f_hat(points, tuple(np.array(pair).swapaxes(0, 1) for pair in pairs))
-
-
-def _replacement_points(base, moved):
-    """The ``(R, 2, n, n)`` points of ``eval_axis``: point ``(s, i)`` of row
-    ``r`` is ``base[r]`` with coordinate ``i`` set to ``moved[r, s, i]``."""
-    return replacement_points(base, moved.reshape(len(base), -1)).reshape(*moved.shape, -1)
 
 
 def _known_draws(oracle: KnownDensityOracle, stream, size: int, n: int):

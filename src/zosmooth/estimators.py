@@ -169,15 +169,18 @@ EVAL_CHUNK_VALUES = 1 << 14
 
 
 def replacement_points(base, moved) -> np.ndarray:
-    """``(R, m, n)`` points: point ``j`` of row ``r`` is ``base[r]`` with
-    coordinate ``j mod n`` set to ``moved[r, j]``."""
-    rows, m = moved.shape
-    n = base.shape[1]
+    """``moved.shape + (n,)`` points for ``(R, n)`` rows ``base`` and
+    ``moved`` of any shape ``(R, ...)``: point ``j`` of row ``r``, counting
+    ``moved[r]`` in C order, is ``base[r]`` with coordinate ``j mod n`` set
+    to ``moved[r].flat[j]``.  So an ``(R, 2, n)`` ``moved`` gives the
+    ``(R, 2, n, n)`` points of ``eval_axis``."""
+    rows, n = base.shape
+    m = moved.size // rows
     points = np.empty((rows, m, n))
     points[:] = base[:, None]
     # one put: a fancy-index assignment took most of a small call's time
     points.put(_replaced(rows, m, n, 0), moved)
-    return points
+    return points.reshape(*moved.shape, n)
 
 
 @lru_cache(maxsize=256)

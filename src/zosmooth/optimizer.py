@@ -268,13 +268,10 @@ def run(
         # iteration's draws (views into it), is dropped before the block is
         # filled, and each replication's draws before the next replication
         # draws, so that besides the block only one replication's draws are
-        # alive; a single replication's draws are the block, without a copy
+        # alive, whatever R is
         blocks = draws = None
         for r, s in enumerate(streams):
             parts = estimator.draw(oracle, s, size, n)
-            if rows == 1:
-                blocks = [p[:, None] for p in parts]
-                continue
             if blocks is None:
                 blocks = [np.empty((size, rows) + p.shape[1:], p.dtype) for p in parts]
             for i, part in enumerate(parts):

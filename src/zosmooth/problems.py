@@ -68,8 +68,6 @@ def error_metric(problem: BenchmarkProblem, x: np.ndarray) -> float:
     """Suboptimality for convex problems, squared stationarity residual else."""
     x = np.asarray(x, dtype=float)
     if problem.convexity == "nonconvex":
-        if problem.stationarity_residual is None:
-            raise ValueError(f"problem {problem.name} lacks a stationarity residual")
         return problem.stationarity_residual(x)
     return problem.exact_f(x) - problem.f_star
 
@@ -85,6 +83,17 @@ def error_metric_rows(problem: BenchmarkProblem, xs: np.ndarray) -> np.ndarray:
     if problem.exact_f_rows is None or problem.convexity == "nonconvex":
         return np.array([error_metric(problem, x) for x in xs])
     return problem.exact_f_rows(xs) - problem.f_star
+
+
+def check_dimension(n: int, axes: int = 1, name: str = "n") -> None:
+    """Raise :class:`ValueError` naming ``name`` unless ``n >= 1`` and numpy
+    can index a float array of ``n**axes`` entries: their byte count, 8 per
+    entry, must fit a signed index.  A builder checks this before it
+    allocates."""
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    if n**axes > np.iinfo(np.intp).max // 8:
+        raise ValueError(f"{name}={n} is beyond numpy's array limit: {n**axes} floats in one array")
 
 
 def performative_gap(problem: BenchmarkProblem) -> float:
@@ -180,11 +189,16 @@ def make_quad_problem(
     ``F(x, xi) = 0.5 x'Q x + (b + xi)'x + w*||x||_1`` with noise vector
     ``xi`` of i.i.d. ``N(0, s^2)`` coordinates, on ``[-h, h]^n``, where
     ``s`` is :data:`QUAD_NOISE_STD` and ``h`` is :data:`QUAD_BOX_HALF_WIDTH`.
-    ``q_hat`` must be symmetric positive definite.
+    ``q_hat`` must be symmetric positive definite and ``w`` finite and
+    ``>= 0``.
     """
     q_hat = np.asarray(q_hat, dtype=float)
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
+    # a negative weight makes F nonconvex, against its strongly_convex tag
+    # and the proximal reference solve
+    if not 0 <= l1_weight < math.inf:
+        raise ValueError(f"l1_weight must be finite and >= 0, got l1_weight={l1_weight} at n={n}")
     feasible = FeasibleSet.symmetric_box(QUAD_BOX_HALF_WIDTH, n)
 
     # The oracle callables broadcast: points have shape (..., n) and xi the
@@ -222,9 +236,10 @@ def make_quad_problem(
     smooth_lip = norm_q * math.sqrt(n) * QUAD_BOX_HALF_WIDTH + float(np.linalg.norm(b))
     l0 = smooth_lip + l1_weight * math.sqrt(n) + QUAD_NOISE_STD
 
+    # the noise enters linearly with mean zero, so f is F at xi = 0
     def exact_f(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (q_hat @ x) + b @ x + l1_weight * np.abs(x).sum())
+        return float(value(x, q_hat @ x, 0.0))
 
     def exact_f_rows(xs: np.ndarray) -> np.ndarray:
         # one gemm for all rows (Q is symmetric, so x'Q is (Qx)')
@@ -283,8 +298,7 @@ def quad_l1_problem(n: int, seed: int, l1_weight: float = 0.5) -> BenchmarkProbl
     kept.  Each in-place step is the same IEEE operation as the expression
     above, so Q_hat is bit-identical to it.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_dimension(n, axes=2)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got seed={seed} at n={n}")
     gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
@@ -386,8 +400,7 @@ def piecewise_linear_problem(n: int, mu: float = 0.0) -> BenchmarkProblem:
     the Gaussian law of the inner argument (mean ``c'x``, variance
     ``||x||^2``) in closed form.  ``mu`` must lie in ``[0, PL_MAX_MU]``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_dimension(n)
     if not 0 <= mu <= PL_MAX_MU:
         raise ValueError(f"mu must lie in [0, {PL_MAX_MU:g}], got mu={mu} at n={n}")
     c = np.arange(1, n + 1, dtype=float) / n
@@ -478,8 +491,7 @@ def nonconvex_min_problem(n: int) -> BenchmarkProblem:
     expectation is ``||x||^2 + 4n/3 - 2|sum_i x_i|``; the all-ones vectors
     of either sign are stationary.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_dimension(n)
     feasible = FeasibleSet.symmetric_box(10.0, n)
 
     # F from the squared norm sq and coordinate sum total of a point

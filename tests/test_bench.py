@@ -559,8 +559,7 @@ class TestCsvOutput:
             emit_aggregate_csv([], path)
         elif table == "trajectory":
             # a run that never reached the observer leaves the header alone
-            with emit_trajectory(path, quad_l1_problem(2, 3), 4, 0):
-                pass
+            emit_trajectory(path, quad_l1_problem(2, 3), 4, 0)
         elif table == "dd_results":
             bench.emit_dd_csv([], path)
         else:
@@ -605,8 +604,8 @@ class TestCsvOutput:
         schedule = problem.default_schedule
         path = tmp_path / "traj.csv"
         cost = KINDS["esgs"].estimator.oracle_calls(problem.n)
-        with emit_trajectory(path, problem, cost, 1) as observe:
-            run_problem(problem, "esgs", schedule, 1, [RandomStream(5)], observe=observe)
+        observe = emit_trajectory(path, problem, cost, 1)
+        run_problem(problem, "esgs", schedule, 1, [RandomStream(5)], observe=observe)
         with path.open() as fh:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 2  # k = 0, 1
@@ -952,6 +951,7 @@ class TestCli:
             ["--seed", "-1"],
             # a repeated dimension would write each of its probes twice
             ["--dims", "3,3"],
+            ["--dims", "100000000000000000000"],
         ],
     )
     def test_moments_errors_are_one_line(self, tmp_path, capsys, args):
@@ -960,6 +960,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         # checked before any output: no partial moments.csv is left behind
+        assert not out.exists()
+
+    def test_moments_dimension_beyond_numpys_array_limit_names_dims(self, tmp_path, capsys):
+        # checked before any probe runs, the valid dimension's included
+        out = tmp_path / "out"
+        assert cli_main(["moments", "--dims", f"3,{10**20}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --dims={10**20} is beyond numpy's array limit: {10**20} floats in one array\n"
+        )
         assert not out.exists()
 
     def test_moments_rejects_config(self, tmp_path):
@@ -1256,6 +1265,11 @@ class TestCli:
             {"problem": ["quad_l1"]},
             {"problem": {"name": "quad_l1"}},
             {"schedule": {"kind": ["custom"], "alpha": 0.5, "beta": 0.5}},
+            {"problem_params": {"n": 2, "seed": 1, "l1_weight": -3.0}},
+            {"problem": "nonconvex_min", "problem_params": {"n": 10**20}},
+            {"problem": "piecewise_linear", "problem_params": {"n": 10**20}},
+            {"problem_params": {"n": 10**20, "seed": 1}},
+            {"problem_params": {"n": 3 * 10**9, "seed": 1}},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])

@@ -672,6 +672,18 @@ class TestReplacementPoints:
         assert points.shape == (rows, m, n)
         assert np.array_equal(points, fancy_index_replacement_points(base, moved, 0))
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(rows=st.integers(1, 6), n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_pair_axis_is_the_flat_result_reshaped(self, rows, n, seed):
+        # the (R, 2, n) moved values of the decision-dependent eval_axis
+        gen = np.random.default_rng(seed)
+        base = gen.standard_normal((rows, n))
+        moved = gen.standard_normal((rows, 2, n))
+        points = replacement_points(base, moved)
+        assert points.shape == (rows, 2, n, n)
+        flat = replacement_points(base, moved.reshape(rows, 2 * n))
+        assert np.array_equal(points, flat.reshape(rows, 2, n, n))
+
 
 class TestRowKernels:
     """Each batched row kernel at R = 1 reproduces its single-sample function."""

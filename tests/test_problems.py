@@ -20,6 +20,7 @@ from zosmooth.problems import (
     PL_SLOPES,
     _envelope_gaussian_stats,
     _proximal_gradient_quad,
+    check_dimension,
     error_metric,
     make_quad_problem,
     market_problem,
@@ -199,6 +200,52 @@ class TestQuad:
     def test_negative_seed_names_the_parameter(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got seed=-1 at n=3$"):
             quad_l1_problem(3, -1)
+
+    @pytest.mark.parametrize("l1_weight", [-3.0, math.nan, math.inf])
+    def test_negative_or_non_finite_l1_weight_names_the_parameter(self, l1_weight):
+        # a negative weight makes F nonconvex; NaN and inf give no reference
+        message = rf"^l1_weight must be finite and >= 0, got l1_weight={l1_weight} at n=5$"
+        with pytest.raises(ValueError, match=message):
+            quad_l1_problem(5, 1, l1_weight)
+        with pytest.raises(ValueError, match=message):
+            make_quad_problem(np.eye(5), np.zeros(5), l1_weight)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 200])
+    def test_exact_f_is_the_oracle_at_zero_noise(self, n):
+        # the noise enters linearly with mean zero, so f is F at xi = 0, bit for bit
+        problem = quad_l1_problem(n, 5)
+        gen = np.random.default_rng(n)
+        for x in gen.uniform(-1.5, 1.5, (20, n)):
+            assert problem.exact_f(x) == float(problem.oracle.eval(x, np.zeros(n)))
+
+
+@pytest.mark.parametrize(
+    "name, n, floats",
+    [
+        ("quad_l1", 3 * 10**9, 9 * 10**18),  # its n x n matrix
+        ("quad_l1", 10**20, 10**40),
+        ("piecewise_linear", 10**20, 10**20),
+        ("nonconvex_min", 10**20, 10**20),
+    ],
+)
+def test_dimension_beyond_numpys_array_limit_names_n(name, n, floats):
+    params = {"seed": 1} if name == "quad_l1" else {}
+    message = rf"^n={n} is beyond numpy's array limit: {floats} floats in one array$"
+    with pytest.raises(ValueError, match=message):
+        problems.PROBLEM_BUILDERS[name](n, **params)
+
+
+def test_dimension_limit_is_numpys_byte_count():
+    # the most float64 entries whose byte count fits a signed index
+    limit = np.iinfo(np.intp).max // 8
+    check_dimension(limit)
+    check_dimension(math.isqrt(limit), axes=2)
+    with pytest.raises(ValueError, match=f"^n={limit + 1} is beyond"):
+        check_dimension(limit + 1)
+    with pytest.raises(ValueError, match=f"^n={math.isqrt(limit) + 1} is beyond"):
+        check_dimension(math.isqrt(limit) + 1, axes=2)
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        check_dimension(0)
 
 
 class TestPiecewiseLinear:
